@@ -1,23 +1,22 @@
 // FAULTS — the robustness layer under deterministic fault injection.
 //
-// A fixed fleet of client threads drives a ConcurrentAdmitter through a
-// grid of fault rates. At each rate a seeded FaultPlan (exec/faultplan.h)
+// A fixed fleet of client threads drives a single-shard ShardedAdmitter
+// through a grid of fault rates. At each rate a seeded FaultPlan (exec/faultplan.h)
 // decides, purely as a function of (seed, txn, op), which submissions
 // stall, which are dropped on the floor (the client walks away and the
 // transaction is aborted), which transactions abort themselves
 // mid-stream, and how often the admission core pauses. On top of the
 // plan, every third transaction submits under a tight deadline
 // (SubmitAndWait timeouts) and the ring is kept small so backpressure
-// retries fire; a shed high-water mark lets overload control kill the
-// newest uncommitted transactions.
+// retries fire.
 //
 // The hard gate, checked at EVERY fault rate: the serial replay of the
 // committed prefix must be relatively serializable. CommittedLog() —
 // the surviving feed restricted to committed transactions — is replayed
 // through a fresh OnlineRsrChecker and every operation must re-admit;
 // additionally every committed transaction must appear complete (all of
-// its operations present). Aborts, cascades, sheds and timeouts may
-// discard work, but they must never corrupt what committed.
+// its operations present). Aborts, cascades and timeouts may discard
+// work, but they must never corrupt what committed.
 //
 // Emits BENCH_faults.json (cwd + repo root + bench/trajectory/ when a
 // tag is set) via WriteBenchJsonFile. `--smoke` shrinks the grid and the
@@ -34,7 +33,8 @@
 #include "exec/backoff.h"
 #include "exec/faultplan.h"
 #include "obs/trace.h"
-#include "sched/admitter.h"
+#include "shard/router.h"
+#include "shard/sharded_admitter.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -56,7 +56,6 @@ struct FaultRun {
   std::size_t committed = 0;
   std::uint64_t aborts = 0;
   std::uint64_t cascade_aborts = 0;
-  std::uint64_t sheds = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t retries = 0;
   std::uint64_t drops = 0;       // client-side: submissions never made
@@ -88,17 +87,16 @@ FaultRun RunAtRate(const TransactionSet& txns, const AtomicitySpec& spec,
   const FaultPlan plan(seed, params);
 
   Tracer tracer(TraceLevel::kCounters);
-  AdmitterOptions options;
-  options.record_log = true;
+  ShardedAdmitterOptions options;
   // With `clients` blocking submitters the ring never holds more than
-  // one request per client (plus controls), and at most `clients`
-  // transactions are live at once — so both limits sit just below that
-  // to make backpressure retries and load shedding actually fire.
+  // one operation per client, so the ring sits below that to make
+  // backpressure retries actually fire.
   options.queue_capacity = clients / 2;
-  options.shed_high_water = clients - 2;
   options.tracer = &tracer;
   options.faults = &plan;
-  ConcurrentAdmitter admitter(txns, spec, options);
+  ShardedAdmitter admitter(
+      txns, spec, ShardRouter(txns.object_count(), 1, ShardStrategy::kRange),
+      options);
 
   std::vector<std::uint64_t> drops(clients, 0);
   std::vector<std::uint64_t> stalls(clients, 0);
@@ -134,7 +132,7 @@ FaultRun RunAtRate(const TransactionSet& txns, const AtomicitySpec& spec,
           if (!admitter.SubmitWithBackoff(txns.txn(t).op(i), backoff,
                                           deadline)
                    .ok()) {
-            break;  // rejected, aborted, shed or timed out
+            break;  // rejected, aborted or timed out
           }
           if (abort_after.has_value() && i + 1 == *abort_after) {
             admitter.AbortTxn(t);  // scripted mid-stream client abort
@@ -156,7 +154,6 @@ FaultRun RunAtRate(const TransactionSet& txns, const AtomicitySpec& spec,
   const TraceCounters& counters = tracer.counters();
   run.aborts = counters.aborts;
   run.cascade_aborts = counters.cascade_aborts;
-  run.sheds = counters.sheds;
   run.timeouts = counters.timeouts;
   run.retries = counters.retries;
   run.unrecoverable_reads = admitter.unrecoverable_reads();
@@ -219,8 +216,8 @@ int main(int argc, char** argv) {
 
   std::vector<FaultRun> runs;
   bool sound = true;
-  AsciiTable table({"rate", "committed", "aborts", "cascades", "sheds",
-                    "timeouts", "retries", "drops", "committed-replay"});
+  AsciiTable table({"rate", "committed", "aborts", "cascades", "timeouts",
+                    "retries", "drops", "committed-replay"});
   for (std::size_t r = 0; r < rates.size(); ++r) {
     const FaultRun run =
         RunAtRate(txns, spec, rates[r], clients, 0xFA17ULL * (r + 1));
@@ -231,7 +228,7 @@ int main(int argc, char** argv) {
                       std::to_string(run.txns),
                   std::to_string(run.aborts),
                   std::to_string(run.cascade_aborts),
-                  std::to_string(run.sheds), std::to_string(run.timeouts),
+                  std::to_string(run.timeouts),
                   std::to_string(run.retries), std::to_string(run.drops),
                   run_sound ? "sound" : "UNSOUND"});
     runs.push_back(run);
@@ -267,8 +264,6 @@ int main(int argc, char** argv) {
     json.Uint(run.aborts);
     json.Key("cascade_aborts");
     json.Uint(run.cascade_aborts);
-    json.Key("sheds");
-    json.Uint(run.sheds);
     json.Key("timeouts");
     json.Uint(run.timeouts);
     json.Key("retries");

@@ -2,14 +2,15 @@
 //
 // Sweeps the read-only transaction ratio (workload/generator.h's
 // read_only_txn_ratio knob) and, per cell, runs the same workload twice
-// through ConcurrentAdmitter: snapshot_reads ON vs OFF, with a fixed
-// client fleet walking transactions in program order. The headline
-// metric is committed READ-ONLY transaction throughput: with the fast
-// path on, settled readers commit client-side against the committed
-// watermark — zero RSG arcs, zero admission-core traffic — so read
-// throughput scales with the fleet instead of serializing through the
-// MPSC core. One sharded cell (shard/sharded_admitter.h) shows the same
-// fast path composed with partitioned admission.
+// through a single-shard ShardedAdmitter (shard/sharded_admitter.h):
+// snapshot_reads ON vs OFF, with a fixed client fleet walking
+// transactions in program order. The headline metric is committed
+// READ-ONLY transaction throughput: with the fast path on, settled
+// readers commit client-side against the committed watermark — zero RSG
+// arcs, zero admission-core traffic — so read throughput scales with
+// the fleet instead of serializing through the MPSC core. One
+// four-shard cell shows the same fast path composed with partitioned
+// admission.
 //
 // Hard gates, each failing the run with a non-zero exit:
 //   1. Soundness, EVERY cell, ON and OFF: the merged committed history
@@ -20,8 +21,7 @@
 //   2. Bit-identity at ratio 0: with no read-only transactions the fast
 //      path must be invisible — a deterministic lock-step feed must
 //      produce decision-for-decision identical outcomes and identical
-//      committed histories, ON vs OFF, for ConcurrentAdmitter AND
-//      ShardedAdmitter.
+//      committed histories, ON vs OFF, over four shards.
 //   3. Zero arcs at ratio 1: an all-readers workload must be admitted
 //      entirely by the fast path (snapshot_admits == txn_count) with
 //      the wrapped checker receiving zero arcs.
@@ -42,7 +42,6 @@
 #include "core/online.h"
 #include "exec/backoff.h"
 #include "model/op_indexer.h"
-#include "sched/admitter.h"
 #include "shard/router.h"
 #include "shard/sharded_admitter.h"
 #include "util/json.h"
@@ -80,7 +79,7 @@ std::size_t ReadOnlyTxnCount(const TransactionSet& txns) {
 }
 
 struct MvccRun {
-  std::string admitter;  // "conc" | "sharded"
+  std::size_t shards = 0;
   double ratio = 0.0;
   bool snapshot_on = false;
   std::size_t txns = 0;
@@ -122,105 +121,16 @@ void GateReplay(const TransactionSet& txns, const AtomicitySpec& spec,
   }
 }
 
-/// One ConcurrentAdmitter lifetime: `clients` threads walk transactions
-/// in program order through SubmitWithBackoff.
-MvccRun RunConcCell(double ratio, bool snapshot_on, std::size_t txn_count,
-                    std::size_t object_count, std::size_t clients,
-                    std::uint64_t seed) {
+/// One admitter lifetime over `txns`, range-partitioned into
+/// `shard_count` shards: `clients` threads walk transactions in program
+/// order through SubmitWithBackoff.
+MvccRun RunCell(const TransactionSet& txns, const AtomicitySpec& spec,
+                std::size_t shard_count, double ratio, bool snapshot_on,
+                std::size_t clients, std::uint64_t seed) {
   MvccRun run;
-  run.admitter = "conc";
+  run.shards = shard_count;
   run.ratio = ratio;
   run.snapshot_on = snapshot_on;
-
-  Rng rng(seed);
-  WorkloadParams wp;
-  wp.txn_count = txn_count;
-  wp.min_ops_per_txn = 2;
-  wp.max_ops_per_txn = 5;
-  wp.object_count = object_count;
-  wp.read_ratio = 0.6;
-  wp.read_only_txn_ratio = ratio;
-  const TransactionSet txns = GenerateTransactions(wp, &rng);
-  const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
-  run.txns = txns.txn_count();
-  run.read_only_txns = ReadOnlyTxnCount(txns);
-
-  AdmitterOptions options;
-  options.snapshot_reads = snapshot_on;
-  ConcurrentAdmitter admitter(txns, spec, options);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> fleet;
-  fleet.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
-    fleet.emplace_back([&, c] {
-      Backoff backoff(seed ^ (0x3C0FFEEULL + c));
-      for (TxnId t = static_cast<TxnId>(c); t < txns.txn_count();
-           t = static_cast<TxnId>(t + clients)) {
-        for (std::uint32_t i = 0; i < txns.txn(t).size(); ++i) {
-          if (!admitter.SubmitWithBackoff(txns.txn(t).op(i), backoff).ok()) {
-            break;
-          }
-        }
-        backoff.Reset();
-      }
-    });
-  }
-  for (std::thread& client : fleet) client.join();
-  admitter.Stop();
-  run.seconds = SecondsSince(start);
-
-  run.snapshot_admits = admitter.snapshot_admits();
-  run.snapshot_escalations = admitter.snapshot_escalations();
-  run.checker_arcs = admitter.checker().arcs_submitted();
-  if (admitter.version_store() != nullptr) {
-    run.chains = admitter.version_store()->ChainStats();
-  }
-
-  std::vector<std::uint8_t> committed(txns.txn_count(), 0);
-  for (TxnId t = 0; t < txns.txn_count(); ++t) {
-    if (!admitter.TxnCommitted(t)) continue;
-    committed[t] = 1;
-    ++run.committed;
-    bool read_only = true;
-    for (const Operation& op : txns.txn(t).ops()) {
-      if (op.is_write()) read_only = false;
-    }
-    if (read_only) ++run.committed_read_txns;
-  }
-  const std::vector<Operation> log = admitter.CommittedLog();
-  run.committed_ops = log.size();
-  run.ops_per_sec =
-      run.seconds > 0 ? static_cast<double>(run.committed_ops) / run.seconds
-                      : 0.0;
-  run.read_txns_per_sec =
-      run.seconds > 0
-          ? static_cast<double>(run.committed_read_txns) / run.seconds
-          : 0.0;
-  GateReplay(txns, spec, log, committed, &run);
-  return run;
-}
-
-/// One ShardedAdmitter lifetime over a range-partitioned workload.
-MvccRun RunShardedCell(double ratio, bool snapshot_on, std::size_t txn_count,
-                       std::size_t shard_count, std::size_t objects_per_shard,
-                       std::size_t clients, std::uint64_t seed) {
-  MvccRun run;
-  run.admitter = "sharded";
-  run.ratio = ratio;
-  run.snapshot_on = snapshot_on;
-
-  Rng rng(seed);
-  ShardedWorkloadParams wp;
-  wp.txn_count = txn_count;
-  wp.min_ops_per_txn = 2;
-  wp.max_ops_per_txn = 5;
-  wp.shard_count = shard_count;
-  wp.objects_per_shard = objects_per_shard;
-  wp.cross_shard_ratio = 0.1;
-  wp.read_ratio = 0.6;
-  wp.read_only_txn_ratio = ratio;
-  const TransactionSet txns = GenerateShardedTransactions(wp, &rng);
-  const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
   run.txns = txns.txn_count();
   run.read_only_txns = ReadOnlyTxnCount(txns);
 
@@ -253,6 +163,9 @@ MvccRun RunShardedCell(double ratio, bool snapshot_on, std::size_t txn_count,
 
   run.snapshot_admits = admitter.snapshot_admits();
   run.snapshot_escalations = admitter.snapshot_escalations();
+  for (std::uint32_t shard = 0; shard < shard_count; ++shard) {
+    run.checker_arcs += admitter.checker(shard).arcs_submitted();
+  }
   if (admitter.version_store() != nullptr) {
     run.chains = admitter.version_store()->ChainStats();
   }
@@ -283,90 +196,62 @@ MvccRun RunShardedCell(double ratio, bool snapshot_on, std::size_t txn_count,
 
 /// Hard gate 2: with read_only_txn_ratio = 0 (every transaction has a
 /// writer) the fast path must be bit-invisible. Lock-step deterministic
-/// round-robin feeds, ON vs OFF, for both admitters.
+/// round-robin feeds, ON vs OFF, over four range shards.
 bool RatioZeroIdentical(std::size_t rounds, std::size_t txn_count,
                         std::uint64_t seed) {
   const Rng base(seed);
   for (std::size_t round = 0; round < rounds; ++round) {
-    for (const bool sharded : {false, true}) {
-      Rng rng = base.Split(round * 2 + (sharded ? 1 : 0));
-      TransactionSet txns;
-      if (sharded) {
-        ShardedWorkloadParams wp;
-        wp.txn_count = txn_count;
-        wp.shard_count = 4;
-        wp.objects_per_shard = 4;  // dense: plenty of real conflicts
-        wp.zipf_theta = 0.9;
-        wp.read_only_txn_ratio = 0.0;
-        txns = GenerateShardedTransactions(wp, &rng);
-      } else {
-        WorkloadParams wp;
-        wp.txn_count = txn_count;
-        wp.object_count = 8;
-        wp.zipf_theta = 0.9;
-        wp.read_only_txn_ratio = 0.0;
-        txns = GenerateTransactions(wp, &rng);
-      }
-      const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+    Rng rng = base.Split(round * 2 + 1);
+    ShardedWorkloadParams wp;
+    wp.txn_count = txn_count;
+    wp.shard_count = 4;
+    wp.objects_per_shard = 4;  // dense: plenty of real conflicts
+    wp.zipf_theta = 0.9;
+    wp.read_only_txn_ratio = 0.0;
+    const TransactionSet txns = GenerateShardedTransactions(wp, &rng);
+    const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+    const ShardRouter router(txns.object_count(), 4, ShardStrategy::kRange);
+    ShardedAdmitterOptions on_opts;
+    on_opts.snapshot_reads = true;
+    ShardedAdmitter on(txns, spec, router, on_opts);
+    ShardedAdmitter off(txns, spec, router);
 
-      const auto feed = [&](auto& on, auto& off) -> bool {
-        std::vector<std::uint32_t> next(txns.txn_count(), 0);
-        std::vector<std::uint8_t> dead(txns.txn_count(), 0);
-        bool progress = true;
-        while (progress) {
-          progress = false;
-          for (TxnId t = 0; t < txns.txn_count(); ++t) {
-            if (dead[t] != 0 || next[t] >= txns.txn(t).size()) continue;
-            const Operation& op = txns.txn(t).op(next[t]);
-            const AdmitResult a = on.SubmitAndWait(op);
-            const AdmitResult b = off.SubmitAndWait(op);
-            if (a.outcome != b.outcome) {
-              std::cerr << "identity gate: round " << round << " T" << t
-                        << " op " << next[t] << ": snapshot-on "
-                        << AdmitOutcomeName(a.outcome) << ", snapshot-off "
-                        << AdmitOutcomeName(b.outcome) << "\n";
-              return false;
-            }
-            ++next[t];
-            if (!a.ok()) dead[t] = 1;
-            progress = true;
-          }
+    std::vector<std::uint32_t> next(txns.txn_count(), 0);
+    std::vector<std::uint8_t> dead(txns.txn_count(), 0);
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      for (TxnId t = 0; t < txns.txn_count(); ++t) {
+        if (dead[t] != 0 || next[t] >= txns.txn(t).size()) continue;
+        const Operation& op = txns.txn(t).op(next[t]);
+        const AdmitResult a = on.SubmitAndWait(op);
+        const AdmitResult b = off.SubmitAndWait(op);
+        if (a.outcome != b.outcome) {
+          std::cerr << "identity gate: round " << round << " T" << t
+                    << " op " << next[t] << ": snapshot-on "
+                    << AdmitOutcomeName(a.outcome) << ", snapshot-off "
+                    << AdmitOutcomeName(b.outcome) << "\n";
+          return false;
         }
-        on.Stop();
-        off.Stop();
-        const std::vector<Operation> log_on = on.CommittedLog();
-        const std::vector<Operation> log_off = off.CommittedLog();
-        const OpIndexer indexer(txns);
-        bool same = log_on.size() == log_off.size();
-        for (std::size_t i = 0; same && i < log_on.size(); ++i) {
-          same = indexer.GlobalId(log_on[i]) == indexer.GlobalId(log_off[i]);
-        }
-        if (!same) {
-          std::cerr << "identity gate: round " << round
-                    << ": committed logs diverge (" << log_on.size() << " vs "
-                    << log_off.size() << " ops)\n";
-        }
-        return same;
-      };
-
-      if (sharded) {
-        ShardedAdmitterOptions on_opts;
-        on_opts.snapshot_reads = true;
-        ShardedAdmitter on(txns, spec,
-                           ShardRouter(txns.object_count(), 4,
-                                       ShardStrategy::kRange),
-                           on_opts);
-        ShardedAdmitter off(txns, spec,
-                            ShardRouter(txns.object_count(), 4,
-                                        ShardStrategy::kRange));
-        if (!feed(on, off)) return false;
-      } else {
-        AdmitterOptions on_opts;
-        on_opts.snapshot_reads = true;
-        ConcurrentAdmitter on(txns, spec, on_opts);
-        ConcurrentAdmitter off(txns, spec);
-        if (!feed(on, off)) return false;
+        ++next[t];
+        if (!a.ok()) dead[t] = 1;
+        progress = true;
       }
+    }
+    on.Stop();
+    off.Stop();
+    const std::vector<Operation> log_on = on.CommittedLog();
+    const std::vector<Operation> log_off = off.CommittedLog();
+    const OpIndexer indexer(txns);
+    bool same = log_on.size() == log_off.size();
+    for (std::size_t i = 0; same && i < log_on.size(); ++i) {
+      same = indexer.GlobalId(log_on[i]) == indexer.GlobalId(log_off[i]);
+    }
+    if (!same) {
+      std::cerr << "identity gate: round " << round
+                << ": committed logs diverge (" << log_on.size() << " vs "
+                << log_off.size() << " ops)\n";
+      return false;
     }
   }
   return true;
@@ -397,13 +282,13 @@ int main(int argc, char** argv) {
   bool sound = true;
   bool zero_arcs_at_one = true;
   double speedup_at_095 = 0.0;
-  AsciiTable table({"admitter", "ratio", "snap", "committed", "read-txn/s",
+  AsciiTable table({"shards", "ratio", "snap", "committed", "read-txn/s",
                     "ops/s", "snap-admits", "escal", "arcs", "replay"});
   std::uint64_t cell = 0;
   const auto record = [&](const MvccRun& run) {
     const bool run_sound = run.replay_sound && run.committed_complete;
     sound = sound && run_sound;
-    table.AddRow({run.admitter, Fixed2(run.ratio), run.snapshot_on ? "on" : "off",
+    table.AddRow({std::to_string(run.shards), Fixed2(run.ratio), run.snapshot_on ? "on" : "off",
                   std::to_string(run.committed) + "/" + std::to_string(run.txns),
                   std::to_string(static_cast<std::uint64_t>(run.read_txns_per_sec)),
                   std::to_string(static_cast<std::uint64_t>(run.ops_per_sec)),
@@ -416,10 +301,20 @@ int main(int argc, char** argv) {
 
   for (const double ratio : ratios) {
     const std::uint64_t seed = 0x36CC0000ULL + 977 * (++cell);
-    const MvccRun off = RunConcCell(ratio, /*snapshot_on=*/false, txn_count,
-                                    object_count, clients, seed);
-    const MvccRun on = RunConcCell(ratio, /*snapshot_on=*/true, txn_count,
-                                   object_count, clients, seed);
+    Rng rng(seed);
+    WorkloadParams wp;
+    wp.txn_count = txn_count;
+    wp.min_ops_per_txn = 2;
+    wp.max_ops_per_txn = 5;
+    wp.object_count = object_count;
+    wp.read_ratio = 0.6;
+    wp.read_only_txn_ratio = ratio;
+    const TransactionSet txns = GenerateTransactions(wp, &rng);
+    const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+    const MvccRun off = RunCell(txns, spec, 1, ratio, /*snapshot_on=*/false,
+                                clients, seed);
+    const MvccRun on = RunCell(txns, spec, 1, ratio, /*snapshot_on=*/true,
+                               clients, seed);
     record(off);
     record(on);
     if (ratio == 0.95 && off.read_txns_per_sec > 0) {
@@ -434,12 +329,23 @@ int main(int argc, char** argv) {
   // One sharded cell at the read-heavy ratio: the fast path composed
   // with partitioned admission.
   {
-    const MvccRun off =
-        RunShardedCell(0.95, /*snapshot_on=*/false, txn_count, 4,
-                       object_count / 4, clients, 0x36CC5A4DULL);
-    const MvccRun on =
-        RunShardedCell(0.95, /*snapshot_on=*/true, txn_count, 4,
-                       object_count / 4, clients, 0x36CC5A4DULL);
+    constexpr std::uint64_t kSeed = 0x36CC5A4DULL;
+    Rng rng(kSeed);
+    ShardedWorkloadParams wp;
+    wp.txn_count = txn_count;
+    wp.min_ops_per_txn = 2;
+    wp.max_ops_per_txn = 5;
+    wp.shard_count = 4;
+    wp.objects_per_shard = object_count / 4;
+    wp.cross_shard_ratio = 0.1;
+    wp.read_ratio = 0.6;
+    wp.read_only_txn_ratio = 0.95;
+    const TransactionSet txns = GenerateShardedTransactions(wp, &rng);
+    const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+    const MvccRun off = RunCell(txns, spec, 4, 0.95, /*snapshot_on=*/false,
+                                clients, kSeed);
+    const MvccRun on = RunCell(txns, spec, 4, 0.95, /*snapshot_on=*/true,
+                               clients, kSeed);
     record(off);
     record(on);
   }
@@ -485,8 +391,8 @@ int main(int argc, char** argv) {
   json.BeginArray();
   for (const MvccRun& run : runs) {
     json.BeginObject();
-    json.Key("admitter");
-    json.String(run.admitter);
+    json.Key("shards");
+    json.Uint(run.shards);
     json.Key("read_only_txn_ratio");
     json.Double(run.ratio);
     json.Key("snapshot_reads");

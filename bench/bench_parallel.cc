@@ -10,10 +10,9 @@
 //  2. Parallel brute-force: IsRelativelyConsistentParallel vs the serial
 //     IsRelativelyConsistent on random workloads — decision, witness
 //     and stats must match exactly.
-//  3. Admitter throughput: a ConcurrentAdmitter fed by 1/4/8/16 client
-//     threads (clients own disjoint transaction sets and submit in
-//     program order; obviously-conflict-free operations go down the
-//     Probe/SubmitDetached fast path, the rest block on SubmitAndWait).
+//  3. Admitter throughput: a single-shard ShardedAdmitter fed by
+//     1/4/8/16 client threads (clients own disjoint transaction sets and
+//     submit in program order, blocking on SubmitWithBackoff).
 //     Client-observed decision latency p50/p99 and end-to-end ops/sec
 //     are reported per client count, and the admitted log is replayed
 //     through a fresh serial checker — every admitted operation must
@@ -32,9 +31,11 @@
 
 #include "core/brute.h"
 #include "core/online.h"
+#include "exec/backoff.h"
 #include "exec/thread_pool.h"
 #include "model/schedule.h"
-#include "sched/admitter.h"
+#include "shard/router.h"
+#include "shard/sharded_admitter.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -141,9 +142,8 @@ AdmitterRun MeasureAdmitter(const TransactionSet& txns,
   AdmitterRun run;
   run.clients = clients;
 
-  AdmitterOptions options;
-  options.record_log = true;
-  ConcurrentAdmitter admitter(txns, spec, options);
+  ShardedAdmitter admitter(
+      txns, spec, ShardRouter(txns.object_count(), 1, ShardStrategy::kRange));
 
   std::vector<std::vector<std::uint64_t>> latencies(clients);
   const auto start = std::chrono::steady_clock::now();
@@ -157,19 +157,13 @@ AdmitterRun MeasureAdmitter(const TransactionSet& txns,
            t = static_cast<TxnId>(t + clients)) {
         bool live = true;
         for (std::uint32_t i = 0; live && i < txns.txn(t).size(); ++i) {
-          const Operation& op = txns.txn(t).op(i);
-          if (admitter.Probe(op)) {
-            admitter.SubmitDetached(op);  // reconciled by TxnVerdict below
-            continue;
-          }
           const auto op_start = std::chrono::steady_clock::now();
-          live = admitter.SubmitWithBackoff(op, backoff).ok();
+          live = admitter.SubmitWithBackoff(txns.txn(t).op(i), backoff).ok();
           lat.push_back(static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::steady_clock::now() - op_start)
                   .count()));
         }
-        admitter.TxnVerdict(t);  // commit barrier for detached submissions
       }
     });
   }
@@ -179,7 +173,7 @@ AdmitterRun MeasureAdmitter(const TransactionSet& txns,
 
   run.accepted = admitter.accepted();
   run.rejected = admitter.rejected();
-  run.fast_path = admitter.fast_path_accepts();
+  run.fast_path = admitter.shard_stats(0).fast_path;
   run.ops = run.accepted + run.rejected;
   run.ops_per_sec = run.seconds > 0 ? static_cast<double>(run.ops) / run.seconds
                                     : 0.0;
@@ -201,16 +195,17 @@ AdmitterRun MeasureAdmitter(const TransactionSet& txns,
     run.p99_ns = nth(0.99);
   }
 
-  // Soundness replay: everything the concurrent front-end admitted must
-  // re-admit through a fresh serial checker in the same order.
+  // Soundness replay: everything the admitter accepted must re-admit
+  // through a fresh serial checker in the same order.
+  const std::vector<Operation> admitted = admitter.AdmittedLog();
   OnlineRsrChecker replay(txns, spec);
-  for (const Operation& op : admitter.admitted_log()) {
+  for (const Operation& op : admitted) {
     if (!replay.TryAppend(op)) {
       run.replay_sound = false;
       break;
     }
   }
-  if (admitter.admitted_log().size() != run.accepted) run.replay_sound = false;
+  if (admitted.size() != run.accepted) run.replay_sound = false;
   return run;
 }
 

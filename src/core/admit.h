@@ -4,10 +4,10 @@
 // Before this header, every layer reported admission decisions through a
 // different ad-hoc shape — bool returns from OnlineRsrChecker, a
 // three-way Decision enum from the simulator schedulers, raw decision
-// words inside ConcurrentAdmitter. The robustness layer (aborts,
-// backpressure, load shedding, deadlines) needs verdicts none of those
-// shapes can express, so the checker, both graph-based schedulers and
-// the concurrent admitter now all return the same AdmitResult:
+// words inside the admitter. The robustness layer (aborts, backpressure,
+// deadlines) needs verdicts none of those shapes can express, so the
+// checker, both graph-based schedulers and the sharded admitter now all
+// return the same AdmitResult:
 //
 //   kAccept  — the operation executed; the prefix stays relatively
 //              serializable (Theorem 1 applied online).
@@ -17,8 +17,6 @@
 //              admission ring (backpressure), or an ineligible fast
 //              path. Nothing was recorded; the caller may retry, ideally
 //              after a jittered backoff (exec/backoff.h).
-//   kShed    — the transaction was load-shed by the overload policy
-//              (newest-uncommitted-first; see sched/admitter.h).
 //   kAborted — the transaction was aborted: explicitly (AbortTxn), as a
 //              cascade over reads-from, or by a scheduler whose
 //              certification failure dooms the requester.
@@ -43,13 +41,12 @@ enum class AdmitOutcome : std::uint8_t {
   kAccept = 0,
   kReject,
   kRetry,
-  kShed,
   kAborted,
   kTimeout,
 };
 
-/// Stable lowercase name ("accept", "reject", "retry", "shed",
-/// "aborted", "timeout").
+/// Stable lowercase name ("accept", "reject", "retry", "aborted",
+/// "timeout").
 inline const char* AdmitOutcomeName(AdmitOutcome outcome) {
   switch (outcome) {
     case AdmitOutcome::kAccept:
@@ -58,8 +55,6 @@ inline const char* AdmitOutcomeName(AdmitOutcome outcome) {
       return "reject";
     case AdmitOutcome::kRetry:
       return "retry";
-    case AdmitOutcome::kShed:
-      return "shed";
     case AdmitOutcome::kAborted:
       return "aborted";
     case AdmitOutcome::kTimeout:
@@ -87,7 +82,7 @@ struct ArcWitness {
 
 /// One admission decision. Returned uniformly by
 /// OnlineRsrChecker::TryAppend*, the simulator schedulers' OnRequest,
-/// and ConcurrentAdmitter::{SubmitAndWait,TxnVerdict,AbortTxn}.
+/// and ShardedAdmitter::{SubmitAndWait,TxnVerdict,AbortTxn}.
 struct AdmitResult {
   AdmitOutcome outcome = AdmitOutcome::kAccept;
   ArcWitness witness_arc;
@@ -106,9 +101,6 @@ struct AdmitResult {
   }
   static AdmitResult Retry(TxnId txn) {
     return AdmitResult{AdmitOutcome::kRetry, {}, txn};
-  }
-  static AdmitResult Shed(TxnId txn) {
-    return AdmitResult{AdmitOutcome::kShed, {}, txn};
   }
   static AdmitResult Aborted(TxnId txn, ArcWitness witness = {}) {
     return AdmitResult{AdmitOutcome::kAborted, witness, txn};

@@ -14,9 +14,9 @@
 //     to a facade-less run.
 //
 // This is the *sequential* reference implementation of the fast path —
-// the concurrent wirings live in sched/admitter.cc and
-// shard/sharded_admitter.cc and are differentially tested against the
-// same committed-log soundness gate (tests/mvcc_test.cc). Feeding
+// the concurrent wiring lives in shard/sharded_admitter.cc and is
+// differentially tested against the same committed-log soundness gate
+// (tests/mvcc_test.cc). Feeding
 // contract: operations of each transaction in program order; any
 // interleaving across transactions. Rejection kills the issuing
 // transaction exactly (RemoveTransactionExact); the facade does not

@@ -272,10 +272,9 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
   if (safe_[j] == 0) return AdmitResult::Retry(j);
   const std::uint32_t obj_idx = ObjIndex(op.object);
   {
-    // Eligibility mirrors ShardedConflictIndex::ObviouslyConflictFree:
-    // the object's frontier must be empty or owned by j. (A read could
-    // tolerate foreign readers, but keeping eligibility object-exclusive
-    // matches the one-word accessor the clients pre-filter on.)
+    // Eligibility: the object's frontier must be empty or owned by j.
+    // (A read could tolerate foreign readers; this path stays
+    // conservative.)
     // Ineligibility is kRetry — retry through the full TryAppend — never
     // kReject: this path cannot prove a cycle.
     const ObjState& state = objects_[obj_idx];

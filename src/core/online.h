@@ -26,8 +26,8 @@
 // the ancestor arrays are rebuilt as a sound over-approximation (see
 // RemoveTransaction below), mirroring the baseline's documented
 // post-abort behavior. RemoveTransactionExact is the exact one the
-// concurrent admitter's abort/cascade machinery uses: it replays the
-// surviving feed through a full reset, so the post-abort state is
+// admitter's abort/cascade machinery uses: it replays the surviving
+// feed through a full reset, so the post-abort state is
 // bit-identical (StateDigest) to a checker that never saw the aborted
 // transaction — differentially tested by tests/fault_test.cc.
 //
@@ -107,7 +107,7 @@ class OnlineRsrChecker {
   /// graph. O(history) instead of RemoveTransaction's O(touched), but
   /// bit-identical (StateDigest) to recompute-from-scratch: no
   /// over-approximation, no stale safe bits, no widened memos. This is
-  /// the abort path ConcurrentAdmitter uses, so repeated abort/cascade
+  /// the abort path ShardedAdmitter uses, so repeated abort/cascade
   /// storms cannot accumulate conservatism. Counters: rejections() is
   /// preserved; arcs_submitted()/arcs_inserted_total() keep counting
   /// through the replay (they meter topology traffic, which the replay

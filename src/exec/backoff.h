@@ -1,6 +1,6 @@
 // Jittered exponential backoff for clients of the admission ring.
 //
-// When ConcurrentAdmitter::SubmitAndWait returns kRetry (bounded-queue
+// When ShardedAdmitter::SubmitAndWait returns kRetry (bounded-queue
 // backpressure), naive immediate retries from N clients re-saturate the
 // ring in lockstep. The standard remedy — full jitter over an
 // exponentially growing window, capped — decorrelates the retry storm:

@@ -1,12 +1,12 @@
 // Bounded multi-producer / single-consumer queue.
 //
-// The concurrent admission front-end (src/sched/admitter.h) funnels
-// operation requests from N client threads into one admission core; this
-// queue is that funnel. The ring is Dmitry Vyukov's bounded MPMC design
-// — one atomic sequence stamp per cell, producers claim cells with a CAS
-// on the tail, the (single) consumer walks the head without contention —
-// restricted here to one consumer, which keeps Dequeue a plain
-// load/store pair on the claimed cell.
+// The sharded admission front-end (src/shard/sharded_admitter.h) funnels
+// operation requests from N client threads into one admission core per
+// shard; this queue is that funnel. The ring is Dmitry Vyukov's bounded
+// MPMC design — one atomic sequence stamp per cell, producers claim
+// cells with a CAS on the tail, the (single) consumer walks the head
+// without contention — restricted here to one consumer, which keeps
+// Dequeue a plain load/store pair on the claimed cell.
 //
 // Blocking behavior: TryEnqueue/TryDequeue never block. Enqueue spins
 // with yields while the ring is full (bounded queues are the back-

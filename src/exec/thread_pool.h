@@ -4,13 +4,13 @@
 // The exec layer is relser's multi-core substrate: analysis sweeps (the
 // Figure 5 census, the exponential relative-consistency search, the
 // differential online harness) fan embarrassingly-parallel shards out
-// over a ThreadPool, and the concurrent admission front-end
-// (src/sched/admitter.h) uses its queues. Everything above this layer
-// keeps a hard determinism contract — parallel results are bit-identical
-// to the serial run — which the pool supports by never deciding *what*
-// a shard computes, only *where* it runs: shards draw their randomness
-// from Rng::Split and write into pre-sized slots, and reductions happen
-// in shard order on the caller (docs/parallelism.md).
+// over a ThreadPool, and the sharded admission front-end
+// (src/shard/sharded_admitter.h) uses its queues. Everything above this
+// layer keeps a hard determinism contract — parallel results are
+// bit-identical to the serial run — which the pool supports by never
+// deciding *what* a shard computes, only *where* it runs: shards draw
+// their randomness from Rng::Split and write into pre-sized slots, and
+// reductions happen in shard order on the caller (docs/parallelism.md).
 //
 // Scheduling: each worker owns a deque; Submit round-robins tasks over
 // the deques; a worker pops its own deque LIFO and, when empty, steals

@@ -156,6 +156,8 @@ void ForEachLine(std::string_view content, Fn&& fn) {
 }  // namespace
 
 bool IsKnownTraceEventKind(std::string_view kind) {
+  // "shed" is no longer emitted; it stays accepted so that older v1
+  // trace files still validate.
   return kind == "admit" || kind == "delay" || kind == "reject" ||
          kind == "abort" || kind == "cascade_abort" || kind == "commit" ||
          kind == "arc" || kind == "shed" || kind == "timeout" ||

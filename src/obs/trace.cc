@@ -17,7 +17,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kCascadeAbort: return "cascade_abort";
     case TraceEventKind::kCommit: return "commit";
     case TraceEventKind::kArc: return "arc";
-    case TraceEventKind::kShed: return "shed";
     case TraceEventKind::kTimeout: return "timeout";
     case TraceEventKind::kShardRoute: return "shard_route";
     case TraceEventKind::kCrossShardArc: return "cross_shard_arc";
@@ -200,18 +199,6 @@ void Tracer::RecordAbort(TxnId txn, std::uint64_t tick, bool cascade) {
   events_.push_back(std::move(event));
 }
 
-void Tracer::RecordShed(TxnId txn, std::uint64_t tick) {
-  if (!counting()) return;
-  ++counters_.sheds;
-  if (!events_on()) return;
-  TraceEvent event;
-  event.seq = next_seq_++;
-  event.tick = tick;
-  event.kind = TraceEventKind::kShed;
-  event.txn = txn;
-  events_.push_back(std::move(event));
-}
-
 void Tracer::RecordTimeout(TxnId txn, std::uint64_t tick) {
   if (!counting()) return;
   ++counters_.timeouts;
@@ -374,7 +361,6 @@ void Tracer::MergeFrom(const Tracer& other) {
   counters_.aborts += c.aborts;
   counters_.cascade_aborts += c.cascade_aborts;
   counters_.commits += c.commits;
-  counters_.sheds += c.sheds;
   counters_.timeouts += c.timeouts;
   counters_.retries += c.retries;
   counters_.arcs_submitted += c.arcs_submitted;
@@ -461,8 +447,6 @@ std::string SnapshotToJson(const TraceSnapshot& snapshot) {
   json.Uint(snapshot.counters.cascade_aborts);
   json.Key("commits");
   json.Uint(snapshot.counters.commits);
-  json.Key("sheds");
-  json.Uint(snapshot.counters.sheds);
   json.Key("timeouts");
   json.Uint(snapshot.counters.timeouts);
   json.Key("retries");

@@ -60,7 +60,6 @@ enum class TraceEventKind : std::uint8_t {
   kCascadeAbort,  ///< transaction rolled back because a dependency aborted
   kCommit,        ///< transaction committed
   kArc,           ///< an arc entered the scheduler's graph (kFull only)
-  kShed,          ///< transaction load-shed by the overload policy
   kTimeout,       ///< a deadline-bearing wait expired; transaction doomed
   // Sharded admission (shard/): coordinator-side events. Both are
   // transaction-level (has_op == false); the counterpart transaction
@@ -150,17 +149,17 @@ struct TraceCounters {
   std::uint64_t aborts = 0;
   std::uint64_t cascade_aborts = 0;
   std::uint64_t commits = 0;
-  // Robustness layer (sched/admitter.h). None of these feed `requests`:
-  // sheds/timeouts are transaction-level verdicts and retries happen on
-  // the client side of the admission ring, before any request exists.
-  std::uint64_t sheds = 0;     ///< transactions killed by load shedding
+  // Robustness layer (shard/sharded_admitter.h). Neither feeds
+  // `requests`: timeouts are transaction-level verdicts and retries
+  // happen on the client side of the admission ring, before any request
+  // exists.
   std::uint64_t timeouts = 0;  ///< SubmitAndWait deadlines expired
   std::uint64_t retries = 0;   ///< client submissions refused by backpressure
   std::uint64_t arcs_submitted = 0;   ///< handed to the cycle checker
   std::uint64_t arcs_inserted = 0;    ///< actually new in the graph
   std::uint64_t cycle_repairs = 0;    ///< Pearce-Kelly reorder passes
   std::uint64_t early_lock_releases = 0;  ///< unit-2PL / altruistic
-  // ConcurrentAdmitter (sched/admitter.h): drain-batch shape.
+  // Admission cores (shard/sharded_admitter.h): drain-batch shape.
   std::uint64_t batches = 0;          ///< admission-core drain batches
   std::uint64_t batched_ops = 0;      ///< operations drained in batches
   std::uint64_t queue_depth_high_water = 0;  ///< max ops seen in one drain
@@ -211,7 +210,7 @@ struct TraceSnapshot {
   std::uint64_t admit_latency_samples = 0;
   double admit_p50_ns = 0.0;
   double admit_p99_ns = 0.0;
-  // Drain-batch size distribution (ConcurrentAdmitter).
+  // Drain-batch size distribution (admission cores).
   double batch_size_p50 = 0.0;
   double batch_size_p99 = 0.0;
 };
@@ -260,8 +259,8 @@ class Tracer {
 
   void CountEarlyLockRelease();
 
-  /// ConcurrentAdmitter hooks (called by its single admission core, so
-  /// the Tracer's single-writer contract is preserved): the number of
+  /// Admission-core hooks (each shard core owns its tracer, so the
+  /// single-writer contract is preserved): the number of
   /// operations found queued at the start of a drain, and the size of
   /// the batch actually drained (also fed to the batch-size histogram).
   void NoteQueueDepth(std::uint64_t depth);
@@ -279,11 +278,8 @@ class Tracer {
   void RecordCommit(TxnId txn, std::uint64_t tick);
   void RecordAbort(TxnId txn, std::uint64_t tick, bool cascade);
 
-  /// Robustness events (ConcurrentAdmitter's overload machinery): a
-  /// transaction shed by the overload policy, and a SubmitAndWait
-  /// deadline expiry (the subsequent abort is recorded separately by
-  /// RecordAbort when it takes effect).
-  void RecordShed(TxnId txn, std::uint64_t tick);
+  /// Robustness event: a SubmitAndWait deadline expiry (the subsequent
+  /// abort is recorded separately by RecordAbort when it takes effect).
   void RecordTimeout(TxnId txn, std::uint64_t tick);
 
   /// Sharded admission (shard/). Transaction-level events: an arc
@@ -298,7 +294,7 @@ class Tracer {
                                std::uint64_t tick);
   void CountEscalation();
 
-  /// MVCC snapshot-read fast path (core/mvcc/, sched/admitter.h,
+  /// MVCC snapshot-read fast path (core/mvcc/,
   /// shard/sharded_admitter.h). RecordSnapshotRead logs one arc-free
   /// snapshot admission (transaction-level event; `tick` is the
   /// committed watermark the reader was admitted against) — the

@@ -2,9 +2,9 @@
 //
 // Downstream programs (examples/, tools/) include this one header and
 // get the whole public surface: the transaction/schedule model, the
-// atomicity-spec layer, the RSG/RSR core, the schedulers and the
-// concurrent admitter, the execution substrate (thread pool, fault
-// plans, backoff), observability, and the workload generators.
+// atomicity-spec layer, the RSG/RSR core, the schedulers, the sharded
+// admitter, the execution substrate (thread pool, fault plans,
+// backoff), observability, and the workload generators.
 //
 // Library-internal code should keep including the specific component
 // headers: the umbrella is a convenience for consumers, not a
@@ -49,8 +49,7 @@
 #include "audit/audit.h"
 #include "audit/ingest.h"
 
-// Schedulers and the fault-tolerant concurrent admitter.
-#include "sched/admitter.h"
+// Schedulers.
 #include "sched/altruistic.h"
 #include "sched/engine.h"
 #include "sched/experiment.h"
@@ -64,8 +63,8 @@
 #include "sched/timestamp.h"
 #include "sched/verify.h"
 
-// Sharded admission: partitioned RSR checking with a cross-shard
-// coordinator.
+// Admission: the fault-tolerant multi-client admitter, partitioned RSR
+// checking with a cross-shard coordinator.
 #include "shard/coordinator.h"
 #include "shard/projection.h"
 #include "shard/router.h"
@@ -73,7 +72,6 @@
 
 // Execution substrate: queues, pools, deterministic fault injection.
 #include "exec/backoff.h"
-#include "exec/conflict_index.h"
 #include "exec/faultplan.h"
 #include "exec/mpsc_queue.h"
 #include "exec/thread_pool.h"

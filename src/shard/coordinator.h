@@ -53,8 +53,8 @@
 // interleavings the full checker would admit (measured by
 // bench_sharded's cross-shard sweep), but never the converse, and a
 // workload with no multi-shard transaction never reaches it at all —
-// which is why single-shard mode is decision-identical to
-// ConcurrentAdmitter.
+// which is why single-shard mode is decision-identical to the serial
+// abort-and-cascade policy (tests/shard_test.cc).
 //
 // Thread safety: shard cores call concurrently; one mutex serializes
 // every entry point. The optional Tracer is only touched under that

@@ -87,10 +87,10 @@ AdmitResult ShardedAdmitter::SubmitAndWait(const Operation& op,
                                            std::chrono::microseconds timeout) {
   const std::size_t gid = indexer_.GlobalId(op);
   // Snapshot-read fast path: a settled read-only transaction commits
-  // here, on the client thread, without touching any shard ring. See
-  // ConcurrentAdmitter::SubmitAndWait for the classification argument;
-  // the sharded twist is the merge stamp, drawn from admission_stamp_
-  // AFTER the commit CAS. Stamp order is sound because a shard core
+  // here, on the client thread, without touching any shard ring. The
+  // feeding contract makes this thread the transaction's only
+  // submitter; a concurrent AbortTxn is arbitrated by the commit CAS.
+  // The merge stamp is drawn from admission_stamp_ AFTER that CAS. Stamp order is sound because a shard core
   // stamps a writer's program-order-last accept BEFORE its release
   // NoteCommit decrement (Decide), and the classification here
   // acquire-reads that decrement before drawing its own stamp — so a

@@ -1,15 +1,17 @@
-// ShardedAdmitter: partitioned RSR admission — N shard cores, each a
-// sequential OnlineRsrChecker over its projected sub-schedule, glued by
-// a transaction-level CrossShardCoordinator.
+// ShardedAdmitter: the multi-client, fault-tolerant admission front-end
+// — N shard cores, each a sequential OnlineRsrChecker over its projected
+// sub-schedule, glued by a transaction-level CrossShardCoordinator.
 //
-// ConcurrentAdmitter (sched/admitter.h) funnels every client into ONE
-// admission core, because certification mutates one relative
-// serialization graph. This subsystem removes that bottleneck by
-// partitioning the object space (shard/router.h): conflicts are
-// per-object, so every direct conflict is resident on exactly one
-// shard, and each shard core certifies its own projected sub-schedule
-// (shard/projection.h) with a private checker — no locks on the
-// admission hot path. Global relative serializability is recovered as
+// Certification mutates a relative serialization graph, so each shard
+// core is a single thread fed by a bounded MPSC ring
+// (exec/mpsc_queue.h): clients enqueue, the core drains in batches,
+// publishes one decision word per operation and wakes waiters once per
+// batch. Partitioning the object space (shard/router.h) spreads that
+// work over cores: conflicts are per-object, so every direct conflict
+// is resident on exactly one shard, and each shard core certifies its
+// own projected sub-schedule (shard/projection.h) with a private
+// checker — no locks on the admission hot path. Global relative
+// serializability is recovered as
 //
 //     (every shard-local projected RSG acyclic)
 //   ∧ (coordinator transaction-level graph acyclic)
@@ -24,29 +26,35 @@
 // therefore lies entirely inside tainted components and is visible to
 // the coordinator, while purely local structure stays local — the
 // relative-atomicity relaxation keeps its value inside each shard, and
-// a single-shard configuration never escalates anything, making it
-// decision-identical to ConcurrentAdmitter (hard-gated by
-// bench_sharded). docs/sharding.md develops the full argument.
+// a single-shard configuration (ShardRouter(n, 1, kRange)) never
+// escalates anything: it decides exactly as the serial
+// abort-and-cascade policy does (hard-gated by tests/shard_test.cc).
+// docs/sharding.md develops the full argument.
 //
-// The robustness vocabulary is ConcurrentAdmitter's, verbatim:
-// AdmitOutcome verdicts, kRetry backpressure, deadline timeouts,
-// client aborts, and the recoverability cascade — here spanning
-// shards: a kill CASes the transaction dead, withdraws it from its
-// resident shards (RemoveTransactionExact, exact restoration),
-// tombstones it at the coordinator (its transaction-level arcs stay
-// behind as conservative constraints — the durable-arc discipline,
+// Robustness (docs/robustness.md): every verdict speaks AdmitOutcome
+// (core/admit.h). A certification rejection kills the whole
+// transaction; client aborts (AbortTxn) and deadline timeouts do too.
+// A kill CASes the transaction dead, withdraws it from its resident
+// shards (RemoveTransactionExact, exact restoration), tombstones it at
+// the coordinator (its transaction-level arcs stay behind as
+// conservative constraints — the durable-arc discipline,
 // shard/coordinator.h), and cascades to live dirty readers wherever
 // they live, via unbounded per-core control channels (so cores never
-// block on each other's rings).
+// block on each other's rings). Committed readers of an aborted writer
+// cannot be cascaded; they are counted as unrecoverable_reads().
+// Backpressure is a verdict, not a stall: a full ring answers kRetry,
+// and SubmitWithBackoff rides it out with jittered exponential backoff
+// (exec/backoff.h).
 //
-// Feeding contract (stricter than ConcurrentAdmitter): all operations
-// of one transaction must be submitted by one thread, in program
-// order, through the *blocking* entry points (SubmitAndWait /
-// SubmitWithBackoff) — at most one operation of a transaction in
-// flight at a time. That is what lets a transaction commit the moment
-// its program-order-last operation is accepted, and what keeps the
-// per-shard projected feeds consistent with one global interleaving
-// (there is deliberately no SubmitDetached here).
+// Feeding contract: all operations of one transaction must be submitted
+// by one thread, in program order, through the blocking entry points
+// (SubmitAndWait / SubmitWithBackoff) — at most one operation of a
+// transaction in flight at a time. That is what lets a transaction
+// commit the moment its program-order-last operation is accepted, and
+// what keeps the per-shard projected feeds consistent with one global
+// interleaving. A client that receives a terminal verdict (kReject,
+// kAborted, kTimeout) should stop submitting the transaction;
+// stragglers are answered with its death outcome.
 #ifndef RELSER_SHARD_SHARDED_ADMITTER_H_
 #define RELSER_SHARD_SHARDED_ADMITTER_H_
 
@@ -137,10 +145,12 @@ class ShardedAdmitter {
   ShardedAdmitter& operator=(const ShardedAdmitter&) = delete;
 
   /// Routes `op` to the shard owning its object and blocks until that
-  /// shard's core decides it. Same verdict vocabulary as
-  /// ConcurrentAdmitter::SubmitAndWait: kAccept / kReject / a death
-  /// outcome (kAborted, kTimeout) / kRetry (ring full, nothing
-  /// enqueued). timeout zero waits forever.
+  /// shard's core decides it. Outcomes: kAccept / kReject (this op
+  /// failed certification; the transaction is being aborted) / a death
+  /// outcome (kAborted, kTimeout: the transaction died before this op
+  /// was decided) / kRetry (ring full, nothing enqueued) / kTimeout (the
+  /// deadline expired first; a timeout-abort was scheduled and the
+  /// transaction is doomed). timeout zero waits forever.
   AdmitResult SubmitAndWait(
       const Operation& op,
       std::chrono::microseconds timeout = std::chrono::microseconds::zero());
@@ -186,8 +196,10 @@ class ShardedAdmitter {
   std::uint64_t retries() const {
     return retry_count_.load(std::memory_order_acquire);
   }
-  /// Committed transactions caught reading from a later-aborted writer
-  /// (same recoverability metric as ConcurrentAdmitter).
+  /// Committed transactions caught reading from a later-aborted writer:
+  /// the cascade could not reach them (commits are final), so the read
+  /// stands unrecoverable — a recoverability metric, not a
+  /// serializability violation.
   std::uint64_t unrecoverable_reads() const {
     return unrecoverable_reads_.load(std::memory_order_acquire);
   }
@@ -274,6 +286,12 @@ class ShardedAdmitter {
   };
   ShardStats shard_stats(std::uint32_t shard) const;
 
+  /// The shard's checker, over its projected sub-schedule (at one shard,
+  /// the original one). Safe to inspect once Stop has returned.
+  const OnlineRsrChecker& checker(std::uint32_t shard) const {
+    return cores_[shard]->checker;
+  }
+
  private:
   enum class RequestKind : std::uint8_t { kOp = 0, kAbort, kTimeoutAbort,
                                           kKill };
@@ -282,8 +300,8 @@ class ShardedAdmitter {
     RequestKind kind = RequestKind::kOp;
   };
 
-  // txn_state_ encoding, as in ConcurrentAdmitter. Writers CAS from
-  // kStateLive (several shard cores may race on a kill/commit).
+  // txn_state_ encoding. Writers CAS from kStateLive (several shard
+  // cores may race on a kill/commit).
   static constexpr std::uint8_t kStateLive = 0;
   static constexpr std::uint8_t kStateCommitted = 1;
   static constexpr std::uint8_t kStateDead = 2;  // kStateDead + outcome

@@ -50,8 +50,12 @@ GroupedWorkload MakeGroups(std::size_t pairs) {
   for (std::size_t g = 0; g < pairs; ++g) {
     Transaction* a = w.txns.AddTransaction();
     Transaction* b = w.txns.AddTransaction();
-    const ObjectId oa = w.txns.InternObject("a" + std::to_string(g));
-    const ObjectId ob = w.txns.InternObject("b" + std::to_string(g));
+    // append() rather than operator+: GCC 12 flags `"a" + to_string(g)`
+    // with a false-positive -Werror=restrict at -O2/-O3.
+    const ObjectId oa =
+        w.txns.InternObject(std::string("a").append(std::to_string(g)));
+    const ObjectId ob =
+        w.txns.InternObject(std::string("b").append(std::to_string(g)));
     a->Read(oa);
     a->Write(oa);
     b->Read(ob);

@@ -4,10 +4,9 @@
 // collection, version pruning — must be DECISION- and
 // WITNESS-identical to the unbounded admitter: the same per-operation
 // outcome sequence, the same per-transaction verdicts, and the same
-// committed log, bit for bit. Both admitters are swept: the
-// single-core ConcurrentAdmitter and the multi-core ShardedAdmitter,
-// with client aborts, fault-plan core pauses and (in rotation) the
-// MVCC snapshot fast path enabled on both sides.
+// committed log, bit for bit. The sweep runs the ShardedAdmitter at 1-4
+// shards, with client aborts, fault-plan core pauses and (in rotation)
+// the MVCC snapshot fast path enabled on both sides.
 //
 // RELSER_EPOCH_DIFF_ROUNDS overrides the round count (default 300;
 // CI's TSan job runs fewer).
@@ -19,7 +18,6 @@
 
 #include "exec/backoff.h"
 #include "exec/faultplan.h"
-#include "sched/admitter.h"
 #include "shard/router.h"
 #include "shard/sharded_admitter.h"
 #include "util/rng.h"
@@ -95,8 +93,7 @@ struct RunOutcome {
 // submission (the root's verdict publishes before remote shards apply
 // their withdrawals), and "aborted vs accepted" would be a coin flip in
 // BOTH runs rather than a property of GC.
-template <typename Admitter>
-RunOutcome Drive(Admitter& admitter, const TransactionSet& txns,
+RunOutcome Drive(ShardedAdmitter& admitter, const TransactionSet& txns,
                  const std::vector<ScheduleEvent>& schedule,
                  std::uint64_t seed) {
   RunOutcome out;
@@ -137,15 +134,15 @@ RunOutcome Drive(Admitter& admitter, const TransactionSet& txns,
 }
 
 void ExpectIdentical(const RunOutcome& gc, const RunOutcome& full,
-                     std::size_t round, const char* which) {
+                     std::size_t round) {
   ASSERT_EQ(gc.outcomes, full.outcomes)
-      << which << " round " << round << ": decision sequences diverge";
+      << "round " << round << ": decision sequences diverge";
   ASSERT_EQ(gc.verdicts, full.verdicts)
-      << which << " round " << round << ": final verdicts diverge";
+      << "round " << round << ": final verdicts diverge";
   ASSERT_EQ(gc.committed, full.committed)
-      << which << " round " << round << ": commit sets diverge";
+      << "round " << round << ": commit sets diverge";
   ASSERT_EQ(gc.log, full.log)
-      << which << " round " << round << ": committed logs diverge";
+      << "round " << round << ": committed logs diverge";
 }
 
 TEST(EpochGcDifferential, GcIsDecisionAndWitnessIdentical) {
@@ -178,48 +175,25 @@ TEST(EpochGcDifferential, GcIsDecisionAndWitnessIdentical) {
     const bool with_faults = round % 4 == 1;
     const bool with_snapshots = round % 4 == 2;
 
-    // Single-core admitter, GC'd vs unbounded.
-    {
-      AdmitterOptions gc_opts;
-      gc_opts.epoch_gc = true;
-      gc_opts.gc_interval = 2;
-      gc_opts.snapshot_reads = with_snapshots;
-      if (with_faults) gc_opts.faults = &faults;
-      AdmitterOptions full_opts = gc_opts;
-      full_opts.epoch_gc = false;
-      ConcurrentAdmitter gc_admitter(txns, spec, gc_opts);
-      const RunOutcome gc = Drive(gc_admitter, txns, schedule, drive_seed);
-      ConcurrentAdmitter full_admitter(txns, spec, full_opts);
-      const RunOutcome full =
-          Drive(full_admitter, txns, schedule, drive_seed);
-      ExpectIdentical(gc, full, round, "concurrent");
-      gc_checkpoints += gc_admitter.checkpoints();
-      gc_settled += gc_admitter.epochs()->settled_count();
-    }
-
-    // Sharded admitter, GC'd vs unbounded.
-    {
-      const ShardRouter router(txns.object_count(), wp.shard_count,
-                               rng.Bernoulli(0.5) ? ShardStrategy::kRange
-                                                  : ShardStrategy::kHash);
-      ShardedAdmitterOptions gc_opts;
-      gc_opts.queue_capacity = 16;
-      gc_opts.epoch_gc = true;
-      gc_opts.gc_interval = 2;
-      gc_opts.snapshot_reads = with_snapshots;
-      if (with_faults) gc_opts.faults = &faults;
-      ShardedAdmitterOptions full_opts = gc_opts;
-      full_opts.epoch_gc = false;
-      ShardedAdmitter gc_admitter(txns, spec, router, gc_opts);
-      const RunOutcome gc = Drive(gc_admitter, txns, schedule, drive_seed);
-      ShardedAdmitter full_admitter(txns, spec, router, full_opts);
-      const RunOutcome full =
-          Drive(full_admitter, txns, schedule, drive_seed);
-      ExpectIdentical(gc, full, round, "sharded");
-      gc_checkpoints += gc_admitter.checkpoints();
-      gc_settled += gc_admitter.epochs()->settled_count();
-      for (const std::uint8_t c : gc.committed) committed_total += c;
-    }
+    const ShardRouter router(txns.object_count(), wp.shard_count,
+                             rng.Bernoulli(0.5) ? ShardStrategy::kRange
+                                                : ShardStrategy::kHash);
+    ShardedAdmitterOptions gc_opts;
+    gc_opts.queue_capacity = 16;
+    gc_opts.epoch_gc = true;
+    gc_opts.gc_interval = 2;
+    gc_opts.snapshot_reads = with_snapshots;
+    if (with_faults) gc_opts.faults = &faults;
+    ShardedAdmitterOptions full_opts = gc_opts;
+    full_opts.epoch_gc = false;
+    ShardedAdmitter gc_admitter(txns, spec, router, gc_opts);
+    const RunOutcome gc = Drive(gc_admitter, txns, schedule, drive_seed);
+    ShardedAdmitter full_admitter(txns, spec, router, full_opts);
+    const RunOutcome full = Drive(full_admitter, txns, schedule, drive_seed);
+    ExpectIdentical(gc, full, round);
+    gc_checkpoints += gc_admitter.checkpoints();
+    gc_settled += gc_admitter.epochs()->settled_count();
+    for (const std::uint8_t c : gc.committed) committed_total += c;
   }
   // The sweep is vacuous unless GC actually ran and work committed.
   EXPECT_GT(gc_checkpoints, rounds)

@@ -1,8 +1,10 @@
 // Fault-tolerance tests: the exact abort path (RemoveTransactionExact
 // differentially against rebuilt-from-scratch checkers, 500+ seeded
-// rounds), the admitter's abort/cascade/shed/timeout machinery, and
-// FaultPlan determinism (pure queries — identical at any pool size).
+// rounds), the admitter's abort/cascade/backpressure/timeout machinery
+// (a single-shard ShardedAdmitter), and FaultPlan determinism (pure
+// queries — identical at any pool size).
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -12,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include "core/online.h"
+#include "exec/backoff.h"
 #include "exec/faultplan.h"
 #include "model/schedule.h"
 #include "model/text.h"
 #include "obs/trace.h"
-#include "sched/admitter.h"
+#include "shard/router.h"
+#include "shard/sharded_admitter.h"
 #include "spec/builders.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -37,6 +41,10 @@ std::uint64_t RebuiltDigest(const TransactionSet& txns,
         << "surviving feed must replay cleanly";
   }
   return rebuilt.StateDigest();
+}
+
+ShardRouter OneShard(const TransactionSet& txns) {
+  return ShardRouter(txns.object_count(), 1, ShardStrategy::kRange);
 }
 
 // 520 seeded rounds: random workload, random spec, random feed with
@@ -125,9 +133,9 @@ TEST(FaultTest, ClientAbortCascadesToDirtyReaders) {
   const AtomicitySpec spec = FullyRelaxedSpec(*txns);
 
   Tracer tracer(TraceLevel::kFull);
-  AdmitterOptions options;
+  ShardedAdmitterOptions options;
   options.tracer = &tracer;
-  ConcurrentAdmitter admitter(*txns, spec, options);
+  ShardedAdmitter admitter(*txns, spec, OneShard(*txns), options);
   EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(0)));  // w1[x]
   EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(0)));  // r2[x] dirty
   EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(1)));  // w2[z]
@@ -148,9 +156,9 @@ TEST(FaultTest, ClientAbortCascadesToDirtyReaders) {
 
   // Only T3 survives, and the post-cascade state is bit-identical to a
   // checker that only ever saw T3.
-  EXPECT_EQ(admitter.checker().executed_count(), 2u);
-  EXPECT_EQ(admitter.checker().StateDigest(),
-            RebuiltDigest(*txns, spec, admitter.checker()));
+  EXPECT_EQ(admitter.checker(0).executed_count(), 2u);
+  EXPECT_EQ(admitter.checker(0).StateDigest(),
+            RebuiltDigest(*txns, spec, admitter.checker(0)));
   EXPECT_EQ(admitter.unrecoverable_reads(), 0u);
   EXPECT_EQ(tracer.counters().aborts, 1u);
   EXPECT_EQ(tracer.counters().cascade_aborts, 1u);
@@ -166,7 +174,7 @@ TEST(FaultTest, CommittedTransactionsAreImmune) {
       "T2 = r2[x]\n");
   ASSERT_TRUE(txns.ok());
   const AtomicitySpec spec = FullyRelaxedSpec(*txns);
-  ConcurrentAdmitter admitter(*txns, spec);
+  ShardedAdmitter admitter(*txns, spec, OneShard(*txns));
   EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(0)));  // w1[x]
   EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(0)));  // r2[x]: commits T2
   EXPECT_TRUE(admitter.TxnCommitted(1));
@@ -177,46 +185,6 @@ TEST(FaultTest, CommittedTransactionsAreImmune) {
   EXPECT_EQ(admitter.AbortTxn(0), AdmitOutcome::kAborted);
   admitter.Stop();
   EXPECT_EQ(admitter.unrecoverable_reads(), 1u);
-}
-
-// Deterministic overload control: with shed_high_water = 1 and one
-// drain per submission, the shed victims are exactly the newest live
-// uncommitted transactions at each drain.
-TEST(FaultTest, SheddingKillsNewestUncommittedFirst) {
-  auto txns = ParseTransactionSet(
-      "T1 = w1[a] w1[a]\n"
-      "T2 = w2[b] w2[b]\n"
-      "T3 = w3[c] w3[c]\n");
-  ASSERT_TRUE(txns.ok());
-  const AtomicitySpec spec = FullyRelaxedSpec(*txns);
-  Tracer tracer(TraceLevel::kFull);
-  AdmitterOptions options;
-  options.tracer = &tracer;
-  options.shed_high_water = 1;
-  ConcurrentAdmitter admitter(*txns, spec, options);
-
-  // Each SubmitAndWait drains before the next arrives, so the shed
-  // check runs once per operation with a deterministic live set:
-  //   w1[a]: live {} -> no shed, then live {T1}
-  //   w2[b]: live {T1} -> no shed, then live {T1,T2}
-  //   w3[c]: live {T1,T2} > 1 -> shed newest seen = T2; then live {T1,T3}
-  //   w1[a]: live {T1,T3} > 1 -> shed newest seen = T3; T1's op commits it
-  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(0)));
-  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(0)));
-  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(2).op(0)));
-  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(1)));
-  admitter.Stop();
-
-  EXPECT_TRUE(admitter.TxnCommitted(0));
-  EXPECT_EQ(admitter.TxnVerdict(1), AdmitOutcome::kShed);
-  EXPECT_EQ(admitter.TxnVerdict(2), AdmitOutcome::kShed);
-  EXPECT_EQ(tracer.counters().sheds, 2u);
-  EXPECT_EQ(tracer.counters().commits, 1u);
-  // Shed events are transaction-level: no op payload, and they do not
-  // feed the requests identity.
-  EXPECT_EQ(tracer.counters().requests,
-            tracer.counters().admits + tracer.counters().delays +
-                tracer.counters().rejects);
 }
 
 // Backpressure and deadlines: a fault plan that pauses the admission
@@ -239,41 +207,50 @@ TEST(FaultTest, BackpressureRetriesAndDeadlineTimeouts) {
   const FaultPlan plan(0xFA03, fp);
 
   Tracer tracer(TraceLevel::kCounters);
-  AdmitterOptions options;
+  ShardedAdmitterOptions options;
   options.queue_capacity = 2;  // tiny ring: backpressure is the norm
   options.tracer = &tracer;
   options.faults = &plan;
-  ConcurrentAdmitter admitter(txns, spec, options);
+  ShardedAdmitter admitter(txns, spec, OneShard(txns), options);
 
-  Backoff backoff(0xFA04);
-  std::uint64_t timeouts = 0;
+  // One client per transaction: blocking submissions allow one
+  // operation in flight per transaction, so only concurrent clients
+  // can fill the ring while the core pauses.
+  std::atomic<std::uint64_t> timeouts{0};
+  std::vector<std::thread> clients;
+  clients.reserve(txns.txn_count());
   for (TxnId t = 0; t < txns.txn_count(); ++t) {
-    bool live = true;
-    for (std::uint32_t i = 0; live && i < txns.txn(t).size(); ++i) {
-      const Operation& op = txns.txn(t).op(i);
-      if (t % 3 == 2) {
-        // Every third transaction runs under a deadline far shorter
-        // than the injected core pauses.
-        const AdmitResult result =
-            admitter.SubmitWithBackoff(op, backoff,
-                                       std::chrono::microseconds(50));
-        if (result.outcome == AdmitOutcome::kTimeout) ++timeouts;
-        live = result.ok();
-      } else {
-        live = admitter.SubmitWithBackoff(op, backoff).ok();
+    clients.emplace_back([&, t] {
+      Backoff backoff(0xFA04 + t);
+      for (std::uint32_t i = 0; i < txns.txn(t).size(); ++i) {
+        const Operation& op = txns.txn(t).op(i);
+        if (t % 3 == 2) {
+          // Every third transaction runs under a deadline far shorter
+          // than the injected core pauses.
+          const AdmitResult result = admitter.SubmitWithBackoff(
+              op, backoff, std::chrono::microseconds(50));
+          if (result.outcome == AdmitOutcome::kTimeout) {
+            timeouts.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (!result.ok()) return;
+        } else if (!admitter.SubmitWithBackoff(op, backoff).ok()) {
+          return;
+        }
       }
-    }
+    });
   }
+  for (std::thread& client : clients) client.join();
   admitter.Stop();
 
   EXPECT_GT(admitter.retries(), 0u) << "tiny ring + paused core must refuse";
-  EXPECT_GT(timeouts, 0u) << "50us deadlines under ~1ms pauses must expire";
+  EXPECT_GT(timeouts.load(), 0u)
+      << "50us deadlines under ~1ms pauses must expire";
   EXPECT_EQ(tracer.counters().retries, admitter.retries());
   // The tracer records timeouts that took effect; a control message
   // that finds its transaction already committed (the op squeaked in
   // after the client gave up) or already dead is a no-op, so the
   // client-side count is an upper bound.
-  EXPECT_LE(tracer.counters().timeouts, timeouts);
+  EXPECT_LE(tracer.counters().timeouts, timeouts.load());
   // Whatever committed must still be serially admissible.
   OnlineRsrChecker replay(txns, spec);
   for (const Operation& op : admitter.CommittedLog()) {

@@ -11,10 +11,10 @@
 //     checker, and fully-committed histories are additionally checked
 //     against the brute-force oracle (core/brute.h).
 //   * Ratio-0 bit-identity: with no read-only transactions the fast
-//     path is invisible in ConcurrentAdmitter AND ShardedAdmitter,
-//     decision for decision, under a deterministic lock-step feed.
-//   * Concurrent stress (run under TSan in ci.sh): client fleets over
-//     both admitters with snapshot_reads on; replay + completeness.
+//     path is invisible in ShardedAdmitter, decision for decision,
+//     under a deterministic lock-step feed.
+//   * Concurrent stress (run under TSan in ci.sh): a client fleet over
+//     the admitter with snapshot_reads on; replay + completeness.
 //   * Trace round-trip: snapshot_read events validate against the
 //     trace-format schema, summarize, and ingest into the auditor.
 #include <cstdint>
@@ -34,7 +34,6 @@
 #include "obs/export.h"
 #include "obs/inspect.h"
 #include "obs/trace.h"
-#include "sched/admitter.h"
 #include "shard/router.h"
 #include "shard/sharded_admitter.h"
 #include "spec/atomicity_spec.h"
@@ -238,10 +237,9 @@ TEST(SnapshotChecker, DifferentialVsReplayAndBruteForce) {
 }
 
 // Ratio 0 (every transaction has a writer): the fast path must be
-// bit-invisible for both admitters under a lock-step deterministic feed.
-template <typename Admitter>
-bool LockStepIdentical(const TransactionSet& txns, Admitter& on, Admitter& off,
-                       std::size_t round) {
+// bit-invisible under a lock-step deterministic feed.
+bool LockStepIdentical(const TransactionSet& txns, ShardedAdmitter& on,
+                       ShardedAdmitter& off, std::size_t round) {
   std::vector<std::uint32_t> next(txns.txn_count(), 0);
   std::vector<std::uint8_t> dead(txns.txn_count(), 0);
   bool progress = true;
@@ -274,25 +272,6 @@ bool LockStepIdentical(const TransactionSet& txns, Admitter& on, Admitter& off,
   return true;
 }
 
-TEST(SnapshotAdmitters, RatioZeroBitIdentityConcurrent) {
-  const Rng base(0x1D36CC01ULL);
-  for (std::size_t round = 0; round < 8; ++round) {
-    Rng rng = base.Split(round);
-    WorkloadParams wp;
-    wp.txn_count = 12;
-    wp.object_count = 8;
-    wp.zipf_theta = 0.9;
-    wp.read_only_txn_ratio = 0.0;
-    const TransactionSet txns = GenerateTransactions(wp, &rng);
-    const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
-    AdmitterOptions on_opts;
-    on_opts.snapshot_reads = true;
-    ConcurrentAdmitter on(txns, spec, on_opts);
-    ConcurrentAdmitter off(txns, spec);
-    EXPECT_TRUE(LockStepIdentical(txns, on, off, round));
-  }
-}
-
 TEST(SnapshotAdmitters, RatioZeroBitIdentitySharded) {
   const Rng base(0x1D36CC02ULL);
   for (std::size_t round = 0; round < 8; ++round) {
@@ -320,9 +299,8 @@ TEST(SnapshotAdmitters, RatioZeroBitIdentitySharded) {
 // Concurrent stress with the fast path on (exercised under TSan by
 // ci.sh): a client fleet over a read-heavy workload; the merged
 // committed history must replay, complete, through a fresh checker.
-template <typename Admitter>
 void FleetAndGate(const TransactionSet& txns, const AtomicitySpec& spec,
-                  Admitter& admitter, std::size_t clients,
+                  ShardedAdmitter& admitter, std::size_t clients,
                   std::uint64_t seed) {
   std::vector<std::thread> fleet;
   fleet.reserve(clients);
@@ -359,22 +337,6 @@ void FleetAndGate(const TransactionSet& txns, const AtomicitySpec& spec,
   }
 }
 
-TEST(SnapshotAdmitters, ConcurrentFleetReadHeavySound) {
-  Rng rng(0x5EED36CCULL);
-  WorkloadParams wp;
-  wp.txn_count = 256;
-  wp.object_count = 256;
-  wp.read_ratio = 0.6;
-  wp.read_only_txn_ratio = 0.9;
-  const TransactionSet txns = GenerateTransactions(wp, &rng);
-  const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
-  AdmitterOptions options;
-  options.snapshot_reads = true;
-  ConcurrentAdmitter admitter(txns, spec, options);
-  FleetAndGate(txns, spec, admitter, 4, 0xC0FFEEULL);
-  EXPECT_GT(admitter.snapshot_admits(), 0u);
-}
-
 TEST(SnapshotAdmitters, ShardedFleetReadHeavySound) {
   Rng rng(0x5EED36CDULL);
   ShardedWorkloadParams wp;
@@ -405,11 +367,13 @@ TEST(SnapshotAdmitters, TraceRoundTripWithSnapshotReads) {
   const TransactionSet txns = GenerateTransactions(wp, &rng);
   const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
   Tracer tracer(TraceLevel::kFull);
-  AdmitterOptions options;
+  ShardedAdmitterOptions options;
   options.snapshot_reads = true;
   options.tracer = &tracer;
   {
-    ConcurrentAdmitter admitter(txns, spec, options);
+    ShardedAdmitter admitter(
+        txns, spec, ShardRouter(txns.object_count(), 1, ShardStrategy::kRange),
+        options);
     for (TxnId t = 0; t < txns.txn_count(); ++t) {
       for (const Operation& op : txns.txn(t).ops()) {
         if (!admitter.SubmitAndWait(op).ok()) break;

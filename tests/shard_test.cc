@@ -3,8 +3,9 @@
 // correctness (transactions and atomicity specs), the cross-shard
 // coordinator's cycle/dead/dedup semantics, deterministic cross-shard
 // reject and abort-cascade scenarios on the ShardedAdmitter, fault-plan
-// driven backpressure/timeouts, and the single-shard decision-identity
-// gate against ConcurrentAdmitter.
+// driven backpressure/timeouts, and the single-shard gate: one shard
+// decides exactly as a serial model of the abort-and-cascade policy,
+// with and without the TryAppendIsolated fast path.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -21,7 +22,6 @@
 #include "model/op_indexer.h"
 #include "model/text.h"
 #include "obs/trace.h"
-#include "sched/admitter.h"
 #include "shard/coordinator.h"
 #include "shard/projection.h"
 #include "shard/router.h"
@@ -29,6 +29,7 @@
 #include "spec/builders.h"
 #include "util/rng.h"
 #include "util/zipf.h"
+#include "workload/generator.h"
 #include "workload/shard_gen.h"
 #include "workload/spec_gen.h"
 
@@ -400,12 +401,216 @@ TEST(ShardedAdmitterTest, BackpressureRetriesAndTimeoutsUnderFaultPlan) {
   }
 }
 
+// The admission policy applied serially — the reference the
+// single-shard admitter must match decision for decision. A rejection
+// aborts the transaction (its accepted prefix is withdrawn exactly) and
+// cascade-aborts every live transaction that read one of its writes; a
+// client abort does the same. Operations of dead transactions answer
+// kAborted, operations of committed ones kReject. A transaction commits
+// — and becomes immune — when its last operation is accepted; a
+// committed reader of a writer that later aborts counts as one
+// unrecoverable read per dirty read.
+class SerialReference {
+ public:
+  SerialReference(const TransactionSet& txns, const AtomicitySpec& spec)
+      : txns_(txns),
+        checker_(txns, spec),
+        state_(txns.txn_count(), kLive),
+        last_writer_(txns.object_count(), kNone),
+        readers_of_(txns.txn_count()) {}
+
+  AdmitOutcome Submit(const Operation& op) {
+    if (state_[op.txn] == kCommitted) return AdmitOutcome::kReject;
+    if (state_[op.txn] == kDead) return AdmitOutcome::kAborted;
+    if (!checker_.TryAppend(op).ok()) {
+      Kill(op.txn);
+      return AdmitOutcome::kReject;
+    }
+    accept_log_.push_back(op);
+    if (op.is_write()) {
+      last_writer_[op.object] = op.txn;
+    } else {
+      const TxnId writer = last_writer_[op.object];
+      if (writer != kNone && writer != op.txn && state_[writer] == kLive) {
+        readers_of_[writer].push_back(op.txn);
+      }
+    }
+    if (op.index + 1 == txns_.txn(op.txn).size()) state_[op.txn] = kCommitted;
+    return AdmitOutcome::kAccept;
+  }
+
+  AdmitOutcome Abort(TxnId txn) {
+    if (state_[txn] == kCommitted) return AdmitOutcome::kReject;
+    if (state_[txn] == kLive) Kill(txn);
+    return AdmitOutcome::kAborted;
+  }
+
+  AdmitOutcome Verdict(TxnId txn) const {
+    return state_[txn] == kDead ? AdmitOutcome::kAborted
+                                : AdmitOutcome::kAccept;
+  }
+  bool Committed(TxnId txn) const { return state_[txn] == kCommitted; }
+  std::size_t accepted() const { return accept_log_.size(); }
+  std::uint64_t unrecoverable_reads() const { return unrecoverable_reads_; }
+
+  std::vector<Operation> CommittedLog() const {
+    std::vector<Operation> log;
+    for (const Operation& op : accept_log_) {
+      if (Committed(op.txn)) log.push_back(op);
+    }
+    return log;
+  }
+
+ private:
+  static constexpr TxnId kNone = static_cast<TxnId>(-1);
+  enum : std::uint8_t { kLive, kCommitted, kDead };
+
+  void Kill(TxnId root) {
+    std::vector<TxnId> stack{root};
+    while (!stack.empty()) {
+      const TxnId t = stack.back();
+      stack.pop_back();
+      if (state_[t] != kLive) continue;
+      state_[t] = kDead;
+      if (checker_.TxnHasExecuted(t)) checker_.RemoveTransactionExact(t);
+      for (const TxnId reader : readers_of_[t]) {
+        if (state_[reader] == kLive) {
+          stack.push_back(reader);
+        } else if (state_[reader] == kCommitted) {
+          ++unrecoverable_reads_;
+        }
+      }
+      readers_of_[t].clear();
+    }
+    // The withdrawals moved object frontiers; the checker is the
+    // authority on which writer survived.
+    for (ObjectId o = 0; o < static_cast<ObjectId>(last_writer_.size()); ++o) {
+      if (last_writer_[o] == kNone || state_[last_writer_[o]] != kDead) continue;
+      const std::size_t gid = checker_.FrontierWriterGid(o);
+      last_writer_[o] = gid == OnlineRsrChecker::kNoOp
+                            ? kNone
+                            : txns_.OpByGlobalId(gid).txn;
+    }
+  }
+
+  const TransactionSet& txns_;
+  OnlineRsrChecker checker_;
+  std::vector<std::uint8_t> state_;
+  std::vector<TxnId> last_writer_;
+  std::vector<std::vector<TxnId>> readers_of_;
+  std::vector<Operation> accept_log_;
+  std::uint64_t unrecoverable_reads_ = 0;
+};
+
+// Round-robin interleaving of all transactions' operations: a canonical
+// single-thread feed order that respects each transaction's program
+// order (the admitter's feeding contract).
+std::vector<Operation> RoundRobinFeed(const TransactionSet& txns) {
+  std::vector<Operation> feed;
+  bool progress = true;
+  for (std::uint32_t i = 0; progress; ++i) {
+    progress = false;
+    for (TxnId t = 0; t < txns.txn_count(); ++t) {
+      if (i < txns.txn(t).size()) {
+        feed.push_back(txns.txn(t).op(i));
+        progress = true;
+      }
+    }
+  }
+  return feed;
+}
+
+ShardRouter OneShard(const TransactionSet& txns) {
+  return ShardRouter(txns.object_count(), 1, ShardStrategy::kRange);
+}
+
+TEST(ShardedAdmitterTest, SingleClientMatchesSerialFeed) {
+  Rng rng(0xADA1);
+  WorkloadParams wp;
+  wp.txn_count = 8;
+  wp.min_ops_per_txn = 3;
+  wp.max_ops_per_txn = 6;
+  wp.object_count = 3;  // small: force conflicts and rejections
+  wp.read_ratio = 0.4;
+  const TransactionSet txns = GenerateTransactions(wp, &rng);
+  const AtomicitySpec spec = AbsoluteSpec(txns);
+  const std::vector<Operation> feed = RoundRobinFeed(txns);
+
+  SerialReference reference(txns, spec);
+  ShardedAdmitter admitter(txns, spec, OneShard(txns));
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < feed.size(); ++i) {
+    const AdmitOutcome expected = reference.Submit(feed[i]);
+    const AdmitOutcome got = admitter.SubmitAndWait(feed[i]).outcome;
+    EXPECT_EQ(got, expected) << "op " << i;
+    rejected += got == AdmitOutcome::kAccept ? 0u : 1u;
+    ASSERT_TRUE(admitter.OpOutcome(feed[i]).has_value());
+    EXPECT_EQ(*admitter.OpOutcome(feed[i]), got) << "op " << i;
+  }
+  admitter.Stop();
+  EXPECT_GT(rejected, 0u) << "workload too easy to exercise rejection";
+  EXPECT_EQ(admitter.accepted() + admitter.rejected(), feed.size());
+}
+
+TEST(ShardedAdmitterTest, TxnVerdictReportsRejectedTransactions) {
+  // The paper's sandwich: T2 runs entirely inside T1, touching both of
+  // T1's objects; under absolute atomicity the final r1[y] must reject.
+  auto txns = ParseTransactionSet("T1 = w1[x] r1[y]\nT2 = r2[x] w2[y]\n");
+  ASSERT_TRUE(txns.ok());
+  const AtomicitySpec spec = AbsoluteSpec(*txns);
+
+  ShardedAdmitter admitter(*txns, spec, OneShard(*txns));
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(0)));  // w1[x]
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(0)));  // r2[x]
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(1)));  // w2[y]
+  // r1[y] closes the sandwich cycle under absolute atomicity: reject.
+  const AdmitResult rejected = admitter.SubmitAndWait(txns->txn(0).op(1));
+  EXPECT_EQ(rejected, AdmitOutcome::kReject);
+  EXPECT_EQ(admitter.TxnVerdict(0), AdmitOutcome::kAborted);
+  EXPECT_TRUE(admitter.TxnVerdict(1));
+  admitter.Stop();
+  EXPECT_EQ(admitter.rejected(), 1u);
+  // T1's rejection aborted it and withdrew w1[x] exactly; T2 survives
+  // whole. T2's r2[x] had read T1's uncommitted write, but T2 committed
+  // before the abort — an unrecoverable read, counted not cascaded.
+  EXPECT_EQ(admitter.checker(0).executed_count(), 2u);
+  EXPECT_TRUE(admitter.TxnCommitted(1));
+  EXPECT_EQ(admitter.unrecoverable_reads(), 1u);
+}
+
+TEST(ShardedAdmitterTest, FastPathDecisionsMatchSlowPath) {
+  // Sparse workload where most traffic qualifies for TryAppendIsolated:
+  // the admitter's decisions must still match the slow-path-only serial
+  // reference exactly (the fast path is a shortcut, not a relaxation).
+  Rng rng(0xADA4);
+  WorkloadParams wp;
+  wp.txn_count = 12;
+  wp.min_ops_per_txn = 2;
+  wp.max_ops_per_txn = 6;
+  wp.object_count = 48;
+  wp.read_ratio = 0.6;
+  const TransactionSet txns = GenerateTransactions(wp, &rng);
+  const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+  const std::vector<Operation> feed = RoundRobinFeed(txns);
+
+  SerialReference reference(txns, spec);
+  ShardedAdmitter admitter(txns, spec, OneShard(txns));
+  for (std::size_t i = 0; i < feed.size(); ++i) {
+    EXPECT_EQ(admitter.SubmitAndWait(feed[i]).outcome,
+              reference.Submit(feed[i]))
+        << "op " << i;
+  }
+  admitter.Stop();
+  EXPECT_GT(admitter.shard_stats(0).fast_path, 0u)
+      << "sparse workload should exercise TryAppendIsolated";
+}
+
 // THE single-shard gate: with one shard the projection is the identity,
 // the coordinator never hears anything (no multi-shard transactions, so
 // nothing is ever tainted), and a deterministic single-threaded feed
-// must produce exactly ConcurrentAdmitter's decisions, verdicts, and
-// committed history — operation by operation.
-TEST(ShardedAdmitterTest, SingleShardIsDecisionIdenticalToConcurrentAdmitter) {
+// with client aborts must produce exactly the serial reference's
+// decisions, verdicts, and committed history — operation by operation.
+TEST(ShardedAdmitterTest, SingleShardIsDecisionIdenticalToSerialReference) {
   const Rng base(0x1D3A);
   for (int round = 0; round < 60; ++round) {
     Rng rng = base.Split(static_cast<std::uint64_t>(round));
@@ -419,10 +624,8 @@ TEST(ShardedAdmitterTest, SingleShardIsDecisionIdenticalToConcurrentAdmitter) {
     const TransactionSet txns = GenerateShardedTransactions(wp, &rng);
     const AtomicitySpec spec = RandomSpec(txns, rng.UniformDouble(), &rng);
 
-    ConcurrentAdmitter reference(txns, spec);
-    ShardedAdmitter sharded(
-        txns, spec,
-        ShardRouter(txns.object_count(), 1, ShardStrategy::kRange));
+    SerialReference reference(txns, spec);
+    ShardedAdmitter sharded(txns, spec, OneShard(txns));
 
     // Random single-threaded interleaving with occasional client aborts
     // and occasional submissions against already-dead transactions.
@@ -437,11 +640,11 @@ TEST(ShardedAdmitterTest, SingleShardIsDecisionIdenticalToConcurrentAdmitter) {
         }
         if (!started.empty()) {
           const TxnId victim = rng.Choice(started);
-          const AdmitResult a = reference.AbortTxn(victim);
+          const AdmitOutcome a = reference.Abort(victim);
           const AdmitResult b = sharded.AbortTxn(victim);
-          ASSERT_EQ(a.outcome, b.outcome)
+          ASSERT_EQ(a, b.outcome)
               << "round " << round << " aborting T" << victim;
-          if (a.outcome != AdmitOutcome::kReject) dead[victim] = 1;
+          if (a != AdmitOutcome::kReject) dead[victim] = 1;
           continue;
         }
       }
@@ -455,18 +658,19 @@ TEST(ShardedAdmitterTest, SingleShardIsDecisionIdenticalToConcurrentAdmitter) {
       if (feedable.empty()) break;
       const TxnId t = rng.Choice(feedable);
       const Operation& op = txns.txn(t).op(next[t]);
-      const AdmitResult a = reference.SubmitAndWait(op);
+      const AdmitOutcome a = reference.Submit(op);
       const AdmitResult b = sharded.SubmitAndWait(op);
-      ASSERT_EQ(a.outcome, b.outcome)
+      ASSERT_EQ(a, b.outcome)
           << "round " << round << " T" << t << " op " << next[t];
       ++next[t];
-      if (!a.ok()) dead[t] = 1;
+      if (a != AdmitOutcome::kAccept) dead[t] = 1;
     }
-    reference.Stop();
     sharded.Stop();
 
     for (TxnId t = 0; t < txns.txn_count(); ++t) {
-      ASSERT_EQ(reference.TxnCommitted(t), sharded.TxnCommitted(t))
+      ASSERT_EQ(reference.Committed(t), sharded.TxnCommitted(t))
+          << "round " << round << " T" << t;
+      ASSERT_EQ(reference.Verdict(t), sharded.TxnVerdict(t).outcome)
           << "round " << round << " T" << t;
     }
     ASSERT_EQ(reference.accepted(), sharded.accepted()) << "round " << round;

@@ -149,7 +149,7 @@ TEST(SoaDifferential, DecisionAndWitnessIdenticalAtEveryOpPerTier) {
 
 // The isolated fast path must agree on eligibility (retry vs accept) and
 // leave both checkers in identical state; ineligible ops fall back to
-// the slow path on both sides, exactly as ConcurrentAdmitter does.
+// the slow path on both sides, exactly as the admitter's shard cores do.
 TEST(SoaDifferential, IsolatedFastPathAgreesPerTier) {
   constexpr int kRounds = 500;
   const TierGuard guard;

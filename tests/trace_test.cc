@@ -13,10 +13,11 @@
 #include "obs/export.h"
 #include "obs/inspect.h"
 #include "obs/trace.h"
-#include "sched/admitter.h"
 #include "sched/engine.h"
 #include "sched/factory.h"
 #include "sched/replay.h"
+#include "shard/router.h"
+#include "shard/sharded_admitter.h"
 #include "util/json.h"
 
 namespace relser {
@@ -231,18 +232,21 @@ TEST(TraceInvariants, SnapshotJsonParsesAndMatchesCounters) {
             tracer.counters().admits);
 }
 
-// One synchronous client makes the concurrent admitter's counters fully
+// One synchronous client makes the admitter's counters fully
 // deterministic: every SubmitAndWait blocks until its decision, so the
-// core drains exactly one operation per batch.
+// (single) shard core drains exactly one operation per batch.
 TEST(TraceInvariants, AdmitterCountersGoldenForSynchronousClient) {
   if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   const PaperExample example = Figure1();
   const Schedule& schedule = example.schedule("S2");
   Tracer tracer(TraceLevel::kCounters);
-  AdmitterOptions options;
+  ShardedAdmitterOptions options;
   options.tracer = &tracer;
   {
-    ConcurrentAdmitter admitter(example.txns, example.spec, options);
+    ShardedAdmitter admitter(
+        example.txns, example.spec,
+        ShardRouter(example.txns.object_count(), 1, ShardStrategy::kRange),
+        options);
     for (std::size_t i = 0; i < schedule.size(); ++i) {
       admitter.SubmitAndWait(schedule.op(i));
     }
