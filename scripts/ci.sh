@@ -13,6 +13,12 @@ cd "$(dirname "$0")/.."
 # preset-only job cannot hide a warning that stops the default build.
 (cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j)
 
+# The long-lived smoke's flat-RSS gate runs here, on the tier-1 build:
+# under ASan (below) the free-quarantine inflates RSS, so that build
+# reports the gate as not gated and enforces only flat_memory and
+# stable_p99.
+(cd build && ./bench/bench_longlived --smoke)
+
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
 ctest --preset asan
@@ -61,8 +67,9 @@ python3 -c "import json; json.load(open('build-asan/BENCH_mvcc.json'))"
 # Long-lived-transaction smoke: the spec-aware schedulers must keep
 # every short-transaction-latency guarantee at each long-txn length,
 # AND the admission GC phase must hold its exit-coded flat-memory /
-# flat-RSS / stable-p99 gates at the smoke op count (the full 10^7-op
-# run is the offline gate; same binary, same gates).
+# stable-p99 gates at the smoke op count (the full 10^7-op run is the
+# offline gate; same binary, same gates). Its flat-RSS gate ran on the
+# tier-1 build above.
 (cd build-asan && ./bench/bench_longlived --smoke)
 python3 -c "import json; json.load(open('build-asan/BENCH_longlived.json'))"
 

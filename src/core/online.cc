@@ -115,15 +115,12 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   const std::uint32_t obj_idx = ObjIndex(op.object);
   {
     const ObjState& state = objects_[obj_idx];
-    if (state.last_writer != kNoGid &&
-        txns_.OpByGlobalId(state.last_writer).txn != j) {
+    if (state.last_writer != kNoGid && !indexer_.InTxn(j, state.last_writer)) {
       pred_buf_.push_back(state.last_writer);
     }
     if (op.is_write()) {
       for (const std::size_t reader : state.readers) {
-        if (txns_.OpByGlobalId(reader).txn != j) {
-          pred_buf_.push_back(reader);
-        }
+        if (!indexer_.InTxn(j, reader)) pred_buf_.push_back(reader);
       }
     }
   }
@@ -141,15 +138,17 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   for (const std::size_t pred : pred_buf_) {
     arc_buf_.emplace_back(pred, gid);  // D-arc to the conflict frontier
     arc_kind_buf_.push_back(kDependencyArc);
-    const Operation& pred_op = txns_.OpByGlobalId(pred);
+    const TxnId pred_txn = indexer_.TxnOf(pred);
     const std::uint32_t pred_slot = slot_of_[pred];
     RELSER_DCHECK(pred_slot != kNoSlot);
     const std::uint32_t* panc = &pool_[pred_slot * txn_count_];
     for (std::size_t t = 0; t < txn_count_; ++t) {
       scratch_anc_[t] = std::max(scratch_anc_[t], panc[t]);
     }
-    scratch_anc_[pred_op.txn] =
-        std::max(scratch_anc_[pred_op.txn], pred_op.index + 1);
+    // pred's +1-encoded index within its transaction.
+    const auto pred_p1 =
+        static_cast<std::uint32_t>(pred - indexer_.TxnBegin(pred_txn) + 1);
+    scratch_anc_[pred_txn] = std::max(scratch_anc_[pred_txn], pred_p1);
   }
 
   // F/B arcs, memoized per (ancestor txn, this txn): re-evaluate only when
@@ -197,8 +196,8 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     ArcWitness witness;
     witness.valid = true;
     const auto [bad_from, bad_to] = topo_.last_rejected_edge();
-    witness.from = txns_.OpByGlobalId(bad_from);
-    witness.to = txns_.OpByGlobalId(bad_to);
+    witness.from = indexer_.Op(txns_, bad_from);
+    witness.to = indexer_.Op(txns_, bad_to);
     for (std::size_t a = 0; a < arc_buf_.size(); ++a) {
       if (arc_buf_[a].first == bad_from && arc_buf_[a].second == bad_to) {
         witness.arc_kinds = arc_kind_buf_[a];
@@ -225,8 +224,8 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     if (tracing) {
       for (std::size_t a = 0; a < arc_buf_.size(); ++a) {
         tracer_->RecordArc(arc_kind_buf_[a],
-                           txns_.OpByGlobalId(arc_buf_[a].first),
-                           txns_.OpByGlobalId(arc_buf_[a].second),
+                           indexer_.Op(txns_, arc_buf_[a].first),
+                           indexer_.Op(txns_, arc_buf_[a].second),
                            tracer_->tick());
       }
     }
@@ -242,17 +241,10 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   // itself), so clearing exactly those bits maintains the invariant that
   // safe_[t] == 1 implies no cross-transaction arc touches t's nodes.
   bool cross = false;
-  if (collect_ancestors_) last_ancestors_.clear();
   for (std::size_t t = 0; t < txn_count_; ++t) {
     if (t != j && scratch_anc_[t] != 0) {
       safe_[t] = 0;
       cross = true;
-      // The nonzero entries are exactly the transactions admission
-      // consulted (sources of direct or memo-pruned arcs into this op) —
-      // the dependency set the epoch manager needs.
-      if (collect_ancestors_) {
-        last_ancestors_.push_back(static_cast<TxnId>(t));
-      }
     }
   }
   if (cross) safe_[j] = 0;
@@ -278,12 +270,11 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
     // Ineligibility is kRetry — retry through the full TryAppend — never
     // kReject: this path cannot prove a cycle.
     const ObjState& state = objects_[obj_idx];
-    if (state.last_writer != kNoGid &&
-        txns_.OpByGlobalId(state.last_writer).txn != j) {
+    if (state.last_writer != kNoGid && !indexer_.InTxn(j, state.last_writer)) {
       return AdmitResult::Retry(j);
     }
     for (const std::size_t reader : state.readers) {
-      if (txns_.OpByGlobalId(reader).txn != j) return AdmitResult::Retry(j);
+      if (!indexer_.InTxn(j, reader)) return AdmitResult::Retry(j);
     }
   }
 
@@ -311,14 +302,13 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
                                : 0,
                            0);
       if (tracer_->events_on()) {
-        tracer_->RecordArc(kInternalArc, txns_.OpByGlobalId(gid - 1), op,
+        tracer_->RecordArc(kInternalArc, indexer_.Op(txns_, gid - 1), op,
                            tracer_->tick());
       }
     }
   } else {
     std::fill(scratch_anc_.begin(), scratch_anc_.end(), 0);
   }
-  if (collect_ancestors_) last_ancestors_.clear();  // isolated: no ancestors
   CommitOp(op, gid, obj_idx);
   return AdmitResult::Accept(j);
 }
@@ -371,7 +361,7 @@ void OnlineRsrChecker::RetainFrontier(std::size_t gid) {
   // from the newest retained array of its transaction. That array is a
   // superset of the op's true ancestors (arrays are cumulative along
   // program order), so admission stays sound.
-  const TxnId txn = txns_.OpByGlobalId(gid).txn;
+  const TxnId txn = indexer_.TxnOf(gid);
   const std::size_t newest = newest_gid_[txn];
   RELSER_DCHECK(newest != kNoGid && slot_of_[newest] != kNoSlot);
   const std::size_t src = static_cast<std::size_t>(slot_of_[newest]) *
@@ -386,7 +376,7 @@ void OnlineRsrChecker::RebuildFrontier(ObjState& state) {
   rebuild_reads_.clear();
   for (std::size_t i = state.ops.size(); i > 0; --i) {
     const std::size_t gid = state.ops[i - 1];
-    if (txns_.OpByGlobalId(gid).is_write()) {
+    if (indexer_.Op(txns_, gid).is_write()) {
       state.last_writer = gid;
       break;
     }
@@ -486,7 +476,7 @@ std::size_t OnlineRsrChecker::Truncate(
   replay_feed_.reserve(feed_log_.size());
   std::size_t dropped = 0;
   for (const std::size_t gid : feed_log_) {
-    const TxnId t = txns_.OpByGlobalId(gid).txn;
+    const TxnId t = indexer_.TxnOf(gid);
     if (settled[t].load(std::memory_order_relaxed) != 0) {
       ++dropped;
     } else {
@@ -530,7 +520,7 @@ void OnlineRsrChecker::ResetAndReplay() {
     // of the original graph restricted to survivors (conflict frontiers
     // and ancestor maxima can only shrink when operations disappear),
     // and a subgraph of an acyclic graph is acyclic.
-    RELSER_CHECK_MSG(TryAppend(txns_.OpByGlobalId(gid)).ok(),
+    RELSER_CHECK_MSG(TryAppend(indexer_.Op(txns_, gid)).ok(),
                      "surviving feed must replay cleanly after an abort");
   }
   rejections_ = saved_rejections;

@@ -132,18 +132,6 @@ class OnlineRsrChecker {
   /// dropped (0 = no settled history, state untouched).
   std::size_t Truncate(const std::atomic<std::uint8_t>* settled);
 
-  /// When enabled, every TryAppend accept records the cross-transaction
-  /// ancestor transactions of the accepted operation (every transaction
-  /// with a nonzero ancestor-array entry — exactly the sources of the
-  /// arcs, direct or memo-pruned, that admission consulted) into
-  /// last_accept_ancestors(). TryAppendIsolated accepts record an empty
-  /// set (no cross-transaction arcs by construction). The admitters
-  /// forward the set to EpochManager::NoteDeps.
-  void set_collect_ancestors(bool on) { collect_ancestors_ = on; }
-  const std::vector<TxnId>& last_accept_ancestors() const {
-    return last_ancestors_;
-  }
-
   /// Retained-state gauges for long-lived memory accounting
   /// (bench_longlived): accepted operations currently remembered,
   /// ancestor-array pool rows allocated, and F/B memo entries.
@@ -299,7 +287,6 @@ class OnlineRsrChecker {
   std::vector<NodeId> bypass_out_;
   std::vector<std::size_t> feed_log_;     // accepted gids, admission order
   std::vector<std::size_t> replay_feed_;  // reset-and-replay scratch
-  std::vector<TxnId> last_ancestors_;     // ancestor-collection output
 
   /// Shared tail of RemoveTransactionExact / Truncate: resets every
   /// piece of admission state and silently replays `replay_feed_`.
@@ -307,7 +294,6 @@ class OnlineRsrChecker {
 
   std::size_t executed_count_ = 0;
   std::size_t rejections_ = 0;
-  bool collect_ancestors_ = false;
   std::size_t arcs_submitted_ = 0;
   std::size_t arcs_inserted_total_ = 0;
   Tracer* tracer_ = nullptr;

@@ -217,8 +217,8 @@ AdmitResult SoaRsrChecker::TryAppend(const Operation& op) {
     ArcWitness witness;
     witness.valid = true;
     const auto [bad_from, bad_to] = topo_.last_rejected_edge();
-    witness.from = txns_.OpByGlobalId(bad_from);
-    witness.to = txns_.OpByGlobalId(bad_to);
+    witness.from = indexer_.Op(txns_, bad_from);
+    witness.to = indexer_.Op(txns_, bad_to);
     for (std::size_t a = 0; a < arc_buf_.size(); ++a) {
       if (arc_buf_[a].first == bad_from && arc_buf_[a].second == bad_to) {
         witness.arc_kinds = arc_kind_buf_[a];
@@ -245,8 +245,8 @@ AdmitResult SoaRsrChecker::TryAppend(const Operation& op) {
     if (tracing) {
       for (std::size_t a = 0; a < arc_buf_.size(); ++a) {
         tracer_->RecordArc(arc_kind_buf_[a],
-                           txns_.OpByGlobalId(arc_buf_[a].first),
-                           txns_.OpByGlobalId(arc_buf_[a].second),
+                           indexer_.Op(txns_, arc_buf_[a].first),
+                           indexer_.Op(txns_, arc_buf_[a].second),
                            tracer_->tick());
       }
     }
@@ -254,21 +254,6 @@ AdmitResult SoaRsrChecker::TryAppend(const Operation& op) {
 
   for (const PendingMemo& pending : pending_memos_) {
     *memo_.Upsert(pending.key).first = pending.entry;
-  }
-  if (collect_ancestors_) {
-    // The set mask bits (minus j) are exactly the cross-transaction
-    // ancestor transactions admission consulted — the dependency set
-    // the epoch manager needs.
-    last_ancestors_.clear();
-    for (std::size_t w = 0; w < mask_words_; ++w) {
-      std::uint64_t bits = scratch_mask_[w];
-      while (bits != 0) {
-        const std::size_t i =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        if (i != j) last_ancestors_.push_back(static_cast<TxnId>(i));
-      }
-    }
   }
   // Taint (the inverse of the AoS safe_ bits), word-parallel: every arc
   // emitted above is incident only on transactions with a set scratch
@@ -337,12 +322,11 @@ AdmitResult SoaRsrChecker::TryAppendIsolated(const Operation& op) {
                                : 0,
                            0);
       if (tracer_->events_on()) {
-        tracer_->RecordArc(kInternalArc, txns_.OpByGlobalId(gid - 1), op,
+        tracer_->RecordArc(kInternalArc, indexer_.Op(txns_, gid - 1), op,
                            tracer_->tick());
       }
     }
   }
-  if (collect_ancestors_) last_ancestors_.clear();  // isolated: no ancestors
   CommitOp(op, gid);
   return AdmitResult::Accept(j);
 }
@@ -458,7 +442,7 @@ void SoaRsrChecker::ResetAndReplay() {
   tracer_ = nullptr;
   const std::size_t saved_rejections = rejections_;
   for (const std::size_t gid : replay_feed_) {
-    RELSER_CHECK_MSG(TryAppend(txns_.OpByGlobalId(gid)).ok(),
+    RELSER_CHECK_MSG(TryAppend(indexer_.Op(txns_, gid)).ok(),
                      "surviving feed must replay cleanly after an abort");
   }
   rejections_ = saved_rejections;

@@ -87,15 +87,6 @@ class SoaRsrChecker {
   /// Returns the number of feed entries dropped.
   std::size_t Truncate(const std::atomic<std::uint8_t>* settled);
 
-  /// Same ancestor-collection hook as OnlineRsrChecker: when enabled,
-  /// each TryAppend accept records the cross-transaction ancestor set
-  /// (the set bits of the scratch column mask, excluding the appender)
-  /// into last_accept_ancestors(); isolated accepts record an empty set.
-  void set_collect_ancestors(bool on) { collect_ancestors_ = on; }
-  const std::vector<TxnId>& last_accept_ancestors() const {
-    return last_ancestors_;
-  }
-
   /// Order-insensitive FNV-1a digest of the complete admission state
   /// (columnar layout: masked ancestor lanes only — stale lanes outside
   /// a row's mask are allocation history, not state). Comparable between
@@ -237,11 +228,9 @@ class SoaRsrChecker {
   std::vector<PendingMemo> pending_memos_;
   std::vector<std::size_t> feed_log_;
   std::vector<std::size_t> replay_feed_;
-  std::vector<TxnId> last_ancestors_;
 
   std::size_t executed_count_ = 0;
   std::size_t rejections_ = 0;
-  bool collect_ancestors_ = false;
   std::size_t arcs_submitted_ = 0;
   std::size_t arcs_inserted_total_ = 0;
   Tracer* tracer_ = nullptr;

@@ -7,12 +7,14 @@ namespace relser {
 IncrementalTopology::IncrementalTopology(std::size_t node_count)
     : graph_(node_count),
       position_(node_count),
-      order_(node_count),
       visit_stamp_(node_count, 0),
       probe_stamp_(node_count, 0) {
+  // Moves append labels up to the 2 * node_count span limit; reserving it
+  // keeps them allocation-free.
+  order_.reserve(2 * node_count);
   for (NodeId node = 0; node < node_count; ++node) {
     position_[node] = node;
-    order_[node] = node;
+    order_.push_back(node);
   }
 }
 
@@ -21,13 +23,32 @@ void IncrementalTopology::EnsureNodes(std::size_t node_count) {
   if (node_count <= old) return;
   graph_.EnsureNodes(node_count);
   position_.resize(node_count);
-  order_.resize(node_count);
+  order_.reserve(2 * node_count);
   visit_stamp_.resize(node_count, 0);
   probe_stamp_.resize(node_count, 0);
+  // The span grows by as much as the node count, so it stays within
+  // 2 * node_count.
   for (NodeId node = old; node < node_count; ++node) {
-    position_[node] = node;
-    order_[node] = node;
+    position_[node] = order_.size();
+    order_.push_back(node);
   }
+}
+
+void IncrementalTopology::MoveToNextLabel(NodeId node) {
+  if (order_.size() >= 2 * position_.size()) CompactLabels();
+  order_[position_[node]] = kHole;
+  position_[node] = order_.size();
+  order_.push_back(node);
+}
+
+void IncrementalTopology::CompactLabels() {
+  std::size_t next = 0;
+  for (const NodeId node : order_) {
+    if (node == kHole) continue;
+    position_[node] = next;
+    order_[next++] = node;
+  }
+  order_.resize(next);
 }
 
 IncrementalTopology::AddResult IncrementalTopology::AddEdge(NodeId from,
@@ -38,10 +59,17 @@ IncrementalTopology::AddResult IncrementalTopology::AddEdge(NodeId from,
     return AddResult::kCycle;
   }
   if (graph_.HasEdge(from, to)) return AddResult::kDuplicate;
+  if (Isolated(from)) MoveToNextLabel(from);  // first touch
   const std::size_t lower = position_[to];
   const std::size_t upper = position_[from];
   if (lower > upper) {
     // Order already consistent with the new edge.
+    graph_.AddEdge(from, to);
+    return AddResult::kInserted;
+  }
+  if (graph_.OutDegree(to) == 0) {
+    // A sink reaches nothing, so no cycle; placing it last is valid.
+    MoveToNextLabel(to);
     graph_.AddEdge(from, to);
     return AddResult::kInserted;
   }
@@ -71,6 +99,7 @@ bool IncrementalTopology::AddEdges(
   // positions, so the predicate cannot be re-evaluated later.
   for (std::size_t i = 0; i < arcs.size(); ++i) {
     const auto& [from, to] = arcs[i];
+    if (from != to && Isolated(from)) MoveToNextLabel(from);  // first touch
     if (from != to && position_[from] < position_[to]) {
       if (graph_.AddEdge(from, to)) {
         rollback_.emplace_back(from, to);
@@ -194,6 +223,13 @@ void IncrementalTopology::IsolateNode(NodeId node) {
   graph_.IsolateNode(node);
 }
 
-std::vector<NodeId> IncrementalTopology::Order() const { return order_; }
+std::vector<NodeId> IncrementalTopology::Order() const {
+  std::vector<NodeId> order;
+  order.reserve(node_count());
+  for (const NodeId node : order_) {
+    if (node != kHole) order.push_back(node);
+  }
+  return order;
+}
 
 }  // namespace relser

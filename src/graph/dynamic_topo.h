@@ -6,8 +6,25 @@
 // arcs it induces and rejecting the operation if an arc would close a
 // cycle. Rechecking acyclicity from scratch per arc costs O(V+E) each;
 // Pearce-Kelly maintains a topological order and repairs only the
-// affected region, which is near-constant for the mostly-forward arc
-// streams schedulers produce. bench_graph_ablation quantifies the gap.
+// affected region. bench_graph_ablation quantifies the gap.
+//
+// Placement. Positions are sparse *labels*: comparing two labels orders
+// the nodes, and labels vacated by a move are holes that Order() skips.
+// Nodes start labelled in id order, then get labels in first-touch order
+// through two moves to the next unused label, each always valid:
+//  * an isolated node (no arcs) takes the next label when it first
+//    becomes an arc's source — it has no constraint to break;
+//  * when an arc points backward and its target has no out-arcs, that
+//    sink takes the next label instead of a Pearce-Kelly repair — nothing
+//    follows a sink, and every node with a smaller label may precede it.
+// Online admission touches operations roughly in admission order, and the
+// newest operation is the target of most arcs while still a sink, so the
+// order tracks admission time instead of id (transaction-major) order and
+// most arcs insert without a repair. Moves never change which insertions
+// succeed (that depends only on graph ∪ arcs being acyclic), only which
+// arc of a rejected batch is reported. The label span never exceeds
+// 2 * node_count: when it reaches that, the labels are renumbered densely
+// in place, so memory stays O(nodes) and a move is amortized O(1).
 //
 // All traversal scratch is owned by the instance, so AddEdge/AddEdges/
 // WouldCreateCycle perform no heap allocations in the steady state.
@@ -32,11 +49,11 @@ class IncrementalTopology {
     kCycle,      ///< insertion would create a cycle; rejected
   };
 
-  /// Creates an empty DAG over `node_count` nodes, ordered by node id.
+  /// Creates an empty DAG over `node_count` nodes, labelled in id order.
   explicit IncrementalTopology(std::size_t node_count);
 
-  /// Grows the node universe; new nodes are appended at the end of the
-  /// topological order.
+  /// Grows the node universe; new nodes take the next labels, at the end
+  /// of the topological order.
   void EnsureNodes(std::size_t node_count);
 
   /// Pre-sizes the underlying edge index for `expected_edges` edges.
@@ -48,7 +65,8 @@ class IncrementalTopology {
     graph_.ReserveAdjacency(per_node);
   }
 
-  /// Attempts to insert edge from -> to, repairing the order if needed.
+  /// Attempts to insert edge from -> to, moving an isolated source or a
+  /// sink target to the next label, or repairing the order, as needed.
   AddResult AddEdge(NodeId from, NodeId to);
 
   /// Attempts to insert a batch of arcs atomically. Returns true when the
@@ -58,6 +76,7 @@ class IncrementalTopology {
   /// depends only on whether graph ∪ batch is acyclic, the result is
   /// independent of arc order; order-consistent arcs are inserted first so
   /// the Pearce-Kelly repair regions of the remaining arcs stay small.
+  /// Isolated sources take their first-touch label before that test.
   /// This is the shared replacement for the per-caller "insert one edge at
   /// a time and unwind on failure" helpers the schedulers used to carry.
   bool AddEdges(const std::vector<std::pair<NodeId, NodeId>>& arcs);
@@ -75,11 +94,15 @@ class IncrementalTopology {
   /// True iff the edge would close a cycle, *without* inserting it.
   bool WouldCreateCycle(NodeId from, NodeId to) const;
 
-  /// Position of `node` in the maintained topological order.
+  /// Label of `node`: a smaller label means earlier in the maintained
+  /// topological order. Labels are sparse; only their order is meaningful.
   std::size_t OrderOf(NodeId node) const { return position_[node]; }
 
-  /// Current topological order (node ids, first to last).
+  /// Current topological order (node ids, first to last; holes skipped).
   std::vector<NodeId> Order() const;
+
+  /// One past the largest label in use; at most 2 * node_count.
+  std::size_t label_span() const { return order_.size(); }
 
   const Digraph& graph() const { return graph_; }
   std::size_t node_count() const { return graph_.node_count(); }
@@ -93,7 +116,8 @@ class IncrementalTopology {
   }
 
   /// Number of Pearce-Kelly order repairs performed so far (insertions
-  /// that had to move nodes, as opposed to order-consistent appends).
+  /// that had to reorder a region, as opposed to order-consistent arcs
+  /// and single-node moves to the next label).
   std::uint64_t reorder_count() const { return reorder_count_; }
 
  private:
@@ -106,10 +130,19 @@ class IncrementalTopology {
   void DiscoverBackward(NodeId start, std::size_t bound);
   // Reassigns positions so delta_backward_ precedes delta_forward_.
   void Reorder();
+  bool Isolated(NodeId node) const {
+    return graph_.OutDegree(node) == 0 && graph_.InDegree(node) == 0;
+  }
+  // Gives `node` the next label, renumbering first when the span is full.
+  void MoveToNextLabel(NodeId node);
+  // Renumbers the labels densely (0..node_count-1), keeping their order.
+  void CompactLabels();
+
+  static constexpr NodeId kHole = ~NodeId{0};
 
   Digraph graph_;
-  std::vector<std::size_t> position_;  // node -> order index
-  std::vector<NodeId> order_;          // order index -> node
+  std::vector<std::size_t> position_;  // node -> label
+  std::vector<NodeId> order_;          // label -> node, kHole when vacated
   // Repair-DFS scratch: generation stamps (like probe_stamp_ below) make
   // "clear the visited set" a single counter bump instead of a walk over
   // the discovered region — failed insertions and large repairs pay no

@@ -43,6 +43,18 @@ class OpIndexer {
     return static_cast<TxnId>(it - offsets_.begin() - 1);
   }
 
+  /// True iff global id `gid` belongs to transaction `txn` (O(1)).
+  bool InTxn(TxnId txn, std::size_t gid) const {
+    return gid >= offsets_[txn] && gid < offsets_[txn + 1];
+  }
+
+  /// Operation with global id `gid`. `txns` must be the snapshotted set;
+  /// unlike TransactionSet::OpByGlobalId this never rebuilds prefix sums.
+  const Operation& Op(const TransactionSet& txns, std::size_t gid) const {
+    const TxnId txn = TxnOf(gid);
+    return txns.txn(txn).op(gid - offsets_[txn]);
+  }
+
   /// First global id of transaction `txn`.
   std::size_t TxnBegin(TxnId txn) const { return offsets_[txn]; }
   /// One past the last global id of transaction `txn`.

@@ -61,7 +61,9 @@ std::size_t TransactionSet::GlobalOpId(TxnId txn, std::uint32_t index) const {
 
 const Operation& TransactionSet::OpByGlobalId(std::size_t global_id) const {
   RebuildOffsetsIfStale();
-  RELSER_CHECK_MSG(global_id < total_ops(),
+  // offsets_.back() is the total just rebuilt; total_ops() would rebuild
+  // the prefix sums a second time.
+  RELSER_CHECK_MSG(global_id < offsets_.back(),
                    "global op id " << global_id << " out of range");
   // Binary search over prefix sums.
   std::size_t lo = 0;

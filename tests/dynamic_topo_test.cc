@@ -153,6 +153,103 @@ TEST(IncrementalTopology, RandomizedDifferentialAgainstOfflineOracle) {
   }
 }
 
+// A backward arc into a node with no out-arcs moves that sink to the next
+// label; no Pearce-Kelly repair runs.
+TEST(IncrementalTopology, BackwardArcIntoSinkSkipsRepair) {
+  IncrementalTopology topo(4);
+  ASSERT_EQ(topo.AddEdge(2, 3), AddResult::kInserted);
+  ASSERT_EQ(topo.AddEdge(3, 1), AddResult::kInserted);
+  ASSERT_GT(topo.OrderOf(3), topo.OrderOf(0));  // 3 -> 0 is backward
+  EXPECT_EQ(topo.AddEdge(3, 0), AddResult::kInserted);
+  EXPECT_EQ(topo.reorder_count(), 0u);
+  EXPECT_LT(topo.OrderOf(3), topo.OrderOf(0));
+  EXPECT_TRUE(topo.AddEdges({{0, 1}}));  // 1 is still a sink
+  EXPECT_EQ(topo.reorder_count(), 0u);
+  EXPECT_LT(topo.OrderOf(0), topo.OrderOf(1));
+  // A backward arc whose target has out-arcs still needs a repair.
+  EXPECT_EQ(topo.AddEdge(1, 2), AddResult::kCycle);
+  ASSERT_GT(topo.OrderOf(0), topo.OrderOf(2));
+  EXPECT_EQ(topo.AddEdge(0, 2), AddResult::kCycle);  // 2 -> 3 -> 0
+  IncrementalTopology fresh(3);
+  ASSERT_EQ(fresh.AddEdge(1, 2), AddResult::kInserted);
+  ASSERT_GT(fresh.OrderOf(1), fresh.OrderOf(0));
+  EXPECT_EQ(fresh.AddEdge(2, 0), AddResult::kInserted);
+  EXPECT_EQ(fresh.AddEdge(0, 1), AddResult::kCycle);
+  EXPECT_EQ(fresh.reorder_count(), 0u);
+}
+
+// An isolated node takes the next label when it first becomes a source,
+// from AddEdge and from AddEdges alike; a node with arcs keeps its label.
+TEST(IncrementalTopology, IsolatedSourceTakesNextLabel) {
+  IncrementalTopology topo(8);
+  ASSERT_EQ(topo.AddEdge(0, 1), AddResult::kInserted);
+  const std::size_t zero = topo.OrderOf(0);
+  const std::size_t one = topo.OrderOf(1);
+  EXPECT_EQ(zero, 8u);  // first label past the initial 0..7
+  EXPECT_GT(one, zero);
+  EXPECT_TRUE(topo.AddEdges({{2, 1}}));
+  EXPECT_GT(topo.OrderOf(2), one);
+  EXPECT_EQ(topo.OrderOf(0), zero);  // not isolated: no move
+  EXPECT_EQ(topo.AddEdge(0, 3), AddResult::kInserted);
+  EXPECT_EQ(topo.OrderOf(0), zero);
+  EXPECT_EQ(topo.reorder_count(), 0u);
+  const std::vector<NodeId> order = topo.Order();
+  EXPECT_EQ(order.size(), 8u);
+  EXPECT_LE(topo.label_span(), 2 * topo.node_count());
+}
+
+// Long mixed stream: after every step Order() is a permutation of all
+// nodes consistent with every edge, and the label span stays within
+// 2 * node_count.
+TEST(IncrementalTopology, SparseLabelsStayValidUnderMixedStream) {
+  Rng rng(14014);
+  std::size_t n = 8;
+  IncrementalTopology topo(n);
+  Digraph reference(n);
+  for (int step = 0; step < 20000; ++step) {
+    const double roll = rng.UniformDouble();
+    const NodeId a = rng.UniformIndex(n);
+    const NodeId b = rng.UniformIndex(n);
+    if (roll < 0.45) {
+      if (topo.AddEdge(a, b) == AddResult::kInserted) reference.AddEdge(a, b);
+    } else if (roll < 0.70) {
+      std::vector<std::pair<NodeId, NodeId>> arcs;
+      const std::size_t count = 1 + rng.UniformIndex(4);
+      for (std::size_t k = 0; k < count; ++k) {
+        arcs.emplace_back(rng.UniformIndex(n), rng.UniformIndex(n));
+      }
+      if (topo.AddEdges(arcs)) {
+        for (const auto& [from, to] : arcs) {
+          if (from != to) reference.AddEdge(from, to);
+        }
+      }
+    } else if (roll < 0.85) {
+      ASSERT_EQ(topo.RemoveEdge(a, b), reference.RemoveEdge(a, b));
+    } else if (roll < 0.995) {
+      topo.IsolateNode(a);
+      reference.IsolateNode(a);
+    } else {
+      n += 1 + rng.UniformIndex(3);
+      topo.EnsureNodes(n);
+      reference.EnsureNodes(n);
+    }
+    ASSERT_EQ(topo.edge_count(), reference.edge_count()) << "step " << step;
+    ASSERT_LE(topo.label_span(), 2 * topo.node_count()) << "step " << step;
+    const std::vector<NodeId> order = topo.Order();
+    ASSERT_EQ(order.size(), n) << "step " << step;
+    std::vector<std::size_t> position(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_LT(order[i], n);
+      ASSERT_EQ(position[order[i]], n) << "node repeated at step " << step;
+      position[order[i]] = i;
+    }
+    for (const auto& [from, to] : reference.Edges()) {
+      ASSERT_LT(position[from], position[to]) << "step " << step;
+      ASSERT_LT(topo.OrderOf(from), topo.OrderOf(to)) << "step " << step;
+    }
+  }
+}
+
 TEST(AddEdges, EmptyBatchSucceeds) {
   IncrementalTopology topo(2);
   EXPECT_TRUE(topo.AddEdges({}));
