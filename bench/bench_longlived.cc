@@ -197,7 +197,8 @@ std::uint64_t CompositeBytes(const relser::ShardedAdmitter::LiveHighWater& hw,
                              std::size_t txn_count) {
   return hw.pool_rows * txn_count * sizeof(std::uint32_t) +
          hw.retained_ops * sizeof(std::size_t) +
-         hw.memo_entries * 24 +  // FlatMap64 slot: key + MemoEntry
+         // Live memo pairs, weighted as the former hash slot (key + entry).
+         hw.memo_entries * 24 +
          hw.accept_entries *
              sizeof(std::pair<std::uint64_t, relser::Operation>) +
          hw.coordinator_arcs * 16 + hw.versions * 16 + hw.dep_arcs * 8;

@@ -13,6 +13,11 @@ cd "$(dirname "$0")/.."
 # preset-only job cannot hide a warning that stops the default build.
 (cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j)
 
+# The benchmark is its own CMake project over src/ (perfbench/). Its
+# self-test builds it from the current sources and checks its gates, so
+# a src/ change that breaks that build fails here, not in a benchmark run.
+python3 perfbench/run.py --self-test
+
 # The long-lived smoke's flat-RSS gate runs here, on the tier-1 build:
 # under ASan (below) the free-quarantine inflates RSS, so that build
 # reports the gate as not gated and enforces only flat_memory and

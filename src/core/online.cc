@@ -21,8 +21,8 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
       flags_(indexer_.total_ops(), 0),
       slot_of_(indexer_.total_ops(), kNoSlot),
       newest_gid_(txn_count_, kNoGid),
-      epoch_(txn_count_, 1),
       txn_objects_(txn_count_),
+      memo_(txn_count_ * txn_count_),
       scratch_anc_(txn_count_, 0) {
   RELSER_CHECK_MSG(spec.ValidateAgainst(txns).ok(),
                    "specification does not match the transaction set");
@@ -153,18 +153,14 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
 
   // F/B arcs, memoized per (ancestor txn, this txn): re-evaluate only when
   // the maximum ancestor index grew; emit only arcs not already implied
-  // transitively (docs/hotpath.md, Lemmas 2-3).
+  // transitively (docs/hotpath.md, Lemmas 2-3). j's memo row is indexed
+  // by i, so it is read in step with scratch_anc_.
   pending_memos_.clear();
+  const MemoEntry* memo_row = &memo_[MemoKey(0, j)];
   for (TxnId i = 0; i < txn_count_; ++i) {
     const std::uint32_t u_p1 = scratch_anc_[i];
     if (u_p1 == 0 || i == j) continue;
-    const std::uint64_t key = MemoKey(i, j);
-    MemoEntry memo;
-    if (const MemoEntry* found = memo_.Find(key);
-        found != nullptr && found->epoch_i == epoch_[i] &&
-        found->epoch_j == epoch_[j]) {
-      memo = *found;
-    }
+    MemoEntry memo = memo_row[i];
     if (u_p1 <= memo.u_max_p1) continue;  // nothing new to push or pull
     const std::uint32_t u = u_p1 - 1;
     const std::uint32_t pushed = spec_.PushForward(i, j, u);
@@ -184,9 +180,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     }
     // pulled == op.index needs no arc: (i, u) already reaches this op.
     memo.u_max_p1 = u_p1;
-    memo.epoch_i = epoch_[i];
-    memo.epoch_j = epoch_[j];
-    pending_memos_.push_back({key, memo});
+    pending_memos_.push_back({MemoKey(i, j), memo});
   }
 
   const std::size_t edges_before = topo_.edge_count();
@@ -234,7 +228,9 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   // Commit: memos, then the shared tail (ancestor array, retention
   // flags, frontier, indices).
   for (const PendingMemo& pending : pending_memos_) {
-    *memo_.Upsert(pending.key).first = pending.entry;
+    MemoEntry& entry = memo_[pending.key];
+    if (entry.u_max_p1 == 0) ++memo_live_;
+    entry = pending.entry;
   }
   // Isolation tracking for TryAppendIsolated: every arc emitted above is
   // incident only on transactions with a nonzero scratch entry (plus j
@@ -438,7 +434,7 @@ void OnlineRsrChecker::RemoveTransaction(TxnId txn) {
       pool_[slot * txn_count_ + txn] = 0;
     }
   }
-  ++epoch_[txn];  // invalidates every memo involving this transaction
+  ClearMemoPairsOf(txn);
   // Reverse-index scrub: only objects this transaction touched.
   ++obj_gen_;
   for (const std::uint32_t obj_idx : txn_objects_[txn]) {
@@ -488,7 +484,28 @@ std::size_t OnlineRsrChecker::Truncate(
   return dropped;
 }
 
+void OnlineRsrChecker::ClearMemoPairsOf(TxnId txn) {
+  const auto clear = [this](MemoEntry& entry) {
+    if (entry.u_max_p1 == 0) return;
+    entry = MemoEntry{};
+    --memo_live_;
+  };
+  for (TxnId other = 0; other < txn_count_; ++other) {
+    clear(memo_[MemoKey(other, txn)]);  // row txn
+    clear(memo_[MemoKey(txn, other)]);  // column txn
+  }
+}
+
 void OnlineRsrChecker::ResetAndReplay() {
+  // Only the rows of transactions with executed ops hold memo entries
+  // (a row is written when its transaction appends, and cleared when it
+  // is removed), so clearing those rows empties the whole memo.
+  for (TxnId t = 0; t < txn_count_; ++t) {
+    if (newest_gid_[t] == kNoGid) continue;
+    MemoEntry* row = &memo_[MemoKey(0, t)];
+    std::fill(row, row + txn_count_, MemoEntry{});
+  }
+  memo_live_ = 0;
   topo_ = IncrementalTopology(indexer_.total_ops());
   topo_.Reserve(4 * indexer_.total_ops());
   topo_.ReserveAdjacency(8);
@@ -497,7 +514,6 @@ void OnlineRsrChecker::ResetAndReplay() {
   std::fill(flags_.begin(), flags_.end(), std::uint8_t{0});
   std::fill(slot_of_.begin(), slot_of_.end(), kNoSlot);
   std::fill(newest_gid_.begin(), newest_gid_.end(), kNoGid);
-  std::fill(epoch_.begin(), epoch_.end(), std::uint64_t{1});
   pool_.clear();
   free_slots_.clear();
   slot_owner_.clear();
@@ -506,7 +522,6 @@ void OnlineRsrChecker::ResetAndReplay() {
   obj_stamp_.clear();
   obj_gen_ = 0;
   for (auto& touched : txn_objects_) touched.clear();
-  memo_.Clear();
   executed_count_ = 0;
   feed_log_.clear();
 
@@ -584,26 +599,13 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
                                       txn_count_];
     for (std::size_t t = 0; t < txn_count_; ++t) mix(row[t]);
   }
-  // F/B memo, sorted by key (FlatMap64 iteration order is capacity-
-  // dependent). Epochs participate: they gate entry validity.
-  {
-    std::vector<std::pair<std::uint64_t, MemoEntry>> entries;
-    entries.reserve(memo_.size());
-    const_cast<FlatMap64<MemoEntry>&>(memo_).ForEach(
-        [&](std::uint64_t key, MemoEntry& entry) {
-          entries.emplace_back(key, entry);
-        });
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [key, entry] : entries) {
-      mix(key);
-      mix(entry.u_max_p1);
-      mix(entry.pf_p1);
-      mix(entry.epoch_i);
-      mix(entry.epoch_j);
-    }
+  // F/B memo: live entries in key order.
+  for (std::size_t key = 0; key < memo_.size(); ++key) {
+    if (memo_[key].u_max_p1 == 0) continue;
+    mix(key);
+    mix(memo_[key].u_max_p1);
+    mix(memo_[key].pf_p1);
   }
-  for (const std::uint64_t e : epoch_) mix(e);
   // Graph adjacency, sorted per node (F/B arcs can land on not-yet-
   // executed nodes, so every node is included).
   {

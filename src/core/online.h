@@ -19,9 +19,11 @@
 // keeps per object only the conflict frontier (last writer + readers
 // since it), per operation a dense per-transaction maximum-ancestor-index
 // array drawn from a reusable pool, and per transaction pair a memo of
-// the furthest F/B arcs already emitted. Dominated arcs are never
-// inserted; docs/hotpath.md proves the transitive closure — and therefore
-// every accept/reject decision — is bit-identical to the full emission.
+// the furthest F/B arcs already emitted (a dense txn_count x txn_count
+// array; row j, indexed by i, holds the pairs Ti -> Tj). Dominated arcs
+// are never inserted; docs/hotpath.md proves the transitive closure — and
+// therefore every accept/reject decision — is bit-identical to the full
+// emission.
 // Two abort paths exist. RemoveTransaction is the fast incremental one:
 // the ancestor arrays are rebuilt as a sound over-approximation (see
 // RemoveTransaction below), mirroring the baseline's documented
@@ -88,14 +90,16 @@ class OnlineRsrChecker {
   /// isolates the transaction's nodes — inserting pred->succ bypass arcs
   /// first, so every closure path between survivors that routed through a
   /// removed node is preserved — scrubs its column from the retained
-  /// ancestor arrays, and rebuilds the conflict frontier of only the
-  /// objects the transaction touched (reverse index). Frontier members
-  /// whose ancestor arrays were released are resurrected from the newest
-  /// retained array of their transaction — a superset of their true
-  /// ancestors. Post-abort admission is therefore a sound
-  /// over-approximation (may reject a schedule the full graph would
-  /// accept, never the converse), matching the baseline's stale-bit
-  /// behavior in spirit; docs/hotpath.md gives the argument.
+  /// ancestor arrays, zeroes its row and column of the F/B memo (so
+  /// memo_entries() drops by exactly its pairs), and rebuilds the
+  /// conflict frontier of only the objects the transaction touched
+  /// (reverse index). Frontier members whose ancestor arrays were
+  /// released are resurrected from the newest retained array of their
+  /// transaction — a superset of their true ancestors. Post-abort
+  /// admission is therefore a sound over-approximation (may reject a
+  /// schedule the full graph would accept, never the converse), matching
+  /// the baseline's stale-bit behavior in spirit; docs/hotpath.md gives
+  /// the argument.
   void RemoveTransaction(TxnId txn);
 
   /// Exact abort: forgets every fed operation of `txn` and restores the
@@ -137,7 +141,7 @@ class OnlineRsrChecker {
   /// ancestor-array pool rows allocated, and F/B memo entries.
   std::size_t retained_ops() const { return feed_log_.size(); }
   std::size_t pool_rows() const { return slot_owner_.size(); }
-  std::size_t memo_entries() const { return memo_.size(); }
+  std::size_t memo_entries() const { return memo_live_; }
 
   /// Order-insensitive FNV-1a digest of the complete admission state:
   /// executed set, safe bits, newest-op table, per-object frontiers,
@@ -216,23 +220,25 @@ class OnlineRsrChecker {
     std::size_t last_writer = kNoGid;
   };
 
-  /// Furthest F/B emission already performed for a (Ti -> Tj) pair.
-  /// Stale when either transaction's epoch moved (abort invalidation).
+  /// Furthest F/B emission already performed for a (Ti -> Tj) pair; all
+  /// zero while the pair has none. RemoveTransaction zeroes every pair
+  /// involving the removed transaction.
   struct MemoEntry {
     std::uint32_t u_max_p1 = 0;  // +1-encoded max ancestor index in Ti
     std::uint32_t pf_p1 = 0;     // +1-encoded furthest PushForward emitted
-    std::uint64_t epoch_i = 0;
-    std::uint64_t epoch_j = 0;
   };
 
   struct PendingMemo {
-    std::uint64_t key;
+    std::size_t key;
     MemoEntry entry;
   };
 
-  std::uint64_t MemoKey(TxnId i, TxnId j) const {
-    return static_cast<std::uint64_t>(i) * txn_count_ + j;
+  /// Slot of pair (Ti -> Tj) in memo_: row j, column i.
+  std::size_t MemoKey(TxnId i, TxnId j) const {
+    return static_cast<std::size_t>(j) * txn_count_ + i;
   }
+  /// Zeroes row `txn` and column `txn` of the memo.
+  void ClearMemoPairsOf(TxnId txn);
 
   std::uint32_t ObjIndex(ObjectId object);
   std::uint32_t AcquireSlot(std::size_t gid);
@@ -257,7 +263,6 @@ class OnlineRsrChecker {
   std::vector<std::uint8_t> flags_;        // retention flags per gid
   std::vector<std::uint32_t> slot_of_;     // gid -> pool slot (kNoSlot)
   std::vector<std::size_t> newest_gid_;    // txn -> newest executed gid
-  std::vector<std::uint64_t> epoch_;       // txn -> abort epoch
 
   // Ancestor-array pool: row `slot` holds txn_count_ +1-encoded maximum
   // ancestor indices (0 = no ancestor in that transaction). Rows are
@@ -274,7 +279,8 @@ class OnlineRsrChecker {
   std::vector<std::uint64_t> obj_stamp_;  // abort-scrub dedup stamps
   std::uint64_t obj_gen_ = 0;
 
-  FlatMap64<MemoEntry> memo_;
+  std::vector<MemoEntry> memo_;  // txn_count_^2, slot MemoKey(i, j)
+  std::size_t memo_live_ = 0;    // pairs with u_max_p1 != 0
 
   // Reusable per-append scratch (no steady-state allocations).
   std::vector<std::uint32_t> scratch_anc_;

@@ -34,6 +34,7 @@ SoaRsrChecker::SoaRsrChecker(const TransactionSet& txns,
       obj_writer_(txns.object_count(), kNoGid),
       obj_writer_txn_(txns.object_count(), kNoTxn),
       obj_readers_(txns.object_count()),
+      memo_(txn_count_ * txn_count_),
       scratch_anc_(row_stride_, 0),
       scratch_mask_(mask_words_, 0) {
   RELSER_CHECK_MSG(spec.ValidateAgainst(txns).ok(),
@@ -172,6 +173,7 @@ AdmitResult SoaRsrChecker::TryAppend(const Operation& op) {
   // ancestor columns in the same order the AoS checker scans them, so
   // arc emission — and therefore every decision and witness — matches.
   pending_memos_.clear();
+  const MemoEntry* memo_row = &memo_[MemoKey(0, j)];
   for (std::size_t w = 0; w < mask_words_; ++w) {
     std::uint64_t bits = scratch_mask_[w];
     while (bits != 0) {
@@ -180,11 +182,7 @@ AdmitResult SoaRsrChecker::TryAppend(const Operation& op) {
       bits &= bits - 1;
       if (i == j) continue;
       const std::uint32_t u_p1 = scratch_anc_[i];
-      const std::uint64_t key = MemoKey(static_cast<TxnId>(i), j);
-      MemoEntry memo;
-      if (const MemoEntry* found = memo_.Find(key); found != nullptr) {
-        memo = *found;
-      }
+      MemoEntry memo = memo_row[i];
       if (u_p1 <= memo.u_max_p1) continue;  // nothing new to push or pull
       const std::uint32_t u = u_p1 - 1;
       const std::uint32_t pushed =
@@ -206,7 +204,7 @@ AdmitResult SoaRsrChecker::TryAppend(const Operation& op) {
         arc_kind_buf_.push_back(kPullBackwardArc);
       }
       memo.u_max_p1 = u_p1;
-      pending_memos_.push_back({key, memo});
+      pending_memos_.push_back({MemoKey(static_cast<TxnId>(i), j), memo});
     }
   }
 
@@ -253,7 +251,9 @@ AdmitResult SoaRsrChecker::TryAppend(const Operation& op) {
   }
 
   for (const PendingMemo& pending : pending_memos_) {
-    *memo_.Upsert(pending.key).first = pending.entry;
+    MemoEntry& entry = memo_[pending.key];
+    if (entry.u_max_p1 == 0) ++memo_live_;
+    entry = pending.entry;
   }
   // Taint (the inverse of the AoS safe_ bits), word-parallel: every arc
   // emitted above is incident only on transactions with a set scratch
@@ -416,6 +416,15 @@ std::size_t SoaRsrChecker::Truncate(const std::atomic<std::uint8_t>* settled) {
 }
 
 void SoaRsrChecker::ResetAndReplay() {
+  // Only the rows of transactions with executed ops hold memo entries (a
+  // row is written when its transaction appends), so clearing those rows
+  // empties the whole memo.
+  for (TxnId t = 0; t < txn_count_; ++t) {
+    if (newest_gid_[t] == kNoGid) continue;
+    MemoEntry* row = &memo_[MemoKey(0, t)];
+    std::fill(row, row + txn_count_, MemoEntry{});
+  }
+  memo_live_ = 0;
   topo_ = IncrementalTopology(indexer_.total_ops());
   topo_.Reserve(4 * indexer_.total_ops());
   topo_.ReserveAdjacency(8);
@@ -431,7 +440,6 @@ void SoaRsrChecker::ResetAndReplay() {
   std::fill(obj_writer_.begin(), obj_writer_.end(), kNoGid);
   std::fill(obj_writer_txn_.begin(), obj_writer_txn_.end(), kNoTxn);
   for (auto& readers : obj_readers_) readers.clear();
-  memo_.Clear();
   executed_count_ = 0;
   feed_log_.clear();
 
@@ -506,22 +514,12 @@ std::uint64_t SoaRsrChecker::StateDigest() const {
       }
     }
   }
-  // F/B memo, sorted by key (FlatMap64 iteration order is capacity-
-  // dependent).
-  {
-    std::vector<std::pair<std::uint64_t, MemoEntry>> entries;
-    entries.reserve(memo_.size());
-    const_cast<FlatMap64<MemoEntry>&>(memo_).ForEach(
-        [&](std::uint64_t key, MemoEntry& entry) {
-          entries.emplace_back(key, entry);
-        });
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [key, entry] : entries) {
-      mix(key);
-      mix(entry.u_max_p1);
-      mix(entry.pf_p1);
-    }
+  // F/B memo: live entries in key order.
+  for (std::size_t key = 0; key < memo_.size(); ++key) {
+    if (memo_[key].u_max_p1 == 0) continue;
+    mix(key);
+    mix(memo_[key].u_max_p1);
+    mix(memo_[key].pf_p1);
   }
   // Graph adjacency, sorted per node.
   {

@@ -20,7 +20,8 @@
 //  * The F/B memo scan and the isolation-bit maintenance iterate set
 //    bits of the scratch column mask (ascending, so arc emission order
 //    matches the AoS checker exactly) instead of scanning every
-//    transaction.
+//    transaction. The memo is the same dense row per transaction as the
+//    AoS checker's.
 //  * Cross-transaction "taint" (the complement of OnlineRsrChecker's
 //    safe_ bits) is a DenseBitset updated by ORing the scratch mask in —
 //    one word-parallel kernel call instead of a per-transaction loop.
@@ -46,7 +47,6 @@
 #include "model/schedule.h"
 #include "spec/atomicity_spec.h"
 #include "util/bitset.h"
-#include "util/flat_map.h"
 
 namespace relser {
 
@@ -98,7 +98,7 @@ class SoaRsrChecker {
   /// Retained-state gauges for long-lived memory accounting.
   std::size_t retained_ops() const { return feed_log_.size(); }
   std::size_t pool_rows() const { return slot_owner_.size(); }
-  std::size_t memo_entries() const { return memo_.size(); }
+  std::size_t memo_entries() const { return memo_live_; }
 
   /// True while any operation of `txn` is currently executed.
   bool TxnHasExecuted(TxnId txn) const { return newest_gid_[txn] != kNoGid; }
@@ -141,20 +141,23 @@ class SoaRsrChecker {
   static constexpr std::uint8_t kNewestFlag = 1;
   static constexpr std::uint8_t kFrontierFlag = 2;
 
-  /// Furthest F/B emission already performed for a (Ti -> Tj) pair. No
-  /// epochs: RemoveTransactionExact clears the whole memo.
+  /// Furthest F/B emission already performed for a (Ti -> Tj) pair; all
+  /// zero while the pair has none. The only invalidation is the reset in
+  /// RemoveTransactionExact / Truncate, which empties the whole memo.
   struct MemoEntry {
     std::uint32_t u_max_p1 = 0;
     std::uint32_t pf_p1 = 0;
   };
 
   struct PendingMemo {
-    std::uint64_t key;
+    std::size_t key;
     MemoEntry entry;
   };
 
-  std::uint64_t MemoKey(TxnId i, TxnId j) const {
-    return static_cast<std::uint64_t>(i) * txn_count_ + j;
+  /// Slot of pair (Ti -> Tj) in memo_: row j, column i, so j's row is
+  /// read in step with the ascending scratch-mask scan.
+  std::size_t MemoKey(TxnId i, TxnId j) const {
+    return static_cast<std::size_t>(j) * txn_count_ + i;
   }
 
   std::uint32_t AcquireSlot(std::size_t gid);
@@ -217,7 +220,8 @@ class SoaRsrChecker {
   std::vector<std::uint32_t> obj_writer_txn_;  // object -> writer txn
   std::vector<std::vector<std::uint64_t>> obj_readers_;
 
-  FlatMap64<MemoEntry> memo_;
+  std::vector<MemoEntry> memo_;  // txn_count_^2, slot MemoKey(i, j)
+  std::size_t memo_live_ = 0;    // pairs with u_max_p1 != 0
 
   // Reusable per-append scratch.
   std::vector<std::uint32_t> scratch_anc_;   // row_stride_ lanes, mask-valid

@@ -1,6 +1,8 @@
 #include "model/text.h"
 
 #include <cctype>
+#include <cstdint>
+#include <limits>
 
 #include "util/strings.h"
 
@@ -14,6 +16,9 @@ struct OpToken {
   TxnId txn;  // 0-based after parsing
   std::string object_name;
 };
+
+// Largest 1-based transaction number: its 0-based id must fit in TxnId.
+constexpr std::uint64_t kMaxTxnNumber = std::numeric_limits<TxnId>::max();
 
 bool IsNameChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
@@ -45,9 +50,14 @@ Status ScanOpToken(std::string_view text, std::size_t* pos, OpToken* out) {
     return Status::InvalidArgument(
         StrCat("expected transaction number at position ", i));
   }
-  unsigned long txn_1based = 0;
+  std::uint64_t txn_1based = 0;
   for (std::size_t d = digits_begin; d < i; ++d) {
-    txn_1based = txn_1based * 10 + static_cast<unsigned long>(text[d] - '0');
+    txn_1based = txn_1based * 10 + static_cast<std::uint64_t>(text[d] - '0');
+    if (txn_1based > kMaxTxnNumber) {
+      return Status::InvalidArgument(
+          StrCat("transaction number out of range at position ",
+                 digits_begin));
+    }
   }
   if (txn_1based == 0) {
     return Status::InvalidArgument("transaction numbers are 1-based");
@@ -115,13 +125,17 @@ Result<TransactionSet> ParseTransactionSet(std::string_view text) {
                    std::string(line)));
       }
       std::string_view label = StrTrim(line.substr(1, eq - 1));
-      unsigned long declared = 0;
+      std::uint64_t declared = 0;
       for (const char c : label) {
         if (!std::isdigit(static_cast<unsigned char>(c))) {
           return Status::InvalidArgument(
               StrCat("bad transaction label 'T", std::string(label), "'"));
         }
-        declared = declared * 10 + static_cast<unsigned long>(c - '0');
+        declared = declared * 10 + static_cast<std::uint64_t>(c - '0');
+        if (declared > kMaxTxnNumber) {
+          return Status::InvalidArgument(StrCat(
+              "transaction label 'T", std::string(label), "' out of range"));
+        }
       }
       if (declared != set.txn_count() + 1) {
         return Status::InvalidArgument(

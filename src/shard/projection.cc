@@ -41,7 +41,8 @@ ShardPlan::ShardPlan(const TransactionSet& txns, const AtomicitySpec& spec,
     // Projected spec: start absolute over the projected sizes, then set a
     // breakpoint at projected gap g of (Ti, Tj) iff any original gap in
     // [orig(g), orig(g+1)) carries one — projected units are the
-    // intersections of original units with the owned subsequence.
+    // intersections of original units with the owned subsequence. The
+    // first such gap is PushForward(orig(g)), the end of orig(g)'s unit.
     slice.spec = AtomicitySpec(slice.txns);
     const auto txn_count = static_cast<TxnId>(txns.txn_count());
     for (TxnId i = 0; i < txn_count; ++i) {
@@ -50,11 +51,9 @@ ShardPlan::ShardPlan(const TransactionSet& txns, const AtomicitySpec& spec,
       for (TxnId j = 0; j < txn_count; ++j) {
         if (i == j) continue;
         for (std::uint32_t g = 0; g + 1 < back.size(); ++g) {
-          bool breaks = false;
-          for (std::uint32_t h = back[g]; h < back[g + 1] && !breaks; ++h) {
-            breaks = spec.HasBreakpoint(i, j, h);
+          if (spec.PushForward(i, j, back[g]) < back[g + 1]) {
+            slice.spec.SetBreakpoint(i, j, g);
           }
-          if (breaks) slice.spec.SetBreakpoint(i, j, g);
         }
       }
     }

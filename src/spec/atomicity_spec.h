@@ -12,14 +12,25 @@
 // The default-constructed spec has no breakpoints anywhere: absolute
 // atomicity, under which the theory collapses to classical conflict
 // serializability (Lemma 1).
+//
+// Layout: one flat array of 64-bit words holds every breakpoint set, one
+// bit per gap. Pair (Ti, Tj) owns stride(i) = ceil((|Ti|-1)/64) words
+// starting at base(i) + j * stride(i), so a row i is contiguous and a pair
+// of a transaction of up to 65 operations is a single word. PushForward is
+// the next set bit at or after `index` and PullBackward the previous set
+// bit below it: O(1) word scans (O(|Ti|/64) in general) with no per-pair
+// heap object. Bits past a pair's last gap, and the diagonal pairs
+// (i == j), stay zero.
 #ifndef RELSER_SPEC_ATOMICITY_SPEC_H_
 #define RELSER_SPEC_ATOMICITY_SPEC_H_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "model/operation.h"
 #include "model/transaction.h"
+#include "util/check.h"
 #include "util/status.h"
 
 namespace relser {
@@ -103,16 +114,67 @@ class AtomicitySpec {
                          const AtomicitySpec& b) = default;
 
  private:
-  std::size_t PairSlot(TxnId i, TxnId j) const {
+  std::size_t GapCount(TxnId i) const {
+    return txn_sizes_[i] == 0 ? 0 : txn_sizes_[i] - 1;
+  }
+  /// First word of Atomicity(Ti, Tj); stride_[i] words long.
+  std::size_t PairBase(TxnId i, TxnId j) const {
     RELSER_DCHECK(i < txn_count() && j < txn_count() && i != j);
-    return static_cast<std::size_t>(i) * txn_count() + j;
+    return base_[i] + static_cast<std::size_t>(j) * stride_[i];
   }
 
   std::vector<std::size_t> txn_sizes_;
-  // gaps_[PairSlot(i,j)][g] = true iff Atomicity(Ti,Tj) breaks after op g.
-  // Diagonal slots (i == j) exist but stay empty.
-  std::vector<std::vector<bool>> gaps_;
+  std::vector<std::size_t> stride_;  // txn -> words per pair of its row
+  std::vector<std::size_t> base_;    // txn -> first word of its row
+  // Bit g of Atomicity(Ti,Tj)'s words is set iff Ti breaks after op g.
+  std::vector<std::uint64_t> words_;
 };
+
+// PushForward / PullBackward sit on the admission hot path (one call each
+// per ancestor transaction whose maximum index grew), so they are inline.
+
+inline std::uint32_t AtomicitySpec::PushForward(TxnId i, TxnId j,
+                                                std::uint32_t index) const {
+  RELSER_CHECK(i != j);
+  RELSER_CHECK(index < txn_sizes_[i]);
+  // Last op of the containing unit: the next breakpoint at or after
+  // `index`, or the transaction's last op when there is none.
+  const std::uint64_t* words = words_.data() + PairBase(i, j);
+  const std::size_t stride = stride_[i];
+  std::size_t w = index >> 6;
+  if (w < stride) {
+    const std::uint64_t bits = words[w] >> (index & 63);
+    if (bits != 0) {
+      return index + static_cast<std::uint32_t>(std::countr_zero(bits));
+    }
+    for (++w; w < stride; ++w) {
+      if (words[w] != 0) {
+        return static_cast<std::uint32_t>(w * 64) +
+               static_cast<std::uint32_t>(std::countr_zero(words[w]));
+      }
+    }
+  }
+  return static_cast<std::uint32_t>(txn_sizes_[i] - 1);
+}
+
+inline std::uint32_t AtomicitySpec::PullBackward(TxnId i, TxnId j,
+                                                 std::uint32_t index) const {
+  RELSER_CHECK(i != j);
+  RELSER_CHECK(index < txn_sizes_[i]);
+  if (index == 0) return 0;
+  // First op of the containing unit: one past the previous breakpoint
+  // below `index` (gaps 0 .. index-1), or op 0 when there is none.
+  const std::uint64_t* words = words_.data() + PairBase(i, j);
+  const std::uint32_t top = index - 1;
+  std::size_t w = top >> 6;
+  std::uint64_t bits = words[w] & (~std::uint64_t{0} >> (63 - (top & 63)));
+  while (bits == 0) {
+    if (w == 0) return 0;
+    bits = words[--w];
+  }
+  return static_cast<std::uint32_t>(w * 64) +
+         static_cast<std::uint32_t>(64 - std::countl_zero(bits));
+}
 
 }  // namespace relser
 

@@ -27,6 +27,8 @@ Status ParseHeader(std::string_view line, std::size_t txn_count, TxnId* i,
       value = value * 10 + static_cast<std::size_t>(line[pos] - '0');
       ++pos;
       ++digits;
+      // Stop before the accumulator can wrap back into range.
+      if (value > txn_count) break;
     }
     if (digits == 0 || value == 0 || value > txn_count) {
       return Status::InvalidArgument(

@@ -185,6 +185,54 @@ TEST(ShardProjectionTest, SlicesMatchManualSubsequenceAndSpecWindows) {
   }
 }
 
+TEST(ShardProjectionTest, MultiWordUnitsProjectToTheirOwnedEnds) {
+  // T1 has 150 ops (a three-word breakpoint row) spread over two range
+  // shards; a sparse spec gives units that cross the 64-gap word edges.
+  Rng rng(0x3A7);
+  TransactionSet txns;
+  txns.AddObjects(4);  // objects 0-1 on shard 0, 2-3 on shard 1
+  Transaction* long_txn = txns.AddTransaction();
+  for (int k = 0; k < 150; ++k) {
+    long_txn->Write(static_cast<ObjectId>(rng.UniformIndex(4)));
+  }
+  Transaction* other = txns.AddTransaction();
+  other->Read(0);
+  other->Write(3);
+  AtomicitySpec spec(txns);
+  for (std::uint32_t g = 0; g + 1 < 150; ++g) {
+    if (rng.Bernoulli(0.04)) spec.SetBreakpoint(0, 1, g);
+  }
+  spec.SetBreakpoint(0, 1, 63);
+  spec.SetBreakpoint(0, 1, 64);
+  const ShardPlan plan(txns, spec,
+                       ShardRouter(txns.object_count(), 2,
+                                   ShardStrategy::kRange));
+  for (std::uint32_t shard = 0; shard < 2; ++shard) {
+    const ShardSlice& slice = plan.slice(shard);
+    const std::vector<std::uint32_t>& owned = slice.to_original[0];
+    ASSERT_GT(owned.size(), 64u) << "shard " << shard;
+    for (std::uint32_t p = 0; p < owned.size(); ++p) {
+      // The original unit of owned[p], clipped to the owned ops.
+      const std::uint32_t first = spec.PullBackward(0, 1, owned[p]);
+      const std::uint32_t last = spec.PushForward(0, 1, owned[p]);
+      std::uint32_t first_owned = p;
+      while (first_owned > 0 && owned[first_owned - 1] >= first) {
+        --first_owned;
+      }
+      std::uint32_t last_owned = p;
+      while (last_owned + 1 < owned.size() && owned[last_owned + 1] <= last) {
+        ++last_owned;
+      }
+      EXPECT_EQ(slice.spec.PushForward(0, 1, p), last_owned)
+          << "shard " << shard << " op " << p;
+      EXPECT_EQ(slice.spec.PullBackward(0, 1, p), first_owned)
+          << "shard " << shard << " op " << p;
+      EXPECT_EQ(slice.to_original[0][slice.spec.PushForward(0, 1, p)],
+                owned[last_owned]);
+    }
+  }
+}
+
 TEST(CrossShardCoordinatorTest, DetectsCyclesSkipsDeadAndDeduplicates) {
   CrossShardCoordinator coordinator(4, nullptr);
   EXPECT_EQ(coordinator.AddArcs(0, {{0, 1}}),

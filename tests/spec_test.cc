@@ -378,5 +378,171 @@ TEST(SpecAlgebra, LatticeLawsOnRandomSpecs) {
   }
 }
 
+// Naive per-gap reference for the bitmask layout: gaps[i][j][g] is true
+// iff Atomicity(Ti, Tj) breaks after op g.
+struct NaiveSpec {
+  std::vector<std::vector<std::vector<bool>>> gaps;
+
+  explicit NaiveSpec(const TransactionSet& txns)
+      : gaps(txns.txn_count(), std::vector<std::vector<bool>>(
+                                   txns.txn_count())) {
+    for (TxnId i = 0; i < txns.txn_count(); ++i) {
+      const std::size_t size = txns.txn(i).size();
+      for (TxnId j = 0; j < txns.txn_count(); ++j) {
+        if (i != j) gaps[i][j].assign(size == 0 ? 0 : size - 1, false);
+      }
+    }
+  }
+
+  std::uint32_t PushForward(TxnId i, TxnId j, std::uint32_t index) const {
+    std::uint32_t last = index;
+    while (last < gaps[i][j].size() && !gaps[i][j][last]) ++last;
+    return last;
+  }
+  std::uint32_t PullBackward(TxnId i, TxnId j, std::uint32_t index) const {
+    std::uint32_t first = index;
+    while (first > 0 && !gaps[i][j][first - 1]) --first;
+    return first;
+  }
+  std::size_t Count(TxnId i, TxnId j, std::size_t end) const {
+    std::size_t count = 0;
+    for (std::size_t g = 0; g < end; ++g) {
+      if (gaps[i][j][g]) ++count;
+    }
+    return count;
+  }
+};
+
+// Transactions of the given sizes over one object: single-word (<= 65
+// ops), word-boundary (65, 66) and multi-word (130) pairs, plus the
+// gapless sizes 0 and 1.
+TransactionSet TxnsOfSizes(const std::vector<std::size_t>& sizes) {
+  TransactionSet txns;
+  const ObjectId object = txns.AddObjects(1);
+  for (const std::size_t size : sizes) {
+    Transaction* txn = txns.AddTransaction();
+    for (std::size_t k = 0; k < size; ++k) txn->Write(object);
+  }
+  return txns;
+}
+
+void RandomizeBoth(Rng* rng, double density, AtomicitySpec* spec,
+                   NaiveSpec* naive) {
+  const auto n = static_cast<TxnId>(spec->txn_count());
+  for (TxnId i = 0; i < n; ++i) {
+    for (TxnId j = 0; j < n; ++j) {
+      if (i == j) continue;
+      std::vector<bool>& gaps = naive->gaps[i][j];
+      if (!gaps.empty() && rng->Bernoulli(0.1)) {
+        spec->RelaxFully(i, j);
+        gaps.assign(gaps.size(), true);
+        continue;
+      }
+      for (std::uint32_t g = 0; g < gaps.size(); ++g) {
+        if (rng->Bernoulli(density)) {
+          spec->SetBreakpoint(i, j, g);
+          gaps[g] = true;
+        } else if (rng->Bernoulli(0.5)) {
+          spec->ClearBreakpoint(i, j, g);
+          gaps[g] = false;
+        }
+      }
+    }
+  }
+}
+
+TEST(AtomicitySpec, BitmaskLayoutMatchesNaiveGapModel) {
+  const TransactionSet txns = TxnsOfSizes({0, 1, 2, 64, 65, 66, 130});
+  const auto n = static_cast<TxnId>(txns.txn_count());
+  Rng rng(0xB17);
+  for (const double density : {0.0, 0.02, 0.3, 0.9, 1.0}) {
+    AtomicitySpec a(txns);
+    AtomicitySpec b(txns);
+    NaiveSpec na(txns);
+    NaiveSpec nb(txns);
+    RandomizeBoth(&rng, density, &a, &na);
+    RandomizeBoth(&rng, density / 2, &b, &nb);
+
+    std::size_t total = 0;
+    bool a_covers_b = true;
+    bool b_covers_a = true;
+    for (TxnId i = 0; i < n; ++i) {
+      const std::size_t size = txns.txn(i).size();
+      for (TxnId j = 0; j < n; ++j) {
+        if (i == j) continue;
+        const std::vector<bool>& gaps = na.gaps[i][j];
+        for (std::uint32_t g = 0; g < gaps.size(); ++g) {
+          ASSERT_EQ(a.HasBreakpoint(i, j, g), gaps[g]) << i << "," << j;
+          a_covers_b = a_covers_b && (gaps[g] || !nb.gaps[i][j][g]);
+          b_covers_a = b_covers_a && (nb.gaps[i][j][g] || !gaps[g]);
+        }
+        const std::size_t breaks = na.Count(i, j, gaps.size());
+        total += breaks;
+        EXPECT_EQ(a.UnitCount(i, j), breaks + 1);
+        if (size == 0) continue;
+        std::vector<UnitRange> units;
+        for (std::uint32_t k = 0; k < size; ++k) {
+          const std::uint32_t pushed = na.PushForward(i, j, k);
+          const std::uint32_t pulled = na.PullBackward(i, j, k);
+          ASSERT_EQ(a.PushForward(i, j, k), pushed)
+              << i << "," << j << "@" << k;
+          ASSERT_EQ(a.PullBackward(i, j, k), pulled)
+              << i << "," << j << "@" << k;
+          EXPECT_EQ(a.UnitOfOp(i, j, k), na.Count(i, j, k));
+          if (pulled == k) units.push_back(UnitRange{pulled, pushed});
+        }
+        EXPECT_EQ(a.Units(i, j), units);
+      }
+    }
+    EXPECT_EQ(a.TotalBreakpoints(), total);
+    EXPECT_EQ(a.IsAbsolute(), total == 0);
+    EXPECT_EQ(a.AtLeastAsPermissiveAs(b), a_covers_b);
+    EXPECT_EQ(b.AtLeastAsPermissiveAs(a), b_covers_a);
+    EXPECT_EQ(a == b, na.gaps == nb.gaps);
+
+    // The lattice operations agree with per-gap AND / OR.
+    const AtomicitySpec meet = MeetSpecs(a, b);
+    const AtomicitySpec join = JoinSpecs(a, b);
+    for (TxnId i = 0; i < n; ++i) {
+      for (TxnId j = 0; j < n; ++j) {
+        if (i == j) continue;
+        for (std::uint32_t g = 0; g < na.gaps[i][j].size(); ++g) {
+          EXPECT_EQ(meet.HasBreakpoint(i, j, g),
+                    na.gaps[i][j][g] && nb.gaps[i][j][g]);
+          EXPECT_EQ(join.HasBreakpoint(i, j, g),
+                    na.gaps[i][j][g] || nb.gaps[i][j][g]);
+        }
+      }
+    }
+
+    // A single flipped gap in the last word of a multi-word pair is seen
+    // by equality, and RelaxFully sets exactly the pair's gaps.
+    AtomicitySpec flipped = a;
+    if (flipped.HasBreakpoint(6, 3, 128)) {
+      flipped.ClearBreakpoint(6, 3, 128);
+    } else {
+      flipped.SetBreakpoint(6, 3, 128);
+    }
+    EXPECT_FALSE(flipped == a);
+    for (TxnId i = 0; i < n; ++i) {
+      for (TxnId j = 0; j < n; ++j) {
+        if (i != j) flipped.RelaxFully(i, j);
+      }
+    }
+    EXPECT_EQ(flipped, FullyRelaxedSpec(txns));
+    std::size_t all_gaps = 0;
+    for (TxnId i = 0; i < n; ++i) {
+      const std::size_t size = txns.txn(i).size();
+      all_gaps += (n - 1) * (size == 0 ? 0 : size - 1);
+      for (TxnId j = 0; j < n; ++j) {
+        if (i != j && size > 0) {
+          EXPECT_EQ(flipped.UnitCount(i, j), size);
+        }
+      }
+    }
+    EXPECT_EQ(flipped.TotalBreakpoints(), all_gaps);
+  }
+}
+
 }  // namespace
 }  // namespace relser

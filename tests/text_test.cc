@@ -133,6 +133,29 @@ TEST(SpecText, CommentsAndBlankLinesIgnored) {
   EXPECT_TRUE(spec->HasBreakpoint(0, 1, 0));
 }
 
+TEST(ParseTransactionSet, RejectsOperationNumberBeyondTxnIdRange) {
+  // 4294967297 - 1 truncated to a 32-bit TxnId would be T1's id.
+  auto txns = ParseTransactionSet("T1 = r4294967297[x]");
+  ASSERT_FALSE(txns.ok());
+  EXPECT_EQ(txns.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ParseTransactionSet, RejectsLabelBeyondTxnIdRange) {
+  // 2^64 + 1 wraps to 1 in a 64-bit accumulator.
+  auto txns = ParseTransactionSet("T18446744073709551617 = r1[x]");
+  ASSERT_FALSE(txns.ok());
+  EXPECT_EQ(txns.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SpecText, RejectsHeaderNumberBeyondTxnCount) {
+  auto txns = ParseTransactionSet("T1 = r1[x] w1[x]\nT2 = r2[x]\n");
+  // 2^64 + 1 wraps to 1 in a 64-bit accumulator.
+  auto spec = ParseAtomicitySpec(
+      *txns, "Atomicity(T18446744073709551617,T2): r1[x] | w1[x]");
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(SpecText, RejectsBadHeaders) {
   auto txns = ParseTransactionSet("T1 = r1[x] w1[x]\nT2 = r2[x]\n");
   EXPECT_FALSE(ParseAtomicitySpec(*txns, "Atomic(T1,T2): r1[x]w1[x]").ok());
