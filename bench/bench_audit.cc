@@ -6,15 +6,15 @@
 //      concurrently interleaved transactions over a shared hot object
 //      pool, each epoch fully committed before the next begins — is
 //      serialized to generic-dialect JSONL, ingested back through
-//      audit/ingest.h, and replayed through both the online and the
-//      SoA checker via the auditor's epoch-segmented scan
-//      (audit/audit.h: no RSG cycle can span a point where no
-//      transaction is open, so the checker restarts per epoch and the
-//      audit stays linear in history length). Each epoch pair is
-//      mutually fully relaxed, so the history is relatively
-//      serializable by construction while the within-epoch conflict
-//      arcs the checkers certify are real. Gate: >= 10^6 ops (10^5
-//      under --smoke) ingested and accepted end-to-end.
+//      audit/ingest.h, and replayed through the online checker via the
+//      auditor's epoch-segmented scan (audit/audit.h: no RSG cycle can
+//      span a point where no transaction is open, so the checker
+//      restarts per epoch and the audit stays linear in history
+//      length). Each epoch pair is mutually fully relaxed, so the
+//      history is relatively serializable by construction while the
+//      within-epoch conflict arcs the checker certifies are real.
+//      Gate: >= 10^6 ops (10^5 under --smoke) ingested and accepted
+//      end-to-end.
 //
 //   2. Minimize: a planted three-transaction conflict cycle (the
 //      docs/audit.md worked example writ large) is buried in a 10^4-op
@@ -76,10 +76,8 @@ struct ScaleResult {
   std::size_t jsonl_bytes = 0;
   double ingest_seconds = 0.0;
   double check_seconds = 0.0;
-  double soa_check_seconds = 0.0;
   double ingest_ops_per_sec = 0.0;
   double check_ops_per_sec = 0.0;
-  double soa_check_ops_per_sec = 0.0;
   bool accepted = false;
   bool pass = false;
 };
@@ -146,26 +144,16 @@ ScaleResult RunScale(std::size_t epochs, std::size_t ops_per_txn,
   const AuditInput& in = input.value();
   result.ops = in.history.size();
 
-  AuditOptions options;
-
   start = std::chrono::steady_clock::now();
-  const AuditReport online = AuditHistory(in.txns, spec, in.history,
-                                          options);
+  const AuditReport report = AuditHistory(in.txns, spec, in.history);
   result.check_seconds = SecondsSince(start);
-
-  options.use_soa = true;
-  start = std::chrono::steady_clock::now();
-  const AuditReport soa = AuditHistory(in.txns, spec, in.history,
-                                       options);
-  result.soa_check_seconds = SecondsSince(start);
 
   const auto rate = [](std::size_t ops, double seconds) {
     return seconds > 0 ? static_cast<double>(ops) / seconds : 0.0;
   };
   result.ingest_ops_per_sec = rate(result.ops, result.ingest_seconds);
   result.check_ops_per_sec = rate(result.ops, result.check_seconds);
-  result.soa_check_ops_per_sec = rate(result.ops, result.soa_check_seconds);
-  result.accepted = online.accepted && soa.accepted;
+  result.accepted = report.accepted;
   result.pass = result.accepted && result.ops >= min_ops;
   return result;
 }
@@ -309,11 +297,11 @@ int main(int argc, char** argv) {
   const std::size_t min_ops = smoke ? 100000 : 1000000;
   const ScaleResult scale = RunScale(epochs, 500, min_ops, 0xA0D17ULL);
 
-  AsciiTable table({"cell", "ops", "ingest", "check", "soa-check", "gate"});
+  AsciiTable table({"cell", "ops", "ingest", "check", "result", "gate"});
   table.AddRow({"scale", std::to_string(scale.ops),
                 Rate(scale.ingest_ops_per_sec) + " ops/s",
                 Rate(scale.check_ops_per_sec) + " ops/s",
-                Rate(scale.soa_check_ops_per_sec) + " ops/s",
+                scale.accepted ? "accepted" : "rejected",
                 scale.pass ? "PASS" : "FAIL"});
 
   const MinimizeResult minimize = RunMinimize(smoke ? 20 : 80, 64);
@@ -341,14 +329,10 @@ int main(int argc, char** argv) {
   json.Double(scale.ingest_seconds);
   json.Key("check_seconds");
   json.Double(scale.check_seconds);
-  json.Key("soa_check_seconds");
-  json.Double(scale.soa_check_seconds);
   json.Key("ingest_ops_per_sec");
   json.Double(scale.ingest_ops_per_sec);
   json.Key("check_ops_per_sec");
   json.Double(scale.check_ops_per_sec);
-  json.Key("soa_check_ops_per_sec");
-  json.Double(scale.soa_check_ops_per_sec);
   json.Key("accepted");
   json.Bool(scale.accepted);
   json.Key("pass");

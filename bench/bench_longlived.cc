@@ -231,14 +231,15 @@ struct GcPhaseResult {
 
 // ASan keeps freed blocks in a 256 MB quarantine, so under ASan RSS
 // tracks allocation churn, not live state: on the smoke run it reads
-// 203 -> 430 MB, and 45 -> 42 MB with the quarantine disabled. The RSS
-// gate therefore runs only in builds without ASan (scripts/ci.sh runs
-// this smoke on the Release build for it); flat_memory and stable_p99
-// are gated in every build.
+// 203 -> 430 MB, and 45 -> 42 MB with the quarantine disabled. Its
+// instrumentation also adds timing noise of its own to the timing-only
+// stable_p99 gate. Both gates therefore run only in builds without ASan
+// (scripts/ci.sh runs this smoke on the Release build for them);
+// flat_memory is gated in every build.
 #if defined(__SANITIZE_ADDRESS__)
-constexpr bool kRssGated = false;
+constexpr bool kAsan = true;
 #else
-constexpr bool kRssGated = true;
+constexpr bool kAsan = false;
 #endif
 
 GcPhaseResult RunGcPhase(std::size_t target_ops, std::size_t wave_txns,
@@ -475,13 +476,15 @@ int main(int argc, char** argv) {
   gc_table.AddRow({"p99_early_ns", std::to_string(gc.p99_early_ns)});
   gc_table.AddRow({"p99_final_ns", std::to_string(gc.p99_final_ns)});
   gc_table.AddRow({"flat_memory_gate", gc.flat_memory ? "PASS" : "FAIL"});
-  gc_table.AddRow({"flat_rss_gate", !kRssGated     ? "not gated (ASan)"
+  gc_table.AddRow({"flat_rss_gate", kAsan         ? "not gated (ASan)"
                                     : gc.flat_rss ? "PASS"
                                                   : "FAIL"});
-  gc_table.AddRow({"stable_p99_gate", gc.stable_p99 ? "PASS" : "FAIL"});
+  gc_table.AddRow({"stable_p99_gate", kAsan           ? "not gated (ASan)"
+                                      : gc.stable_p99 ? "PASS"
+                                                      : "FAIL"});
   gc_table.Print(std::cout);
   const bool gc_gates =
-      gc.flat_memory && (gc.flat_rss || !kRssGated) && gc.stable_p99;
+      gc.flat_memory && (kAsan || (gc.flat_rss && gc.stable_p99));
 
   std::cout << "\nExpected shape: short_lat_mean grows with long_steps for "
                "serial and 2PL (shorts stall\nbehind the long transaction's "
@@ -572,14 +575,17 @@ int main(int argc, char** argv) {
   json.Uint(gc.p99_final_ns);
   json.Key("flat_memory_gate");
   json.Bool(gc.flat_memory);
-  json.Key("flat_rss_gate");  // null: not gated in this build
-  if (kRssGated) {
-    json.Bool(gc.flat_rss);
-  } else {
-    json.Null();
-  }
+  const auto release_gate = [&json](bool pass) {
+    if (kAsan) {
+      json.Null();  // not gated in this build
+    } else {
+      json.Bool(pass);
+    }
+  };
+  json.Key("flat_rss_gate");
+  release_gate(gc.flat_rss);
   json.Key("stable_p99_gate");
-  json.Bool(gc.stable_p99);
+  release_gate(gc.stable_p99);
   json.EndObject();
   json.EndObject();
   if (!WriteBenchJsonFile("BENCH_longlived.json", json.str(), tag)) {
@@ -590,8 +596,9 @@ int main(int argc, char** argv) {
     std::cerr << "admission GC gate FAILED (flat_memory="
               << (gc.flat_memory ? "pass" : "FAIL")
               << ", flat_rss="
-              << (!kRssGated ? "not gated" : gc.flat_rss ? "pass" : "FAIL")
-              << ", stable_p99=" << (gc.stable_p99 ? "pass" : "FAIL")
+              << (kAsan ? "not gated" : gc.flat_rss ? "pass" : "FAIL")
+              << ", stable_p99="
+              << (kAsan ? "not gated" : gc.stable_p99 ? "pass" : "FAIL")
               << ")\n";
   }
   return (all_guarantees && gc_gates) ? 0 : 1;

@@ -9,13 +9,10 @@
 // p50/p99 admission latency. Results go to BENCH_online.json for the
 // perf trajectory; bench/trajectory/ keeps committed snapshots.
 //
-// The SoA/SIMD hot path (core/soa/) is measured alongside on every size:
-// its decisions must be bit-identical to the optimized checker, and its
-// steady-state allocations per op must not regress past the optimized
-// path's — both are hard gates, not just reported numbers.
-//
-// All checkers must agree on every accept/reject decision (the
-// optimization's bit-identical contract) — any disagreement, like a JSON
+// Both checkers must agree on every accept/reject decision (the
+// optimization's bit-identical contract), and the optimized checker's
+// steady-state allocations per op must stay at or below
+// kMaxSteadyAllocsPerOp at every size. Either failure, like a JSON
 // write failure, exits non-zero. `--smoke` runs reduced sizes for CI.
 #include <algorithm>
 #include <atomic>
@@ -30,9 +27,7 @@
 #include "util/json.h"
 #include "core/online.h"
 #include "core/online_baseline.h"
-#include "core/soa/hotpath.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "workload/generator.h"
 #include "workload/spec_gen.h"
 
@@ -62,6 +57,11 @@ void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 
 namespace relser {
 namespace {
+
+// Steady-state allocation ceiling for the optimized checker. It
+// allocates only when an amortized structure grows; the measured
+// steady rate is 0.011-0.19 allocs/op across sizes and build modes.
+constexpr double kMaxSteadyAllocsPerOp = 0.25;
 
 struct Workload {
   TransactionSet txns;
@@ -235,23 +235,17 @@ int Run(bool smoke) {
   const std::size_t baseline_cap = smoke ? 1000 : 10000;
   const std::size_t baseline_latency_cap = 1000;
 
-  std::printf("simd tier: %s (max %s)\n", SimdTierName(ActiveSimdTier()),
-              SimdTierName(MaxSimdTier()));
-
   JsonWriter json;
   json.BeginObject();
   json.Key("bench");
   json.String("online_hotpath");
   json.Key("mode");
   json.String(smoke ? "smoke" : "full");
-  json.Key("simd_tier");
-  json.String(SimdTierName(ActiveSimdTier()));
   json.Key("sizes");
   json.BeginArray();
 
   bool ok = true;
   double speedup_at_cap = 0.0;
-  double soa_speedup_at_largest = 0.0;
   for (const std::size_t target : sizes) {
     const Workload wl = MakeWorkload(target, 0xB0B0 + target);
     const std::size_t ops = wl.schedule.size();
@@ -268,6 +262,14 @@ int Run(bool smoke) {
                 static_cast<double>(ops) / opt_feed.seconds,
                 opt_feed.accepted, opt_feed.steady_allocs_per_op,
                 opt_lat.p50_ns, opt_lat.p99_ns);
+    if (opt_feed.steady_allocs_per_op > kMaxSteadyAllocsPerOp) {
+      std::fprintf(stderr,
+                   "FAIL: optimized steady allocs/op %.3f exceeds %.2f at "
+                   "size %zu\n",
+                   opt_feed.steady_allocs_per_op, kMaxSteadyAllocsPerOp,
+                   target);
+      ok = false;
+    }
 
     json.BeginObject();
     json.Key("target_ops");
@@ -283,46 +285,6 @@ int Run(bool smoke) {
     json.Key("optimized");
     EmitImpl(json, opt_feed, opt_lat, ops, optimized.arcs_submitted(),
              optimized.arcs_inserted_total());
-
-    SoaRsrChecker soa(wl.txns, wl.spec);
-    const FeedResult soa_feed = Feed(wl, soa);
-    SoaRsrChecker soa_lat_checker(wl.txns, wl.spec);
-    const LatencyResult soa_lat = MeasureLatency(wl, soa_lat_checker);
-    const double soa_speedup = soa_feed.seconds > 0.0
-                                   ? opt_feed.seconds / soa_feed.seconds
-                                   : 0.0;
-    std::printf("  soa:       %.3fs (%.0f ops/s), %zu accepted, "
-                "%.3f allocs/op steady, p50 %.0fns p99 %.0fns "
-                "(%.2fx vs optimized)\n",
-                soa_feed.seconds,
-                static_cast<double>(ops) / soa_feed.seconds,
-                soa_feed.accepted, soa_feed.steady_allocs_per_op,
-                soa_lat.p50_ns, soa_lat.p99_ns, soa_speedup);
-    if (soa_feed.decisions != opt_feed.decisions) {
-      std::fprintf(stderr,
-                   "FAIL: decision mismatch between soa and optimized at "
-                   "size %zu\n",
-                   target);
-      ok = false;
-    }
-    // Alloc-regression gate: the SoA path must stay as allocation-free in
-    // the steady state as the optimized path (epsilon absorbs amortized
-    // growth of workload-dependent structures).
-    if (soa_feed.steady_allocs_per_op >
-        opt_feed.steady_allocs_per_op + 0.05) {
-      std::fprintf(stderr,
-                   "FAIL: soa steady allocs/op %.3f regressed past "
-                   "optimized %.3f at size %zu\n",
-                   soa_feed.steady_allocs_per_op,
-                   opt_feed.steady_allocs_per_op, target);
-      ok = false;
-    }
-    json.Key("soa");
-    EmitImpl(json, soa_feed, soa_lat, ops, soa.arcs_submitted(),
-             soa.arcs_inserted_total());
-    json.Key("soa_speedup_vs_optimized");
-    json.Double(soa_speedup);
-    if (target == sizes.back()) soa_speedup_at_largest = soa_speedup;
 
     json.Key("baseline");
     if (target <= baseline_cap) {
@@ -362,8 +324,6 @@ int Run(bool smoke) {
   json.Double(speedup_at_cap);
   json.Key("largest_common_size");
   json.Uint(baseline_cap);
-  json.Key("soa_speedup_at_largest_size");
-  json.Double(soa_speedup_at_largest);
   json.EndObject();
 
   if (!WriteBenchJsonFile("BENCH_online.json", json.str())) {

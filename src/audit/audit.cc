@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/online.h"
-#include "core/soa/hotpath.h"
 #include "model/text.h"
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -20,11 +19,10 @@ constexpr TxnId kNoTxn = ~static_cast<TxnId>(0);
 
 // Streams `history` through one fresh checker; returns the index of
 // the first rejected operation (filling *rejection) or history.size().
-template <typename Checker>
 std::size_t ScanWhole(const TransactionSet& txns, const AtomicitySpec& spec,
                       const std::vector<Operation>& history,
                       AdmitResult* rejection) {
-  Checker checker(txns, spec);
+  OnlineRsrChecker checker(txns, spec);
   for (std::size_t i = 0; i < history.size(); ++i) {
     const AdmitResult result = checker.TryAppend(history[i]);
     if (!result.ok()) {
@@ -71,13 +69,12 @@ std::vector<std::size_t> SegmentEnds(const TransactionSet& txns,
 // each segment as a self-contained projected history. Equivalent to
 // ScanWhole by the cut argument above, and linear in history length
 // when segments stay bounded.
-template <typename Checker>
 std::size_t Scan(const TransactionSet& txns, const AtomicitySpec& spec,
                  const std::vector<Operation>& history,
                  AdmitResult* rejection) {
   const std::vector<std::size_t> ends = SegmentEnds(txns, history);
   if (ends.size() <= 1) {
-    return ScanWhole<Checker>(txns, spec, history, rejection);
+    return ScanWhole(txns, spec, history, rejection);
   }
   std::size_t start = 0;
   // Hoisted: IsAbsolute() walks every breakpoint vector, which is
@@ -129,7 +126,7 @@ std::size_t Scan(const TransactionSet& txns, const AtomicitySpec& spec,
       }
     }
 
-    Checker checker(seg, seg_spec);
+    OnlineRsrChecker checker(seg, seg_spec);
     for (std::size_t i = 0; i < ops.size(); ++i) {
       const AdmitResult result = checker.TryAppend(ops[i]);
       if (!result.ok()) {
@@ -285,7 +282,7 @@ ProjectedHistory Project(const TransactionSet& txns,
 
 bool HistoryViolates(const TransactionSet& txns, const AtomicitySpec& spec,
                      const std::vector<Operation>& ops) {
-  return Scan<OnlineRsrChecker>(txns, spec, ops, nullptr) != ops.size();
+  return Scan(txns, spec, ops, nullptr) != ops.size();
 }
 
 AuditReport AuditHistory(const TransactionSet& txns,
@@ -295,10 +292,7 @@ AuditReport AuditHistory(const TransactionSet& txns,
   AuditReport report;
   report.history_size = history.size();
 
-  const std::size_t reject_at =
-      options.use_soa
-          ? Scan<SoaRsrChecker>(txns, spec, history, &report.rejection)
-          : Scan<OnlineRsrChecker>(txns, spec, history, &report.rejection);
+  const std::size_t reject_at = Scan(txns, spec, history, &report.rejection);
   if (reject_at == history.size()) {
     report.accepted = true;
     report.ops_checked = history.size();
@@ -351,8 +345,8 @@ AuditReport AuditHistory(const TransactionSet& txns,
 
   report.witness = Project(txns, spec, report.witness_ops);
   const std::size_t witness_reject =
-      Scan<OnlineRsrChecker>(report.witness.txns, report.witness.spec,
-                             report.witness.ops, &report.witness_rejection);
+      Scan(report.witness.txns, report.witness.spec, report.witness.ops,
+           &report.witness_rejection);
   report.minimized = witness_reject != report.witness.ops.size();
 
   for (const Operation& op : report.witness_ops) {

@@ -3,10 +3,9 @@
 // delta-debug it down to a minimal witness sub-history.
 //
 // Checking is Theorem 1 applied per prefix: feed the history through
-// OnlineRsrChecker (or the decision-identical SoaRsrChecker) and the
-// first kReject is the earliest operation at which the history leaves
-// the relatively-serializable class, with the witnessing RSG arc
-// attached.
+// OnlineRsrChecker and the first kReject is the earliest operation at
+// which the history leaves the relatively-serializable class, with the
+// witnessing RSG arc attached.
 //
 // Long histories are checked by *epoch segmentation*: at any point
 // where no transaction is open (every transaction seen so far fed to
@@ -67,9 +66,6 @@ bool HistoryViolates(const TransactionSet& txns, const AtomicitySpec& spec,
 struct AuditOptions {
   /// Run ddmin on violation. Off: the report stops at first rejection.
   bool minimize = true;
-  /// Scan with the SoA/SIMD checker (decision-identical; minimization
-  /// re-checks always use OnlineRsrChecker).
-  bool use_soa = false;
   /// Safety valve: maximum candidate re-checks ddmin may spend. When
   /// exhausted the current (still-violating, possibly non-minimal)
   /// witness is returned.

@@ -33,7 +33,7 @@
 namespace relser {
 
 struct StreamAuditOptions {
-  AuditOptions audit;  ///< minimize / use_soa / max_checks, as in batch
+  AuditOptions audit;  ///< minimize / max_checks, as in batch
   /// Force the absolute spec, ignoring any header-embedded one.
   bool spec_absolute = false;
   /// Non-empty: parse this spec text against the header transactions

@@ -8,29 +8,13 @@
 namespace relser {
 
 SnapshotRsrChecker::SnapshotRsrChecker(const TransactionSet& txns,
-                                       const AtomicitySpec& spec,
-                                       SnapshotCheckerOptions options)
+                                       const AtomicitySpec& spec)
     : txns_(txns),
       store_(txns),
+      checker_(txns, spec),
       class_(txns.txn_count(), TxnClass::kUnclassified),
       state_(txns.txn_count(), kLive),
-      accepted_(txns.txn_count(), 0) {
-  if (options.use_soa) {
-    soa_ = std::make_unique<SoaRsrChecker>(txns, spec);
-  } else {
-    online_ = std::make_unique<OnlineRsrChecker>(txns, spec);
-  }
-}
-
-SnapshotRsrChecker::~SnapshotRsrChecker() = default;
-
-AdmitResult SnapshotRsrChecker::SubmitToChecker(const Operation& op) {
-  return soa_ ? soa_->TryAppend(op) : online_->TryAppend(op);
-}
-
-std::size_t SnapshotRsrChecker::checker_arcs_submitted() const {
-  return soa_ ? soa_->arcs_submitted() : online_->arcs_submitted();
-}
+      accepted_(txns.txn_count(), 0) {}
 
 AdmitResult SnapshotRsrChecker::Submit(const Operation& op) {
   const TxnId txn = op.txn;
@@ -56,7 +40,7 @@ AdmitResult SnapshotRsrChecker::Submit(const Operation& op) {
     class_[txn] = TxnClass::kEscalated;
   }
 
-  AdmitResult result = SubmitToChecker(op);
+  AdmitResult result = checker_.TryAppend(op);
   if (result.outcome == AdmitOutcome::kAccept) {
     accept_log_.push_back(StampedOp{next_stamp_++, op});
     if (++accepted_[txn] == txns_.txn(txn).size()) {
@@ -65,11 +49,7 @@ AdmitResult SnapshotRsrChecker::Submit(const Operation& op) {
     }
   } else if (result.outcome == AdmitOutcome::kReject) {
     state_[txn] = kDead;
-    if (soa_) {
-      soa_->RemoveTransactionExact(txn);
-    } else {
-      online_->RemoveTransactionExact(txn);
-    }
+    checker_.RemoveTransactionExact(txn);
     store_.NoteAbort(txn);
   }
   return result;

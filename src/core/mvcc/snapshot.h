@@ -9,9 +9,8 @@
 //     never sees it.
 //   * escalating — everything else (writers always; read-only
 //     transactions raced by a live writer of their read set). Routed to
-//     the single-version checker (`OnlineRsrChecker`, or `SoaRsrChecker`
-//     with `use_soa`) unchanged, so escalated decisions are bit-identical
-//     to a facade-less run.
+//     the single-version checker (`OnlineRsrChecker`) unchanged, so
+//     escalated decisions are bit-identical to a facade-less run.
 //
 // This is the *sequential* reference implementation of the fast path —
 // the concurrent wiring lives in shard/sharded_admitter.cc and is
@@ -32,23 +31,15 @@
 #define RELSER_CORE_MVCC_SNAPSHOT_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/admit.h"
 #include "core/mvcc/version_store.h"
 #include "core/online.h"
-#include "core/soa/hotpath.h"
 #include "model/transaction.h"
 #include "spec/atomicity_spec.h"
 
 namespace relser {
-
-struct SnapshotCheckerOptions {
-  /// Route escalating transactions through the SoA/SIMD checker instead
-  /// of OnlineRsrChecker (decision-identical; perf only).
-  bool use_soa = false;
-};
 
 class SnapshotRsrChecker {
  public:
@@ -58,11 +49,8 @@ class SnapshotRsrChecker {
     kEscalated,
   };
 
-  SnapshotRsrChecker(const TransactionSet& txns, const AtomicitySpec& spec,
-                     SnapshotCheckerOptions options = {});
-  SnapshotRsrChecker(const TransactionSet&, AtomicitySpec&&,
-                     SnapshotCheckerOptions = {}) = delete;
-  ~SnapshotRsrChecker();
+  SnapshotRsrChecker(const TransactionSet& txns, const AtomicitySpec& spec);
+  SnapshotRsrChecker(const TransactionSet&, AtomicitySpec&&) = delete;
 
   /// Admits or refuses `op`. kAccept / kReject from the checker path;
   /// kAborted for operations of an already-rejected transaction.
@@ -84,19 +72,18 @@ class SnapshotRsrChecker {
   }
   /// Arcs the escalation checker submitted; snapshot admissions
   /// contribute exactly zero here.
-  std::size_t checker_arcs_submitted() const;
+  std::size_t checker_arcs_submitted() const {
+    return checker_.arcs_submitted();
+  }
 
  private:
-  AdmitResult SubmitToChecker(const Operation& op);
-
   static constexpr std::uint8_t kLive = 0;
   static constexpr std::uint8_t kCommitted = 1;
   static constexpr std::uint8_t kDead = 2;
 
   const TransactionSet& txns_;
   VersionStore store_;
-  std::unique_ptr<OnlineRsrChecker> online_;
-  std::unique_ptr<SoaRsrChecker> soa_;
+  OnlineRsrChecker checker_;
   std::vector<TxnClass> class_;
   std::vector<std::uint8_t> state_;
   std::vector<std::uint32_t> accepted_;  // checker-path accepts per txn

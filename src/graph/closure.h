@@ -10,8 +10,8 @@
 //
 // Storage is one flat allocation of n rows x stride words (instead of n
 // separate DenseBitsets): row unions in the backward sweep are straight
-// word-kernel calls (util/simd.h) over adjacent cache lines, and the
-// whole matrix prefetches linearly.
+// OrWords calls (util/simd.h) over adjacent cache lines, and the whole
+// matrix prefetches linearly.
 #ifndef RELSER_GRAPH_CLOSURE_H_
 #define RELSER_GRAPH_CLOSURE_H_
 

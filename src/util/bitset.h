@@ -4,12 +4,8 @@
 // The core library computes the `depends-on` relation (transitive closure
 // of directly-depends-on) by propagating per-operation reachability sets
 // in schedule order; DenseBitset provides the O(n/64)-per-union kernel
-// that makes the closure O(n^2/64) words of work. Bulk operations
-// (UnionWith / IntersectWith / Intersects) dispatch through util/simd.h,
-// so they run at the widest SIMD tier the CPU offers and fall back to
-// bit-identical scalar loops everywhere else; the SoA admission path
-// (core/soa/) additionally drives the raw words() through the same
-// kernels for its taint and column-mask updates.
+// that makes the closure O(n^2/64) words of work. UnionWith runs the
+// OrWords loop of util/simd.h.
 #ifndef RELSER_UTIL_BITSET_H_
 #define RELSER_UTIL_BITSET_H_
 
@@ -76,18 +72,6 @@ class DenseBitset {
     OrWords(words_.data(), other.words_.data(), words_.size());
   }
 
-  /// this &= other. Both operands must have equal size.
-  void IntersectWith(const DenseBitset& other) {
-    RELSER_DCHECK(size_ == other.size_);
-    AndWords(words_.data(), other.words_.data(), words_.size());
-  }
-
-  /// Returns true if this and other share any set bit.
-  bool Intersects(const DenseBitset& other) const {
-    RELSER_DCHECK(size_ == other.size_);
-    return IntersectWords(words_.data(), other.words_.data(), words_.size());
-  }
-
   /// Number of set bits.
   std::size_t Count() const {
     std::size_t total = 0;
@@ -129,13 +113,6 @@ class DenseBitset {
     }
     return out;
   }
-
-  /// Raw word storage, little-endian bit order within each word. The SoA
-  /// hot path ORs whole mask rows into these via the simd.h kernels;
-  /// writers must keep bits at or above size() zero.
-  std::uint64_t* words() { return words_.data(); }
-  const std::uint64_t* words() const { return words_.data(); }
-  std::size_t word_count() const { return words_.size(); }
 
   bool operator==(const DenseBitset& other) const {
     return size_ == other.size_ && words_ == other.words_;

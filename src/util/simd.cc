@@ -1,237 +1,15 @@
 #include "util/simd.h"
 
-#include <cstdlib>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define RELSER_SIMD_X86 1
-#include <immintrin.h>
-#include <smmintrin.h>
-#else
-#define RELSER_SIMD_X86 0
-#endif
-
 namespace relser {
-namespace {
 
-// ----------------------------------------------------------- scalar tier
-//
-// The reference implementations. Every wide tier below computes exactly
-// these functions — same results, same writes — only wider per step.
-
-void OrWordsScalar(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t n) {
+// With GCC 12, a -fsanitize=thread binary that contains this ifunc
+// segfaults at start-up, before main; TSan builds compile the loop for
+// the baseline ISA only.
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+__attribute__((target_clones("avx2", "default")))
+#endif
+void OrWords(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] |= src[i];
-}
-
-void AndWordsScalar(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] &= src[i];
-}
-
-bool IntersectWordsScalar(const std::uint64_t* a, const std::uint64_t* b,
-                          std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] & b[i]) return true;
-  }
-  return false;
-}
-
-void MaxU32Scalar(std::uint32_t* dst, const std::uint32_t* src,
-                  std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (src[i] > dst[i]) dst[i] = src[i];
-  }
-}
-
-#if RELSER_SIMD_X86
-
-// ----------------------------------------------------------- SSE4.1 tier
-// 128-bit: 2 words / 4 lanes per step. SSE4.1 (not bare SSE2) because
-// _mm_max_epu32 — the unsigned lane max — arrived there.
-
-__attribute__((target("sse4.1"))) void OrWordsSse(std::uint64_t* dst,
-                                                  const std::uint64_t* src,
-                                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-    const __m128i b =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm_or_si128(a, b));
-  }
-  for (; i < n; ++i) dst[i] |= src[i];
-}
-
-__attribute__((target("sse4.1"))) void AndWordsSse(std::uint64_t* dst,
-                                                   const std::uint64_t* src,
-                                                   std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-    const __m128i b =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm_and_si128(a, b));
-  }
-  for (; i < n; ++i) dst[i] &= src[i];
-}
-
-__attribute__((target("sse4.1"))) bool IntersectWordsSse(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i y = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    if (!_mm_testz_si128(x, y)) return true;
-  }
-  for (; i < n; ++i) {
-    if (a[i] & b[i]) return true;
-  }
-  return false;
-}
-
-__attribute__((target("sse4.1"))) void MaxU32Sse(std::uint32_t* dst,
-                                                 const std::uint32_t* src,
-                                                 std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-    const __m128i b =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm_max_epu32(a, b));
-  }
-  for (; i < n; ++i) {
-    if (src[i] > dst[i]) dst[i] = src[i];
-  }
-}
-
-// ------------------------------------------------------------- AVX2 tier
-// 256-bit: 4 words / 8 lanes per step.
-
-__attribute__((target("avx2"))) void OrWordsAvx2(std::uint64_t* dst,
-                                                 const std::uint64_t* src,
-                                                 std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_or_si256(a, b));
-  }
-  for (; i < n; ++i) dst[i] |= src[i];
-}
-
-__attribute__((target("avx2"))) void AndWordsAvx2(std::uint64_t* dst,
-                                                  const std::uint64_t* src,
-                                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_and_si256(a, b));
-  }
-  for (; i < n; ++i) dst[i] &= src[i];
-}
-
-__attribute__((target("avx2"))) bool IntersectWordsAvx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i y =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    if (!_mm256_testz_si256(x, y)) return true;
-  }
-  for (; i < n; ++i) {
-    if (a[i] & b[i]) return true;
-  }
-  return false;
-}
-
-__attribute__((target("avx2"))) void MaxU32Avx2(std::uint32_t* dst,
-                                                const std::uint32_t* src,
-                                                std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_max_epu32(a, b));
-  }
-  for (; i < n; ++i) {
-    if (src[i] > dst[i]) dst[i] = src[i];
-  }
-}
-
-#endif  // RELSER_SIMD_X86
-
-constexpr simd_internal::Kernels kTierTable[] = {
-    {OrWordsScalar, AndWordsScalar, IntersectWordsScalar, MaxU32Scalar},
-#if RELSER_SIMD_X86
-    {OrWordsSse, AndWordsSse, IntersectWordsSse, MaxU32Sse},
-    {OrWordsAvx2, AndWordsAvx2, IntersectWordsAvx2, MaxU32Avx2},
-#endif
-};
-
-SimdTier DetectMaxTier() {
-#if RELSER_SIMD_X86
-  if (__builtin_cpu_supports("avx2")) return SimdTier::kAvx2;
-  if (__builtin_cpu_supports("sse4.1")) return SimdTier::kSse41;
-#endif
-  return SimdTier::kScalar;
-}
-
-SimdTier InitialTier() {
-  const char* force = std::getenv("RELSER_FORCE_SCALAR");
-  if (force != nullptr && force[0] == '1') return SimdTier::kScalar;
-  return DetectMaxTier();
-}
-
-SimdTier g_active_tier = InitialTier();
-
-}  // namespace
-
-namespace simd_internal {
-const Kernels* g_kernels =
-    &kTierTable[static_cast<std::size_t>(g_active_tier)];
-}  // namespace simd_internal
-
-const char* SimdTierName(SimdTier tier) {
-  switch (tier) {
-    case SimdTier::kScalar:
-      return "scalar";
-    case SimdTier::kSse41:
-      return "sse41";
-    case SimdTier::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-SimdTier MaxSimdTier() { return DetectMaxTier(); }
-
-SimdTier ActiveSimdTier() { return g_active_tier; }
-
-SimdTier SetSimdTier(SimdTier tier) {
-  const SimdTier max = DetectMaxTier();
-  if (static_cast<std::uint8_t>(tier) > static_cast<std::uint8_t>(max)) {
-    tier = max;
-  }
-  g_active_tier = tier;
-  simd_internal::g_kernels = &kTierTable[static_cast<std::size_t>(tier)];
-  return tier;
 }
 
 }  // namespace relser

@@ -1,20 +1,10 @@
-// Runtime-dispatched SIMD kernels for the admission hot path.
+// The one word kernel behind DenseBitset::UnionWith and the flat
+// transitive-closure rows (graph/closure).
 //
-// The SoA admission path (core/soa/), the word-parallel DenseBitset and
-// the flat transitive-closure rows all reduce to a handful of dense
-// array kernels: bitwise OR/AND over 64-bit words, elementwise unsigned
-// max over 32-bit lanes, and an any-intersection test. This header is
-// the single dispatch interface for those kernels: every call goes
-// through one table of function pointers selected once at process start
-// from the CPU's capabilities (scalar / SSE4.1 / AVX2 on x86-64). The
-// scalar tier is always compiled and is bit-identical to the wide tiers
-// by construction — the differential tests run every compiled tier.
-//
-// `RELSER_FORCE_SCALAR=1` in the environment pins the dispatch to the
-// scalar tier for the whole process (the CI sanitizer jobs use it);
-// SetSimdTier() re-points the table at a specific tier at runtime (the
-// per-tier differential sweeps use it) and is NOT thread-safe — call it
-// only from single-threaded test setup.
+// OrWords is a plain loop that GCC compiles twice, for AVX2 and for the
+// baseline ISA (`target_clones`); the dynamic loader's ifunc resolver
+// picks the widest clone the CPU supports once, at load time. TSan
+// builds get the baseline clone only (see simd.cc).
 #ifndef RELSER_UTIL_SIMD_H_
 #define RELSER_UTIL_SIMD_H_
 
@@ -23,66 +13,8 @@
 
 namespace relser {
 
-/// Kernel tiers, widest last. A tier is *available* when both the
-/// compiler built it and the CPU supports it.
-enum class SimdTier : std::uint8_t { kScalar = 0, kSse41 = 1, kAvx2 = 2 };
-
-/// Stable lowercase name ("scalar", "sse41", "avx2").
-const char* SimdTierName(SimdTier tier);
-
-/// Widest tier available on this CPU (ignores RELSER_FORCE_SCALAR).
-SimdTier MaxSimdTier();
-
-/// Tier the kernel table currently dispatches to. Defaults to
-/// MaxSimdTier(), or kScalar when RELSER_FORCE_SCALAR=1 is set.
-SimdTier ActiveSimdTier();
-
-/// Re-points the dispatch table at `tier`, clamped to MaxSimdTier().
-/// Returns the tier actually in effect. Not thread-safe: test-setup use
-/// only.
-SimdTier SetSimdTier(SimdTier tier);
-
-namespace simd_internal {
-
-/// The dispatch table: one pointer per kernel, filled per tier.
-struct Kernels {
-  void (*or_words)(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t n);
-  void (*and_words)(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t n);
-  bool (*intersect_words)(const std::uint64_t* a, const std::uint64_t* b,
-                          std::size_t n);
-  void (*max_u32)(std::uint32_t* dst, const std::uint32_t* src,
-                  std::size_t n);
-};
-
-extern const Kernels* g_kernels;  // points into the per-tier table
-
-}  // namespace simd_internal
-
 /// dst[i] |= src[i] for i in [0, n).
-inline void OrWords(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t n) {
-  simd_internal::g_kernels->or_words(dst, src, n);
-}
-
-/// dst[i] &= src[i] for i in [0, n).
-inline void AndWords(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t n) {
-  simd_internal::g_kernels->and_words(dst, src, n);
-}
-
-/// True iff a[i] & b[i] != 0 for any i in [0, n).
-inline bool IntersectWords(const std::uint64_t* a, const std::uint64_t* b,
-                           std::size_t n) {
-  return simd_internal::g_kernels->intersect_words(a, b, n);
-}
-
-/// dst[i] = max(dst[i], src[i]) over unsigned 32-bit lanes, i in [0, n).
-inline void MaxU32(std::uint32_t* dst, const std::uint32_t* src,
-                   std::size_t n) {
-  simd_internal::g_kernels->max_u32(dst, src, n);
-}
+void OrWords(std::uint64_t* dst, const std::uint64_t* src, std::size_t n);
 
 }  // namespace relser
 

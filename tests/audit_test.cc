@@ -115,20 +115,6 @@ TEST(AuditHistoryTest, GoldenMinimalWitnessOnMutatedFigure3) {
                               report.witness.ops));
 }
 
-// The SoA scan path is decision-identical to the reference checker.
-TEST(AuditHistoryTest, SoaCheckerMatchesOnlineDecisions) {
-  const Result<AuditInput> in = IngestHistoryText(kMutatedFigure3);
-  ASSERT_TRUE(in.ok()) << in.status().message();
-  AuditOptions options;
-  options.use_soa = true;
-  const AuditReport report =
-      AuditHistory(in->txns, in->spec, in->history, options);
-  ASSERT_FALSE(report.accepted);
-  EXPECT_EQ(report.first_rejection, 5u);
-  ASSERT_TRUE(report.minimized);
-  EXPECT_EQ(report.witness_text, "w1[x] r2[x] r3[z] w2[y] r3[y] w1[z]");
-}
-
 // Epoch segmentation must map rejection indices and witness arcs back
 // to global coordinates: a committed filler epoch in front of the
 // cycle shifts first_rejection by the epoch's length but leaves the

@@ -196,7 +196,7 @@ TEST(SnapshotChecker, DifferentialVsReplayAndBruteForce) {
     const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
     const Schedule feed = RandomSchedule(txns, &rng);
 
-    SnapshotRsrChecker checker(txns, spec, {iter % 2 == 1});  // alt. SoA
+    SnapshotRsrChecker checker(txns, spec);
     for (const Operation& op : feed.ops()) checker.Submit(op);
     snapshot_admits_total += checker.snapshot_admits();
     escalations_total += checker.snapshot_escalations();

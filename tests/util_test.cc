@@ -324,17 +324,76 @@ TEST(Bitset, UnionWith) {
   EXPECT_EQ(a.Count(), 3u);
 }
 
-TEST(Bitset, IntersectWithAndIntersects) {
-  DenseBitset a(100);
-  DenseBitset b(100);
-  a.Set(10);
-  a.Set(90);
-  b.Set(90);
-  EXPECT_TRUE(a.Intersects(b));
-  a.IntersectWith(b);
-  EXPECT_EQ(a.ToVector(), (std::vector<std::size_t>{90}));
-  DenseBitset c(100);
-  EXPECT_FALSE(a.Intersects(c));
+// UnionWith runs the word kernel of util/simd.h; sizes straddling
+// 64-bit word boundaries are checked against a per-bit reference.
+TEST(Bitset, UnionMatchesNaiveAtWordBoundarySizes) {
+  const std::size_t kSizes[] = {0, 1, 63, 64, 65, 127, 128, 129, 200};
+  Rng rng(0xB1B5);
+  for (const std::size_t size : kSizes) {
+    for (int trial = 0; trial < 20; ++trial) {
+      DenseBitset a(size);
+      DenseBitset b(size);
+      for (std::size_t i = 0; i < size; ++i) {
+        if (rng.UniformDouble() < 0.4) a.Set(i);
+        if (rng.UniformDouble() < 0.4) b.Set(i);
+      }
+      DenseBitset naive(size);
+      for (std::size_t i = 0; i < size; ++i) {
+        if (a.Test(i) || b.Test(i)) naive.Set(i);
+      }
+      DenseBitset u = a;
+      u.UnionWith(b);
+      EXPECT_EQ(u, naive) << "size " << size;
+      EXPECT_EQ(u.Count(), naive.Count());
+    }
+  }
+}
+
+TEST(Bitset, SetTestFindAtWordEdges) {
+  for (const std::size_t size : {1ul, 63ul, 64ul, 65ul, 128ul, 129ul}) {
+    DenseBitset bits(size);
+    EXPECT_TRUE(bits.None());
+    EXPECT_EQ(bits.FindNext(0), size);
+    bits.Set(0);
+    bits.Set(size - 1);
+    EXPECT_TRUE(bits.Test(0));
+    EXPECT_TRUE(bits.Test(size - 1));
+    EXPECT_EQ(bits.Count(), size == 1 ? 1u : 2u);
+    EXPECT_EQ(bits.FindNext(0), 0u);
+    if (size > 1) {
+      EXPECT_EQ(bits.FindNext(1), size - 1);
+      EXPECT_EQ(bits.ToVector(),
+                (std::vector<std::size_t>{0, size - 1}));
+    }
+    bits.Reset(size - 1);
+    EXPECT_FALSE(bits.Test(size - 1));
+  }
+}
+
+TEST(Bitset, ResizePreservesBitsAndZeroesTail) {
+  DenseBitset bits(65);
+  bits.Set(0);
+  bits.Set(63);
+  bits.Set(64);
+  bits.Resize(130);
+  EXPECT_TRUE(bits.Test(0));
+  EXPECT_TRUE(bits.Test(63));
+  EXPECT_TRUE(bits.Test(64));
+  EXPECT_EQ(bits.Count(), 3u);
+  EXPECT_EQ(bits.FindNext(65), 130u);  // grown tail is zero
+  bits.Set(129);
+  bits.Resize(64);  // shrink drops bits 64..129
+  EXPECT_EQ(bits.Count(), 2u);
+  bits.Resize(130);  // regrow re-exposes zeros, not stale bits
+  EXPECT_FALSE(bits.Test(64));
+  EXPECT_FALSE(bits.Test(129));
+  EXPECT_EQ(bits.Count(), 2u);
+  // Degenerate sizes.
+  DenseBitset empty(0);
+  EXPECT_TRUE(empty.None());
+  EXPECT_EQ(empty.Count(), 0u);
+  empty.Resize(1);
+  EXPECT_FALSE(empty.Test(0));
 }
 
 TEST(Bitset, FindNextWalksSetBits) {

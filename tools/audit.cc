@@ -27,7 +27,6 @@
 //                                header txns only; docs/audit.md)
 //   --spec=absolute|FILE         override the specification (default:
 //                                header-embedded spec, else absolute)
-//   --checker=online|soa         scan checker (decisions identical)
 //   --no-minimize                stop at the first rejection
 //   --witness-out=PREFIX         witness file prefix (default "witness")
 //   --no-witness                 do not write witness files
@@ -65,7 +64,6 @@ int Usage() {
       "  --stream                      constant-memory segmented replay\n"
       "                                (relser-trace with header txns)\n"
       "  --spec=absolute|FILE          override the specification\n"
-      "  --checker=online|soa          scan checker (default: online)\n"
       "  --no-minimize                 stop at the first rejection\n"
       "  --witness-out=PREFIX          witness file prefix (default: "
       "witness)\n"
@@ -82,7 +80,6 @@ struct CliOptions {
   std::string file;
   std::string format = "auto";
   std::string spec;  // empty = header spec (else absolute)
-  std::string checker = "online";
   std::string witness_out = "witness";
   bool minimize = true;
   bool write_witness = true;
@@ -133,8 +130,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       if (!take(&out->format)) return false;
     } else if (arg == "--spec") {
       if (!take(&out->spec)) return false;
-    } else if (arg == "--checker") {
-      if (!take(&out->checker)) return false;
     } else if (arg == "--witness-out") {
       if (!take(&out->witness_out)) return false;
     } else if (arg == "--txns") {
@@ -239,7 +234,6 @@ int AuditAndReport(const TransactionSet& txns, const AtomicitySpec& spec,
                    const CliOptions& cli) {
   AuditOptions options;
   options.minimize = cli.minimize;
-  options.use_soa = cli.checker == "soa";
   const AuditReport report = AuditHistory(txns, spec, history, options);
 
   if (report.accepted) {
@@ -267,7 +261,6 @@ int RunStream(const CliOptions& cli) {
 
   StreamAuditOptions options;
   options.audit.minimize = cli.minimize;
-  options.audit.use_soa = cli.checker == "soa";
   std::string spec_source = "header";
   if (!cli.spec.empty()) {
     if (cli.spec == "absolute") {
