@@ -56,6 +56,9 @@ struct FaultRun {
   std::size_t committed = 0;
   std::uint64_t aborts = 0;
   std::uint64_t cascade_aborts = 0;
+  // Operations the checker re-admitted across all exact aborts (the
+  // survivors fed after each victim's first operation).
+  std::uint64_t replayed_ops = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t retries = 0;
   std::uint64_t drops = 0;       // client-side: submissions never made
@@ -154,6 +157,7 @@ FaultRun RunAtRate(const TransactionSet& txns, const AtomicitySpec& spec,
   const TraceCounters& counters = tracer.counters();
   run.aborts = counters.aborts;
   run.cascade_aborts = counters.cascade_aborts;
+  run.replayed_ops = admitter.checker(0).replayed_ops();
   run.timeouts = counters.timeouts;
   run.retries = counters.retries;
   run.unrecoverable_reads = admitter.unrecoverable_reads();
@@ -216,8 +220,9 @@ int main(int argc, char** argv) {
 
   std::vector<FaultRun> runs;
   bool sound = true;
-  AsciiTable table({"rate", "committed", "aborts", "cascades", "timeouts",
-                    "retries", "drops", "committed-replay"});
+  AsciiTable table({"rate", "committed", "aborts", "cascades",
+                    "replayed/abort", "timeouts", "retries", "drops",
+                    "committed-replay"});
   for (std::size_t r = 0; r < rates.size(); ++r) {
     const FaultRun run =
         RunAtRate(txns, spec, rates[r], clients, 0xFA17ULL * (r + 1));
@@ -228,6 +233,11 @@ int main(int argc, char** argv) {
                       std::to_string(run.txns),
                   std::to_string(run.aborts),
                   std::to_string(run.cascade_aborts),
+                  FormatDouble(run.aborts == 0
+                                   ? 0.0
+                                   : static_cast<double>(run.replayed_ops) /
+                                         static_cast<double>(run.aborts),
+                               1),
                   std::to_string(run.timeouts),
                   std::to_string(run.retries), std::to_string(run.drops),
                   run_sound ? "sound" : "UNSOUND"});
@@ -264,6 +274,8 @@ int main(int argc, char** argv) {
     json.Uint(run.aborts);
     json.Key("cascade_aborts");
     json.Uint(run.cascade_aborts);
+    json.Key("replayed_ops");
+    json.Uint(run.replayed_ops);
     json.Key("timeouts");
     json.Uint(run.timeouts);
     json.Key("retries");

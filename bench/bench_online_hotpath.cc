@@ -109,8 +109,8 @@ struct FeedResult {
 
 // Streams the schedule through `checker` with a deterministic rejection
 // policy: a rejected transaction is marked dead and its remaining ops are
-// skipped (no RemoveTransaction — keeps both implementations on the
-// exact, pre-abort path where decisions are provably bit-identical).
+// skipped (no abort: the baseline has no removal path, so both
+// implementations see the identical stream and decide bit-identically).
 template <typename Checker>
 FeedResult Feed(const Workload& wl, Checker& checker) {
   FeedResult result;

@@ -19,10 +19,10 @@ cd "$(dirname "$0")/.."
 # a src/ change that breaks that build fails here, not in a benchmark run.
 python3 perfbench/run.py --self-test
 
-# The long-lived smoke's flat-RSS and stable-p99 gates run here, on the
-# tier-1 build: under ASan (below) the free-quarantine inflates RSS and
-# the instrumentation makes latency noisy, so that build reports both
-# gates as not gated and enforces only flat_memory.
+# The long-lived smoke's flat-RSS gate runs here, on the tier-1 build:
+# under ASan (below) the free-quarantine inflates RSS, so that build
+# reports it as not gated and enforces only the count-based gates
+# (flat_memory, bounded_work).
 (cd build && ./bench/bench_longlived --smoke)
 
 cmake --preset asan
@@ -63,10 +63,10 @@ python3 -c "import json; json.load(open('build-asan/BENCH_mvcc.json'))"
 
 # Long-lived-transaction smoke: the spec-aware schedulers must keep
 # every short-transaction-latency guarantee at each long-txn length,
-# AND the admission GC phase must hold its exit-coded flat-memory gate
-# at the smoke op count (the full 10^7-op run is the offline gate; same
-# binary, same gates). Its flat-RSS and stable-p99 gates ran on the
-# tier-1 build above.
+# AND the admission GC phase must hold its exit-coded flat-memory
+# and bounded-work gates at the smoke op count (the full 10^7-op run is
+# the offline gate; same binary, same gates). Its flat-RSS gate ran on
+# the tier-1 build above.
 (cd build-asan && ./bench/bench_longlived --smoke)
 python3 -c "import json; json.load(open('build-asan/BENCH_longlived.json'))"
 

@@ -17,13 +17,15 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
       topo_(indexer_.total_ops()),
       txn_count_(indexer_.txn_count()),
       executed_(indexer_.total_ops(), 0),
-      safe_(txn_count_, 1),
+      cross_pairs_(txn_count_, 0),
       flags_(indexer_.total_ops(), 0),
       slot_of_(indexer_.total_ops(), kNoSlot),
       newest_gid_(txn_count_, kNoGid),
       txn_objects_(txn_count_),
-      memo_(txn_count_ * txn_count_),
-      scratch_anc_(txn_count_, 0) {
+      pos_of_(indexer_.total_ops(), 0),
+      scratch_anc_(txn_count_, 0),
+      zero_row_(txn_count_, 0),
+      drop_mark_(indexer_.total_ops(), 0) {
   RELSER_CHECK_MSG(spec.ValidateAgainst(txns).ok(),
                    "specification does not match the transaction set");
   // Steady-state arc volume per op is bounded by the frontier size plus
@@ -32,7 +34,9 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
   arc_kind_buf_.reserve(64);
   pred_buf_.reserve(32);
   feed_log_.reserve(indexer_.total_ops());
-  pending_memos_.reserve(txn_count_);
+  undo_log_.reserve(indexer_.total_ops());
+  undo_arcs_.reserve(4 * indexer_.total_ops());
+  undo_deltas_.reserve(4 * indexer_.total_ops());
   topo_.Reserve(4 * indexer_.total_ops());
   // Pre-size the adjacency arena; together with the per-object and
   // per-transaction reservations below this keeps the steady-state
@@ -56,7 +60,6 @@ std::uint32_t OnlineRsrChecker::ObjIndex(ObjectId object) {
     // otherwise go through; hot objects still grow past this normally.
     objects_.back().ops.reserve(16);
     objects_.back().readers.reserve(8);
-    obj_stamp_.push_back(0);
   }
   return *slot;
 }
@@ -87,7 +90,7 @@ void OnlineRsrChecker::ReleaseSlotIfAny(std::size_t gid) {
 AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   const std::size_t gid = indexer_.GlobalId(op);
   RELSER_CHECK_MSG(executed_[gid] == 0,
-                   "operation fed twice without RemoveTransaction");
+                   "operation fed twice without RemoveTransactionExact");
   if (op.index > 0) {
     RELSER_CHECK_MSG(executed_[gid - 1] != 0,
                      "operations must be fed in program order");
@@ -96,10 +99,12 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
 
   // Seed the scratch ancestor array from the previous op of the same
   // transaction (ancestor arrays are cumulative along program order).
+  // `prev` stays the predecessor's row for the F/B scan below.
+  const std::uint32_t* prev = zero_row_.data();
   if (op.index > 0) {
     const std::uint32_t prev_slot = slot_of_[gid - 1];
     RELSER_DCHECK(prev_slot != kNoSlot);
-    const std::uint32_t* prev = &pool_[prev_slot * txn_count_];
+    prev = &pool_[prev_slot * txn_count_];
     std::copy(prev, prev + txn_count_, scratch_anc_.begin());
     scratch_anc_[j] = std::max(scratch_anc_[j], op.index);  // prev op itself
   } else {
@@ -151,26 +156,26 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     scratch_anc_[pred_txn] = std::max(scratch_anc_[pred_txn], pred_p1);
   }
 
-  // F/B arcs, memoized per (ancestor txn, this txn): re-evaluate only when
-  // the maximum ancestor index grew; emit only arcs not already implied
-  // transitively (docs/hotpath.md, Lemmas 2-3). j's memo row is indexed
-  // by i, so it is read in step with scratch_anc_.
-  pending_memos_.clear();
-  const MemoEntry* memo_row = &memo_[MemoKey(0, j)];
+  // F/B arcs, evaluated per ancestor transaction only where this op's
+  // row raised its column over the predecessor's row — the furthest
+  // ancestor the predecessor already handled is that row's column — and
+  // emitted only when not already implied transitively (docs/hotpath.md,
+  // Lemmas 2-3). Each raised column is an undo delta.
+  const std::size_t deltas_begin = undo_deltas_.size();
   for (TxnId i = 0; i < txn_count_; ++i) {
     const std::uint32_t u_p1 = scratch_anc_[i];
-    if (u_p1 == 0 || i == j) continue;
-    MemoEntry memo = memo_row[i];
-    if (u_p1 <= memo.u_max_p1) continue;  // nothing new to push or pull
+    const std::uint32_t old_p1 = prev[i];
+    if (u_p1 <= old_p1 || i == j) continue;  // nothing new to push or pull
+    undo_deltas_.push_back({i, old_p1});
     const std::uint32_t u = u_p1 - 1;
     const std::uint32_t pushed = spec_.PushForward(i, j, u);
-    if (pushed + 1 > memo.pf_p1) {
-      if (pushed > u) {
-        arc_buf_.emplace_back(indexer_.GlobalId(i, pushed), gid);  // F-arc
-        arc_kind_buf_.push_back(kPushForwardArc);
-      }
-      // pushed <= u needs no arc: (i, pushed) is already an ancestor.
-      memo.pf_p1 = pushed + 1;
+    // PushForward is monotone in u, so the predecessor already emitted
+    // the F-arc unless this one reaches further. pushed <= u needs no
+    // arc: (i, pushed) is already an ancestor.
+    if (pushed > u &&
+        (old_p1 == 0 || pushed > spec_.PushForward(i, j, old_p1 - 1))) {
+      arc_buf_.emplace_back(indexer_.GlobalId(i, pushed), gid);  // F-arc
+      arc_kind_buf_.push_back(kPushForwardArc);
     }
     const std::uint32_t pulled = spec_.PullBackward(j, i, op.index);
     if (pulled < op.index) {
@@ -179,13 +184,12 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
       arc_kind_buf_.push_back(kPullBackwardArc);
     }
     // pulled == op.index needs no arc: (i, u) already reaches this op.
-    memo.u_max_p1 = u_p1;
-    pending_memos_.push_back({MemoKey(i, j), memo});
   }
 
   const std::size_t edges_before = topo_.edge_count();
   const std::uint64_t repairs_before = topo_.reorder_count();
   if (!topo_.AddEdges(arc_buf_)) {
+    undo_deltas_.resize(deltas_begin);
     ++rejections_;
     ArcWitness witness;
     witness.valid = true;
@@ -225,39 +229,35 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     }
   }
 
-  // Commit: memos, then the shared tail (ancestor array, retention
-  // flags, frontier, indices).
-  for (const PendingMemo& pending : pending_memos_) {
-    MemoEntry& entry = memo_[pending.key];
-    if (entry.u_max_p1 == 0) ++memo_live_;
-    entry = pending.entry;
+  // Commit. Isolation tracking for TryAppendIsolated: a column that rose
+  // from zero is a new cross-transaction pair (i -> j), which counts
+  // against both transactions; every arc emitted above is incident only
+  // on such ancestor transactions (plus j itself).
+  std::uint32_t new_pairs = 0;
+  for (std::size_t d = deltas_begin; d < undo_deltas_.size(); ++d) {
+    if (undo_deltas_[d].old_p1 != 0) continue;
+    ++cross_pairs_[undo_deltas_[d].column];
+    ++new_pairs;
   }
-  // Isolation tracking for TryAppendIsolated: every arc emitted above is
-  // incident only on transactions with a nonzero scratch entry (plus j
-  // itself), so clearing exactly those bits maintains the invariant that
-  // safe_[t] == 1 implies no cross-transaction arc touches t's nodes.
-  bool cross = false;
-  for (std::size_t t = 0; t < txn_count_; ++t) {
-    if (t != j && scratch_anc_[t] != 0) {
-      safe_[t] = 0;
-      cross = true;
-    }
-  }
-  if (cross) safe_[j] = 0;
-  CommitOp(op, gid, obj_idx);
+  cross_pairs_[j] += new_pairs;
+  live_pairs_ += new_pairs;
+  const std::size_t arcs_begin = undo_arcs_.size();
+  undo_arcs_.insert(undo_arcs_.end(), topo_.last_inserted().begin(),
+                    topo_.last_inserted().end());
+  CommitOp(op, gid, obj_idx, deltas_begin, arcs_begin);
   return AdmitResult::Accept(j);
 }
 
 AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
   const std::size_t gid = indexer_.GlobalId(op);
   RELSER_CHECK_MSG(executed_[gid] == 0,
-                   "operation fed twice without RemoveTransaction");
+                   "operation fed twice without RemoveTransactionExact");
   if (op.index > 0) {
     RELSER_CHECK_MSG(executed_[gid - 1] != 0,
                      "operations must be fed in program order");
   }
   const TxnId j = op.txn;
-  if (safe_[j] == 0) return AdmitResult::Retry(j);
+  if (cross_pairs_[j] != 0) return AdmitResult::Retry(j);
   const std::uint32_t obj_idx = ObjIndex(op.object);
   {
     // Eligibility: the object's frontier must be empty or owned by j.
@@ -275,10 +275,11 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
   }
 
   // Guaranteed accept: j's nodes carry no cross-transaction arcs
-  // (safe_), the frontier contributes no D-arc and the ancestor array
-  // has no cross entries, so no F/B arc is due — the only emission is
-  // the program-order I-arc into the fresh sink node `gid`, which
-  // cannot close a cycle. The F/B memo scan is skipped entirely.
+  // (cross_pairs_), the frontier contributes no D-arc and the ancestor
+  // array has no cross entries, so no F/B arc is due — the only emission
+  // is the program-order I-arc into the fresh sink node `gid`, which
+  // cannot close a cycle. The F/B scan is skipped entirely.
+  const std::size_t arcs_begin = undo_arcs_.size();
   if (op.index > 0) {
     const std::uint32_t prev_slot = slot_of_[gid - 1];
     RELSER_DCHECK(prev_slot != kNoSlot);
@@ -290,6 +291,7 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
     ++arcs_submitted_;
     if (added == IncrementalTopology::AddResult::kInserted) {
       ++arcs_inserted_total_;
+      undo_arcs_.emplace_back(gid - 1, gid);
     }
     if (tracer_ != nullptr && tracer_->counting()) {
       tracer_->AddArcStats(1,
@@ -305,13 +307,16 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
   } else {
     std::fill(scratch_anc_.begin(), scratch_anc_.end(), 0);
   }
-  CommitOp(op, gid, obj_idx);
+  CommitOp(op, gid, obj_idx, undo_deltas_.size(), arcs_begin);
   return AdmitResult::Accept(j);
 }
 
 void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
-                                std::uint32_t obj_idx) {
+                                std::uint32_t obj_idx,
+                                std::size_t deltas_begin,
+                                std::size_t arcs_begin) {
   const TxnId j = op.txn;
+  undo_log_.push_back({deltas_begin, arcs_begin, undo_frontier_.size()});
   const std::uint32_t slot = AcquireSlot(gid);
   std::copy(scratch_anc_.begin(), scratch_anc_.end(),
             &pool_[slot * txn_count_]);
@@ -326,7 +331,10 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
   ObjState& state = objects_[obj_idx];
   if (op.is_write()) {
     // The old frontier is dominated: future conflicts reach it through
-    // this write. Drop its retention claims.
+    // this write. Log it, then drop its retention claims.
+    undo_frontier_.push_back(state.last_writer);
+    undo_frontier_.insert(undo_frontier_.end(), state.readers.begin(),
+                          state.readers.end());
     if (state.last_writer != kNoGid) {
       flags_[state.last_writer] = static_cast<std::uint8_t>(
           flags_[state.last_writer] & ~std::uint32_t{kFrontierFlag});
@@ -347,199 +355,247 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
 
   executed_[gid] = 1;
   ++executed_count_;
+  pos_of_[gid] = static_cast<std::uint32_t>(feed_log_.size());
   feed_log_.push_back(gid);
 }
 
-void OnlineRsrChecker::RetainFrontier(std::size_t gid) {
-  flags_[gid] = static_cast<std::uint8_t>(flags_[gid] | kFrontierFlag);
+void OnlineRsrChecker::RestoreRow(std::size_t gid) {
   if (slot_of_[gid] != kNoSlot) return;
-  // The array was released when this op left the frontier; resurrect it
-  // from the newest retained array of its transaction. That array is a
-  // superset of the op's true ancestors (arrays are cumulative along
-  // program order), so admission stays sound.
   const TxnId txn = indexer_.TxnOf(gid);
   const std::size_t newest = newest_gid_[txn];
-  RELSER_DCHECK(newest != kNoGid && slot_of_[newest] != kNoSlot);
-  const std::size_t src = static_cast<std::size_t>(slot_of_[newest]) *
-                          txn_count_;
+  RELSER_DCHECK(newest != kNoGid && newest > gid &&
+                slot_of_[newest] != kNoSlot);
   const std::uint32_t slot = AcquireSlot(gid);
-  std::copy(&pool_[src], &pool_[src + txn_count_], &pool_[slot * txn_count_]);
+  std::uint32_t* row = &pool_[slot * txn_count_];
+  const std::uint32_t* src = &pool_[slot_of_[newest] * txn_count_];
+  std::copy(src, src + txn_count_, row);
+  for (std::size_t later = newest; later > gid; --later) {
+    const std::size_t k = pos_of_[later];
+    for (std::size_t d = undo_log_[k].deltas; d < DeltasEnd(k); ++d) {
+      row[undo_deltas_[d].column] = undo_deltas_[d].old_p1;
+    }
+  }
+  // The own column is the +1-encoded index of gid's predecessor.
+  row[txn] = static_cast<std::uint32_t>(gid - indexer_.TxnBegin(txn));
 }
 
-void OnlineRsrChecker::RebuildFrontier(ObjState& state) {
-  state.last_writer = kNoGid;
-  state.readers.clear();
-  rebuild_reads_.clear();
-  for (std::size_t i = state.ops.size(); i > 0; --i) {
-    const std::size_t gid = state.ops[i - 1];
-    if (indexer_.Op(txns_, gid).is_write()) {
-      state.last_writer = gid;
-      break;
-    }
-    rebuild_reads_.push_back(gid);
+void OnlineRsrChecker::UndoLast() {
+  const std::size_t gid = feed_log_.back();
+  const UndoRecord rec = undo_log_.back();
+  const Operation& op = indexer_.Op(txns_, gid);
+  const TxnId j = op.txn;
+  // Edge removal never invalidates the topological order, so the labels
+  // stay as they are.
+  for (std::size_t a = rec.arcs; a < undo_arcs_.size(); ++a) {
+    RELSER_CHECK(topo_.RemoveEdge(undo_arcs_[a].first, undo_arcs_[a].second));
   }
-  state.readers.assign(rebuild_reads_.rbegin(), rebuild_reads_.rend());
-  // A removal only widens the frontier (survivors keep their membership),
-  // so re-flagging every member — resurrecting released arrays — restores
-  // the retention invariant.
-  if (state.last_writer != kNoGid) RetainFrontier(state.last_writer);
-  for (const std::size_t reader : state.readers) RetainFrontier(reader);
-}
-
-void OnlineRsrChecker::RemoveTransaction(TxnId txn) {
-  const std::size_t begin = indexer_.TxnBegin(txn);
-  const std::size_t end = indexer_.TxnEnd(txn);
-  for (std::size_t gid = begin; gid < end; ++gid) {
-    // Unexecuted ops can still carry arcs (F-arc sources / B-arc targets
-    // land on future ops), so every node of the transaction is isolated.
-    //
-    // Frontier-pruned arcs encode many dependencies only as *paths*, and
-    // a path between survivors may route through this node (e.g. the
-    // write chain w1 -> w_removed -> w3 carries the direct w1/w3
-    // conflict). Bypass arcs pred -> succ preserve the survivor-restricted
-    // transitive closure exactly, so no admitted dependency loses its
-    // path (docs/hotpath.md, abort section). Internal I-arcs only ever
-    // point to higher gids, so processing gids in increasing order chains
-    // bypasses through multi-op removals correctly.
-    bypass_in_.assign(topo_.graph().InNeighbors(gid).begin(),
-                      topo_.graph().InNeighbors(gid).end());
-    bypass_out_.assign(topo_.graph().OutNeighbors(gid).begin(),
-                       topo_.graph().OutNeighbors(gid).end());
-    topo_.IsolateNode(gid);
-    for (const NodeId pred : bypass_in_) {
-      for (const NodeId succ : bypass_out_) {
-        // A rejected bypass would mean pred -> gid -> succ closed a cycle
-        // before the removal, which an acyclic graph cannot contain.
-        RELSER_CHECK(topo_.AddEdge(pred, succ) !=
-                     IncrementalTopology::AddResult::kCycle);
-      }
+  ObjState& state = objects_[txn_objects_[j].back()];
+  txn_objects_[j].pop_back();
+  RELSER_DCHECK(state.ops.back() == gid);
+  state.ops.pop_back();
+  if (op.is_write()) {
+    // Reinstate the dominated frontier. Its members' rows were released
+    // when this write dominated them unless something else retained them;
+    // rebuild those while this op's row (its transaction's newest) and
+    // deltas are still in place.
+    state.last_writer = undo_frontier_[rec.frontier];
+    state.readers.assign(undo_frontier_.begin() +
+                             static_cast<std::ptrdiff_t>(rec.frontier) + 1,
+                         undo_frontier_.end());
+    if (state.last_writer != kNoGid) {
+      flags_[state.last_writer] |= kFrontierFlag;
+      RestoreRow(state.last_writer);
     }
-    if (executed_[gid] != 0) {
-      executed_[gid] = 0;
-      --executed_count_;
+    for (const std::size_t reader : state.readers) {
+      flags_[reader] |= kFrontierFlag;
+      RestoreRow(reader);
     }
-    flags_[gid] = 0;
-    ReleaseSlotIfAny(gid);
+  } else {
+    RELSER_DCHECK(state.readers.back() == gid);
+    state.readers.pop_back();
   }
-  newest_gid_[txn] = kNoGid;
-  // Every arc incident on the transaction's nodes was removed by
-  // IsolateNode (the bypass arcs connect only survivor nodes), so its
-  // fresh incarnation starts isolated again.
-  safe_[txn] = 1;
-  // Scrub the removed transaction's column from every retained array.
-  // Entries of *other* transactions that flowed through the removed ops
-  // are kept: a sound over-approximation (class-level comment).
-  for (std::size_t slot = 0; slot < slot_owner_.size(); ++slot) {
-    if (slot_owner_[slot] != kNoGid) {
-      pool_[slot * txn_count_ + txn] = 0;
-    }
+  if (op.index > 0) {
+    flags_[gid - 1] |= kNewestFlag;
+    RestoreRow(gid - 1);
+    newest_gid_[j] = gid - 1;
+  } else {
+    newest_gid_[j] = kNoGid;
   }
-  ClearMemoPairsOf(txn);
-  // Reverse-index scrub: only objects this transaction touched.
-  ++obj_gen_;
-  for (const std::uint32_t obj_idx : txn_objects_[txn]) {
-    if (obj_stamp_[obj_idx] == obj_gen_) continue;
-    obj_stamp_[obj_idx] = obj_gen_;
-    ObjState& state = objects_[obj_idx];
-    std::erase_if(state.ops, [&](std::size_t gid) {
-      return gid >= begin && gid < end;
-    });
-    RebuildFrontier(state);
+  flags_[gid] = 0;
+  ReleaseSlotIfAny(gid);
+  std::uint32_t dropped_pairs = 0;
+  for (std::size_t d = rec.deltas; d < undo_deltas_.size(); ++d) {
+    if (undo_deltas_[d].old_p1 != 0) continue;
+    --cross_pairs_[undo_deltas_[d].column];
+    ++dropped_pairs;
   }
-  txn_objects_[txn].clear();
-  std::erase_if(feed_log_, [&](std::size_t gid) {
-    return gid >= begin && gid < end;
-  });
+  cross_pairs_[j] -= dropped_pairs;
+  live_pairs_ -= dropped_pairs;
+  executed_[gid] = 0;
+  --executed_count_;
+  feed_log_.pop_back();
+  undo_log_.pop_back();
+  undo_deltas_.resize(rec.deltas);
+  undo_arcs_.resize(rec.arcs);
+  undo_frontier_.resize(rec.frontier);
 }
 
 void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
-  const std::size_t begin = indexer_.TxnBegin(txn);
-  const std::size_t end = indexer_.TxnEnd(txn);
-
-  // Snapshot the surviving feed, then reset every piece of admission
-  // state to its freshly-constructed value.
-  replay_feed_.clear();
-  replay_feed_.reserve(feed_log_.size());
-  for (const std::size_t gid : feed_log_) {
-    if (gid < begin || gid >= end) replay_feed_.push_back(gid);
+  if (newest_gid_[txn] == kNoGid) return;  // nothing fed, nothing to undo
+  // Roll back to the victim's first operation, keeping the survivors fed
+  // since then for re-admission.
+  const std::size_t first = pos_of_[indexer_.TxnBegin(txn)];
+  replay_.clear();
+  for (std::size_t k = first; k < feed_log_.size(); ++k) {
+    if (!indexer_.InTxn(txn, feed_log_[k])) replay_.push_back(feed_log_[k]);
   }
-  ResetAndReplay();
+  while (feed_log_.size() > first) UndoLast();
+
+  // Silent re-admission: no trace events, and rejections() keeps its
+  // pre-abort value (the re-admission cannot reject — see below).
+  Tracer* const saved_tracer = tracer_;
+  tracer_ = nullptr;
+  for (const std::size_t gid : replay_) {
+    // Every survivor re-admits: the re-admitted prefix's RSG is a
+    // subgraph of the original graph restricted to survivors (conflict
+    // frontiers and ancestor maxima can only shrink when operations
+    // disappear), and a subgraph of an acyclic graph is acyclic.
+    RELSER_CHECK_MSG(TryAppend(indexer_.Op(txns_, gid)).ok(),
+                     "surviving feed must replay cleanly after an abort");
+  }
+  tracer_ = saved_tracer;
+  replayed_ops_ += replay_.size();
 }
 
 std::size_t OnlineRsrChecker::Truncate(
     const std::atomic<std::uint8_t>* settled) {
-  replay_feed_.clear();
-  replay_feed_.reserve(feed_log_.size());
+  const auto is_settled = [settled](std::size_t txn) {
+    return settled[txn].load(std::memory_order_relaxed) != 0;
+  };
+  // Settled transactions with retained operations. Settledness is
+  // predecessor-closed, so their operations are not ancestors of any
+  // survivor, dominate no survivor in an object frontier, and every arc
+  // between two survivors was emitted by a survivor (docs/hotpath.md,
+  // in-place truncation). Dropping them therefore leaves exactly the
+  // state a fresh checker fed the survivors would build.
+  drop_txns_.clear();
   std::size_t dropped = 0;
-  for (const std::size_t gid : feed_log_) {
-    const TxnId t = indexer_.TxnOf(gid);
-    if (settled[t].load(std::memory_order_relaxed) != 0) {
-      ++dropped;
-    } else {
-      replay_feed_.push_back(gid);
-    }
+  for (TxnId t = 0; t < txn_count_; ++t) {
+    if (newest_gid_[t] == kNoGid || !is_settled(t)) continue;
+    drop_txns_.push_back(t);
+    dropped += newest_gid_[t] - indexer_.TxnBegin(t) + 1;
   }
   if (dropped == 0) return 0;
-  ResetAndReplay();
-  return dropped;
-}
 
-void OnlineRsrChecker::ClearMemoPairsOf(TxnId txn) {
-  const auto clear = [this](MemoEntry& entry) {
-    if (entry.u_max_p1 == 0) return;
-    entry = MemoEntry{};
-    --memo_live_;
-  };
-  for (TxnId other = 0; other < txn_count_; ++other) {
-    clear(memo_[MemoKey(other, txn)]);  // row txn
-    clear(memo_[MemoKey(txn, other)]);  // column txn
+  // Isolate every node of the settled transactions and release their
+  // executed state.
+  drop_nodes_.clear();
+  drop_objects_.clear();
+  for (const TxnId t : drop_txns_) {
+    for (std::size_t gid = indexer_.TxnBegin(t); gid < indexer_.TxnEnd(t);
+         ++gid) {
+      drop_mark_[gid] = 1;
+      drop_nodes_.push_back(gid);
+      if (executed_[gid] == 0) continue;
+      executed_[gid] = 0;
+      flags_[gid] = 0;
+      ReleaseSlotIfAny(gid);
+    }
+    newest_gid_[t] = kNoGid;
+    drop_objects_.insert(drop_objects_.end(), txn_objects_[t].begin(),
+                         txn_objects_[t].end());
+    txn_objects_[t].clear();
   }
-}
+  topo_.IsolateNodes(drop_nodes_, drop_mark_);
+  executed_count_ -= dropped;
 
-void OnlineRsrChecker::ResetAndReplay() {
-  // Only the rows of transactions with executed ops hold memo entries
-  // (a row is written when its transaction appends, and cleared when it
-  // is removed), so clearing those rows empties the whole memo.
+  // Object frontiers and op lists lose their settled members. A settled
+  // op never sits after a survivor it conflicts with, so no survivor
+  // joins a frontier: every remaining member still holds its row.
+  std::sort(drop_objects_.begin(), drop_objects_.end());
+  drop_objects_.erase(std::unique(drop_objects_.begin(), drop_objects_.end()),
+                      drop_objects_.end());
+  const auto marked = [this](std::size_t gid) { return drop_mark_[gid] != 0; };
+  for (const std::uint32_t obj_idx : drop_objects_) {
+    ObjState& state = objects_[obj_idx];
+    std::erase_if(state.ops, marked);
+    std::erase_if(state.readers, marked);
+    if (state.last_writer != kNoGid && marked(state.last_writer)) {
+      state.last_writer = kNoGid;
+    }
+    RELSER_CHECK(state.last_writer == kNoGid ||
+                 slot_of_[state.last_writer] != kNoSlot);
+    for (const std::size_t reader : state.readers) {
+      RELSER_CHECK(slot_of_[reader] != kNoSlot);
+    }
+  }
+
+  // Settled columns vanish from the retained rows...
+  for (std::size_t slot = 0; slot < slot_owner_.size(); ++slot) {
+    if (slot_owner_[slot] == kNoGid) continue;
+    std::uint32_t* row = &pool_[slot * txn_count_];
+    for (const TxnId t : drop_txns_) row[t] = 0;
+  }
+  // ...and from the undo log, which also drops the settled records and
+  // the settled arcs and frontier members of the surviving ones.
+  std::size_t kept = 0;
+  std::size_t deltas_out = 0;
+  std::size_t arcs_out = 0;
+  std::size_t frontier_out = 0;
+  for (std::size_t k = 0; k < feed_log_.size(); ++k) {
+    const std::size_t gid = feed_log_[k];
+    const UndoRecord rec = undo_log_[k];
+    const bool last = k + 1 == feed_log_.size();
+    const UndoRecord end =
+        last ? UndoRecord{undo_deltas_.size(), undo_arcs_.size(),
+                          undo_frontier_.size()}
+             : undo_log_[k + 1];
+    if (marked(gid)) continue;
+    undo_log_[kept] = {deltas_out, arcs_out, frontier_out};
+    for (std::size_t d = rec.deltas; d < end.deltas; ++d) {
+      if (!is_settled(undo_deltas_[d].column)) {
+        undo_deltas_[deltas_out++] = undo_deltas_[d];
+      }
+    }
+    for (std::size_t a = rec.arcs; a < end.arcs; ++a) {
+      // Arcs target the emitting transaction, a survivor here.
+      if (!marked(undo_arcs_[a].first)) undo_arcs_[arcs_out++] = undo_arcs_[a];
+    }
+    for (std::size_t f = rec.frontier; f < end.frontier; ++f) {
+      const std::size_t member = undo_frontier_[f];
+      if (f == rec.frontier) {  // the dominated writer keeps its place
+        undo_frontier_[frontier_out++] =
+            member != kNoGid && marked(member) ? kNoGid : member;
+      } else if (!marked(member)) {
+        undo_frontier_[frontier_out++] = member;
+      }
+    }
+    pos_of_[gid] = static_cast<std::uint32_t>(kept);
+    feed_log_[kept++] = gid;
+  }
+  feed_log_.resize(kept);
+  undo_log_.resize(kept);
+  undo_deltas_.resize(deltas_out);
+  undo_arcs_.resize(arcs_out);
+  undo_frontier_.resize(frontier_out);
+  for (const std::size_t gid : drop_nodes_) drop_mark_[gid] = 0;
+
+  // Recount the cross pairs from the newest rows.
+  std::fill(cross_pairs_.begin(), cross_pairs_.end(), 0);
+  live_pairs_ = 0;
   for (TxnId t = 0; t < txn_count_; ++t) {
     if (newest_gid_[t] == kNoGid) continue;
-    MemoEntry* row = &memo_[MemoKey(0, t)];
-    std::fill(row, row + txn_count_, MemoEntry{});
+    const std::uint32_t* row =
+        &pool_[static_cast<std::size_t>(slot_of_[newest_gid_[t]]) *
+               txn_count_];
+    for (TxnId c = 0; c < txn_count_; ++c) {
+      if (c == t || row[c] == 0) continue;
+      ++cross_pairs_[t];
+      ++cross_pairs_[c];
+      ++live_pairs_;
+    }
   }
-  memo_live_ = 0;
-  topo_ = IncrementalTopology(indexer_.total_ops());
-  topo_.Reserve(4 * indexer_.total_ops());
-  topo_.ReserveAdjacency(8);
-  std::fill(executed_.begin(), executed_.end(), std::uint8_t{0});
-  std::fill(safe_.begin(), safe_.end(), std::uint8_t{1});
-  std::fill(flags_.begin(), flags_.end(), std::uint8_t{0});
-  std::fill(slot_of_.begin(), slot_of_.end(), kNoSlot);
-  std::fill(newest_gid_.begin(), newest_gid_.end(), kNoGid);
-  pool_.clear();
-  free_slots_.clear();
-  slot_owner_.clear();
-  object_index_.Clear();
-  objects_.clear();
-  obj_stamp_.clear();
-  obj_gen_ = 0;
-  for (auto& touched : txn_objects_) touched.clear();
-  executed_count_ = 0;
-  feed_log_.clear();
-
-  // Silent replay of the survivors: no trace events, and rejections()
-  // keeps its pre-abort value (the replay cannot reject — see below).
-  Tracer* const saved_tracer = tracer_;
-  tracer_ = nullptr;
-  const std::size_t saved_rejections = rejections_;
-  for (const std::size_t gid : replay_feed_) {
-    // Every survivor re-admits: the replayed prefix's RSG is a subgraph
-    // of the original graph restricted to survivors (conflict frontiers
-    // and ancestor maxima can only shrink when operations disappear),
-    // and a subgraph of an acyclic graph is acyclic.
-    RELSER_CHECK_MSG(TryAppend(indexer_.Op(txns_, gid)).ok(),
-                     "surviving feed must replay cleanly after an abort");
-  }
-  rejections_ = saved_rejections;
-  tracer_ = saved_tracer;
+  return dropped;
 }
 
 std::size_t OnlineRsrChecker::FrontierWriterGid(ObjectId object) const {
@@ -567,7 +623,7 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
   };
   mix(executed_count_);
   for (const std::uint8_t bit : executed_) mix(bit);
-  for (const std::uint8_t bit : safe_) mix(bit);
+  for (const std::uint32_t pairs : cross_pairs_) mix(pairs);
   for (const std::size_t gid : newest_gid_) mix(gid);
   // Per-object state, keyed by ObjectId (objects_ index order depends on
   // first-touch order, which two equal-state checkers may disagree on).
@@ -581,6 +637,9 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
     std::sort(by_object.begin(), by_object.end());
     for (const auto& [object, idx] : by_object) {
       const ObjState& state = objects_[idx];
+      // A rejected, undone or truncated op can leave an empty entry that
+      // a fresh checker never created.
+      if (state.ops.empty()) continue;
       mix(object);
       mix(state.ops.size());
       for (const std::size_t gid : state.ops) mix(gid);
@@ -598,13 +657,6 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
     const std::uint32_t* row = &pool_[static_cast<std::size_t>(slot) *
                                       txn_count_];
     for (std::size_t t = 0; t < txn_count_; ++t) mix(row[t]);
-  }
-  // F/B memo: live entries in key order.
-  for (std::size_t key = 0; key < memo_.size(); ++key) {
-    if (memo_[key].u_max_p1 == 0) continue;
-    mix(key);
-    mix(memo_[key].u_max_p1);
-    mix(memo_[key].pf_p1);
   }
   // Graph adjacency, sorted per node (F/B arcs can land on not-yet-
   // executed nodes, so every node is included).

@@ -17,21 +17,24 @@
 // bitset and emitting a D/F/B arc triple per transitive ancestor (the
 // original formulation, preserved in core/online_baseline.h), the checker
 // keeps per object only the conflict frontier (last writer + readers
-// since it), per operation a dense per-transaction maximum-ancestor-index
-// array drawn from a reusable pool, and per transaction pair a memo of
-// the furthest F/B arcs already emitted (a dense txn_count x txn_count
-// array; row j, indexed by i, holds the pairs Ti -> Tj). Dominated arcs
-// are never inserted; docs/hotpath.md proves the transitive closure — and
-// therefore every accept/reject decision — is bit-identical to the full
-// emission.
-// Two abort paths exist. RemoveTransaction is the fast incremental one:
-// the ancestor arrays are rebuilt as a sound over-approximation (see
-// RemoveTransaction below), mirroring the baseline's documented
-// post-abort behavior. RemoveTransactionExact is the exact one the
-// admitter's abort/cascade machinery uses: it replays the surviving
-// feed through a full reset, so the post-abort state is
-// bit-identical (StateDigest) to a checker that never saw the aborted
-// transaction — differentially tested by tests/fault_test.cc.
+// since it) and per operation a dense per-transaction maximum-ancestor-
+// index row drawn from a reusable pool. An operation re-evaluates the F/B
+// arcs of an ancestor transaction only where its row raised that
+// transaction's column over its program-order predecessor's row, and
+// dominated arcs are never inserted; docs/hotpath.md proves the
+// transitive closure — and therefore every accept/reject decision — is
+// bit-identical to the full emission.
+//
+// Every accepted operation also pushes one undo record, aligned with its
+// feed_log() entry: the row columns it raised (with their old values),
+// the object frontier it dominated, and the arcs it actually inserted.
+// That makes removal exact and proportional to what changed:
+// RemoveTransactionExact rolls the log back to the victim's first
+// operation and re-admits only the survivors fed after it, and Truncate
+// drops settled transactions in place. After either, the state is
+// bit-identical (StateDigest) to a fresh checker fed feed_log() —
+// differentially tested by tests/fault_test.cc and
+// tests/rollback_differential_test.cc.
 //
 // Decisions are reported as AdmitResult (core/admit.h): kAccept commits
 // the arcs, kReject leaves the state unchanged and carries the
@@ -76,7 +79,7 @@ class OnlineRsrChecker {
   /// is empty or owned by the same transaction. Under those conditions
   /// the only new arc is the program-order I-arc into a fresh sink node,
   /// which cannot close a cycle, so acceptance is guaranteed and the
-  /// F/B memo scan is skipped entirely. Returns kRetry — with the
+  /// F/B scan is skipped entirely. Returns kRetry — with the
   /// checker unchanged — when the preconditions do not hold; the caller
   /// then falls back to the full TryAppend. Never rejects. Same feeding
   /// contract as TryAppend (next unfed op, program order).
@@ -84,68 +87,56 @@ class OnlineRsrChecker {
 
   /// True while no cross-transaction arc has ever been incident on a
   /// node of `txn` (the TryAppendIsolated eligibility bit).
-  bool TxnIsolated(TxnId txn) const { return safe_[txn] != 0; }
-
-  /// Forgets every fed operation of `txn` (scheduler abort). Incremental:
-  /// isolates the transaction's nodes — inserting pred->succ bypass arcs
-  /// first, so every closure path between survivors that routed through a
-  /// removed node is preserved — scrubs its column from the retained
-  /// ancestor arrays, zeroes its row and column of the F/B memo (so
-  /// memo_entries() drops by exactly its pairs), and rebuilds the
-  /// conflict frontier of only the objects the transaction touched
-  /// (reverse index). Frontier members whose ancestor arrays were
-  /// released are resurrected from the newest retained array of their
-  /// transaction — a superset of their true ancestors. Post-abort
-  /// admission is therefore a sound over-approximation (may reject a
-  /// schedule the full graph would accept, never the converse), matching
-  /// the baseline's stale-bit behavior in spirit; docs/hotpath.md gives
-  /// the argument.
-  void RemoveTransaction(TxnId txn);
+  bool TxnIsolated(TxnId txn) const { return cross_pairs_[txn] == 0; }
 
   /// Exact abort: forgets every fed operation of `txn` and restores the
   /// checker to the state of a fresh checker fed the surviving feed (the
   /// accepted operations, in their original admission order, minus
-  /// `txn`'s). Implemented as a full internal reset plus a silent replay
-  /// of the survivors — every surviving operation re-admits, because the
-  /// survivor-restricted RSG is a subgraph of the original acyclic
-  /// graph. O(history) instead of RemoveTransaction's O(touched), but
-  /// bit-identical (StateDigest) to recompute-from-scratch: no
-  /// over-approximation, no stale safe bits, no widened memos. This is
-  /// the abort path ShardedAdmitter uses, so repeated abort/cascade
-  /// storms cannot accumulate conservatism. Counters: rejections() is
+  /// `txn`'s). Rolls the undo log back to `txn`'s first operation, then
+  /// silently re-admits the survivors fed after it — every one of them
+  /// re-admits, because the survivor-restricted RSG is a subgraph of the
+  /// original acyclic graph. The cost is the feed since the victim
+  /// started, not the retained history, and the result is bit-identical
+  /// (StateDigest) to recompute-from-scratch. Counters: rejections() is
   /// preserved; arcs_submitted()/arcs_inserted_total() keep counting
-  /// through the replay (they meter topology traffic, which the replay
-  /// genuinely performs).
+  /// through the re-admission (they meter topology traffic, which it
+  /// genuinely performs), and replayed_ops() grows by the survivors
+  /// re-admitted.
   void RemoveTransactionExact(TxnId txn);
 
   /// Epoch-driven truncation (checkpoint): forgets every fed operation
   /// whose transaction has settled per `settled` (one atomic byte per
-  /// transaction, epoch/epoch.h's view; read with relaxed loads). Like
-  /// RemoveTransactionExact this is a full reset plus a silent replay of
-  /// the surviving (unsettled) feed, so the result is bit-identical
-  /// (StateDigest) to a fresh checker fed only the survivors. Soundness:
-  /// a settled transaction is finished and frontier-unreachable, so (a)
-  /// it never appends again — its cleared executed_ bits are never
-  /// re-fed — and (b) no future operation can acquire an arc to or from
-  /// its nodes: its ops have left every conflict frontier reachable by
-  /// live transactions, and the F/B memo rows that could re-emit arcs
-  /// from it require a D-arc ancestor entry that no live frontier can
-  /// produce any more. Dropping its rows therefore never changes a
-  /// future accept/reject decision or witness (the GC differential test
-  /// checks this bit-for-bit). Returns the number of feed entries
-  /// dropped (0 = no settled history, state untouched).
+  /// transaction, epoch/epoch.h's view; read with relaxed loads). Works
+  /// in place and re-admits nothing: it isolates the settled nodes,
+  /// zeroes the settled columns of the retained rows and of the undo
+  /// log, and filters the settled operations out of the object
+  /// frontiers, feed_log() and the log. Settledness is predecessor-closed,
+  /// so no survivor's row, arc or frontier membership depends on a
+  /// settled operation, and the result is bit-identical (StateDigest) to
+  /// a fresh checker fed only the survivors (docs/hotpath.md gives the
+  /// proof; the GC differential tests check decisions bit-for-bit).
+  /// Returns the number of feed entries dropped (0 = no settled history,
+  /// state untouched).
   std::size_t Truncate(const std::atomic<std::uint8_t>* settled);
 
   /// Retained-state gauges for long-lived memory accounting
   /// (bench_longlived): accepted operations currently remembered,
-  /// ancestor-array pool rows allocated, and F/B memo entries.
+  /// ancestor-array pool rows allocated, and live F/B pairs — the nonzero
+  /// cross-transaction entries of the transactions' newest rows, i.e. the
+  /// (Ti -> Tj) pairs whose F/B arcs have been evaluated.
   std::size_t retained_ops() const { return feed_log_.size(); }
   std::size_t pool_rows() const { return slot_owner_.size(); }
-  std::size_t memo_entries() const { return memo_live_; }
+  std::size_t memo_entries() const { return live_pairs_; }
+
+  /// Cumulative operations re-admitted by RemoveTransactionExact (the
+  /// survivors fed after each victim's first operation). Truncate never
+  /// adds to it.
+  std::size_t replayed_ops() const { return replayed_ops_; }
 
   /// Order-insensitive FNV-1a digest of the complete admission state:
-  /// executed set, safe bits, newest-op table, per-object frontiers,
-  /// retained ancestor arrays, F/B memo and graph adjacency. Two
+  /// executed set, isolation counts, newest-op table, per-object
+  /// frontiers (objects with no executed operation count as absent),
+  /// retained ancestor rows and graph adjacency. Two
   /// checkers over the same TransactionSet/spec digest equal iff their
   /// future accept/reject behavior is identical state-wise; the
   /// fault-injection tests compare post-RemoveTransactionExact digests
@@ -170,7 +161,7 @@ class OnlineRsrChecker {
   void FrontierReaders(ObjectId object, std::vector<std::size_t>* out) const;
 
   /// The accepted operations still present, as global ids in admission
-  /// order (the "surviving feed" RemoveTransactionExact replays).
+  /// order; a fresh checker fed them reaches this checker's state.
   const std::vector<std::size_t>& feed_log() const { return feed_log_; }
 
   /// True iff o_{txn,index} has been fed and accepted.
@@ -220,37 +211,42 @@ class OnlineRsrChecker {
     std::size_t last_writer = kNoGid;
   };
 
-  /// Furthest F/B emission already performed for a (Ti -> Tj) pair; all
-  /// zero while the pair has none. RemoveTransaction zeroes every pair
-  /// involving the removed transaction.
-  struct MemoEntry {
-    std::uint32_t u_max_p1 = 0;  // +1-encoded max ancestor index in Ti
-    std::uint32_t pf_p1 = 0;     // +1-encoded furthest PushForward emitted
+  /// Undo record of one accepted operation: where its entries begin in
+  /// the three undo arenas (each range ends where the next record's
+  /// begins).
+  struct UndoRecord {
+    std::size_t deltas;    // undo_deltas_: row columns it raised
+    std::size_t arcs;      // undo_arcs_: arcs it inserted
+    std::size_t frontier;  // undo_frontier_: frontier a write dominated
   };
 
-  struct PendingMemo {
-    std::size_t key;
-    MemoEntry entry;
+  /// A column an operation's row raised over its predecessor's row.
+  struct ColumnDelta {
+    std::uint32_t column;
+    std::uint32_t old_p1;  // the predecessor row's value
   };
-
-  /// Slot of pair (Ti -> Tj) in memo_: row j, column i.
-  std::size_t MemoKey(TxnId i, TxnId j) const {
-    return static_cast<std::size_t>(j) * txn_count_ + i;
-  }
-  /// Zeroes row `txn` and column `txn` of the memo.
-  void ClearMemoPairsOf(TxnId txn);
 
   std::uint32_t ObjIndex(ObjectId object);
   std::uint32_t AcquireSlot(std::size_t gid);
   void ReleaseSlotIfAny(std::size_t gid);
   /// Shared commit tail of TryAppend / TryAppendIsolated: persists
-  /// scratch_anc_ into the slot pool and updates retention flags, the
-  /// object frontier, reverse indices and executed bookkeeping.
-  void CommitOp(const Operation& op, std::size_t gid, std::uint32_t obj_idx);
-  /// Re-flags `gid` as frontier; if its ancestor array was released,
-  /// resurrects it from the newest retained array of its transaction.
-  void RetainFrontier(std::size_t gid);
-  void RebuildFrontier(ObjState& state);
+  /// scratch_anc_ into the slot pool, updates retention flags, the object
+  /// frontier, reverse indices and executed bookkeeping, and pushes the
+  /// undo record whose deltas and arcs begin at the given offsets.
+  void CommitOp(const Operation& op, std::size_t gid, std::uint32_t obj_idx,
+                std::size_t deltas_begin, std::size_t arcs_begin);
+  /// Undoes the newest undo record, restoring the exact state before
+  /// that operation was accepted (topology labels aside).
+  void UndoLast();
+  /// Gives `gid` its ancestor row back if it was released: its
+  /// transaction's newest row with the deltas of the later operations
+  /// reverted (rows are cumulative along program order).
+  void RestoreRow(std::size_t gid);
+  /// One past record `k`'s last entry in undo_deltas_.
+  std::size_t DeltasEnd(std::size_t k) const {
+    return k + 1 < undo_log_.size() ? undo_log_[k + 1].deltas
+                                    : undo_deltas_.size();
+  }
 
   const TransactionSet& txns_;
   const AtomicitySpec& spec_;
@@ -259,7 +255,9 @@ class OnlineRsrChecker {
   std::size_t txn_count_;
 
   std::vector<std::uint8_t> executed_;
-  std::vector<std::uint8_t> safe_;         // txn -> isolated bit (fast path)
+  // txn -> nonzero cross-transaction entries of newest rows that involve
+  // it (as the row's or the column's transaction); 0 = isolated.
+  std::vector<std::uint32_t> cross_pairs_;
   std::vector<std::uint8_t> flags_;        // retention flags per gid
   std::vector<std::uint32_t> slot_of_;     // gid -> pool slot (kNoSlot)
   std::vector<std::size_t> newest_gid_;    // txn -> newest executed gid
@@ -276,29 +274,32 @@ class OnlineRsrChecker {
   FlatMap64<std::uint32_t> object_index_;  // ObjectId -> objects_ index
   std::vector<ObjState> objects_;
   std::vector<std::vector<std::uint32_t>> txn_objects_;  // reverse index
-  std::vector<std::uint64_t> obj_stamp_;  // abort-scrub dedup stamps
-  std::uint64_t obj_gen_ = 0;
+  std::size_t live_pairs_ = 0;  // sum of cross_pairs_ / 2
 
-  std::vector<MemoEntry> memo_;  // txn_count_^2, slot MemoKey(i, j)
-  std::size_t memo_live_ = 0;    // pairs with u_max_p1 != 0
+  std::vector<std::size_t> feed_log_;  // accepted gids, admission order
+  std::vector<std::uint32_t> pos_of_;  // gid -> its feed_log_ position
+  // Undo log, record k belonging to feed_log_[k].
+  std::vector<UndoRecord> undo_log_;
+  std::vector<ColumnDelta> undo_deltas_;
+  std::vector<std::pair<NodeId, NodeId>> undo_arcs_;
+  // Per write: the dominated last writer (kNoGid when none), then readers.
+  std::vector<std::size_t> undo_frontier_;
 
   // Reusable per-append scratch (no steady-state allocations).
   std::vector<std::uint32_t> scratch_anc_;
+  std::vector<std::uint32_t> zero_row_;  // predecessor row of a first op
   std::vector<std::size_t> pred_buf_;
   std::vector<std::pair<NodeId, NodeId>> arc_buf_;
   std::vector<std::uint8_t> arc_kind_buf_;  // parallel to arc_buf_ (tracing)
-  std::vector<PendingMemo> pending_memos_;
-  std::vector<std::size_t> rebuild_reads_;  // RebuildFrontier scratch
-  std::vector<NodeId> bypass_in_;           // RemoveTransaction scratch
-  std::vector<NodeId> bypass_out_;
-  std::vector<std::size_t> feed_log_;     // accepted gids, admission order
-  std::vector<std::size_t> replay_feed_;  // reset-and-replay scratch
-
-  /// Shared tail of RemoveTransactionExact / Truncate: resets every
-  /// piece of admission state and silently replays `replay_feed_`.
-  void ResetAndReplay();
+  // RemoveTransactionExact / Truncate scratch.
+  std::vector<std::size_t> replay_;
+  std::vector<TxnId> drop_txns_;
+  std::vector<NodeId> drop_nodes_;
+  std::vector<std::uint32_t> drop_objects_;
+  std::vector<std::uint8_t> drop_mark_;  // gid -> dropped by this Truncate
 
   std::size_t executed_count_ = 0;
+  std::size_t replayed_ops_ = 0;
   std::size_t rejections_ = 0;
   std::size_t arcs_submitted_ = 0;
   std::size_t arcs_inserted_total_ = 0;

@@ -48,8 +48,7 @@ OnlineRsrCheckerBaseline::OnlineRsrCheckerBaseline(const TransactionSet& txns,
 
 bool OnlineRsrCheckerBaseline::TryAppend(const Operation& op) {
   const std::size_t gid = indexer_.GlobalId(op);
-  RELSER_CHECK_MSG(!executed_[gid],
-                   "operation fed twice without RemoveTransaction");
+  RELSER_CHECK_MSG(!executed_[gid], "operation fed twice");
   if (op.index > 0) {
     RELSER_CHECK_MSG(executed_[gid - 1],
                      "operations must be fed in program order");
@@ -97,31 +96,6 @@ bool OnlineRsrCheckerBaseline::TryAppend(const Operation& op) {
   ancestors_[gid] = std::move(ancestors);
   history_[op.object].push_back(gid);
   return true;
-}
-
-void OnlineRsrCheckerBaseline::RemoveTransaction(TxnId txn) {
-  for (std::size_t gid = indexer_.TxnBegin(txn); gid < indexer_.TxnEnd(txn);
-       ++gid) {
-    topo_.IsolateNode(gid);
-    if (executed_[gid]) {
-      executed_[gid] = false;
-      --executed_count_;
-    }
-    ancestors_[gid].Clear();
-  }
-  for (auto& [object, gids] : history_) {
-    std::erase_if(gids, [&](std::size_t gid) {
-      return gid >= indexer_.TxnBegin(txn) && gid < indexer_.TxnEnd(txn);
-    });
-  }
-  // Scrub stale ancestor bits pointing at the removed attempt.
-  for (std::size_t gid = 0; gid < executed_.size(); ++gid) {
-    if (!executed_[gid]) continue;
-    for (std::size_t victim = indexer_.TxnBegin(txn);
-         victim < indexer_.TxnEnd(txn); ++victim) {
-      ancestors_[gid].Reset(victim);
-    }
-  }
 }
 
 std::size_t OnlineRsrCheckerBaseline::FirstRejection(const TransactionSet& txns,

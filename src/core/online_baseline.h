@@ -34,11 +34,6 @@ class OnlineRsrCheckerBaseline {
   /// Attempts to append `op`; see OnlineRsrChecker::TryAppend.
   bool TryAppend(const Operation& op);
 
-  /// Forgets every fed operation of `txn` (scheduler abort). Stale
-  /// transitive-dependency bits that flowed through the removed
-  /// operations are kept as a sound over-approximation.
-  void RemoveTransaction(TxnId txn);
-
   /// True iff o_{txn,index} has been fed and accepted.
   bool Executed(TxnId txn, std::uint32_t index) const {
     return executed_[indexer_.GlobalId(txn, index)];

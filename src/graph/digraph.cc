@@ -111,6 +111,35 @@ void Digraph::IsolateNode(NodeId node) {
   }
 }
 
+void Digraph::IsolateNodes(const std::vector<NodeId>& nodes,
+                           const std::vector<std::uint8_t>& member) {
+  // An edge leaving a member is erased with its source's out-list; an
+  // edge entering a member from outside, with its target's in-list. Only
+  // the non-member end of an edge is unlinked entry by entry; member
+  // lists are emptied wholesale.
+  EdgePos pos;
+  for (const NodeId node : nodes) {
+    RELSER_DCHECK(member[node] != 0);
+    AdjList& succs = out_[node];
+    for (std::uint32_t k = 0; k < succs.size; ++k) {
+      const NodeId succ = succs.data[k];
+      index_.Erase(EdgeKey(node, succ), &pos);
+      if (member[succ] == 0) UnlinkIn(succ, pos.in_pos);
+      --edge_count_;
+    }
+    succs.size = 0;
+    AdjList& preds = in_[node];
+    for (std::uint32_t k = 0; k < preds.size; ++k) {
+      const NodeId pred = preds.data[k];
+      if (member[pred] != 0) continue;
+      index_.Erase(EdgeKey(pred, node), &pos);
+      UnlinkOut(pred, pos.out_pos);
+      --edge_count_;
+    }
+    preds.size = 0;
+  }
+}
+
 std::vector<std::pair<NodeId, NodeId>> Digraph::Edges() const {
   std::vector<std::pair<NodeId, NodeId>> edges;
   edges.reserve(edge_count_);

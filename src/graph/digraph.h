@@ -128,6 +128,13 @@ class Digraph {
   /// a transaction commits or aborts and its node is retired).
   void IsolateNode(NodeId node);
 
+  /// IsolateNode for every node of `nodes` at once; `member[n]` is
+  /// nonzero exactly for the nodes in `nodes`. An edge between two
+  /// members is dropped without touching either adjacency list entry by
+  /// entry, so isolating a closed region costs one index erase per edge.
+  void IsolateNodes(const std::vector<NodeId>& nodes,
+                    const std::vector<std::uint8_t>& member);
+
   /// All edges as (from, to) pairs, grouped by source.
   std::vector<std::pair<NodeId, NodeId>> Edges() const;
 

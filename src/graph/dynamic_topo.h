@@ -81,9 +81,22 @@ class IncrementalTopology {
   /// a time and unwind on failure" helpers the schedulers used to carry.
   bool AddEdges(const std::vector<std::pair<NodeId, NodeId>>& arcs);
 
+  /// The arcs the last successful AddEdges call actually inserted
+  /// (duplicates excluded) — what removing them would take back. Valid
+  /// until the next AddEdges call.
+  const std::vector<std::pair<NodeId, NodeId>>& last_inserted() const {
+    return rollback_;
+  }
+
   /// Removes all edges incident to `node` (transaction retirement in the
   /// online schedulers). The current order remains valid.
   void IsolateNode(NodeId node);
+
+  /// IsolateNode for a whole set at once (see Digraph::IsolateNodes).
+  void IsolateNodes(const std::vector<NodeId>& nodes,
+                    const std::vector<std::uint8_t>& member) {
+    graph_.IsolateNodes(nodes, member);
+  }
 
   /// Removes one edge (trial-insertion rollback). Edge removal never
   /// invalidates the maintained order. Returns true when removed.
@@ -153,7 +166,8 @@ class IncrementalTopology {
   std::vector<NodeId> delta_backward_;
   std::vector<NodeId> stack_;                       // DFS scratch
   std::vector<std::size_t> pool_;                   // Reorder scratch
-  std::vector<std::pair<NodeId, NodeId>> rollback_;  // AddEdges undo log
+  // AddEdges undo log; after a successful call, its inserted arcs.
+  std::vector<std::pair<NodeId, NodeId>> rollback_;
   std::vector<std::size_t> deferred_;                // AddEdges pass-2 arcs
   // WouldCreateCycle scratch: generation stamps avoid a per-probe clear.
   mutable std::vector<std::uint64_t> probe_stamp_;

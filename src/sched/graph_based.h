@@ -103,7 +103,9 @@ class RSGTScheduler : public Scheduler {
   // transaction node is.
   void OnCommit(TxnId txn) override { (void)txn; }
 
-  void OnAbort(TxnId txn) override { checker_.RemoveTransaction(txn); }
+  void OnAbort(TxnId txn) override {
+    checker_.RemoveTransactionExact(txn);
+  }
 
   std::string name() const override { return "rsgt"; }
 

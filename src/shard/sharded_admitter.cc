@@ -832,8 +832,8 @@ void ShardedAdmitter::MaybeGcCore(Core& core) {
     }
   }
   core.accept_log.resize(kept);
-  // Checker truncation: drop the settled rows, silently replay the
-  // unsettled suffix — bit-identical future decisions (core/online.h).
+  // Checker truncation: drop the settled transactions in place —
+  // bit-identical future decisions (core/online.h).
   const std::size_t dropped = core.checker.Truncate(settled);
   // Local conflict DAG: every arc out of a settled transaction goes.
   // Its incoming arcs froze at finish and had settled sources themselves

@@ -268,7 +268,7 @@ class ShardedAdmitter {
   struct LiveHighWater {
     std::uint64_t pool_rows = 0;         ///< ancestor rows (max core)
     std::uint64_t retained_ops = 0;      ///< checker feed rows (max core)
-    std::uint64_t memo_entries = 0;      ///< F/B memo entries (max core)
+    std::uint64_t memo_entries = 0;      ///< live F/B pairs (max core)
     std::uint64_t accept_entries = 0;    ///< live accept-log (max core)
     std::uint64_t coordinator_arcs = 0;  ///< retained coordinator arcs
     std::uint64_t versions = 0;          ///< version-arena retained

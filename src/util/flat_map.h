@@ -46,6 +46,8 @@ class FlatMap64 {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Slots allocated (live, tombstoned and empty).
+  std::size_t capacity() const { return keys_.size(); }
 
   /// Pointer to the value for `key`, or nullptr when absent.
   V* Find(std::uint64_t key) {
@@ -61,7 +63,11 @@ class FlatMap64 {
   std::pair<V*, bool> Upsert(std::uint64_t key) {
     RELSER_DCHECK(key < kTombstoneKey);
     if ((used_ + 1) * 4 > Capacity() * 3) {
-      Rehash(Capacity() < 16 ? 16 : Capacity() * 2);
+      // When tombstones fill the table, purge them at the same capacity:
+      // insert/erase churn over a bounded live set must not keep
+      // doubling it.
+      const bool mostly_dead = (size_ + 1) * 2 <= Capacity();
+      Rehash(Capacity() < 16 ? 16 : mostly_dead ? Capacity() : Capacity() * 2);
     }
     std::size_t index = Probe(key);
     std::size_t first_tombstone = kNoSlot;
@@ -91,6 +97,17 @@ class FlatMap64 {
     if (keys_.empty()) return false;
     const std::size_t slot = FindSlot(key);
     if (slot == kNoSlot) return false;
+    keys_[slot] = kTombstoneKey;
+    --size_;
+    return true;
+  }
+
+  /// Erase that also copies the removed value to `*value` (one probe).
+  bool Erase(std::uint64_t key, V* value) {
+    if (keys_.empty()) return false;
+    const std::size_t slot = FindSlot(key);
+    if (slot == kNoSlot) return false;
+    *value = values_[slot];
     keys_[slot] = kTombstoneKey;
     --size_;
     return true;

@@ -214,12 +214,12 @@ TEST(DifferentialOnline, FrontierPruningNeverInsertsMoreArcsThanBaseline) {
   }
 }
 
-// Abort-path soundness: after any mix of accepted operations, rejections
-// and RemoveTransaction calls, every execution the checker has admitted
-// must still be relatively serializable. (Post-abort the checker is a
-// documented over-approximation, so cross-implementation agreement is not
-// required — only soundness of what it accepts.)
-TEST(DifferentialOnline, AcceptedExecutionsStaySoundAcrossAborts) {
+// Abort-path exactness: after any mix of accepted operations, rejections
+// and RemoveTransactionExact calls, every execution the checker has
+// admitted must still be relatively serializable, and every decision must
+// equal the full-emission baseline's on a fresh feed of the surviving
+// execution — aborts leave no conservatism behind.
+TEST(DifferentialOnline, AcceptedExecutionsStayExactAcrossAborts) {
   Rng rng(0xAB0F);
   for (int round = 0; round < 250; ++round) {
     WorkloadParams wp;
@@ -235,7 +235,7 @@ TEST(DifferentialOnline, AcceptedExecutionsStaySoundAcrossAborts) {
     std::vector<Operation> fed;  // surviving execution, feed order
     std::vector<std::uint32_t> next(txns.txn_count(), 0);
     auto drop_txn = [&](TxnId t) {
-      checker.RemoveTransaction(t);
+      checker.RemoveTransactionExact(t);
       std::erase_if(fed, [t](const Operation& op) { return op.txn == t; });
       next[t] = 0;
     };
@@ -244,7 +244,14 @@ TEST(DifferentialOnline, AcceptedExecutionsStaySoundAcrossAborts) {
       const TxnId t = static_cast<TxnId>(rng.UniformIndex(txns.txn_count()));
       if (next[t] < txns.txn(t).size() && rng.UniformDouble() < 0.85) {
         const Operation& op = txns.txn(t).op(next[t]);
-        if (checker.TryAppend(op)) {
+        OnlineRsrCheckerBaseline fresh(txns, spec);
+        for (const Operation& survivor : fed) {
+          ASSERT_TRUE(fresh.TryAppend(survivor)) << "round " << round;
+        }
+        const bool expected = fresh.TryAppend(op);
+        ASSERT_EQ(checker.TryAppend(op).ok(), expected)
+            << "round " << round << " step " << step;
+        if (expected) {
           fed.push_back(op);
           ++next[t];
         } else {

@@ -78,6 +78,26 @@ TEST(FlatMap64, ForEachVisitsExactlyLiveEntries) {
   EXPECT_EQ(key_sum, 1u + 3 + 5 + 7 + 9 + 11 + 13 + 15 + 17 + 19);
 }
 
+TEST(FlatMap64, ChurnOverABoundedLiveSetKeepsItsCapacity) {
+  // Fresh keys inserted and erased again, never more than 64 live: the
+  // tombstones they leave are purged in place, not by doubling.
+  FlatMap64<std::uint32_t> map;
+  for (std::uint64_t key = 0; key < 100000; ++key) {
+    *map.Upsert(key).first = 1;
+    if (key >= 64) {
+      ASSERT_TRUE(map.Erase(key - 64));
+    }
+  }
+  EXPECT_EQ(map.size(), 64u);
+  EXPECT_LE(map.capacity(), 256u);
+  // Erase(key, &value) hands back the removed value.
+  std::uint32_t value = 0;
+  *map.Upsert(7ULL << 40).first = 42;
+  EXPECT_TRUE(map.Erase(7ULL << 40, &value));
+  EXPECT_EQ(value, 42u);
+  EXPECT_FALSE(map.Erase(7ULL << 40, &value));
+}
+
 TEST(FlatMap64, RandomizedDifferentialAgainstStdMap) {
   Rng rng(123456);
   FlatMap64<std::uint32_t> map;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "graph/closure.h"
 #include "graph/cycle.h"
@@ -147,10 +149,24 @@ TEST(Digraph, RandomizedChurnAgainstSetReference) {
         EXPECT_EQ(graph.AddEdge(a, b), reference.emplace(a, b).second);
       } else if (roll < 0.8) {
         EXPECT_EQ(graph.RemoveEdge(a, b), reference.erase({a, b}) > 0);
-      } else if (roll < 0.9) {
+      } else if (roll < 0.85) {
         graph.IsolateNode(a);
         std::erase_if(reference, [a](const auto& edge) {
           return edge.first == a || edge.second == a;
+        });
+      } else if (roll < 0.9) {
+        // A random node subset at once, with edges inside and across it.
+        std::vector<NodeId> nodes;
+        std::vector<std::uint8_t> member(n, 0);
+        for (NodeId v = 0; v < n; ++v) {
+          if (rng.Bernoulli(0.4)) {
+            nodes.push_back(v);
+            member[v] = 1;
+          }
+        }
+        graph.IsolateNodes(nodes, member);
+        std::erase_if(reference, [&member](const auto& edge) {
+          return member[edge.first] != 0 || member[edge.second] != 0;
         });
       } else {
         EXPECT_EQ(graph.HasEdge(a, b), reference.count({a, b}) > 0);

@@ -64,7 +64,7 @@ TEST(OnlineChecker, RejectionLeavesStateUnchanged) {
   EXPECT_EQ(checker.rejections(), 2u);
 }
 
-TEST(OnlineChecker, RemoveTransactionEnablesRetry) {
+TEST(OnlineChecker, RemoveTransactionExactEnablesRetry) {
   auto txns = ParseTransactionSet("T1 = w1[x] r1[y]\nT2 = r2[x] w2[y]\n");
   const AtomicitySpec spec = AbsoluteSpec(*txns);
   OnlineRsrChecker checker(*txns, spec);
@@ -73,7 +73,7 @@ TEST(OnlineChecker, RemoveTransactionEnablesRetry) {
   EXPECT_TRUE(checker.TryAppend(txns->txn(1).op(1)));
   EXPECT_FALSE(checker.TryAppend(txns->txn(0).op(1)));
   // Abort T1 and replay it after T2: now serial, accepted.
-  checker.RemoveTransaction(0);
+  checker.RemoveTransactionExact(0);
   EXPECT_EQ(checker.executed_count(), 2u);
   EXPECT_FALSE(checker.Executed(0, 0));
   EXPECT_TRUE(checker.TryAppend(txns->txn(0).op(0)));
@@ -81,7 +81,7 @@ TEST(OnlineChecker, RemoveTransactionEnablesRetry) {
   EXPECT_EQ(checker.executed_count(), 4u);
 }
 
-TEST(OnlineChecker, RemoveTransactionClearsItsMemoPairs) {
+TEST(OnlineChecker, RemoveTransactionExactDropsItsPairs) {
   // Absolute spec: T2 reading w1[x] owes T1 the F-arc w1[y] -> r2[x].
   auto txns = ParseTransactionSet(
       "T1 = w1[x] w1[y]\nT2 = r2[x] w2[y]\nT3 = w3[x]\n");
@@ -96,10 +96,10 @@ TEST(OnlineChecker, RemoveTransactionClearsItsMemoPairs) {
     ASSERT_TRUE(checker.TryAppend(r2x));
     ASSERT_TRUE(checker.TryAppend(txns->txn(2).op(0)));
     EXPECT_EQ(checker.memo_entries(), 3u);  // T1 -> T2, T1 -> T3, T2 -> T3
-    checker.RemoveTransaction(1);
+    checker.RemoveTransactionExact(1);
     EXPECT_EQ(checker.memo_entries(), 1u);  // only T1 -> T3 survives
     // Re-fed, r2[x] reads from w3[x] and has T1 as an ancestor at the
-    // same index as before: only a cleared T1 -> T2 pair emits the F-arc
+    // same index as before: only a dropped T1 -> T2 pair emits the F-arc
     // again (a stale one would skip it as already emitted).
     ASSERT_TRUE(checker.TryAppend(r2x));
     EXPECT_TRUE(checker.topology().graph().HasEdge(ids.GlobalId(w1y),
@@ -110,7 +110,7 @@ TEST(OnlineChecker, RemoveTransactionClearsItsMemoPairs) {
     // A stale pair also changes a decision. In its first incarnation T2
     // precedes T1 (w1[x] follows r2[x]), which leaves the pair
     // T2 -> T1 at T2's index 1. Re-fed, T2 reads w1[x] and T1 then reads
-    // w2[z]: a conflict cycle. Only a cleared T2 -> T1 pair re-evaluates
+    // w2[z]: a conflict cycle. Only a dropped T2 -> T1 pair re-evaluates
     // T2 at index 0 and emits the F-arc r2[x] -> r1[z] that closes it.
     auto cyc = ParseTransactionSet("T1 = w1[x] r1[z]\nT2 = w2[z] r2[x]\n");
     const AtomicitySpec cyc_spec = AbsoluteSpec(*cyc);
@@ -119,7 +119,7 @@ TEST(OnlineChecker, RemoveTransactionClearsItsMemoPairs) {
     ASSERT_TRUE(checker.TryAppend(cyc->txn(1).op(1)));
     ASSERT_TRUE(checker.TryAppend(cyc->txn(0).op(0)));
     EXPECT_EQ(checker.memo_entries(), 1u);
-    checker.RemoveTransaction(1);
+    checker.RemoveTransactionExact(1);
     EXPECT_EQ(checker.memo_entries(), 0u);
     ASSERT_TRUE(checker.TryAppend(cyc->txn(1).op(0)));
     ASSERT_TRUE(checker.TryAppend(cyc->txn(1).op(1)));

@@ -1,0 +1,229 @@
+// Differential gate for the checker's undo log: exact aborts roll back to
+// the victim's first operation and re-admit only the survivors fed after
+// it, and epoch truncation drops settled transactions in place. After
+// every abort and every truncation the checker's StateDigest must equal
+// that of a fresh checker fed its feed_log(). Truncation is driven the way
+// the single-shard admitter drives it: an EpochManager fed the direct
+// conflicts of each accepted operation, a finish per commit or abort, and
+// a Truncate whenever the GC generation moves.
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "core/online.h"
+#include "epoch/epoch.h"
+#include "model/op_indexer.h"
+#include "util/rng.h"
+#include "workload/generator.h"
+#include "workload/spec_gen.h"
+
+namespace relser {
+namespace {
+
+std::uint64_t FreshDigest(const TransactionSet& txns,
+                          const AtomicitySpec& spec,
+                          const OnlineRsrChecker& checker) {
+  OnlineRsrChecker fresh(txns, spec);
+  for (const std::size_t gid : checker.feed_log()) {
+    EXPECT_TRUE(fresh.TryAppend(txns.OpByGlobalId(gid)).ok())
+        << "surviving feed must replay cleanly";
+  }
+  return fresh.StateDigest();
+}
+
+// One seeded run: a sliding window of open transactions fed in random
+// interleaving, with rejections, spontaneous aborts and reads-from
+// cascades, and truncation at every GC generation.
+class FeedRun {
+ public:
+  FeedRun(const TransactionSet& txns, const AtomicitySpec& spec,
+      std::uint32_t gc_interval)
+      : txns_(txns),
+        spec_(spec),
+        indexer_(txns),
+        checker_(txns, spec),
+        epochs_(txns.txn_count(), gc_interval),
+        state_(txns.txn_count(), kPending),
+        next_(txns.txn_count(), 0),
+        readers_of_(txns.txn_count()),
+        first_fed_at_(txns.txn_count(), 0) {}
+
+  void Go(std::size_t window, Rng* rng) {
+    std::vector<TxnId> open;
+    TxnId next_txn = 0;
+    while (true) {
+      while (open.size() < window && next_txn < txns_.txn_count()) {
+        state_[next_txn] = kLive;
+        open.push_back(next_txn++);
+      }
+      std::erase_if(open, [this](TxnId t) { return state_[t] != kLive; });
+      if (open.empty()) break;
+      const TxnId t = open[rng->UniformIndex(open.size())];
+      if (next_[t] > 0 && rng->Bernoulli(0.04)) {
+        Kill(t);  // spontaneous abort
+      } else {
+        Feed(txns_.txn(t).op(next_[t]));
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+      MaybeTruncate();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+
+  std::size_t aborts() const { return aborts_; }
+  std::size_t cascades() const { return cascades_; }
+  std::size_t truncations() const { return truncations_; }
+  std::size_t victims_before_truncation() const { return old_victims_; }
+
+ private:
+  static constexpr std::uint8_t kPending = 0;
+  static constexpr std::uint8_t kLive = 1;
+  static constexpr std::uint8_t kCommitted = 2;
+  static constexpr std::uint8_t kDead = 3;
+
+  void Feed(const Operation& op) {
+    // The direct conflicts the admitter notes: the pre-operation frontier.
+    deps_.clear();
+    const std::size_t writer_gid = checker_.FrontierWriterGid(op.object);
+    const bool has_writer = writer_gid != OnlineRsrChecker::kNoOp &&
+                            indexer_.TxnOf(writer_gid) != op.txn;
+    const TxnId writer = has_writer ? indexer_.TxnOf(writer_gid) : 0;
+    if (has_writer) deps_.push_back(writer);
+    if (op.is_write()) {
+      gids_.clear();
+      checker_.FrontierReaders(op.object, &gids_);
+      for (const std::size_t gid : gids_) {
+        const TxnId reader = indexer_.TxnOf(gid);
+        if (reader != op.txn) deps_.push_back(reader);
+      }
+    }
+    AdmitResult result = checker_.TryAppendIsolated(op);
+    if (!result.ok()) result = checker_.TryAppend(op);
+    if (!result.ok()) {
+      Kill(op.txn);
+      return;
+    }
+    if (op.index == 0) first_fed_at_[op.txn] = ++clock_;
+    if (!deps_.empty()) epochs_.NoteDeps(deps_, op.txn);
+    if (op.is_read() && has_writer && state_[writer] != kCommitted) {
+      readers_of_[writer].push_back(op.txn);  // dirty read: cascade edge
+    }
+    if (++next_[op.txn] == txns_.txn(op.txn).size()) {
+      state_[op.txn] = kCommitted;
+      epochs_.NoteFinish(op.txn);
+    }
+  }
+
+  void Kill(TxnId txn) {
+    state_[txn] = kDead;
+    if (checker_.TxnHasExecuted(txn)) {
+      // Survivors fed after the victim's first operation.
+      const std::vector<std::size_t>& log = checker_.feed_log();
+      const std::size_t first = static_cast<std::size_t>(
+          std::find(log.begin(), log.end(), indexer_.TxnBegin(txn)) -
+          log.begin());
+      ASSERT_LT(first, log.size());
+      std::size_t expected = 0;
+      for (std::size_t k = first; k < log.size(); ++k) {
+        if (!indexer_.InTxn(txn, log[k])) ++expected;
+      }
+      if (first_fed_at_[txn] < last_truncation_at_) ++old_victims_;
+      const std::size_t replayed = checker_.replayed_ops();
+      checker_.RemoveTransactionExact(txn);
+      ++aborts_;
+      ASSERT_EQ(checker_.replayed_ops() - replayed, expected)
+          << "abort of T" << txn;
+      ASSERT_FALSE(checker_.TxnHasExecuted(txn));
+      ASSERT_EQ(checker_.StateDigest(), FreshDigest(txns_, spec_, checker_))
+          << "after aborting T" << txn;
+    }
+    std::vector<TxnId> readers;
+    readers.swap(readers_of_[txn]);
+    for (const TxnId reader : readers) {
+      if (state_[reader] != kLive) continue;
+      ++cascades_;
+      Kill(reader);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    epochs_.NoteFinish(txn);
+  }
+
+  void MaybeTruncate() {
+    if (epochs_.gc_generation() == gc_seen_) return;
+    gc_seen_ = epochs_.gc_generation();
+    const std::size_t retained = checker_.retained_ops();
+    const std::size_t replayed = checker_.replayed_ops();
+    const std::size_t dropped = checker_.Truncate(epochs_.settled_view());
+    ASSERT_EQ(checker_.replayed_ops(), replayed) << "Truncate re-admitted";
+    ASSERT_EQ(checker_.retained_ops() + dropped, retained);
+    for (const std::size_t gid : checker_.feed_log()) {
+      ASSERT_FALSE(epochs_.Settled(indexer_.TxnOf(gid)));
+    }
+    ASSERT_EQ(checker_.StateDigest(), FreshDigest(txns_, spec_, checker_))
+        << "after truncation " << truncations_;
+    if (dropped > 0) {
+      ++truncations_;
+      last_truncation_at_ = clock_;
+    }
+  }
+
+  const TransactionSet& txns_;
+  const AtomicitySpec& spec_;
+  const OpIndexer indexer_;
+  OnlineRsrChecker checker_;
+  EpochManager epochs_;
+  std::vector<std::uint8_t> state_;
+  std::vector<std::uint32_t> next_;
+  std::vector<std::vector<TxnId>> readers_of_;
+  std::vector<std::uint64_t> first_fed_at_;
+  std::vector<TxnId> deps_;
+  std::vector<std::size_t> gids_;
+  std::uint64_t gc_seen_ = 0;
+  std::uint64_t clock_ = 0;
+  std::uint64_t last_truncation_at_ = 0;
+  std::size_t aborts_ = 0;
+  std::size_t cascades_ = 0;
+  std::size_t truncations_ = 0;
+  std::size_t old_victims_ = 0;
+};
+
+TEST(RollbackDifferential, AbortsAndTruncationsMatchAFreshChecker) {
+  constexpr int kRounds = 400;
+  Rng base(0x5011BAC);
+  std::size_t aborts = 0;
+  std::size_t cascades = 0;
+  std::size_t truncations = 0;
+  std::size_t old_victims = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    Rng rng = base.Split(static_cast<std::uint64_t>(round));
+    WorkloadParams wp;
+    wp.txn_count = 12 + rng.UniformIndex(40);
+    wp.min_ops_per_txn = 1;
+    wp.max_ops_per_txn = 6;
+    wp.object_count = 6 + rng.UniformIndex(24);
+    wp.read_ratio = 0.6;
+    const TransactionSet txns = GenerateTransactions(wp, &rng);
+    const AtomicitySpec spec =
+        RandomSpec(txns, 0.2 + 0.6 * rng.UniformDouble(), &rng);
+    const auto gc_interval =
+        1 + static_cast<std::uint32_t>(rng.UniformIndex(4));
+    FeedRun run(txns, spec, gc_interval);
+    run.Go(2 + rng.UniformIndex(6), &rng);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "round " << round;
+    aborts += run.aborts();
+    cascades += run.cascades();
+    truncations += run.truncations();
+    old_victims += run.victims_before_truncation();
+  }
+  // The mix must actually exercise every path.
+  EXPECT_GT(aborts, 100u);
+  EXPECT_GT(cascades, 10u);
+  EXPECT_GT(truncations, 100u);
+  EXPECT_GT(old_victims, 10u);
+}
+
+}  // namespace
+}  // namespace relser
