@@ -1,12 +1,19 @@
 // Bounded multi-producer / single-consumer queue.
 //
 // The sharded admission front-end (src/shard/sharded_admitter.h) funnels
-// operation requests from N client threads into one admission core per
-// shard; this queue is that funnel. The ring is Dmitry Vyukov's bounded
+// the operation requests that find a shard busy from N client threads
+// into that shard's admission core; this queue is that funnel. The ring is Dmitry Vyukov's bounded
 // MPMC design — one atomic sequence stamp per cell, producers claim
 // cells with a CAS on the tail, the (single) consumer walks the head
-// without contention — restricted here to one consumer, which keeps
-// Dequeue a plain load/store pair on the claimed cell.
+// without contention — restricted here to one consumer at a time, which
+// keeps Dequeue a plain load/store pair on the claimed cell.
+//
+// "One consumer at a time", not "one consumer thread": the consumer role
+// may move between threads as long as the hand-over is ordered by a
+// lock (the admitter's per-shard ownership token). The head index is a
+// relaxed atomic for that reason — the lock orders its updates, and
+// WaitNonEmpty's peek may read it from a thread that does not hold the
+// lock (a stale head only makes the peek spuriously true).
 //
 // Blocking behavior: TryEnqueue/TryDequeue never block. Enqueue spins
 // with yields while the ring is full (bounded queues are the back-
@@ -84,24 +91,38 @@ class MpscQueue {
     }
   }
 
-  /// Single-consumer dequeue; false when the ring is empty.
+  /// Single-consumer dequeue; false when the ring is empty. Callers that
+  /// hand the consumer role between threads must serialize the calls.
   bool TryDequeue(T* out) {
-    Cell& cell = cells_[head_ & mask_];
+    const std::size_t head = head_.load(std::memory_order_relaxed);
+    Cell& cell = cells_[head & mask_];
     const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
     if (static_cast<std::ptrdiff_t>(seq) -
-            static_cast<std::ptrdiff_t>(head_ + 1) <
+            static_cast<std::ptrdiff_t>(head + 1) <
         0) {
       return false;  // empty (or the producer is mid-write)
     }
     *out = cell.value;
-    cell.sequence.store(head_ + mask_ + 1, std::memory_order_release);
-    ++head_;
+    cell.sequence.store(head + mask_ + 1, std::memory_order_release);
+    head_.store(head + 1, std::memory_order_relaxed);
     return true;
   }
 
-  /// Single-consumer park: returns true when an element is (probably)
-  /// ready, false on timeout. Spurious true is fine — callers loop on
-  /// TryDequeue.
+  /// True when the head cell is (probably) published. Safe from any
+  /// thread; spurious answers either way are possible while another
+  /// thread consumes.
+  bool Peek() const {
+    const std::size_t head = head_.load(std::memory_order_relaxed);
+    const Cell& cell = cells_[head & mask_];
+    const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
+    return static_cast<std::ptrdiff_t>(seq) -
+               static_cast<std::ptrdiff_t>(head + 1) >=
+           0;
+  }
+
+  /// Consumer park: returns true when an element is (probably) ready,
+  /// false on timeout. Spurious true is fine — callers loop on
+  /// TryDequeue. Only one thread may park at a time.
   bool WaitNonEmpty(std::chrono::microseconds timeout) {
     if (Peek()) return true;
     std::unique_lock<std::mutex> lock(doorbell_mu_);
@@ -125,15 +146,6 @@ class MpscQueue {
     T value{};
   };
 
-  /// True when the head cell is published (consumer-side snapshot).
-  bool Peek() const {
-    const Cell& cell = cells_[head_ & mask_];
-    const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
-    return static_cast<std::ptrdiff_t>(seq) -
-               static_cast<std::ptrdiff_t>(head_ + 1) >=
-           0;
-  }
-
   void RingDoorbell() {
     if (!consumer_waiting_.load(std::memory_order_seq_cst)) return;
     std::lock_guard<std::mutex> lock(doorbell_mu_);
@@ -143,7 +155,7 @@ class MpscQueue {
   std::vector<Cell> cells_;
   std::size_t mask_ = 0;
   std::atomic<std::size_t> tail_{0};  // producers
-  std::size_t head_ = 0;              // consumer-private
+  std::atomic<std::size_t> head_{0};  // the current consumer's
   std::atomic<bool> consumer_waiting_{false};
   std::mutex doorbell_mu_;
   std::condition_variable doorbell_;

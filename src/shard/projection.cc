@@ -43,11 +43,17 @@ ShardPlan::ShardPlan(const TransactionSet& txns, const AtomicitySpec& spec,
     // [orig(g), orig(g+1)) carries one — projected units are the
     // intersections of original units with the owned subsequence. The
     // first such gap is PushForward(orig(g)), the end of orig(g)'s unit.
+    // A transaction resident here in full projects to itself, so its row
+    // is copied word for word.
     slice.spec = AtomicitySpec(slice.txns);
     const auto txn_count = static_cast<TxnId>(txns.txn_count());
     for (TxnId i = 0; i < txn_count; ++i) {
       const std::vector<std::uint32_t>& back = slice.to_original[i];
       if (back.size() < 2) continue;
+      if (back.size() == txns.txn(i).size()) {
+        slice.spec.CopyRow(spec, i);
+        continue;
+      }
       for (TxnId j = 0; j < txn_count; ++j) {
         if (i == j) continue;
         for (std::uint32_t g = 0; g + 1 < back.size(); ++g) {

@@ -10,7 +10,7 @@ namespace relser {
 ShardedAdmitter::Core::Core(const ShardSlice& slice_in,
                             std::size_t object_count, std::size_t txn_count,
                             std::size_t queue_capacity,
-                            TraceLevel trace_level)
+                            std::size_t max_batch, TraceLevel trace_level)
     : queue(queue_capacity),
       slice(slice_in),
       checker(slice_in.txns, slice_in.spec),
@@ -21,7 +21,9 @@ ShardedAdmitter::Core::Core(const ShardSlice& slice_in,
       arc_neighbors(txn_count),
       tainted(txn_count, 0),
       local_dead(txn_count, 0),
-      seen(txn_count, 0) {}
+      seen(txn_count, 0) {
+  batch.reserve(max_batch);
+}
 
 ShardedAdmitter::ShardedAdmitter(const TransactionSet& txns,
                                  const AtomicitySpec& spec, ShardRouter router,
@@ -59,7 +61,7 @@ void ShardedAdmitter::BuildCores() {
   for (std::uint32_t shard = 0; shard < shard_count; ++shard) {
     cores_.push_back(std::make_unique<Core>(
         plan_->slice(shard), txns_.object_count(), txns_.txn_count(),
-        options_.queue_capacity, level));
+        options_.queue_capacity, options_.max_batch, level));
     cores_.back()->shard_id = shard;
     if (options_.tracer != nullptr) {
       cores_.back()->checker.set_tracer(&cores_.back()->tracer);
@@ -83,8 +85,44 @@ void ShardedAdmitter::BuildCores() {
 
 ShardedAdmitter::~ShardedAdmitter() { Stop(); }
 
+namespace {
+
+// The admitter whose controls this thread must settle before its next
+// SubmitAndWait or AbortTxn on it: set after a verdict that may have
+// posted kills to other shards (any terminal non-accept).
+thread_local const ShardedAdmitter* settle_owed = nullptr;
+
+}  // namespace
+
 AdmitResult ShardedAdmitter::SubmitAndWait(const Operation& op,
                                            std::chrono::microseconds timeout) {
+  SettleOwedControls();
+  const AdmitResult result = Submit(op, timeout);
+  if (result.outcome != AdmitOutcome::kAccept &&
+      result.outcome != AdmitOutcome::kRetry) {
+    settle_owed = this;
+  }
+  return result;
+}
+
+void ShardedAdmitter::SettleOwedControls() {
+  if (settle_owed != this) return;
+  settle_owed = nullptr;
+  std::shared_lock<std::shared_mutex> gate(swap_gate_);
+  while (controls_inflight_.load(std::memory_order_acquire) != 0) {
+    for (auto& core : cores_) {
+      // Taken even when nothing is posted: it waits out a step that has
+      // already drained this shard's controls and is still applying them.
+      std::lock_guard<std::mutex> token(core->token);
+      if (core->controls_posted.load(std::memory_order_acquire)) {
+        core->inline_decisions += Step(*core, nullptr);
+      }
+    }
+  }
+}
+
+AdmitResult ShardedAdmitter::Submit(const Operation& op,
+                                    std::chrono::microseconds timeout) {
   const std::size_t gid = indexer_.GlobalId(op);
   // Snapshot-read fast path: a settled read-only transaction commits
   // here, on the client thread, without touching any shard ring. The
@@ -139,9 +177,9 @@ AdmitResult ShardedAdmitter::SubmitAndWait(const Operation& op,
     }
   }
   {
-    // Routing + enqueue run under the swap gate (shared side): the
-    // reshard swapper holds it unique while it replaces plan_/cores_.
-    // The gate is never held across a wait.
+    // Routing + the inline step or the enqueue run under the swap gate
+    // (shared side): the reshard swapper holds it unique while it
+    // replaces plan_/cores_. The gate is never held across a wait.
     std::shared_lock<std::shared_mutex> gate(swap_gate_);
     if (txn_open_[op.txn].load(std::memory_order_relaxed) == 0) {
       if (reshard_pending_.load(std::memory_order_acquire)) {
@@ -156,10 +194,16 @@ AdmitResult ShardedAdmitter::SubmitAndWait(const Operation& op,
       txn_open_[op.txn].store(1, std::memory_order_relaxed);
       open_txns_.fetch_add(1, std::memory_order_acq_rel);
     }
-    const std::uint32_t shard = plan_->router().ShardOf(op.object);
+    Core& core = *cores_[plan_->router().ShardOf(op.object)];
     pending_[op.txn].fetch_add(1, std::memory_order_relaxed);
     submitted_.fetch_add(1, std::memory_order_relaxed);
-    if (!cores_[shard]->queue.TryEnqueue(Request{op, RequestKind::kOp})) {
+    // Caller-runs: an idle shard decides the operation right here, with
+    // no ring, doorbell or condition-variable round trip.
+    if (TryStepInline(core, &op)) {
+      const std::uint8_t word = decision_[gid].load(std::memory_order_acquire);
+      return AdmitResult{static_cast<AdmitOutcome>(word - 1), {}, op.txn};
+    }
+    if (!core.queue.TryEnqueue(Request{op, RequestKind::kOp})) {
       pending_[op.txn].fetch_sub(1, std::memory_order_relaxed);
       submitted_.fetch_sub(1, std::memory_order_relaxed);
       retry_count_.fetch_add(1, std::memory_order_relaxed);
@@ -182,8 +226,9 @@ AdmitResult ShardedAdmitter::SubmitAndWait(const Operation& op,
       // any swap could start, and an open transaction blocks the swap,
       // so the plan here is the one that routed it.
       std::shared_lock<std::shared_mutex> gate(swap_gate_);
-      PostControl(plan_->router().ShardOf(op.object), op.txn,
-                  RequestKind::kTimeoutAbort);
+      const std::uint32_t shard = plan_->router().ShardOf(op.object);
+      PostControl(shard, op.txn, RequestKind::kTimeoutAbort);
+      TryStepInline(*cores_[shard], nullptr);
       return AdmitResult::Timeout(op.txn);
     }
   }
@@ -204,6 +249,8 @@ AdmitResult ShardedAdmitter::SubmitWithBackoff(
 }
 
 AdmitResult ShardedAdmitter::AbortTxn(TxnId txn) {
+  SettleOwedControls();
+  settle_owed = this;
   const std::uint8_t state = TxnState(txn);
   if (state == kStateCommitted) return AdmitResult::Reject(txn);
   if (state >= kStateDead) {
@@ -211,8 +258,9 @@ AdmitResult ShardedAdmitter::AbortTxn(TxnId txn) {
   }
   {
     std::shared_lock<std::shared_mutex> gate(swap_gate_);
-    PostControl(plan_->spans().ShardsOf(txn).front(), txn,
-                RequestKind::kAbort);
+    const std::uint32_t shard = plan_->spans().ShardsOf(txn).front();
+    PostControl(shard, txn, RequestKind::kAbort);
+    TryStepInline(*cores_[shard], nullptr);
   }
   std::unique_lock<std::mutex> lock(decide_mu_);
   decided_cv_.wait(lock, [&] { return TxnState(txn) != kStateLive; });
@@ -227,12 +275,14 @@ AdmitResult ShardedAdmitter::AbortTxn(TxnId txn) {
 void ShardedAdmitter::PostControl(std::uint32_t shard, TxnId txn,
                                   RequestKind kind) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
+  controls_inflight_.fetch_add(1, std::memory_order_relaxed);
   Request request;
   request.op.txn = txn;
   request.kind = kind;
   Core& core = *cores_[shard];
   std::lock_guard<std::mutex> lock(core.control_mu);
   core.controls.push_back(request);
+  core.controls_posted.store(true, std::memory_order_release);
 }
 
 std::optional<AdmitOutcome> ShardedAdmitter::OpOutcome(
@@ -376,63 +426,91 @@ ShardedAdmitter::ShardStats ShardedAdmitter::shard_stats(
   stats.escalations = core.escalations;
   stats.accepted = core.accepts_total;
   stats.rejected = core.ops_routed - stats.accepted;
+  stats.inline_decisions = core.inline_decisions;
   return stats;
 }
 
 void ShardedAdmitter::CoreLoop(std::uint32_t shard) {
   Core& core = *cores_[shard];
-  Tracer* const tracer = &core.tracer;
-  std::vector<Request> batch;
-  std::vector<Request> controls;
-  batch.reserve(options_.max_batch);
   for (;;) {
-    // Controls (kills, aborts, timeouts) ride an unbounded side channel
-    // so cores never spin on each other's bounded rings (a pair of full
-    // rings would otherwise deadlock two cascading cores).
-    controls.clear();
-    {
-      std::lock_guard<std::mutex> lock(core.control_mu);
-      controls.swap(core.controls);
-    }
-    for (const Request& request : controls) {
-      ProcessControl(core, request);
-      ++core.core_steps;
-    }
-    batch.clear();
-    Request request;
-    while (batch.size() < options_.max_batch &&
-           core.queue.TryDequeue(&request)) {
-      batch.push_back(request);
-    }
-    if (controls.empty() && batch.empty()) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      MaybeGcCore(core);
-      core.queue.WaitNonEmpty(std::chrono::microseconds(500));
+    if (core.queue.Peek() ||
+        core.controls_posted.load(std::memory_order_acquire)) {
+      // Block, never try: while a submitter runs a step, the ring can
+      // stay non-empty, and a try-lock here would spin on it.
+      std::lock_guard<std::mutex> token(core.token);
+      Step(core, nullptr);
       continue;
     }
-    if (tracer->counting() && !batch.empty()) {
-      tracer->NoteQueueDepth(batch.size());
+    if (stop_.load(std::memory_order_acquire)) return;
+    {
+      // Idle GC tick; a busy shard's holder runs MaybeGcCore itself.
+      std::unique_lock<std::mutex> token(core.token, std::try_to_lock);
+      if (token.owns_lock()) MaybeGcCore(core);
     }
-    std::size_t ops_in_batch = 0;
-    for (const Request& queued : batch) {
-      Decide(core, queued.op);
-      ++ops_in_batch;
-      ++core.core_steps;
-      if (options_.faults != nullptr) {
-        const std::uint32_t pause_us =
-            options_.faults->CorePauseUs(core.core_steps);
-        if (pause_us > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(pause_us));
-        }
+    core.queue.WaitNonEmpty(std::chrono::microseconds(500));
+  }
+}
+
+std::size_t ShardedAdmitter::Step(Core& core, const Operation* own) {
+  Tracer* const tracer = &core.tracer;
+  core.batch.clear();
+  Request request;
+  while (core.batch.size() < options_.max_batch &&
+         core.queue.TryDequeue(&request)) {
+    core.batch.push_back(request);
+  }
+  // Controls (kills, aborts, timeouts) ride an unbounded side channel
+  // so cores never spin on each other's bounded rings (a pair of full
+  // rings would otherwise deadlock two cascading cores). They drain
+  // after the ring, so every control posted before an operation was
+  // submitted is applied before that operation is decided.
+  core.control_batch.clear();
+  if (core.controls_posted.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(core.control_mu);
+    core.control_batch.swap(core.controls);
+    core.controls_posted.store(false, std::memory_order_relaxed);
+  }
+  for (const Request& control : core.control_batch) {
+    ProcessControl(core, control);
+    ++core.core_steps;
+  }
+  if (!core.control_batch.empty()) {
+    // After the processing: the kills it cascaded were counted first.
+    controls_inflight_.fetch_sub(core.control_batch.size(),
+                                 std::memory_order_release);
+  }
+  // The step's own operation counts toward the drain it rides in.
+  const std::size_t ops = core.batch.size() + (own != nullptr ? 1 : 0);
+  if (tracer->counting() && ops > 0) tracer->NoteQueueDepth(ops);
+  const auto decide = [&](const Operation& op) {
+    Decide(core, op);
+    ++core.core_steps;
+    if (options_.faults != nullptr) {
+      const std::uint32_t pause_us =
+          options_.faults->CorePauseUs(core.core_steps);
+      if (pause_us > 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(pause_us));
       }
     }
-    if (tracer->counting() && ops_in_batch > 0) tracer->NoteBatch(ops_in_batch);
-    MaybeGcCore(core);
-    decided_.fetch_add(controls.size() + batch.size(),
-                       std::memory_order_release);
+  };
+  for (const Request& queued : core.batch) decide(queued.op);
+  if (own != nullptr) decide(*own);
+  if (tracer->counting() && ops > 0) tracer->NoteBatch(ops);
+  MaybeGcCore(core);
+  const std::size_t decided = core.control_batch.size() + ops;
+  if (decided > 0) {
+    decided_.fetch_add(decided, std::memory_order_release);
     { std::lock_guard<std::mutex> lock(decide_mu_); }
     decided_cv_.notify_all();
   }
+  return decided;
+}
+
+bool ShardedAdmitter::TryStepInline(Core& core, const Operation* own) {
+  std::unique_lock<std::mutex> token(core.token, std::try_to_lock);
+  if (!token.owns_lock()) return false;
+  core.inline_decisions += Step(core, own);
+  return true;
 }
 
 void ShardedAdmitter::ProcessControl(Core& core, const Request& request) {
@@ -496,10 +574,12 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
   if (!result.ok()) {
     // Shard-local certification rejection. Projected arcs map to global
     // RSG paths (shard/projection.h), so this is never spurious: the
-    // transaction dies exactly as under the single checker.
-    Publish(gid, txn, AdmitOutcome::kReject);
+    // transaction dies exactly as under the single checker. The verdict
+    // is published only after the kill is posted everywhere, so the
+    // client's next operation cannot overtake it on another shard.
     if (tracer->counting()) tracer->RecordReject(op, core.core_steps, 0);
     GlobalKill(core, txn, AdmitOutcome::kAborted, /*cascade=*/false);
+    Publish(gid, txn, AdmitOutcome::kReject);
     return;
   }
 
@@ -539,8 +619,7 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
         // Cross-shard conflict: the mirrored batch would close a
         // transaction-level cycle. Withdraw the local accept by killing
         // the transaction — the same all-or-nothing semantics a local
-        // rejection has.
-        Publish(gid, txn, AdmitOutcome::kReject);
+        // rejection has (and the same publish-after-kill order).
         if (tracer->counting()) {
           TraceCause cause;
           cause.kind = TraceCauseKind::kConflictArc;
@@ -550,15 +629,16 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
           tracer->RecordReject(op, core.core_steps, 0);
         }
         GlobalKill(core, txn, AdmitOutcome::kAborted, /*cascade=*/false);
+        Publish(gid, txn, AdmitOutcome::kReject);
       } else {  // kDead: another shard killed this transaction mid-flight
         const std::uint8_t dead_state = TxnState(txn);
         const AdmitOutcome outcome =
             dead_state >= kStateDead
                 ? static_cast<AdmitOutcome>(dead_state - kStateDead)
                 : AdmitOutcome::kAborted;
-        Publish(gid, txn, outcome);
         if (tracer->counting()) tracer->RecordReject(op, core.core_steps, 0);
         if (!core.local_dead[txn]) KillLocal(core, txn);
+        Publish(gid, txn, outcome);
       }
       return;
     }
@@ -911,7 +991,8 @@ void ShardedAdmitter::InstallRouter(ShardRouter router) {
   // transaction registration (kRetry), so the open set only shrinks;
   // started transactions run to a terminal state (their clients keep
   // feeding under the blocking contract). The unique gate then excludes
-  // the instant between a client's registration check and its enqueue.
+  // the instant between a client's registration check and its inline
+  // step or enqueue.
   std::unique_lock<std::shared_mutex> gate(swap_gate_, std::defer_lock);
   const auto quiescent = [&] {
     return open_txns_.load(std::memory_order_acquire) == 0 &&

@@ -3,15 +3,23 @@
 // sub-schedule, glued by a transaction-level CrossShardCoordinator.
 //
 // Certification mutates a relative serialization graph, so each shard
-// core is a single thread fed by a bounded MPSC ring
-// (exec/mpsc_queue.h): clients enqueue, the core drains in batches,
-// publishes one decision word per operation and wakes waiters once per
-// batch. Partitioning the object space (shard/router.h) spreads that
+// core has one writer at a time: whoever holds the core's ownership
+// token (a mutex). A submitter that finds the token free takes it and
+// decides its own operation on its own thread (caller-runs, i.e. flat
+// combining: Hendler, Incze, Shavit, Tzafrir, SPAA 2010) — first
+// draining any requests other clients queued, so no thread hand-off
+// sits on the uncontended path. A submitter that finds the token taken
+// falls back to the shard's bounded MPSC ring (exec/mpsc_queue.h) and
+// waits; the shard's core thread, the fallback consumer, blocks on the
+// token, drains the ring in batches, publishes one decision word per
+// operation and wakes waiters once per batch. Every holder runs the
+// same step body (Step), so a decision does not depend on which thread
+// took it. Partitioning the object space (shard/router.h) spreads that
 // work over cores: conflicts are per-object, so every direct conflict
-// is resident on exactly one shard, and each shard core certifies its
-// own projected sub-schedule (shard/projection.h) with a private
-// checker — no locks on the admission hot path. Global relative
-// serializability is recovered as
+// is resident on exactly one shard, and each shard certifies its own
+// projected sub-schedule (shard/projection.h) with a private checker —
+// one uncontended lock per decision, no cross-shard locks. Global
+// relative serializability is recovered as
 //
 //     (every shard-local projected RSG acyclic)
 //   ∧ (coordinator transaction-level graph acyclic)
@@ -91,11 +99,12 @@ struct ShardedAdmitterOptions {
   std::size_t queue_capacity = 1024;  ///< per-shard MPSC ring size
   std::size_t max_batch = 64;         ///< max operations per drain batch
   /// Observability sink. Each shard core and the coordinator record
-  /// into private tracers (single-writer preserved); Stop merges them
-  /// all into this one.
+  /// into private tracers (a core's tracer is written only by the
+  /// holder of its token); Stop merges them all into this one.
   Tracer* tracer = nullptr;
   /// Deterministic per-core pause schedule (exec/faultplan.h), keyed by
-  /// each shard core's own decision count. Must outlive the admitter.
+  /// each shard core's own decision count; a pause runs on whichever
+  /// thread holds the core's token. Must outlive the admitter.
   const FaultPlan* faults = nullptr;
   /// MVCC snapshot-read fast path (core/mvcc/version_store.h): when on,
   /// read-only transactions whose read set is settled (every static
@@ -144,13 +153,20 @@ class ShardedAdmitter {
   ShardedAdmitter(const ShardedAdmitter&) = delete;
   ShardedAdmitter& operator=(const ShardedAdmitter&) = delete;
 
-  /// Routes `op` to the shard owning its object and blocks until that
-  /// shard's core decides it. Outcomes: kAccept / kReject (this op
-  /// failed certification; the transaction is being aborted) / a death
-  /// outcome (kAborted, kTimeout: the transaction died before this op
-  /// was decided) / kRetry (ring full, nothing enqueued) / kTimeout (the
-  /// deadline expired first; a timeout-abort was scheduled and the
-  /// transaction is doomed). timeout zero waits forever.
+  /// Routes `op` to the shard owning its object and returns its
+  /// decision. When the shard's token is free the calling thread decides
+  /// the operation itself; otherwise it enqueues the operation and
+  /// blocks until the token holder decides it. Outcomes: kAccept /
+  /// kReject (this op failed certification; the transaction was
+  /// aborted) / a death outcome (kAborted, kTimeout: the transaction
+  /// died before this op was decided) / kRetry (ring full, nothing
+  /// enqueued) / kTimeout (the deadline expired first; a timeout-abort
+  /// was scheduled and the transaction is doomed). The deadline bounds
+  /// waiting only: an operation decided on the calling thread is never
+  /// answered kTimeout. timeout zero waits forever. After any other
+  /// non-accept verdict the thread's next call first applies every kill
+  /// still in flight, so one client's decisions do not depend on which
+  /// threads ran them.
   AdmitResult SubmitAndWait(
       const Operation& op,
       std::chrono::microseconds timeout = std::chrono::microseconds::zero());
@@ -258,9 +274,10 @@ class ShardedAdmitter {
   /// The version store backing the fast path; nullptr when off.
   const VersionStore* version_store() const { return store_.get(); }
 
-  /// Race-free live-state high-water marks, sampled by the core threads
-  /// at every GC tick just BEFORE truncation — i.e. at local maxima of
-  /// retained state — so readers never race core-private structures.
+  /// Race-free live-state high-water marks, sampled by each core's
+  /// token holder at every GC tick just BEFORE truncation — i.e. at
+  /// local maxima of retained state — so readers never race
+  /// core-private structures.
   /// Per-core gauges (pool rows, feed entries, memos, accept-log) take
   /// the max over cores; shared gauges (coordinator arcs, versions, dep
   /// arcs) are instantaneous retained counts. All zeros until the first
@@ -283,6 +300,10 @@ class ShardedAdmitter {
     std::size_t rejected = 0;       ///< non-accept decisions published
     std::size_t fast_path = 0;      ///< TryAppendIsolated accepts
     std::uint64_t escalations = 0;  ///< txns taint-flooded to coordinator
+    /// Operations and controls decided off this shard's core thread: by
+    /// a submitter that found the token free, or by a client settling
+    /// posted controls before its next call.
+    std::size_t inline_decisions = 0;
   };
   ShardStats shard_stats(std::uint32_t shard) const;
 
@@ -308,17 +329,29 @@ class ShardedAdmitter {
 
   static constexpr TxnId kNoTxn = ~static_cast<TxnId>(0);
 
-  /// One shard core: ring, control channel, projected checker, conflict
-  /// bookkeeping, taint state, private tracer. Owned via unique_ptr so
-  /// addresses stay stable for the core threads.
+  /// One shard core: ownership token, ring, control channel, projected
+  /// checker, conflict bookkeeping, taint state, private tracer. Owned
+  /// via unique_ptr so addresses stay stable for the core threads.
   struct Core {
     Core(const ShardSlice& slice, std::size_t object_count,
          std::size_t txn_count, std::size_t queue_capacity,
-         TraceLevel trace_level);
+         std::size_t max_batch, TraceLevel trace_level);
 
+    // Ownership token. Its holder is the ring's only consumer and the
+    // only writer of everything below `controls_posted`; the mutex's
+    // hand-over orders one holder's writes before the next one's reads.
+    std::mutex token;
     MpscQueue<Request> queue;
     std::mutex control_mu;
     std::vector<Request> controls;  // unbounded cross-core channel
+    // Set under control_mu when `controls` becomes non-empty, so Step
+    // and the idle core thread skip the lock when nothing was posted.
+    std::atomic<bool> controls_posted{false};
+
+    // Step scratch (token holder only), reused so steady-state
+    // submission does not allocate.
+    std::vector<Request> control_batch;
+    std::vector<Request> batch;
 
     const ShardSlice& slice;
     OnlineRsrChecker checker;  // over slice.txns / slice.spec
@@ -360,6 +393,7 @@ class ShardedAdmitter {
     std::size_t fast_path = 0;
     std::size_t accepts_total = 0;  // survives GC (accept_log shrinks)
     std::uint64_t escalations = 0;
+    std::size_t inline_decisions = 0;
 
     std::thread thread;
   };
@@ -367,12 +401,36 @@ class ShardedAdmitter {
   /// Builds one core per shard of the current plan, applies born-taint,
   /// and starts the core threads (constructor + InstallRouter).
   void BuildCores();
-  /// GC tick (this core's thread only): when the settled set advanced,
+  /// GC tick (token holder only): when the settled set advanced,
   /// archive/drop settled accept-log entries, truncate the checker and
   /// scrub settled bookkeeping; the generation's claim winner also
   /// collects coordinator arcs and prunes version chains.
   void MaybeGcCore(Core& core);
+  /// The core thread: the fallback consumer and idle GC ticker. Blocks
+  /// on the token whenever the ring or the control channel has work.
   void CoreLoop(std::uint32_t shard);
+  /// One step of `core` (token held): drains up to max_batch ring
+  /// requests, then the control channel; applies the controls, decides
+  /// the ring requests and then `own` (when given), with FaultPlan
+  /// pauses per decision; runs MaybeGcCore; publishes decided_ and
+  /// wakes waiters. Returns the number of operations and controls
+  /// decided.
+  std::size_t Step(Core& core, const Operation* own);
+  /// Caller-runs: when `core`'s token is free, takes it and runs Step on
+  /// the calling thread (deciding `own` when given); false when another
+  /// thread holds it. Call under swap_gate_ (shared).
+  bool TryStepInline(Core& core, const Operation* own);
+  /// SubmitAndWait's body: the snapshot fast path, then the inline step
+  /// or the ring and the wait.
+  AdmitResult Submit(const Operation& op, std::chrono::microseconds timeout);
+  /// When this thread's last verdict from this admitter was a terminal
+  /// non-accept (or an AbortTxn), applies every posted control before
+  /// its next call: takes each shard's token in turn (blocking, one at a
+  /// time), stepping the shards with controls posted, until none is in
+  /// flight. A kill that verdict posted to other shards, and the
+  /// cascades it started there, so land before the client's next
+  /// operation is classified or decided, whichever threads run them.
+  void SettleOwedControls();
   void Decide(Core& core, const Operation& op);
   void ProcessControl(Core& core, const Request& request);
   /// CASes `root` dead with `outcome`; on winning, drops its
@@ -426,7 +484,8 @@ class ShardedAdmitter {
   std::atomic<std::uint64_t> hw_dep_arcs_{0};
 
   // InstallRouter machinery. Clients take swap_gate_ shared around
-  // registration + routing + enqueue (never around waits); the swapper
+  // registration + routing + the inline step or enqueue, and around
+  // SettleOwedControls (never around waits); the swapper
   // takes it unique while it rebuilds plan_ and cores_. txn_open_ is
   // the registration flag (CAS 0 -> 1 under the shared gate; a pending
   // swap refuses new registrations with kRetry), open_txns_ counts
@@ -454,6 +513,10 @@ class ShardedAdmitter {
   std::atomic<std::size_t> rejected_{0};
   std::atomic<std::uint64_t> retry_count_{0};
   std::atomic<std::uint64_t> unrecoverable_reads_{0};
+
+  // Controls posted and not yet fully applied: a step subtracts the
+  // ones it drained after processing them (and counting their cascades).
+  std::atomic<std::size_t> controls_inflight_{0};
 
   std::mutex decide_mu_;
   std::condition_variable decided_cv_;

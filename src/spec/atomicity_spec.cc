@@ -53,6 +53,14 @@ void AtomicitySpec::RelaxFully(TxnId i, TxnId j) {
   if (tail != 0) words[stride - 1] = (std::uint64_t{1} << tail) - 1;
 }
 
+void AtomicitySpec::CopyRow(const AtomicitySpec& other, TxnId i) {
+  RELSER_CHECK(other.txn_count() == txn_count());
+  RELSER_CHECK(other.txn_sizes_[i] == txn_sizes_[i]);
+  // Equal sizes give equal strides, so row i has the same length in both.
+  std::copy_n(other.words_.data() + other.base_[i],
+              txn_count() * stride_[i], words_.data() + base_[i]);
+}
+
 std::size_t AtomicitySpec::UnitCount(TxnId i, TxnId j) const {
   RELSER_CHECK(i != j);
   const std::uint64_t* words = words_.data() + PairBase(i, j);

@@ -76,6 +76,10 @@ class AtomicitySpec {
   /// anywhere in Ti).
   void RelaxFully(TxnId i, TxnId j);
 
+  /// Copies every Atomicity(Ti, Tj), j != i, from `other` word for word.
+  /// Requires the same transaction count and the same |Ti| in both.
+  void CopyRow(const AtomicitySpec& other, TxnId i);
+
   /// Number of atomic units in Atomicity(Ti, Tj) (breakpoints + 1).
   std::size_t UnitCount(TxnId i, TxnId j) const;
 

@@ -1,13 +1,17 @@
 // Tests for the execution substrate (src/exec/): thread-pool lifecycle
 // and churn, ParallelFor coverage, bounded MPSC queue ordering under a
-// producer storm, and the hard determinism contract of the parallel
+// producer storm (with one consumer thread, and with the consumer role
+// handed between two threads under a mutex), and the hard determinism
+// contract of the parallel
 // analysis sweeps (census and brute-force results bit-identical to
 // serial for every pool size).
 //
 // gtest assertions are not thread-safe, so worker threads only fill
 // pre-sized slots or touch atomics; the main thread does the asserting.
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -135,6 +139,64 @@ TEST(MpscQueueTest, ProducerStormPreservesPerProducerOrder) {
   for (std::uint64_t p = 0; p < kProducers; ++p) {
     EXPECT_EQ(next[p], kPerProducer) << "producer " << p;
   }
+}
+
+TEST(MpscQueueTest, ConsumerHandedBetweenThreadsUnderAMutex) {
+  // The sharded admitter's shape: the consumer role belongs to whoever
+  // holds a mutex (its ownership token), and one of the two consumers
+  // also parks in WaitNonEmpty without holding it. Per-producer FIFO
+  // must survive every hand-over, and every item arrives exactly once.
+  constexpr std::uint64_t kProducers = 8;
+  constexpr std::uint64_t kPerProducer = 2'000;
+  constexpr std::uint64_t kTotal = kProducers * kPerProducer;
+  MpscQueue<std::uint64_t> queue(16);
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (std::uint64_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&queue, p] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        queue.Enqueue(p << 32 | i);
+      }
+    });
+  }
+  std::mutex token;
+  std::vector<std::uint64_t> next(kProducers, 0);  // guarded by token
+  std::uint64_t consumed = 0;                      // guarded by token
+  std::uint64_t order_violations = 0;              // guarded by token
+  std::uint64_t by_consumer[2] = {0, 0};           // guarded by token
+  const auto consume = [&](int id, bool parks) {
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(token);
+        if (consumed == kTotal) return;
+        std::uint64_t item = 0;
+        for (int k = 0; k < 4 && queue.TryDequeue(&item); ++k) {
+          const std::uint64_t p = item >> 32;
+          const std::uint64_t seq = item & 0xffffffffu;
+          if (seq != next[p]) ++order_violations;
+          next[p] = seq + 1;
+          ++consumed;
+          ++by_consumer[id];
+        }
+      }
+      if (parks) {
+        queue.WaitNonEmpty(std::chrono::microseconds(100));
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  };
+  std::thread parked([&] { consume(0, true); });
+  consume(1, false);
+  parked.join();
+  for (std::thread& producer : producers) producer.join();
+  EXPECT_EQ(order_violations, 0u);
+  EXPECT_EQ(consumed, kTotal);
+  for (std::uint64_t p = 0; p < kProducers; ++p) {
+    EXPECT_EQ(next[p], kPerProducer) << "producer " << p;
+  }
+  EXPECT_GT(by_consumer[0], 0u);
+  EXPECT_GT(by_consumer[1], 0u);
 }
 
 TEST(DeterminismTest, CensusBitIdenticalAcrossPoolSizes) {

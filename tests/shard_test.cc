@@ -5,7 +5,11 @@
 // reject and abort-cascade scenarios on the ShardedAdmitter, fault-plan
 // driven backpressure/timeouts, and the single-shard gate: one shard
 // decides exactly as a serial model of the abort-and-cascade policy,
-// with and without the TryAppendIsolated fast path.
+// with and without the TryAppendIsolated fast path. Caller-runs
+// admission (a submitter deciding on its own thread under the shard's
+// token) is checked for repeatable single-client decisions and, under
+// TSan in ci.sh, for a contended client fleet that mixes it with the
+// ring fallback.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -183,6 +187,52 @@ TEST(ShardProjectionTest, SlicesMatchManualSubsequenceAndSpecWindows) {
       }
     }
   }
+}
+
+// The projected spec, whichever way ShardPlan builds a row (word copy
+// for a transaction resident in full, per-gap projection for a split
+// one), equals the per-gap PushForward definition.
+TEST(ShardProjectionTest, ProjectedSpecEqualsPerGapPushForwardDefinition) {
+  Rng rng(0xC09F);
+  std::size_t resident_rows = 0;
+  std::size_t split_rows = 0;
+  for (int round = 0; round < 40; ++round) {
+    ShardedWorkloadParams wp;
+    wp.txn_count = 2 + rng.UniformIndex(10);
+    wp.min_ops_per_txn = 1;
+    wp.max_ops_per_txn = 1 + rng.UniformIndex(80);  // up to two words
+    wp.shard_count = 1 + rng.UniformIndex(3);
+    wp.objects_per_shard = 2 + rng.UniformIndex(4);
+    wp.cross_shard_ratio = rng.UniformDouble() * 0.3;
+    const TransactionSet txns = GenerateShardedTransactions(wp, &rng);
+    const AtomicitySpec spec = RandomSpec(txns, rng.UniformDouble(), &rng);
+    const ShardPlan plan(txns, spec,
+                         ShardRouter(txns.object_count(),
+                                     static_cast<std::size_t>(wp.shard_count),
+                                     rng.Bernoulli(0.5) ? ShardStrategy::kRange
+                                                        : ShardStrategy::kHash));
+    for (std::uint32_t shard = 0; shard < plan.shard_count(); ++shard) {
+      const ShardSlice& slice = plan.slice(shard);
+      AtomicitySpec expected(slice.txns);
+      for (TxnId i = 0; i < txns.txn_count(); ++i) {
+        const std::vector<std::uint32_t>& back = slice.to_original[i];
+        if (back.size() < 2) continue;
+        ++(back.size() == txns.txn(i).size() ? resident_rows : split_rows);
+        for (TxnId j = 0; j < txns.txn_count(); ++j) {
+          if (i == j) continue;
+          for (std::uint32_t g = 0; g + 1 < back.size(); ++g) {
+            if (spec.PushForward(i, j, back[g]) < back[g + 1]) {
+              expected.SetBreakpoint(i, j, g);
+            }
+          }
+        }
+      }
+      EXPECT_TRUE(slice.spec == expected)
+          << "round " << round << " shard " << shard;
+    }
+  }
+  EXPECT_GT(resident_rows, 50u);
+  EXPECT_GT(split_rows, 50u);
 }
 
 TEST(ShardProjectionTest, MultiWordUnitsProjectToTheirOwnedEnds) {
@@ -735,6 +785,177 @@ TEST(ShardedAdmitterTest, SingleShardIsDecisionIdenticalToSerialReference) {
     // Single shard: nothing ever escalates to the coordinator.
     EXPECT_EQ(sharded.coordinator().arcs_mirrored(), 0u) << "round " << round;
     EXPECT_EQ(sharded.shard_stats(0).escalations, 0u) << "round " << round;
+  }
+}
+
+// One client over two shards with snapshot reads and epoch GC, fed a
+// fixed pseudo-random window of open transactions. A rejection is
+// published only after its kill is posted to (and applied on) the other
+// shard, and snapshot settledness reads the kill's NoteAbort, so the
+// decision sequence is a function of the feed alone.
+struct WindowedRun {
+  std::vector<AdmitOutcome> outcomes;
+  std::vector<std::size_t> committed_gids;
+  std::uint64_t snapshot_admits = 0;
+  std::uint64_t multi_shard_kills = 0;
+};
+
+WindowedRun FeedTwoShardSnapshotWindow(const TransactionSet& txns,
+                                       const AtomicitySpec& spec,
+                                       std::uint64_t seed) {
+  ShardedAdmitterOptions options;
+  options.snapshot_reads = true;
+  options.epoch_gc = true;
+  options.gc_interval = 8;
+  ShardedAdmitter admitter(
+      txns, spec, ShardRouter(txns.object_count(), 2, ShardStrategy::kRange),
+      options);
+  const TxnSpans spans(txns, admitter.plan().router());
+  WindowedRun run;
+  Rng rng(seed);
+  constexpr std::size_t kWindow = 8;
+  std::vector<TxnId> open;
+  std::vector<std::uint32_t> next(txns.txn_count(), 0);
+  TxnId next_txn = 0;
+  for (;;) {
+    while (open.size() < kWindow && next_txn < txns.txn_count()) {
+      open.push_back(next_txn++);
+    }
+    if (open.empty()) break;
+    const std::size_t k = rng.UniformIndex(open.size());
+    const TxnId t = open[k];
+    const AdmitResult result = admitter.SubmitAndWait(txns.txn(t).op(next[t]));
+    run.outcomes.push_back(result.outcome);
+    if (!result.ok() || ++next[t] == txns.txn(t).size()) {
+      open[k] = open.back();
+      open.pop_back();
+    }
+  }
+  admitter.Stop();
+  for (TxnId t = 0; t < txns.txn_count(); ++t) {
+    if (!admitter.TxnCommitted(t) && spans.MultiShard(t) && next[t] > 0) {
+      ++run.multi_shard_kills;
+    }
+  }
+  const OpIndexer indexer(txns);
+  for (const Operation& op : admitter.CommittedLog()) {
+    run.committed_gids.push_back(indexer.GlobalId(op));
+  }
+  run.snapshot_admits = admitter.snapshot_admits();
+  return run;
+}
+
+TEST(ShardedAdmitterTest, TwoShardSnapshotSingleClientIsRepeatable) {
+  Rng rng(0x2E9E);
+  ShardedWorkloadParams wp;
+  wp.txn_count = 160;
+  wp.min_ops_per_txn = 3;
+  wp.max_ops_per_txn = 8;
+  wp.shard_count = 2;
+  wp.objects_per_shard = 24;  // dense: rejections, kills and cascades
+  wp.cross_shard_ratio = 0.2;
+  wp.zipf_theta = 0.8;
+  wp.read_ratio = 0.6;
+  wp.read_only_txn_ratio = 0.5;
+  const TransactionSet txns = GenerateShardedTransactions(wp, &rng);
+  const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+  const WindowedRun first = FeedTwoShardSnapshotWindow(txns, spec, 0x2E9F);
+  EXPECT_GT(first.snapshot_admits, 0u);
+  EXPECT_GT(first.multi_shard_kills, 0u) << "no cross-shard kill to race";
+  for (int repeat = 1; repeat < 20; ++repeat) {
+    const WindowedRun again = FeedTwoShardSnapshotWindow(txns, spec, 0x2E9F);
+    ASSERT_EQ(again.outcomes, first.outcomes) << "repeat " << repeat;
+    ASSERT_EQ(again.committed_gids, first.committed_gids)
+        << "repeat " << repeat;
+    ASSERT_EQ(again.snapshot_admits, first.snapshot_admits)
+        << "repeat " << repeat;
+  }
+}
+
+// Eight clients on two shards with two-slot rings and one-request
+// batches: submitters race each other and the core threads for the
+// ownership tokens, so operations are decided both inline and through
+// the ring, interleaved with client aborts, deadline timeouts and
+// cross-shard kills. Short fault-plan pauses keep holders on the token
+// long enough for the others to fall back to the ring. Every submitted operation is decided exactly once,
+// and the committed history replays relatively serializably.
+TEST(ShardedAdmitterTest, CallerRunsUnderContentionDecidesEveryOpOnce) {
+  Rng rng(0xC0A7);
+  ShardedWorkloadParams wp;
+  wp.txn_count = 200;
+  wp.min_ops_per_txn = 2;
+  wp.max_ops_per_txn = 6;
+  wp.shard_count = 2;
+  wp.objects_per_shard = 12;
+  wp.cross_shard_ratio = 0.3;
+  wp.zipf_theta = 0.5;
+  const TransactionSet txns = GenerateShardedTransactions(wp, &rng);
+  const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+  ShardedAdmitterOptions options;
+  options.queue_capacity = 2;
+  options.max_batch = 1;
+  options.epoch_gc = true;
+  FaultPlanParams fp;
+  fp.core_pause_prob = 0.2;
+  fp.max_core_pause_us = 200;
+  const FaultPlan plan(0xC0A9, fp);
+  options.faults = &plan;
+  ShardedAdmitter admitter(
+      txns, spec, ShardRouter(txns.object_count(), 2, ShardStrategy::kRange),
+      options);
+
+  constexpr std::size_t kClients = 8;
+  const OpIndexer indexer(txns);
+  std::vector<std::atomic<std::uint8_t>> submitted(indexer.total_ops());
+  std::atomic<std::size_t> submissions{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Backoff backoff(0xC0A8 + c);
+      for (TxnId t = static_cast<TxnId>(c); t < txns.txn_count();
+           t = static_cast<TxnId>(t + kClients)) {
+        const Transaction& txn = txns.txn(t);
+        const bool abort_midway = t % 7 == 3;
+        const auto deadline = t % 5 == 1 ? std::chrono::microseconds(30)
+                                         : std::chrono::microseconds::zero();
+        for (std::uint32_t i = 0; i < txn.size(); ++i) {
+          if (abort_midway && i == txn.size() / 2) {
+            admitter.AbortTxn(t);
+            break;
+          }
+          const AdmitResult result =
+              admitter.SubmitWithBackoff(txn.op(i), backoff, deadline);
+          submitted[indexer.GlobalId(t, i)].store(1, std::memory_order_relaxed);
+          submissions.fetch_add(1, std::memory_order_relaxed);
+          if (!result.ok()) break;
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  admitter.Stop();
+
+  std::size_t ops_routed = 0;
+  std::size_t inline_decisions = 0;
+  for (std::uint32_t shard = 0; shard < 2; ++shard) {
+    ops_routed += admitter.shard_stats(shard).ops_routed;
+    inline_decisions += admitter.shard_stats(shard).inline_decisions;
+  }
+  EXPECT_EQ(ops_routed, submissions.load());
+  EXPECT_EQ(admitter.accepted() + admitter.rejected(), submissions.load());
+  for (TxnId t = 0; t < txns.txn_count(); ++t) {
+    for (std::uint32_t i = 0; i < txns.txn(t).size(); ++i) {
+      EXPECT_EQ(admitter.OpOutcome(txns.txn(t).op(i)).has_value(),
+                submitted[indexer.GlobalId(t, i)].load() != 0)
+          << "T" << t << " op " << i;
+    }
+  }
+  EXPECT_GT(inline_decisions, 0u) << "no submitter ever decided inline";
+  EXPECT_LT(inline_decisions, ops_routed) << "the core threads never decided";
+  OnlineRsrChecker replay(txns, spec);
+  for (const Operation& op : admitter.CommittedLog()) {
+    ASSERT_TRUE(replay.TryAppend(op).ok());
   }
 }
 
