@@ -139,24 +139,28 @@ EOF
 # kill cascades, a reduced-round sharded differential sweep, the
 # MVCC snapshot-read fleets whose settledness counters and commit CAS
 # are the fast path's entire synchronization story, and the epoch-GC
-# machinery: the settled-flag publication, the idle-loop collectors
+# machinery: the settled-flag publication, the per-step collectors
 # racing admission, live router swaps racing traffic, and a
 # reduced-round GC'd-vs-unbounded differential). bench_sharded's smoke
 # grid adds the multi-client fleet racing for the shard ownership tokens
-# (submitters deciding inline against the core threads' ring drains).
-# -fno-sanitize-recover turns any report into a non-zero exit.
+# (submitters deciding inline against token holders draining the ring
+# on release), and bench_faults' smoke adds aborts, timeouts and fault
+# pauses, the paths that leave work for a release re-check or a try
+# after a post. -fno-sanitize-recover turns any report into a non-zero
+# exit.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target exec_test fault_test shard_test \
            sharded_differential_test mvcc_test \
            epoch_test epoch_gc_differential_test reshard_test \
-           bench_sharded
+           bench_sharded bench_faults
 (cd build-tsan &&
  RELSER_SHARD_DIFF_ROUNDS=120 \
  RELSER_EPOCH_DIFF_ROUNDS=40 \
  ctest -R '^(exec_test|fault_test|shard_test|sharded_differential_test|mvcc_test|epoch_test|epoch_gc_differential_test|reshard_test)$' \
    --output-on-failure)
 (cd build-tsan && ./bench/bench_sharded --smoke)
+(cd build-tsan && ./bench/bench_faults --smoke)
 
 # Trace smoke: export a paper-figure trace, validate it against the
 # documented schema, and summarize it.

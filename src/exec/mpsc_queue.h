@@ -2,34 +2,33 @@
 //
 // The sharded admission front-end (src/shard/sharded_admitter.h) funnels
 // the operation requests that find a shard busy from N client threads
-// into that shard's admission core; this queue is that funnel. The ring is Dmitry Vyukov's bounded
-// MPMC design — one atomic sequence stamp per cell, producers claim
-// cells with a CAS on the tail, the (single) consumer walks the head
-// without contention — restricted here to one consumer at a time, which
-// keeps Dequeue a plain load/store pair on the claimed cell.
+// into that shard's core; this queue is that funnel. The ring is Dmitry
+// Vyukov's bounded MPMC design — one atomic sequence stamp per cell,
+// producers claim cells with a CAS on the tail, the (single) consumer
+// walks the head without contention — restricted here to one consumer
+// at a time, which keeps Dequeue a plain load/store pair on the claimed
+// cell.
 //
 // "One consumer at a time", not "one consumer thread": the consumer role
 // may move between threads as long as the hand-over is ordered by a
 // lock (the admitter's per-shard ownership token). The head index is a
 // relaxed atomic for that reason — the lock orders its updates, and
-// WaitNonEmpty's peek may read it from a thread that does not hold the
-// lock (a stale head only makes the peek spuriously true).
+// Peek may read it from a thread that does not hold the lock (a stale
+// head only makes the peek spuriously true or false while another
+// thread consumes).
 //
-// Blocking behavior: TryEnqueue/TryDequeue never block. Enqueue spins
-// with yields while the ring is full (bounded queues are the back-
-// pressure mechanism — a full ring means the admission core is the
-// bottleneck and producers *should* stall). The consumer parks on a
-// condition variable via WaitNonEmpty; producers ring the doorbell only
-// when a waiter advertised itself, so the steady-state enqueue path is
-// two atomic RMWs and no syscalls.
+// Blocking behavior: TryEnqueue/TryDequeue never block, and the queue
+// has no consumer-side wait: whoever takes the consumer role drains it.
+// Enqueue spins with yields while the ring is full (bounded queues are
+// the backpressure mechanism — a full ring means the consumer is the
+// bottleneck and producers *should* stall). The steady-state enqueue
+// path is one CAS and one release store.
 #ifndef RELSER_EXEC_MPSC_QUEUE_H_
 #define RELSER_EXEC_MPSC_QUEUE_H_
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -75,7 +74,6 @@ class MpscQueue {
     }
     cell->value = value;
     cell->sequence.store(pos + 1, std::memory_order_release);
-    RingDoorbell();
     return true;
   }
 
@@ -120,45 +118,16 @@ class MpscQueue {
            0;
   }
 
-  /// Consumer park: returns true when an element is (probably) ready,
-  /// false on timeout. Spurious true is fine — callers loop on
-  /// TryDequeue. Only one thread may park at a time.
-  bool WaitNonEmpty(std::chrono::microseconds timeout) {
-    if (Peek()) return true;
-    std::unique_lock<std::mutex> lock(doorbell_mu_);
-    consumer_waiting_.store(true, std::memory_order_seq_cst);
-    // Re-check after advertising: an enqueue that raced ahead of the
-    // store has already published its cell and may have skipped the
-    // doorbell.
-    if (Peek()) {
-      consumer_waiting_.store(false, std::memory_order_relaxed);
-      return true;
-    }
-    const bool signaled =
-        doorbell_.wait_for(lock, timeout) == std::cv_status::no_timeout;
-    consumer_waiting_.store(false, std::memory_order_relaxed);
-    return signaled || Peek();
-  }
-
  private:
   struct Cell {
     std::atomic<std::size_t> sequence{0};
     T value{};
   };
 
-  void RingDoorbell() {
-    if (!consumer_waiting_.load(std::memory_order_seq_cst)) return;
-    std::lock_guard<std::mutex> lock(doorbell_mu_);
-    doorbell_.notify_one();
-  }
-
   std::vector<Cell> cells_;
   std::size_t mask_ = 0;
   std::atomic<std::size_t> tail_{0};  // producers
   std::atomic<std::size_t> head_{0};  // the current consumer's
-  std::atomic<bool> consumer_waiting_{false};
-  std::mutex doorbell_mu_;
-  std::condition_variable doorbell_;
 };
 
 }  // namespace relser

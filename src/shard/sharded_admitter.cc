@@ -1,6 +1,7 @@
 #include "shard/sharded_admitter.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "exec/faultplan.h"
 #include "util/check.h"
@@ -10,7 +11,7 @@ namespace relser {
 ShardedAdmitter::Core::Core(const ShardSlice& slice_in,
                             std::size_t object_count, std::size_t txn_count,
                             std::size_t queue_capacity,
-                            std::size_t max_batch, TraceLevel trace_level)
+                            TraceLevel trace_level)
     : queue(queue_capacity),
       slice(slice_in),
       checker(slice_in.txns, slice_in.spec),
@@ -21,9 +22,7 @@ ShardedAdmitter::Core::Core(const ShardSlice& slice_in,
       arc_neighbors(txn_count),
       tainted(txn_count, 0),
       local_dead(txn_count, 0),
-      seen(txn_count, 0) {
-  batch.reserve(max_batch);
-}
+      seen(txn_count, 0) {}
 
 ShardedAdmitter::ShardedAdmitter(const TransactionSet& txns,
                                  const AtomicitySpec& spec, ShardRouter router,
@@ -44,7 +43,6 @@ ShardedAdmitter::ShardedAdmitter(const TransactionSet& txns,
       decision_(std::vector<std::atomic<std::uint8_t>>(indexer_.total_ops())),
       txn_state_(std::vector<std::atomic<std::uint8_t>>(txns.txn_count())),
       pending_(std::vector<std::atomic<std::uint32_t>>(txns.txn_count())) {
-  RELSER_CHECK_MSG(options_.max_batch > 0, "max_batch must be positive");
   if (options_.snapshot_reads) store_ = std::make_unique<VersionStore>(txns);
   if (options_.epoch_gc) {
     epochs_ =
@@ -61,7 +59,7 @@ void ShardedAdmitter::BuildCores() {
   for (std::uint32_t shard = 0; shard < shard_count; ++shard) {
     cores_.push_back(std::make_unique<Core>(
         plan_->slice(shard), txns_.object_count(), txns_.txn_count(),
-        options_.queue_capacity, options_.max_batch, level));
+        options_.queue_capacity, level));
     cores_.back()->shard_id = shard;
     if (options_.tracer != nullptr) {
       cores_.back()->checker.set_tracer(&cores_.back()->tracer);
@@ -78,9 +76,6 @@ void ShardedAdmitter::BuildCores() {
       cores_[shard]->tainted[txn] = 1;
     }
   }
-  for (std::uint32_t shard = 0; shard < shard_count; ++shard) {
-    cores_[shard]->thread = std::thread([this, shard] { CoreLoop(shard); });
-  }
 }
 
 ShardedAdmitter::~ShardedAdmitter() { Stop(); }
@@ -91,6 +86,11 @@ namespace {
 // SubmitAndWait or AbortTxn on it: set after a verdict that may have
 // posted kills to other shards (any terminal non-accept).
 thread_local const ShardedAdmitter* settle_owed = nullptr;
+
+// Shards this thread enqueued a request or posted a control to and has
+// not tried since (rule (b)); drained by TryPostedShards before the
+// thread leaves the admitter.
+thread_local std::vector<std::uint32_t> posted_shards;
 
 }  // namespace
 
@@ -113,12 +113,14 @@ void ShardedAdmitter::SettleOwedControls() {
     for (auto& core : cores_) {
       // Taken even when nothing is posted: it waits out a step that has
       // already drained this shard's controls and is still applying them.
-      std::lock_guard<std::mutex> token(core->token);
+      while (!core->TryTake()) core->token.wait(1, std::memory_order_relaxed);
       if (core->controls_posted.load(std::memory_order_acquire)) {
-        core->inline_decisions += Step(*core, nullptr);
+        Step(*core, nullptr);
       }
+      Release(*core);
     }
   }
+  TryPostedShards();
 }
 
 AdmitResult ShardedAdmitter::Submit(const Operation& op,
@@ -128,8 +130,9 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
   // here, on the client thread, without touching any shard ring. The
   // feeding contract makes this thread the transaction's only
   // submitter; a concurrent AbortTxn is arbitrated by the commit CAS.
-  // The merge stamp is drawn from admission_stamp_ AFTER that CAS. Stamp order is sound because a shard core
-  // stamps a writer's program-order-last accept BEFORE its release
+  // The merge stamp is drawn from admission_stamp_ AFTER that CAS.
+  // Stamp order is sound because a shard core's token holder stamps a
+  // writer's program-order-last accept BEFORE its release
   // NoteCommit decrement (Decide), and the classification here
   // acquire-reads that decrement before drawing its own stamp — so a
   // snapshot block's stamp exceeds the stamp of every operation of
@@ -194,12 +197,16 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
       txn_open_[op.txn].store(1, std::memory_order_relaxed);
       open_txns_.fetch_add(1, std::memory_order_acq_rel);
     }
-    Core& core = *cores_[plan_->router().ShardOf(op.object)];
+    const std::uint32_t shard = plan_->router().ShardOf(op.object);
+    Core& core = *cores_[shard];
     pending_[op.txn].fetch_add(1, std::memory_order_relaxed);
     submitted_.fetch_add(1, std::memory_order_relaxed);
     // Caller-runs: an idle shard decides the operation right here, with
-    // no ring, doorbell or condition-variable round trip.
-    if (TryStepInline(core, &op)) {
+    // no ring or condition-variable round trip.
+    if (core.TryTake()) {
+      Step(core, &op);
+      Release(core);
+      TryPostedShards();
       const std::uint8_t word = decision_[gid].load(std::memory_order_acquire);
       return AdmitResult{static_cast<AdmitOutcome>(word - 1), {}, op.txn};
     }
@@ -209,6 +216,10 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
       retry_count_.fetch_add(1, std::memory_order_relaxed);
       return AdmitResult::Retry(op.txn);
     }
+    // Rule (b): the holder that beat this thread to the token may have
+    // made its last re-check before the enqueue.
+    posted_shards.push_back(shard);
+    TryPostedShards();
   }
   const auto decided = [&] {
     return decision_[gid].load(std::memory_order_acquire) != 0;
@@ -220,15 +231,15 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     if (!decided_cv_.wait_until(lock, deadline, decided)) {
       lock.unlock();
-      // Doom the transaction; the shard core publishes the in-flight
-      // decision word when it reaches the operation, so nobody hangs.
-      // Re-derive the owner under the gate: the op was enqueued before
-      // any swap could start, and an open transaction blocks the swap,
-      // so the plan here is the one that routed it.
+      // Doom the transaction; the next step of the shard publishes the
+      // in-flight decision word when it reaches the operation, so nobody
+      // hangs. Re-derive the owner under the gate: the op was enqueued
+      // before any swap could start, and an open transaction blocks the
+      // swap, so the plan here is the one that routed it.
       std::shared_lock<std::shared_mutex> gate(swap_gate_);
-      const std::uint32_t shard = plan_->router().ShardOf(op.object);
-      PostControl(shard, op.txn, RequestKind::kTimeoutAbort);
-      TryStepInline(*cores_[shard], nullptr);
+      PostControl(plan_->router().ShardOf(op.object), op.txn,
+                  RequestKind::kTimeoutAbort);
+      TryPostedShards();
       return AdmitResult::Timeout(op.txn);
     }
   }
@@ -258,9 +269,9 @@ AdmitResult ShardedAdmitter::AbortTxn(TxnId txn) {
   }
   {
     std::shared_lock<std::shared_mutex> gate(swap_gate_);
-    const std::uint32_t shard = plan_->spans().ShardsOf(txn).front();
-    PostControl(shard, txn, RequestKind::kAbort);
-    TryStepInline(*cores_[shard], nullptr);
+    PostControl(plan_->spans().ShardsOf(txn).front(), txn,
+                RequestKind::kAbort);
+    TryPostedShards();
   }
   std::unique_lock<std::mutex> lock(decide_mu_);
   decided_cv_.wait(lock, [&] { return TxnState(txn) != kStateLive; });
@@ -280,9 +291,12 @@ void ShardedAdmitter::PostControl(std::uint32_t shard, TxnId txn,
   request.op.txn = txn;
   request.kind = kind;
   Core& core = *cores_[shard];
-  std::lock_guard<std::mutex> lock(core.control_mu);
-  core.controls.push_back(request);
-  core.controls_posted.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(core.control_mu);
+    core.controls.push_back(request);
+    core.controls_posted.store(true, std::memory_order_release);
+  }
+  posted_shards.push_back(shard);
 }
 
 std::optional<AdmitOutcome> ShardedAdmitter::OpOutcome(
@@ -317,10 +331,6 @@ void ShardedAdmitter::Stop() {
   if (stopped_) return;
   stopped_ = true;
   Flush();
-  stop_.store(true, std::memory_order_release);
-  for (auto& core : cores_) {
-    if (core->thread.joinable()) core->thread.join();
-  }
   if (options_.tracer != nullptr) {
     for (const auto& core : cores_) {
       options_.tracer->MergeFrom(core->tracer);
@@ -430,35 +440,11 @@ ShardedAdmitter::ShardStats ShardedAdmitter::shard_stats(
   return stats;
 }
 
-void ShardedAdmitter::CoreLoop(std::uint32_t shard) {
-  Core& core = *cores_[shard];
-  for (;;) {
-    if (core.queue.Peek() ||
-        core.controls_posted.load(std::memory_order_acquire)) {
-      // Block, never try: while a submitter runs a step, the ring can
-      // stay non-empty, and a try-lock here would spin on it.
-      std::lock_guard<std::mutex> token(core.token);
-      Step(core, nullptr);
-      continue;
-    }
-    if (stop_.load(std::memory_order_acquire)) return;
-    {
-      // Idle GC tick; a busy shard's holder runs MaybeGcCore itself.
-      std::unique_lock<std::mutex> token(core.token, std::try_to_lock);
-      if (token.owns_lock()) MaybeGcCore(core);
-    }
-    core.queue.WaitNonEmpty(std::chrono::microseconds(500));
-  }
-}
-
-std::size_t ShardedAdmitter::Step(Core& core, const Operation* own) {
+void ShardedAdmitter::Step(Core& core, const Operation* own) {
   Tracer* const tracer = &core.tracer;
   core.batch.clear();
   Request request;
-  while (core.batch.size() < options_.max_batch &&
-         core.queue.TryDequeue(&request)) {
-    core.batch.push_back(request);
-  }
+  while (core.queue.TryDequeue(&request)) core.batch.push_back(request);
   // Controls (kills, aborts, timeouts) ride an unbounded side channel
   // so cores never spin on each other's bounded rings (a pair of full
   // rings would otherwise deadlock two cascading cores). They drain
@@ -494,7 +480,10 @@ std::size_t ShardedAdmitter::Step(Core& core, const Operation* own) {
     }
   };
   for (const Request& queued : core.batch) decide(queued.op);
-  if (own != nullptr) decide(*own);
+  if (own != nullptr) {
+    decide(*own);
+    ++core.inline_decisions;
+  }
   if (tracer->counting() && ops > 0) tracer->NoteBatch(ops);
   MaybeGcCore(core);
   const std::size_t decided = core.control_batch.size() + ops;
@@ -503,14 +492,33 @@ std::size_t ShardedAdmitter::Step(Core& core, const Operation* own) {
     { std::lock_guard<std::mutex> lock(decide_mu_); }
     decided_cv_.notify_all();
   }
-  return decided;
 }
 
-bool ShardedAdmitter::TryStepInline(Core& core, const Operation* own) {
-  std::unique_lock<std::mutex> token(core.token, std::try_to_lock);
-  if (!token.owns_lock()) return false;
-  core.inline_decisions += Step(core, own);
-  return true;
+void ShardedAdmitter::Release(Core& core) {
+  for (;;) {
+    // An exchange, not a store: every token write is a read-modify-write,
+    // so this release synchronizes with every earlier try, failed or not,
+    // and the re-check below sees the work those posters published.
+    core.token.exchange(0, std::memory_order_seq_cst);
+    core.token.notify_one();
+    const bool has_work = core.queue.Peek() ||
+                          core.controls_posted.load(std::memory_order_acquire);
+    if (!has_work || !core.TryTake()) return;  // rule (a)
+    Step(core, nullptr);
+  }
+}
+
+void ShardedAdmitter::TryPostedShards() {
+  // Rule (b). Steps below may post to further shards; those are tried in
+  // turn, after the step's own token is released.
+  while (!posted_shards.empty()) {
+    Core& core = *cores_[posted_shards.back()];
+    posted_shards.pop_back();
+    if (core.TryTake()) {
+      Step(core, nullptr);
+      Release(core);
+    }
+  }
 }
 
 void ShardedAdmitter::ProcessControl(Core& core, const Request& request) {
@@ -1008,12 +1016,9 @@ void ShardedAdmitter::InstallRouter(ShardRouter router) {
     if (quiescent()) break;
     gate.unlock();
   }
-  // Park the old cores. decided == submitted also means every control
-  // channel drained, so no kill is half-applied across shards.
-  stop_.store(true, std::memory_order_release);
-  for (auto& core : cores_) {
-    if (core->thread.joinable()) core->thread.join();
-  }
+  // No step is running: every token holder holds the gate shared.
+  // decided == submitted also means every control channel drained, so
+  // no kill is half-applied across shards.
   // At the cut nothing unfinished has ever appended (unstarted
   // transactions have no arcs), so this sweep settles ALL history: the
   // swap is a full-history GC tick, and empty fresh cores are exactly
@@ -1036,7 +1041,6 @@ void ShardedAdmitter::InstallRouter(ShardRouter router) {
   // strictly before the plan swap.
   cores_.clear();
   plan_ = std::make_unique<ShardPlan>(txns_, spec_, std::move(router));
-  stop_.store(false, std::memory_order_release);
   BuildCores();
   if (archived_tracer_.counting()) {
     archived_tracer_.RecordRouterSwap(

@@ -3,23 +3,28 @@
 // sub-schedule, glued by a transaction-level CrossShardCoordinator.
 //
 // Certification mutates a relative serialization graph, so each shard
-// core has one writer at a time: whoever holds the core's ownership
-// token (a mutex). A submitter that finds the token free takes it and
-// decides its own operation on its own thread (caller-runs, i.e. flat
-// combining: Hendler, Incze, Shavit, Tzafrir, SPAA 2010) — first
+// core (a shard's checker and bookkeeping; not a thread) has one writer
+// at a time: whoever holds the core's ownership token, an atomic word
+// taken by exchange. The admitter starts no threads. A submitter that
+// finds the token free takes it and decides its own operation on its
+// own thread (caller-runs, i.e. flat combining with no dedicated
+// combiner: Hendler, Incze, Shavit, Tzafrir, SPAA 2010) — first
 // draining any requests other clients queued, so no thread hand-off
 // sits on the uncontended path. A submitter that finds the token taken
 // falls back to the shard's bounded MPSC ring (exec/mpsc_queue.h) and
-// waits; the shard's core thread, the fallback consumer, blocks on the
-// token, drains the ring in batches, publishes one decision word per
-// operation and wakes waiters once per batch. Every holder runs the
-// same step body (Step), so a decision does not depend on which thread
-// took it. Partitioning the object space (shard/router.h) spreads that
-// work over cores: conflicts are per-object, so every direct conflict
-// is resident on exactly one shard, and each shard certifies its own
-// projected sub-schedule (shard/projection.h) with a private checker —
-// one uncontended lock per decision, no cross-shard locks. Global
-// relative serializability is recovered as
+// sleeps on its decision. Two rules leave no ring request or control
+// without a thread responsible for it (docs/parallelism.md has the
+// proof): (a) whoever releases a token re-checks that shard's ring and
+// control channel and steps again while either has work and the token
+// is free; (b) whoever enqueues a request or posts a control then tries
+// the target's token. Every holder runs the same step body (Step), so a
+// decision does not depend on which thread took it. Partitioning the
+// object space (shard/router.h) spreads that work over cores: conflicts
+// are per-object, so every direct conflict is resident on exactly one
+// shard, and each shard certifies its own projected sub-schedule
+// (shard/projection.h) with a private checker — one uncontended token
+// per decision, no cross-shard locks. Global relative serializability
+// is recovered as
 //
 //     (every shard-local projected RSG acyclic)
 //   ∧ (coordinator transaction-level graph acyclic)
@@ -74,7 +79,6 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -97,7 +101,6 @@ class FaultPlan;
 /// Knobs for ShardedAdmitter.
 struct ShardedAdmitterOptions {
   std::size_t queue_capacity = 1024;  ///< per-shard MPSC ring size
-  std::size_t max_batch = 64;         ///< max operations per drain batch
   /// Observability sink. Each shard core and the coordinator record
   /// into private tracers (a core's tracer is written only by the
   /// holder of its token); Stop merges them all into this one.
@@ -142,8 +145,8 @@ struct ShardedAdmitterOptions {
 class ShardedAdmitter {
  public:
   /// `txns` and `spec` must outlive the admitter; `router` must
-  /// partition exactly `txns.object_count()` objects. Shard cores start
-  /// immediately.
+  /// partition exactly `txns.object_count()` objects. Starts no threads:
+  /// every decision runs on a calling thread.
   ShardedAdmitter(const TransactionSet& txns, const AtomicitySpec& spec,
                   ShardRouter router, ShardedAdmitterOptions options = {});
   ShardedAdmitter(const TransactionSet&, AtomicitySpec&&, ShardRouter,
@@ -155,13 +158,14 @@ class ShardedAdmitter {
 
   /// Routes `op` to the shard owning its object and returns its
   /// decision. When the shard's token is free the calling thread decides
-  /// the operation itself; otherwise it enqueues the operation and
-  /// blocks until the token holder decides it. Outcomes: kAccept /
-  /// kReject (this op failed certification; the transaction was
-  /// aborted) / a death outcome (kAborted, kTimeout: the transaction
-  /// died before this op was decided) / kRetry (ring full, nothing
-  /// enqueued) / kTimeout (the deadline expired first; a timeout-abort
-  /// was scheduled and the transaction is doomed). The deadline bounds
+  /// the operation itself; otherwise it enqueues the operation, tries
+  /// the token once more, and blocks until a token holder decides it.
+  /// Outcomes: kAccept / kReject (this op failed certification; the
+  /// transaction was aborted) / a death outcome (kAborted, kTimeout: the
+  /// transaction died before this op was decided) / kRetry (ring full,
+  /// nothing enqueued) / kTimeout (the deadline expired first; a
+  /// timeout-abort was scheduled and the transaction is doomed). The
+  /// deadline bounds
   /// waiting only: an operation decided on the calling thread is never
   /// answered kTimeout. timeout zero waits forever. After any other
   /// non-accept verdict the thread's next call first applies every kill
@@ -197,9 +201,9 @@ class ShardedAdmitter {
   /// Blocks until every request submitted so far has been decided.
   void Flush();
 
-  /// Flushes, joins every shard core, and folds the per-core and
-  /// coordinator tracers into options.tracer. Idempotent; called by the
-  /// destructor. No submissions may race with or follow Stop.
+  /// Flushes and folds the per-core and coordinator tracers into
+  /// options.tracer. Idempotent; called by the destructor. No
+  /// submissions may race with or follow Stop.
   void Stop();
 
   std::size_t accepted() const {
@@ -245,7 +249,7 @@ class ShardedAdmitter {
   /// sound by the same argument that justifies truncation — the swap IS
   /// a full-history GC tick. Old core tracers and accept logs are
   /// archived so observability and CommittedLog span the swap. Blocks
-  /// until the new cores are running; safe to call from any thread that
+  /// until the new cores are built; safe to call from any thread that
   /// is not mid-transaction; must not race Stop or another
   /// InstallRouter. `router` must partition the same object universe.
   void InstallRouter(ShardRouter router);
@@ -285,7 +289,9 @@ class ShardedAdmitter {
   struct LiveHighWater {
     std::uint64_t pool_rows = 0;         ///< ancestor rows (max core)
     std::uint64_t retained_ops = 0;      ///< checker feed rows (max core)
-    std::uint64_t memo_entries = 0;      ///< live F/B pairs (max core)
+    /// Nonzero cross entries of newest rows, i.e.
+    /// OnlineRsrChecker::memo_entries() (max core).
+    std::uint64_t memo_entries = 0;
     std::uint64_t accept_entries = 0;    ///< live accept-log (max core)
     std::uint64_t coordinator_arcs = 0;  ///< retained coordinator arcs
     std::uint64_t versions = 0;          ///< version-arena retained
@@ -300,9 +306,8 @@ class ShardedAdmitter {
     std::size_t rejected = 0;       ///< non-accept decisions published
     std::size_t fast_path = 0;      ///< TryAppendIsolated accepts
     std::uint64_t escalations = 0;  ///< txns taint-flooded to coordinator
-    /// Operations and controls decided off this shard's core thread: by
-    /// a submitter that found the token free, or by a client settling
-    /// posted controls before its next call.
+    /// Operations decided by their own submitter (a step's own
+    /// operation); the rest of ops_routed came through the ring.
     std::size_t inline_decisions = 0;
   };
   ShardStats shard_stats(std::uint32_t shard) const;
@@ -331,22 +336,25 @@ class ShardedAdmitter {
 
   /// One shard core: ownership token, ring, control channel, projected
   /// checker, conflict bookkeeping, taint state, private tracer. Owned
-  /// via unique_ptr so addresses stay stable for the core threads.
+  /// via unique_ptr so addresses stay stable while clients step it.
   struct Core {
     Core(const ShardSlice& slice, std::size_t object_count,
          std::size_t txn_count, std::size_t queue_capacity,
-         std::size_t max_batch, TraceLevel trace_level);
+         TraceLevel trace_level);
 
-    // Ownership token. Its holder is the ring's only consumer and the
-    // only writer of everything below `controls_posted`; the mutex's
-    // hand-over orders one holder's writes before the next one's reads.
-    std::mutex token;
+    // Ownership token, 1 while held; its holder is the ring's only
+    // consumer and the only writer of everything below `controls_posted`.
+    // Every write is an exchange, and a failed one proves another holder
+    // (unlike try_lock): docs/parallelism.md's liveness proof needs both.
+    std::atomic<std::uint32_t> token{0};
     MpscQueue<Request> queue;
     std::mutex control_mu;
     std::vector<Request> controls;  // unbounded cross-core channel
     // Set under control_mu when `controls` becomes non-empty, so Step
-    // and the idle core thread skip the lock when nothing was posted.
+    // and the release re-check skip the lock when nothing was posted.
     std::atomic<bool> controls_posted{false};
+
+    bool TryTake() { return token.exchange(1, std::memory_order_seq_cst) == 0; }
 
     // Step scratch (token holder only), reused so steady-state
     // submission does not allocate.
@@ -394,32 +402,29 @@ class ShardedAdmitter {
     std::size_t accepts_total = 0;  // survives GC (accept_log shrinks)
     std::uint64_t escalations = 0;
     std::size_t inline_decisions = 0;
-
-    std::thread thread;
   };
 
-  /// Builds one core per shard of the current plan, applies born-taint,
-  /// and starts the core threads (constructor + InstallRouter).
+  /// Builds one core per shard of the current plan and applies
+  /// born-taint (constructor + InstallRouter).
   void BuildCores();
   /// GC tick (token holder only): when the settled set advanced,
   /// archive/drop settled accept-log entries, truncate the checker and
   /// scrub settled bookkeeping; the generation's claim winner also
   /// collects coordinator arcs and prunes version chains.
   void MaybeGcCore(Core& core);
-  /// The core thread: the fallback consumer and idle GC ticker. Blocks
-  /// on the token whenever the ring or the control channel has work.
-  void CoreLoop(std::uint32_t shard);
-  /// One step of `core` (token held): drains up to max_batch ring
-  /// requests, then the control channel; applies the controls, decides
-  /// the ring requests and then `own` (when given), with FaultPlan
-  /// pauses per decision; runs MaybeGcCore; publishes decided_ and
-  /// wakes waiters. Returns the number of operations and controls
-  /// decided.
-  std::size_t Step(Core& core, const Operation* own);
-  /// Caller-runs: when `core`'s token is free, takes it and runs Step on
-  /// the calling thread (deciding `own` when given); false when another
-  /// thread holds it. Call under swap_gate_ (shared).
-  bool TryStepInline(Core& core, const Operation* own);
+  /// One step of `core` (token held): drains the ring, then the control
+  /// channel; applies the controls, decides the ring requests and then
+  /// `own` (when given), with FaultPlan pauses per decision; runs
+  /// MaybeGcCore; publishes decided_ and wakes waiters.
+  void Step(Core& core, const Operation* own);
+  /// Rule (a): releases `core`'s token (held by the caller), then
+  /// re-checks the ring and the control channel, and takes the token
+  /// and steps again while either has work and the token is free.
+  void Release(Core& core);
+  /// Rule (b): tries the token of each shard this thread enqueued to or
+  /// posted a control to since its last call, stepping and releasing
+  /// each one it takes. Call under swap_gate_ (shared).
+  void TryPostedShards();
   /// SubmitAndWait's body: the snapshot fast path, then the inline step
   /// or the ring and the wait.
   AdmitResult Submit(const Operation& op, std::chrono::microseconds timeout);
@@ -446,6 +451,8 @@ class ShardedAdmitter {
   void InsertArc(Core& core, TxnId from, TxnId to);
   void Taint(Core& core, TxnId txn);
   void Publish(std::size_t gid, TxnId txn, AdmitOutcome outcome);
+  /// Appends a control to `shard`'s channel and records the shard for
+  /// the caller's TryPostedShards.
   void PostControl(std::uint32_t shard, TxnId txn, RequestKind kind);
   std::uint8_t TxnState(TxnId txn) const {
     return txn_state_[txn].load(std::memory_order_acquire);
@@ -484,8 +491,9 @@ class ShardedAdmitter {
   std::atomic<std::uint64_t> hw_dep_arcs_{0};
 
   // InstallRouter machinery. Clients take swap_gate_ shared around
-  // registration + routing + the inline step or enqueue, and around
-  // SettleOwedControls (never around waits); the swapper
+  // registration + routing + the inline step or enqueue, around every
+  // post and the token tries after it, and around SettleOwedControls
+  // (never around waits), so every token holder holds it; the swapper
   // takes it unique while it rebuilds plan_ and cores_. txn_open_ is
   // the registration flag (CAS 0 -> 1 under the shared gate; a pending
   // swap refuses new registrations with kRetry), open_txns_ counts
@@ -521,7 +529,6 @@ class ShardedAdmitter {
   std::mutex decide_mu_;
   std::condition_variable decided_cv_;
 
-  std::atomic<bool> stop_{false};
   bool stopped_ = false;  // caller-side (Stop is not thread-safe)
 };
 

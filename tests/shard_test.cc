@@ -7,9 +7,12 @@
 // decides exactly as a serial model of the abort-and-cascade policy,
 // with and without the TryAppendIsolated fast path. Caller-runs
 // admission (a submitter deciding on its own thread under the shard's
-// token) is checked for repeatable single-client decisions and, under
-// TSan in ci.sh, for a contended client fleet that mixes it with the
-// ring fallback.
+// token) is checked for repeatable single-client decisions, for a
+// contended client fleet that mixes it with the ring fallback (also
+// under TSan in ci.sh), and for liveness without any admitter thread:
+// a kill posted to an idle shard, a timed-out waiter left in the ring,
+// and a client abort on a busy shard are all resolved by the token
+// release re-check or the try after a post.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -872,13 +875,13 @@ TEST(ShardedAdmitterTest, TwoShardSnapshotSingleClientIsRepeatable) {
   }
 }
 
-// Eight clients on two shards with two-slot rings and one-request
-// batches: submitters race each other and the core threads for the
-// ownership tokens, so operations are decided both inline and through
-// the ring, interleaved with client aborts, deadline timeouts and
-// cross-shard kills. Short fault-plan pauses keep holders on the token
-// long enough for the others to fall back to the ring. Every submitted operation is decided exactly once,
-// and the committed history replays relatively serializably.
+// Eight clients on two shards with two-slot rings: submitters race each
+// other for the ownership tokens, so operations are decided both inline
+// and through the ring, interleaved with client aborts, deadline
+// timeouts and cross-shard kills. Short fault-plan pauses keep holders
+// on the token long enough for the others to fall back to the ring.
+// Every submitted operation is decided exactly once, and the committed
+// history replays relatively serializably.
 TEST(ShardedAdmitterTest, CallerRunsUnderContentionDecidesEveryOpOnce) {
   Rng rng(0xC0A7);
   ShardedWorkloadParams wp;
@@ -893,7 +896,6 @@ TEST(ShardedAdmitterTest, CallerRunsUnderContentionDecidesEveryOpOnce) {
   const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
   ShardedAdmitterOptions options;
   options.queue_capacity = 2;
-  options.max_batch = 1;
   options.epoch_gc = true;
   FaultPlanParams fp;
   fp.core_pause_prob = 0.2;
@@ -952,11 +954,121 @@ TEST(ShardedAdmitterTest, CallerRunsUnderContentionDecidesEveryOpOnce) {
     }
   }
   EXPECT_GT(inline_decisions, 0u) << "no submitter ever decided inline";
-  EXPECT_LT(inline_decisions, ops_routed) << "the core threads never decided";
+  EXPECT_LT(inline_decisions, ops_routed) << "the ring path never decided";
   OnlineRsrChecker replay(txns, spec);
   for (const Operation& op : admitter.CommittedLog()) {
     ASSERT_TRUE(replay.TryAppend(op).ok());
   }
+}
+
+
+// Liveness without an admitter thread: every request or control left in
+// a ring or a control channel is taken by the poster's token try or by
+// the re-check of whoever releases the token. Each case below hangs
+// (and fails on the ctest TIMEOUT) if one of the two rules is missing.
+
+// A fault plan that pauses a shard for at least 200 ms right after its
+// `step`-th decision and not at all on its other early steps, so a test
+// can hold a token while other clients queue behind it. Searching seeds
+// keeps the plan a pure function of its seed.
+FaultPlan PlanPausingLongAt(std::uint64_t step) {
+  FaultPlanParams fp;
+  fp.core_pause_prob = 0.5;
+  fp.max_core_pause_us = 300'000;
+  for (std::uint64_t seed = 1;; ++seed) {
+    const FaultPlan plan(seed, fp);
+    bool fits = plan.CorePauseUs(step) >= 200'000;
+    for (std::uint64_t s = 1; fits && s <= step + 4; ++s) {
+      fits = s == step || plan.CorePauseUs(s) == 0;
+    }
+    if (fits) return plan;
+  }
+}
+
+// Blocks until `op` is decided: its deciding thread then sits in the
+// fault-plan pause that follows, holding the shard's token.
+void AwaitDecided(const ShardedAdmitter& admitter, const Operation& op) {
+  while (!admitter.OpOutcome(op).has_value()) std::this_thread::yield();
+}
+
+// (1) A rejection posts a kill to a shard that never sees another
+// operation. The rejecting client's try after the post applies it, so
+// Flush returns with no further submission.
+TEST(ShardedAdmitterLivenessTest, KillPostedToIdleShardIsApplied) {
+  // 2 objects over 2 range shards: a -> 0, b -> 1.
+  auto txns = ParseTransactionSet(
+      "T1 = w1[a] w1[b]\n"
+      "T2 = w2[b] w2[a]\n");
+  ASSERT_TRUE(txns.ok());
+  const AtomicitySpec spec = FullyRelaxedSpec(*txns);
+  ShardedAdmitter admitter(*txns, spec,
+                           ShardRouter(2, 2, ShardStrategy::kRange));
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(0)));  // w1[a]
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(0)));  // w2[b]
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(1)));  // w1[b]
+  // w2[a] closes the cross-shard cycle; T2's kill goes to shard 1.
+  EXPECT_EQ(admitter.SubmitAndWait(txns->txn(1).op(1)), AdmitOutcome::kReject);
+  EXPECT_EQ(admitter.TxnVerdict(1), AdmitOutcome::kAborted);
+  admitter.Flush();
+  admitter.Stop();
+  // Shard 1 withdrew w2[b]: only w1[b] is left in its checker.
+  EXPECT_EQ(admitter.checker(1).retained_ops(), 1u);
+  EXPECT_EQ(admitter.CommittedLog().size(), 2u);
+}
+
+// (2) A waiter's deadline expires while its operation sits in the ring
+// behind a paused token holder, and no other client touches the shard.
+// The holder's release re-check decides the operation, exactly once.
+TEST(ShardedAdmitterLivenessTest, TimedOutRingRequestIsDecidedOnce) {
+  auto txns = ParseTransactionSet(
+      "T1 = w1[a]\n"
+      "T2 = w2[b] w2[b]\n");
+  ASSERT_TRUE(txns.ok());
+  const AtomicitySpec spec = FullyRelaxedSpec(*txns);
+  const FaultPlan plan = PlanPausingLongAt(1);
+  ShardedAdmitterOptions options;
+  options.faults = &plan;
+  ShardedAdmitter admitter(*txns, spec,
+                           ShardRouter(2, 1, ShardStrategy::kRange), options);
+  const Operation& held = txns->txn(0).op(0);
+  const Operation& queued = txns->txn(1).op(0);
+  std::thread holder([&] { EXPECT_TRUE(admitter.SubmitAndWait(held)); });
+  AwaitDecided(admitter, held);
+  EXPECT_EQ(admitter.SubmitAndWait(queued, std::chrono::milliseconds(5)),
+            AdmitOutcome::kTimeout);
+  holder.join();
+  admitter.Stop();
+  ASSERT_TRUE(admitter.OpOutcome(queued).has_value());
+  EXPECT_EQ(*admitter.OpOutcome(queued), AdmitOutcome::kTimeout);
+  EXPECT_EQ(admitter.shard_stats(0).ops_routed, 2u);
+  EXPECT_EQ(admitter.shard_stats(0).inline_decisions, 1u);
+  EXPECT_EQ(admitter.accepted() + admitter.rejected(), 2u);
+  EXPECT_EQ(admitter.TxnVerdict(1), AdmitOutcome::kTimeout);
+}
+
+// (3) AbortTxn of a transaction resident on a shard whose token is held
+// returns its death outcome once the holder's re-check applies it.
+TEST(ShardedAdmitterLivenessTest, AbortOnBusyShardReturnsDeathOutcome) {
+  auto txns = ParseTransactionSet(
+      "T1 = w1[a]\n"
+      "T2 = w2[b] w2[b]\n");
+  ASSERT_TRUE(txns.ok());
+  const AtomicitySpec spec = FullyRelaxedSpec(*txns);
+  const FaultPlan plan = PlanPausingLongAt(2);
+  ShardedAdmitterOptions options;
+  options.faults = &plan;
+  ShardedAdmitter admitter(*txns, spec,
+                           ShardRouter(2, 1, ShardStrategy::kRange), options);
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(0)));  // T2 resident
+  const Operation& held = txns->txn(0).op(0);
+  std::thread holder([&] { EXPECT_TRUE(admitter.SubmitAndWait(held)); });
+  AwaitDecided(admitter, held);
+  EXPECT_EQ(admitter.AbortTxn(1), AdmitOutcome::kAborted);
+  holder.join();
+  admitter.Stop();
+  EXPECT_FALSE(admitter.checker(0).TxnHasExecuted(1));
+  ASSERT_EQ(admitter.CommittedLog().size(), 1u);
+  EXPECT_EQ(admitter.CommittedLog()[0].txn, 0u);
 }
 
 }  // namespace
