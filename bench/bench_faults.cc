@@ -7,8 +7,8 @@
 // transaction is aborted), which transactions abort themselves
 // mid-stream, and how often the admission core pauses. On top of the
 // plan, every third transaction submits under a tight deadline
-// (SubmitAndWait timeouts) and the ring is kept small so backpressure
-// retries fire.
+// (SubmitAndWait timeouts) and the inbox bound is kept small so
+// backpressure retries fire.
 //
 // The hard gate, checked at EVERY fault rate: the serial replay of the
 // committed prefix must be relatively serializable. CommittedLog() —
@@ -91,8 +91,8 @@ FaultRun RunAtRate(const TransactionSet& txns, const AtomicitySpec& spec,
 
   Tracer tracer(TraceLevel::kCounters);
   ShardedAdmitterOptions options;
-  // With `clients` blocking submitters the ring never holds more than
-  // one operation per client, so the ring sits below that to make
+  // With `clients` blocking submitters the inbox never holds more than
+  // one operation per client, so its bound sits below that to make
   // backpressure retries actually fire.
   options.queue_capacity = clients / 2;
   options.tracer = &tracer;

@@ -8,7 +8,7 @@
 // READ-ONLY transaction throughput: with the fast path on, settled
 // readers commit client-side against the committed watermark — zero RSG
 // arcs, zero admission-core traffic — so read throughput scales with
-// the fleet instead of serializing through the MPSC core. One
+// the fleet instead of serializing through a shard core. One
 // four-shard cell shows the same fast path composed with partitioned
 // admission.
 //

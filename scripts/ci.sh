@@ -134,20 +134,23 @@ EOF
 # ThreadSanitizer job: the execution substrate and the sharded
 # admission front-end are the components with real cross-thread
 # traffic, so the TSan build compiles just their test binaries and runs
-# them under the race detector (pool churn, MPSC producer storms, the
-# fault-injection suite, multi-core sharded admission with cross-shard
-# kill cascades, a reduced-round sharded differential sweep, the
+# them under the race detector (pool churn, the fault-injection suite,
+# multi-core sharded admission with cross-shard kill cascades, a
+# reduced-round sharded differential sweep, the
 # MVCC snapshot-read fleets whose settledness counters and commit CAS
 # are the fast path's entire synchronization story, and the epoch-GC
 # machinery: the settled-flag publication, the per-step collectors
 # racing admission, live router swaps racing traffic, and a
 # reduced-round GC'd-vs-unbounded differential). bench_sharded's smoke
 # grid adds the multi-client fleet racing for the shard ownership tokens
-# (submitters deciding inline against token holders draining the ring
+# (submitters deciding inline against token holders applying the inbox
 # on release), and bench_faults' smoke adds aborts, timeouts and fault
 # pauses, the paths that leave work for a release re-check or a try
-# after a post. -fno-sanitize-recover turns any report into a non-zero
-# exit.
+# after a post. The token hand-over cases of shard_test (liveness, the
+# contended caller-runs fleet, backpressure under pauses, the exact
+# inbox bound) then run 20 more times each, since a lost re-check shows
+# up as a rare hang rather than a report. -fno-sanitize-recover turns
+# any report into a non-zero exit.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target exec_test fault_test shard_test \
@@ -159,6 +162,9 @@ cmake --build --preset tsan -j"$(nproc)" \
  RELSER_EPOCH_DIFF_ROUNDS=40 \
  ctest -R '^(exec_test|fault_test|shard_test|sharded_differential_test|mvcc_test|epoch_test|epoch_gc_differential_test|reshard_test)$' \
    --output-on-failure)
+(cd build-tsan &&
+ ./tests/shard_test --gtest_filter='ShardedAdmitterLivenessTest.*:ShardedAdmitterTest.CallerRunsUnderContentionDecidesEveryOpOnce:ShardedAdmitterTest.BackpressureRetriesAndTimeoutsUnderFaultPlan:ShardedAdmitterTest.QueueCapacityBoundsQueuedOperationsExactly' \
+   --gtest_repeat=20)
 (cd build-tsan && ./bench/bench_sharded --smoke)
 (cd build-tsan && ./bench/bench_faults --smoke)
 

@@ -14,7 +14,7 @@
 //   kReject  — certification failed; the witnessing arc (when known) is
 //              in `witness_arc`. The issuing transaction is dead.
 //   kRetry   — transient refusal: a blocked scheduler request, a full
-//              admission ring (backpressure), or an ineligible fast
+//              shard inbox (backpressure), or an ineligible fast
 //              path. Nothing was recorded; the caller may retry, ideally
 //              after a jittered backoff (exec/backoff.h).
 //   kAborted — the transaction was aborted: explicitly (AbortTxn), as a

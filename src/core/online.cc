@@ -33,6 +33,7 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
   arc_buf_.reserve(64);
   arc_kind_buf_.reserve(64);
   pred_buf_.reserve(32);
+  conflict_txns_.reserve(32);
   feed_log_.reserve(indexer_.total_ops());
   undo_log_.reserve(indexer_.total_ops());
   undo_arcs_.reserve(4 * indexer_.total_ops());
@@ -136,6 +137,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   const bool tracing = tracer_ != nullptr && tracer_->events_on();
   arc_buf_.clear();
   arc_kind_buf_.clear();
+  conflict_txns_.clear();
   if (op.index > 0) {
     arc_buf_.emplace_back(gid - 1, gid);  // I-arc
     arc_kind_buf_.push_back(kInternalArc);
@@ -144,6 +146,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     arc_buf_.emplace_back(pred, gid);  // D-arc to the conflict frontier
     arc_kind_buf_.push_back(kDependencyArc);
     const TxnId pred_txn = indexer_.TxnOf(pred);
+    conflict_txns_.push_back(pred_txn);
     const std::uint32_t pred_slot = slot_of_[pred];
     RELSER_DCHECK(pred_slot != kNoSlot);
     const std::uint32_t* panc = &pool_[pred_slot * txn_count_];
@@ -257,6 +260,7 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
                      "operations must be fed in program order");
   }
   const TxnId j = op.txn;
+  conflict_txns_.clear();  // an accept here has no direct conflict
   if (cross_pairs_[j] != 0) return AdmitResult::Retry(j);
   const std::uint32_t obj_idx = ObjIndex(op.object);
   {

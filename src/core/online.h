@@ -147,17 +147,26 @@ class OnlineRsrChecker {
   /// not removed).
   bool TxnHasExecuted(TxnId txn) const { return newest_gid_[txn] != kNoGid; }
 
+  /// The transactions of the last accepted operation's direct-conflict
+  /// (D-arc) sources: the foreign members of its object's conflict
+  /// frontier just before the append — the frontier writer first, then,
+  /// for a write, the readers since it in feed order (one entry per
+  /// operation). Empty after a TryAppendIsolated accept. Valid until the
+  /// next call that feeds, removes or truncates; unspecified after a
+  /// rejection.
+  const std::vector<TxnId>& last_conflicts() const { return conflict_txns_; }
+
   /// Global id of the frontier writer (last executed, still-present
-  /// write) of `object`, or kNoOp when none / object untouched. Lets the
-  /// admitter rebuild its reads-from bookkeeping after an abort.
+  /// write) of `object`, or kNoOp when none / object untouched.
   static constexpr std::size_t kNoOp = ~static_cast<std::size_t>(0);
   std::size_t FrontierWriterGid(ObjectId object) const;
 
   /// Appends the global ids of `object`'s frontier readers (executed
   /// reads since the frontier writer, feed order) to `out`. Together
-  /// with FrontierWriterGid this is the complete conflict frontier —
-  /// the sharded admitter rebuilds its per-object conflict-arc
-  /// bookkeeping from it after an abort.
+  /// with FrontierWriterGid this is the complete conflict frontier: a
+  /// read-only probe for reference models of the admitter (shard_test's
+  /// serial model, rollback_differential_test, perfbench's replica),
+  /// and what the tests check last_conflicts() against.
   void FrontierReaders(ObjectId object, std::vector<std::size_t>* out) const;
 
   /// The accepted operations still present, as global ids in admission
@@ -289,6 +298,7 @@ class OnlineRsrChecker {
   std::vector<std::uint32_t> scratch_anc_;
   std::vector<std::uint32_t> zero_row_;  // predecessor row of a first op
   std::vector<std::size_t> pred_buf_;
+  std::vector<TxnId> conflict_txns_;  // last_conflicts(), parallel to pred_buf_
   std::vector<std::pair<NodeId, NodeId>> arc_buf_;
   std::vector<std::uint8_t> arc_kind_buf_;  // parallel to arc_buf_ (tracing)
   // RemoveTransactionExact / Truncate scratch.

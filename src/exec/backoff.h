@@ -1,8 +1,8 @@
-// Jittered exponential backoff for clients of the admission ring.
+// Jittered exponential backoff for clients of the admission front-end.
 //
 // When ShardedAdmitter::SubmitAndWait returns kRetry (bounded-queue
 // backpressure), naive immediate retries from N clients re-saturate the
-// ring in lockstep. The standard remedy — full jitter over an
+// shard inbox in lockstep. The standard remedy — full jitter over an
 // exponentially growing window, capped — decorrelates the retry storm:
 // attempt k sleeps uniform[0, min(cap, base << k)). Deterministic given
 // its seed (driven by util/rng.h), so fault-injection runs replay the

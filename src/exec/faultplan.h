@@ -1,4 +1,4 @@
-// Deterministic fault-injection plans for the admission ring.
+// Deterministic fault-injection plans for the admission front-end.
 //
 // A FaultPlan is a *pure function* of (seed, identifiers): every query —
 // "does transaction t stall before its k-th operation?", "is t aborted

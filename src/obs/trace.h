@@ -151,7 +151,7 @@ struct TraceCounters {
   std::uint64_t commits = 0;
   // Robustness layer (shard/sharded_admitter.h). Neither feeds
   // `requests`: timeouts are transaction-level verdicts and retries
-  // happen on the client side of the admission ring, before any request
+  // happen on the client side of a shard's inbox, before any request
   // exists.
   std::uint64_t timeouts = 0;  ///< SubmitAndWait deadlines expired
   std::uint64_t retries = 0;   ///< client submissions refused by backpressure

@@ -70,10 +70,9 @@
 #include "shard/router.h"
 #include "shard/sharded_admitter.h"
 
-// Execution substrate: queues, pools, deterministic fault injection.
+// Execution substrate: pools, backoff, deterministic fault injection.
 #include "exec/backoff.h"
 #include "exec/faultplan.h"
-#include "exec/mpsc_queue.h"
 #include "exec/thread_pool.h"
 
 // Observability: decision traces, counters, inspection, replay export.

@@ -8,21 +8,15 @@
 
 namespace relser {
 
-ShardedAdmitter::Core::Core(const ShardSlice& slice_in,
-                            std::size_t object_count, std::size_t txn_count,
-                            std::size_t queue_capacity,
+ShardedAdmitter::Core::Core(const ShardSlice& slice_in, std::size_t txn_count,
                             TraceLevel trace_level)
-    : queue(queue_capacity),
-      slice(slice_in),
+    : slice(slice_in),
       checker(slice_in.txns, slice_in.spec),
       tracer(trace_level),
-      obj_writer(object_count, ~static_cast<TxnId>(0)),
-      obj_readers(object_count),
       readers_of(txn_count),
       arc_neighbors(txn_count),
       tainted(txn_count, 0),
-      local_dead(txn_count, 0),
-      seen(txn_count, 0) {}
+      local_dead(txn_count, 0) {}
 
 ShardedAdmitter::ShardedAdmitter(const TransactionSet& txns,
                                  const AtomicitySpec& spec, ShardRouter router,
@@ -57,9 +51,8 @@ void ShardedAdmitter::BuildCores() {
   const std::size_t shard_count = plan_->shard_count();
   cores_.reserve(shard_count);
   for (std::uint32_t shard = 0; shard < shard_count; ++shard) {
-    cores_.push_back(std::make_unique<Core>(
-        plan_->slice(shard), txns_.object_count(), txns_.txn_count(),
-        options_.queue_capacity, level));
+    cores_.push_back(
+        std::make_unique<Core>(plan_->slice(shard), txns_.txn_count(), level));
     cores_.back()->shard_id = shard;
     if (options_.tracer != nullptr) {
       cores_.back()->checker.set_tracer(&cores_.back()->tracer);
@@ -87,8 +80,8 @@ namespace {
 // posted kills to other shards (any terminal non-accept).
 thread_local const ShardedAdmitter* settle_owed = nullptr;
 
-// Shards this thread enqueued a request or posted a control to and has
-// not tried since (rule (b)); drained by TryPostedShards before the
+// Shards this thread posted an operation or a control to and has not
+// tried since (rule (b)); drained by TryPostedShards before the
 // thread leaves the admitter.
 thread_local std::vector<std::uint32_t> posted_shards;
 
@@ -112,9 +105,9 @@ void ShardedAdmitter::SettleOwedControls() {
   while (controls_inflight_.load(std::memory_order_acquire) != 0) {
     for (auto& core : cores_) {
       // Taken even when nothing is posted: it waits out a step that has
-      // already drained this shard's controls and is still applying them.
+      // already swapped this shard's inbox and is still applying it.
       while (!core->TryTake()) core->token.wait(1, std::memory_order_relaxed);
-      if (core->controls_posted.load(std::memory_order_acquire)) {
+      if (core->posted.load(std::memory_order_acquire)) {
         Step(*core, nullptr);
       }
       Release(*core);
@@ -127,7 +120,7 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
                                     std::chrono::microseconds timeout) {
   const std::size_t gid = indexer_.GlobalId(op);
   // Snapshot-read fast path: a settled read-only transaction commits
-  // here, on the client thread, without touching any shard ring. The
+  // here, on the client thread, without touching any shard inbox. The
   // feeding contract makes this thread the transaction's only
   // submitter; a concurrent AbortTxn is arbitrated by the commit CAS.
   // The merge stamp is drawn from admission_stamp_ AFTER that CAS.
@@ -180,7 +173,7 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
     }
   }
   {
-    // Routing + the inline step or the enqueue run under the swap gate
+    // Routing + the inline step or the post run under the swap gate
     // (shared side): the reshard swapper holds it unique while it
     // replaces plan_/cores_. The gate is never held across a wait.
     std::shared_lock<std::shared_mutex> gate(swap_gate_);
@@ -188,7 +181,7 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
       if (reshard_pending_.load(std::memory_order_acquire)) {
         // A router swap is draining: transactions that have not started
         // yet are refused so the open set shrinks to zero. kRetry is
-        // nothing-was-enqueued, exactly like ring backpressure.
+        // nothing-was-queued, exactly like inbox backpressure.
         retry_count_.fetch_add(1, std::memory_order_relaxed);
         return AdmitResult::Retry(op.txn);
       }
@@ -202,7 +195,7 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
     pending_[op.txn].fetch_add(1, std::memory_order_relaxed);
     submitted_.fetch_add(1, std::memory_order_relaxed);
     // Caller-runs: an idle shard decides the operation right here, with
-    // no ring or condition-variable round trip.
+    // no inbox or condition-variable round trip.
     if (core.TryTake()) {
       Step(core, &op);
       Release(core);
@@ -210,14 +203,14 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
       const std::uint8_t word = decision_[gid].load(std::memory_order_acquire);
       return AdmitResult{static_cast<AdmitOutcome>(word - 1), {}, op.txn};
     }
-    if (!core.queue.TryEnqueue(Request{op, RequestKind::kOp})) {
+    if (!Post(core, Request{op, RequestKind::kOp})) {
       pending_[op.txn].fetch_sub(1, std::memory_order_relaxed);
       submitted_.fetch_sub(1, std::memory_order_relaxed);
       retry_count_.fetch_add(1, std::memory_order_relaxed);
       return AdmitResult::Retry(op.txn);
     }
     // Rule (b): the holder that beat this thread to the token may have
-    // made its last re-check before the enqueue.
+    // made its last re-check before the post.
     posted_shards.push_back(shard);
     TryPostedShards();
   }
@@ -233,7 +226,7 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
       lock.unlock();
       // Doom the transaction; the next step of the shard publishes the
       // in-flight decision word when it reaches the operation, so nobody
-      // hangs. Re-derive the owner under the gate: the op was enqueued
+      // hangs. Re-derive the owner under the gate: the op was posted
       // before any swap could start, and an open transaction blocks the
       // swap, so the plan here is the one that routed it.
       std::shared_lock<std::shared_mutex> gate(swap_gate_);
@@ -283,6 +276,19 @@ AdmitResult ShardedAdmitter::AbortTxn(TxnId txn) {
                      txn};
 }
 
+bool ShardedAdmitter::Post(Core& core, const Request& request) {
+  std::lock_guard<std::mutex> lock(core.inbox_mu);
+  if (request.kind == RequestKind::kOp) {
+    // Backpressure bounds operations only. A control is never refused,
+    // so a cascading holder never waits on another shard's inbox.
+    if (core.queued_ops >= options_.queue_capacity) return false;
+    ++core.queued_ops;
+  }
+  core.inbox.push_back(request);
+  core.posted.store(true, std::memory_order_release);
+  return true;
+}
+
 void ShardedAdmitter::PostControl(std::uint32_t shard, TxnId txn,
                                   RequestKind kind) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -290,12 +296,7 @@ void ShardedAdmitter::PostControl(std::uint32_t shard, TxnId txn,
   Request request;
   request.op.txn = txn;
   request.kind = kind;
-  Core& core = *cores_[shard];
-  {
-    std::lock_guard<std::mutex> lock(core.control_mu);
-    core.controls.push_back(request);
-    core.controls_posted.store(true, std::memory_order_release);
-  }
+  Post(*cores_[shard], request);
   posted_shards.push_back(shard);
 }
 
@@ -443,30 +444,29 @@ ShardedAdmitter::ShardStats ShardedAdmitter::shard_stats(
 void ShardedAdmitter::Step(Core& core, const Operation* own) {
   Tracer* const tracer = &core.tracer;
   core.batch.clear();
-  Request request;
-  while (core.queue.TryDequeue(&request)) core.batch.push_back(request);
-  // Controls (kills, aborts, timeouts) ride an unbounded side channel
-  // so cores never spin on each other's bounded rings (a pair of full
-  // rings would otherwise deadlock two cascading cores). They drain
-  // after the ring, so every control posted before an operation was
-  // submitted is applied before that operation is decided.
-  core.control_batch.clear();
-  if (core.controls_posted.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(core.control_mu);
-    core.control_batch.swap(core.controls);
-    core.controls_posted.store(false, std::memory_order_relaxed);
+  if (core.posted.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(core.inbox_mu);
+    core.batch.swap(core.inbox);
+    core.queued_ops = 0;
+    core.posted.store(false, std::memory_order_relaxed);
   }
-  for (const Request& control : core.control_batch) {
-    ProcessControl(core, control);
+  // Controls (kills, aborts, timeouts) before operations, so every
+  // control posted before an operation was submitted is applied before
+  // that operation is decided.
+  std::size_t controls = 0;
+  for (const Request& request : core.batch) {
+    if (request.kind == RequestKind::kOp) continue;
+    ProcessControl(core, request);
     ++core.core_steps;
+    ++controls;
   }
-  if (!core.control_batch.empty()) {
+  if (controls > 0) {
     // After the processing: the kills it cascaded were counted first.
-    controls_inflight_.fetch_sub(core.control_batch.size(),
-                                 std::memory_order_release);
+    controls_inflight_.fetch_sub(controls, std::memory_order_release);
   }
   // The step's own operation counts toward the drain it rides in.
-  const std::size_t ops = core.batch.size() + (own != nullptr ? 1 : 0);
+  const std::size_t ops =
+      core.batch.size() - controls + (own != nullptr ? 1 : 0);
   if (tracer->counting() && ops > 0) tracer->NoteQueueDepth(ops);
   const auto decide = [&](const Operation& op) {
     Decide(core, op);
@@ -479,14 +479,16 @@ void ShardedAdmitter::Step(Core& core, const Operation* own) {
       }
     }
   };
-  for (const Request& queued : core.batch) decide(queued.op);
+  for (const Request& request : core.batch) {
+    if (request.kind == RequestKind::kOp) decide(request.op);
+  }
   if (own != nullptr) {
     decide(*own);
     ++core.inline_decisions;
   }
   if (tracer->counting() && ops > 0) tracer->NoteBatch(ops);
   MaybeGcCore(core);
-  const std::size_t decided = core.control_batch.size() + ops;
+  const std::size_t decided = controls + ops;
   if (decided > 0) {
     decided_.fetch_add(decided, std::memory_order_release);
     { std::lock_guard<std::mutex> lock(decide_mu_); }
@@ -501,9 +503,9 @@ void ShardedAdmitter::Release(Core& core) {
     // and the re-check below sees the work those posters published.
     core.token.exchange(0, std::memory_order_seq_cst);
     core.token.notify_one();
-    const bool has_work = core.queue.Peek() ||
-                          core.controls_posted.load(std::memory_order_acquire);
-    if (!has_work || !core.TryTake()) return;  // rule (a)
+    if (!core.posted.load(std::memory_order_acquire) || !core.TryTake()) {
+      return;  // rule (a)
+    }
     Step(core, nullptr);
   }
 }
@@ -564,15 +566,14 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
     if (tracer->counting()) tracer->RecordReject(op, core.core_steps, 0);
     return;
   }
-  if (core.seen[txn] == 0) {
-    core.seen[txn] = 1;
-    if (plan_->spans().MultiShard(txn)) {
-      tracer->RecordShardRoute(
-          txn, static_cast<std::uint32_t>(plan_->spans().ShardsOf(txn).size()),
-          core.core_steps);
-    }
-  }
   const Operation projected = core.slice.Project(op);
+  // The transaction is live, so this is its first operation on the shard
+  // exactly when it is the first of its projection.
+  if (projected.index == 0 && plan_->spans().MultiShard(txn)) {
+    tracer->RecordShardRoute(
+        txn, static_cast<std::uint32_t>(plan_->spans().ShardsOf(txn).size()),
+        core.core_steps);
+  }
   AdmitResult result = core.checker.TryAppendIsolated(projected);
   if (result.ok()) {
     ++core.fast_path;
@@ -591,23 +592,20 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
     return;
   }
 
-  // Locally accepted. Derive the direct-conflict arcs this operation
-  // creates from the pre-operation frontier, record them in the local
-  // conflict DAG, and mirror whatever the taint discipline requires.
+  // Locally accepted. The checker's D-arc sources for this operation are
+  // its direct conflicts (the foreign members of the pre-operation
+  // frontier, writer first): record them in the local conflict DAG, and
+  // mirror whatever the taint discipline requires. Dead sources (killed
+  // globally, not yet withdrawn here) still get arcs: the durable-arc
+  // discipline routes surviving conflict chains through them
+  // (shard/coordinator.h).
   core.mirror_buf.clear();
   core.newly_tainted.clear();
-  const TxnId writer = core.obj_writer[op.object];
-  const auto conflict = [&](TxnId other) {
-    // Dead frontier entries (killed globally, not yet withdrawn here)
-    // still get arcs: the durable-arc discipline routes surviving
-    // conflict chains through them (shard/coordinator.h).
-    if (other == kNoTxn || other == txn) return;
-    InsertArc(core, other, txn);
-  };
-  conflict(writer);
-  if (op.is_write()) {
-    for (const TxnId reader : core.obj_readers[op.object]) conflict(reader);
-  }
+  const std::vector<TxnId>& conflicts = core.checker.last_conflicts();
+  for (const TxnId source : conflicts) InsertArc(core, source, txn);
+  // A read conflicts with the frontier writer only: the one it read.
+  const TxnId writer =
+      op.is_read() && !conflicts.empty() ? conflicts.front() : kNoTxn;
 
   if (!core.mirror_buf.empty()) {
     std::pair<TxnId, TxnId> witness{0, 0};
@@ -658,20 +656,13 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
     }
   }
 
-  // Frontier + recoverability bookkeeping (original txn ids). A read of
-  // an uncommitted frontier write is dirty: if that writer dies, the
-  // reader cascades. "Not committed" rather than "live" because a
-  // globally-dead writer may not have been withdrawn from this shard
-  // yet — registering keeps the late withdrawal's cascade complete.
-  if (op.is_write()) {
-    core.obj_writer[op.object] = txn;
-    core.obj_readers[op.object].clear();
-  } else {
-    if (writer != kNoTxn && writer != txn &&
-        TxnState(writer) != kStateCommitted) {
-      core.readers_of[writer].push_back(txn);
-    }
-    core.obj_readers[op.object].push_back(txn);
+  // Recoverability bookkeeping. A read of an uncommitted frontier write
+  // is dirty: if that writer dies, the reader cascades. "Not committed"
+  // rather than "live" because a globally-dead writer may not have been
+  // withdrawn from this shard yet — registering keeps the late
+  // withdrawal's cascade complete.
+  if (writer != kNoTxn && TxnState(writer) != kStateCommitted) {
+    core.readers_of[writer].push_back(txn);
   }
 
   const bool last_op = op.index + 1 == txns_.txn(txn).size();
@@ -818,37 +809,14 @@ void ShardedAdmitter::GlobalKill(Core& core, TxnId root, AdmitOutcome outcome,
 void ShardedAdmitter::KillLocal(Core& core, TxnId txn) {
   RELSER_DCHECK(core.local_dead[txn] == 0);
   core.local_dead[txn] = 1;
+  // The exact withdrawal restores the checker's conflict frontiers, so
+  // FUTURE conflicts link against survivors. The local conflict DAG
+  // keeps the withdrawn transaction's arcs: they are the durable
+  // waypoints surviving conflict chains route through (a writer chain
+  // Ta -> Tdead -> Tc must still read as Ta => Tc after the withdrawal,
+  // exactly as the restored checker orders the surviving operations).
   if (core.checker.TxnHasExecuted(txn)) {
     core.checker.RemoveTransactionExact(txn);
-  }
-  // The local conflict DAG keeps the withdrawn transaction's arcs: they
-  // are the durable waypoints surviving conflict chains route through
-  // (a writer chain Ta -> Tdead -> Tc must still read as Ta => Tc after
-  // the withdrawal, exactly as the restored checker orders the
-  // surviving operations). Only the frontier is re-derived, so FUTURE
-  // conflicts link against survivors.
-  // Re-derive the conflict frontier of every owned object the
-  // transaction touched from the checker (the authority on survivors).
-  core.touched_buf.clear();
-  for (const Operation& owned : core.slice.txns.txn(txn).ops()) {
-    core.touched_buf.push_back(owned.object);
-  }
-  std::sort(core.touched_buf.begin(), core.touched_buf.end());
-  core.touched_buf.erase(
-      std::unique(core.touched_buf.begin(), core.touched_buf.end()),
-      core.touched_buf.end());
-  const OpIndexer& projected_indexer = core.checker.indexer();
-  for (const ObjectId object : core.touched_buf) {
-    const std::size_t writer_gid = core.checker.FrontierWriterGid(object);
-    core.obj_writer[object] = writer_gid == OnlineRsrChecker::kNoOp
-                                  ? kNoTxn
-                                  : projected_indexer.TxnOf(writer_gid);
-    core.gid_buf.clear();
-    core.checker.FrontierReaders(object, &core.gid_buf);
-    core.obj_readers[object].clear();
-    for (const std::size_t reader_gid : core.gid_buf) {
-      core.obj_readers[object].push_back(projected_indexer.TxnOf(reader_gid));
-    }
   }
   // Recoverability cascade: live dirty readers of the withdrawn writes
   // die with it, wherever their other operations live.
@@ -942,17 +910,6 @@ void ShardedAdmitter::MaybeGcCore(Core& core) {
       core.arc_neighbors[to].push_back(from);
     });
   }
-  // Frontier scrub: a settled frontier entry could only ever source
-  // settled arcs again — which this very pass drops — so stop minting
-  // them. Decision-neutral: a settled source can never close a cycle
-  // (no future arc can enter a finished transaction).
-  for (TxnId& writer : core.obj_writer) {
-    if (writer != kNoTxn && is_settled(writer)) writer = kNoTxn;
-  }
-  for (auto& readers : core.obj_readers) {
-    readers.erase(std::remove_if(readers.begin(), readers.end(), is_settled),
-                  readers.end());
-  }
   // Settled writers committed, so their dirty-reader lists are moot.
   for (TxnId txn = 0; txn < static_cast<TxnId>(core.readers_of.size());
        ++txn) {
@@ -1000,7 +957,7 @@ void ShardedAdmitter::InstallRouter(ShardRouter router) {
   // started transactions run to a terminal state (their clients keep
   // feeding under the blocking contract). The unique gate then excludes
   // the instant between a client's registration check and its inline
-  // step or enqueue.
+  // step or post.
   std::unique_lock<std::shared_mutex> gate(swap_gate_, std::defer_lock);
   const auto quiescent = [&] {
     return open_txns_.load(std::memory_order_acquire) == 0 &&

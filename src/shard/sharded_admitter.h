@@ -9,15 +9,15 @@
 // finds the token free takes it and decides its own operation on its
 // own thread (caller-runs, i.e. flat combining with no dedicated
 // combiner: Hendler, Incze, Shavit, Tzafrir, SPAA 2010) — first
-// draining any requests other clients queued, so no thread hand-off
-// sits on the uncontended path. A submitter that finds the token taken
-// falls back to the shard's bounded MPSC ring (exec/mpsc_queue.h) and
-// sleeps on its decision. Two rules leave no ring request or control
-// without a thread responsible for it (docs/parallelism.md has the
-// proof): (a) whoever releases a token re-checks that shard's ring and
-// control channel and steps again while either has work and the token
-// is free; (b) whoever enqueues a request or posts a control then tries
-// the target's token. Every holder runs the same step body (Step), so a
+// applying anything other clients left in the shard's inbox, so no
+// thread hand-off sits on the uncontended path. A submitter that finds
+// the token taken appends its operation to the shard's inbox (one
+// mutex-guarded vector for operations and controls alike) and sleeps on
+// its decision. Two rules leave no inbox request without a thread
+// responsible for it (docs/parallelism.md has the proof): (a) whoever
+// releases a token re-checks that shard's inbox flag and steps again
+// while it is set and the token is free; (b) whoever posts to an inbox
+// then tries the target's token. Every holder runs the same step body (Step), so a
 // decision does not depend on which thread took it. Partitioning the
 // object space (shard/router.h) spreads that work over cores: conflicts
 // are per-object, so every direct conflict is resident on exactly one
@@ -52,10 +52,11 @@
 // the coordinator (its transaction-level arcs stay behind as
 // conservative constraints — the durable-arc discipline,
 // shard/coordinator.h), and cascades to live dirty readers wherever
-// they live, via unbounded per-core control channels (so cores never
-// block on each other's rings). Committed readers of an aborted writer
-// cannot be cascaded; they are counted as unrecoverable_reads().
-// Backpressure is a verdict, not a stall: a full ring answers kRetry,
+// they live, via controls posted to the other shards' inboxes, which
+// are never refused. Committed readers of an aborted writer cannot be
+// cascaded; they are counted as unrecoverable_reads(). Backpressure is
+// a verdict, not a stall: an inbox already holding queue_capacity
+// operations answers the next one kRetry,
 // and SubmitWithBackoff rides it out with jittered exponential backoff
 // (exec/backoff.h).
 //
@@ -87,7 +88,6 @@
 #include "core/online.h"
 #include "epoch/epoch.h"
 #include "exec/backoff.h"
-#include "exec/mpsc_queue.h"
 #include "obs/trace.h"
 #include "shard/coordinator.h"
 #include "shard/projection.h"
@@ -100,7 +100,10 @@ class FaultPlan;
 
 /// Knobs for ShardedAdmitter.
 struct ShardedAdmitterOptions {
-  std::size_t queue_capacity = 1024;  ///< per-shard MPSC ring size
+  /// Exact per-shard bound on queued operations: a submitter that finds
+  /// the shard's token taken while this many operations already wait in
+  /// its inbox is answered kRetry. Controls are never bounded.
+  std::size_t queue_capacity = 1024;
   /// Observability sink. Each shard core and the coordinator record
   /// into private tracers (a core's tracer is written only by the
   /// holder of its token); Stop merges them all into this one.
@@ -112,7 +115,7 @@ struct ShardedAdmitterOptions {
   /// MVCC snapshot-read fast path (core/mvcc/version_store.h): when on,
   /// read-only transactions whose read set is settled (every static
   /// writer finished) commit on the CLIENT thread against the committed
-  /// watermark — no ring hop, no shard core, no checker arcs, no
+  /// watermark — no inbox hop, no shard core, no checker arcs, no
   /// coordinator traffic. Unsettled read-only transactions escalate to
   /// the normal sharded path unchanged. Off by default: the flag is a
   /// relaxation knob, and decision bit-identity with the flag off is
@@ -121,8 +124,8 @@ struct ShardedAdmitterOptions {
   /// Epoch-based stable-prefix GC (epoch/epoch.h). Every core feeds the
   /// shared EpochManager (direct-conflict arcs at local-DAG insertion,
   /// finishes at commit / fully-applied kill) and polls gc_generation
-  /// per drain: on advance it truncates its checker's settled rows,
-  /// scrubs frontier/arc bookkeeping of settled transactions, and
+  /// per step: on advance it truncates its checker's settled rows,
+  /// scrubs arc bookkeeping of settled transactions, and
   /// archives (or drops) settled accept-log entries; one core per
   /// generation additionally collects coordinator arcs and prunes
   /// version chains. Decision-identical to gc off — a settled
@@ -158,15 +161,15 @@ class ShardedAdmitter {
 
   /// Routes `op` to the shard owning its object and returns its
   /// decision. When the shard's token is free the calling thread decides
-  /// the operation itself; otherwise it enqueues the operation, tries
-  /// the token once more, and blocks until a token holder decides it.
+  /// the operation itself; otherwise it posts the operation to the
+  /// shard's inbox, tries the token once more, and blocks until a token
+  /// holder decides it.
   /// Outcomes: kAccept / kReject (this op failed certification; the
   /// transaction was aborted) / a death outcome (kAborted, kTimeout: the
-  /// transaction died before this op was decided) / kRetry (ring full,
-  /// nothing enqueued) / kTimeout (the deadline expired first; a
+  /// transaction died before this op was decided) / kRetry (inbox full,
+  /// nothing queued) / kTimeout (the deadline expired first; a
   /// timeout-abort was scheduled and the transaction is doomed). The
-  /// deadline bounds
-  /// waiting only: an operation decided on the calling thread is never
+  /// deadline bounds waiting only: an operation decided on the calling thread is never
   /// answered kTimeout. timeout zero waits forever. After any other
   /// non-accept verdict the thread's next call first applies every kill
   /// still in flight, so one client's decisions do not depend on which
@@ -212,7 +215,7 @@ class ShardedAdmitter {
   std::size_t rejected() const {
     return rejected_.load(std::memory_order_acquire);
   }
-  /// Client submissions refused by ring backpressure.
+  /// Client submissions refused by inbox backpressure.
   std::uint64_t retries() const {
     return retry_count_.load(std::memory_order_acquire);
   }
@@ -307,7 +310,7 @@ class ShardedAdmitter {
     std::size_t fast_path = 0;      ///< TryAppendIsolated accepts
     std::uint64_t escalations = 0;  ///< txns taint-flooded to coordinator
     /// Operations decided by their own submitter (a step's own
-    /// operation); the rest of ops_routed came through the ring.
+    /// operation); the rest of ops_routed came through the inbox.
     std::size_t inline_decisions = 0;
   };
   ShardStats shard_stats(std::uint32_t shard) const;
@@ -334,42 +337,38 @@ class ShardedAdmitter {
 
   static constexpr TxnId kNoTxn = ~static_cast<TxnId>(0);
 
-  /// One shard core: ownership token, ring, control channel, projected
-  /// checker, conflict bookkeeping, taint state, private tracer. Owned
-  /// via unique_ptr so addresses stay stable while clients step it.
+  /// One shard core: ownership token, inbox, projected checker,
+  /// conflict bookkeeping, taint state, private tracer. Owned via
+  /// unique_ptr so addresses stay stable while clients step it.
   struct Core {
-    Core(const ShardSlice& slice, std::size_t object_count,
-         std::size_t txn_count, std::size_t queue_capacity,
+    Core(const ShardSlice& slice, std::size_t txn_count,
          TraceLevel trace_level);
 
-    // Ownership token, 1 while held; its holder is the ring's only
-    // consumer and the only writer of everything below `controls_posted`.
+    // Ownership token, 1 while held; its holder is the inbox's only
+    // consumer and the only writer of everything below `posted`.
     // Every write is an exchange, and a failed one proves another holder
     // (unlike try_lock): docs/parallelism.md's liveness proof needs both.
     std::atomic<std::uint32_t> token{0};
-    MpscQueue<Request> queue;
-    std::mutex control_mu;
-    std::vector<Request> controls;  // unbounded cross-core channel
-    // Set under control_mu when `controls` becomes non-empty, so Step
-    // and the release re-check skip the lock when nothing was posted.
-    std::atomic<bool> controls_posted{false};
+    // The shard's one request channel: operations whose submitter found
+    // the token taken, and controls (kills, aborts, timeouts) from any
+    // thread, in posting order. `queued_ops` counts the operations in it.
+    std::mutex inbox_mu;
+    std::vector<Request> inbox;
+    std::size_t queued_ops = 0;
+    // Set under inbox_mu exactly while `inbox` is non-empty, so Step and
+    // the release re-check skip the lock when nothing was posted.
+    std::atomic<bool> posted{false};
 
     bool TryTake() { return token.exchange(1, std::memory_order_seq_cst) == 0; }
 
-    // Step scratch (token holder only), reused so steady-state
-    // submission does not allocate.
-    std::vector<Request> control_batch;
+    // The inbox as Step swapped it out (token holder only), reused so
+    // steady-state submission does not allocate.
     std::vector<Request> batch;
 
     const ShardSlice& slice;
     OnlineRsrChecker checker;  // over slice.txns / slice.spec
     Tracer tracer;             // private; merged into the user's at Stop
 
-    // Per-object conflict frontier mirror (original txn ids): the last
-    // writer and the readers since it, for arc generation. Rebuilt from
-    // the checker after withdrawals.
-    std::vector<TxnId> obj_writer;
-    std::vector<std::vector<TxnId>> obj_readers;
     std::vector<std::vector<TxnId>> readers_of;  // dirty readers (cascade)
 
     // Local transaction-level conflict DAG + taint state. arc_state
@@ -378,14 +377,11 @@ class ShardedAdmitter {
     std::vector<std::vector<TxnId>> arc_neighbors;  // undirected
     std::vector<std::uint8_t> tainted;
     std::vector<std::uint8_t> local_dead;  // withdrawn from this checker
-    std::vector<std::uint8_t> seen;        // first-op-seen (route events)
 
     // Scratch, reused across decisions.
     std::vector<std::pair<TxnId, TxnId>> mirror_buf;
     std::vector<TxnId> flood_stack;
     std::vector<TxnId> newly_tainted;  // per-decision taint undo log
-    std::vector<std::size_t> gid_buf;
-    std::vector<ObjectId> touched_buf;
     std::vector<std::uint64_t> gc_key_buf;  // settled arc keys per GC pass
 
     std::uint32_t shard_id = 0;
@@ -412,21 +408,21 @@ class ShardedAdmitter {
   /// scrub settled bookkeeping; the generation's claim winner also
   /// collects coordinator arcs and prunes version chains.
   void MaybeGcCore(Core& core);
-  /// One step of `core` (token held): drains the ring, then the control
-  /// channel; applies the controls, decides the ring requests and then
-  /// `own` (when given), with FaultPlan pauses per decision; runs
-  /// MaybeGcCore; publishes decided_ and wakes waiters.
+  /// One step of `core` (token held): swaps the inbox out; applies its
+  /// controls, then decides its operations and then `own` (when given),
+  /// with FaultPlan pauses per decision; runs MaybeGcCore; publishes
+  /// decided_ and wakes waiters.
   void Step(Core& core, const Operation* own);
   /// Rule (a): releases `core`'s token (held by the caller), then
-  /// re-checks the ring and the control channel, and takes the token
-  /// and steps again while either has work and the token is free.
+  /// re-checks the inbox flag, and takes the token and steps again while
+  /// the flag is set and the token is free.
   void Release(Core& core);
-  /// Rule (b): tries the token of each shard this thread enqueued to or
-  /// posted a control to since its last call, stepping and releasing
+  /// Rule (b): tries the token of each shard this thread posted an
+  /// operation or a control to since its last call, stepping and releasing
   /// each one it takes. Call under swap_gate_ (shared).
   void TryPostedShards();
   /// SubmitAndWait's body: the snapshot fast path, then the inline step
-  /// or the ring and the wait.
+  /// or the inbox and the wait.
   AdmitResult Submit(const Operation& op, std::chrono::microseconds timeout);
   /// When this thread's last verdict from this admitter was a terminal
   /// non-accept (or an AbortTxn), applies every posted control before
@@ -443,16 +439,20 @@ class ShardedAdmitter {
   /// synchronously, and posts kKill controls to its other resident
   /// shards. No-op when the CAS loses (already dead or committed).
   void GlobalKill(Core& core, TxnId root, AdmitOutcome outcome, bool cascade);
-  /// This shard's share of a kill: withdraw from the checker, scrub
-  /// local arcs and frontiers, cascade local dirty readers.
+  /// This shard's share of a kill: withdraw from the checker (which
+  /// restores its conflict frontiers), cascade local dirty readers.
   void KillLocal(Core& core, TxnId txn);
   /// Records conflict pair u -> v in the local DAG; mirrors + floods
   /// taint when either endpoint is tainted.
   void InsertArc(Core& core, TxnId from, TxnId to);
   void Taint(Core& core, TxnId txn);
   void Publish(std::size_t gid, TxnId txn, AdmitOutcome outcome);
-  /// Appends a control to `shard`'s channel and records the shard for
-  /// the caller's TryPostedShards.
+  /// Appends `request` to `core`'s inbox and sets its flag; false, with
+  /// nothing appended, when `request` is an operation and
+  /// options_.queue_capacity operations already wait there.
+  bool Post(Core& core, const Request& request);
+  /// Posts a control to `shard` and records the shard for the caller's
+  /// TryPostedShards.
   void PostControl(std::uint32_t shard, TxnId txn, RequestKind kind);
   std::uint8_t TxnState(TxnId txn) const {
     return txn_state_[txn].load(std::memory_order_acquire);
@@ -491,7 +491,7 @@ class ShardedAdmitter {
   std::atomic<std::uint64_t> hw_dep_arcs_{0};
 
   // InstallRouter machinery. Clients take swap_gate_ shared around
-  // registration + routing + the inline step or enqueue, around every
+  // registration + routing + the inline step or the post, around every
   // post and the token tries after it, and around SettleOwedControls
   // (never around waits), so every token holder holds it; the swapper
   // takes it unique while it rebuilds plan_ and cores_. txn_open_ is

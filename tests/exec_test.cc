@@ -1,24 +1,17 @@
 // Tests for the execution substrate (src/exec/): thread-pool lifecycle
-// and churn, ParallelFor coverage, bounded MPSC queue ordering under a
-// producer storm (with one consumer thread, and with the consumer role
-// handed between two threads under a mutex), and the hard determinism
-// contract of the parallel
-// analysis sweeps (census and brute-force results bit-identical to
-// serial for every pool size).
+// and churn, ParallelFor coverage, and the hard determinism contract of
+// the parallel analysis sweeps (census and brute-force results
+// bit-identical to serial for every pool size).
 //
 // gtest assertions are not thread-safe, so worker threads only fill
 // pre-sized slots or touch atomics; the main thread does the asserting.
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/brute.h"
-#include "exec/mpsc_queue.h"
 #include "exec/thread_pool.h"
 #include "model/schedule.h"
 #include "spec/builders.h"
@@ -88,110 +81,6 @@ TEST(ParallelForTest, NullPoolAndEmptyRange) {
   bool ran = false;
   ParallelFor(nullptr, 3, 3, 1, [&](std::size_t, std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
-}
-
-TEST(MpscQueueTest, FifoSingleProducer) {
-  MpscQueue<int> queue(64);
-  for (int i = 0; i < 50; ++i) EXPECT_TRUE(queue.TryEnqueue(i));
-  int value = -1;
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(queue.TryDequeue(&value));
-    EXPECT_EQ(value, i);
-  }
-  EXPECT_FALSE(queue.TryDequeue(&value));
-}
-
-TEST(MpscQueueTest, ProducerStormPreservesPerProducerOrder) {
-  // 8 producers, each enqueueing an increasing sequence tagged with its
-  // id; the single consumer must see each producer's items in order and
-  // every item exactly once. Capacity is far below the item count, so
-  // the blocking Enqueue path (ring full -> spin/yield) is exercised.
-  constexpr std::uint64_t kProducers = 8;
-  constexpr std::uint64_t kPerProducer = 2'000;
-  MpscQueue<std::uint64_t> queue(128);
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (std::uint64_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        queue.Enqueue(p << 32 | i);
-      }
-    });
-  }
-  std::vector<std::uint64_t> next(kProducers, 0);
-  std::uint64_t consumed = 0;
-  std::uint64_t order_violations = 0;
-  while (consumed < kProducers * kPerProducer) {
-    std::uint64_t item = 0;
-    if (!queue.TryDequeue(&item)) {
-      std::this_thread::yield();
-      continue;
-    }
-    const std::uint64_t p = item >> 32;
-    const std::uint64_t seq = item & 0xffffffffu;
-    if (seq != next[p]) ++order_violations;
-    next[p] = seq + 1;
-    ++consumed;
-  }
-  for (std::thread& producer : producers) producer.join();
-  EXPECT_EQ(order_violations, 0u);
-  for (std::uint64_t p = 0; p < kProducers; ++p) {
-    EXPECT_EQ(next[p], kPerProducer) << "producer " << p;
-  }
-}
-
-TEST(MpscQueueTest, ConsumerHandedBetweenThreadsUnderAMutex) {
-  // The sharded admitter's shape: the consumer role belongs to whoever
-  // holds a mutex (its ownership token), and two threads take turns
-  // holding it. Per-producer FIFO must survive every hand-over, and
-  // every item arrives exactly once.
-  constexpr std::uint64_t kProducers = 8;
-  constexpr std::uint64_t kPerProducer = 2'000;
-  constexpr std::uint64_t kTotal = kProducers * kPerProducer;
-  MpscQueue<std::uint64_t> queue(16);
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (std::uint64_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        queue.Enqueue(p << 32 | i);
-      }
-    });
-  }
-  std::mutex token;
-  std::vector<std::uint64_t> next(kProducers, 0);  // guarded by token
-  std::uint64_t consumed = 0;                      // guarded by token
-  std::uint64_t order_violations = 0;              // guarded by token
-  std::uint64_t by_consumer[2] = {0, 0};           // guarded by token
-  const auto consume = [&](int id) {
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(token);
-        if (consumed == kTotal) return;
-        std::uint64_t item = 0;
-        for (int k = 0; k < 4 && queue.TryDequeue(&item); ++k) {
-          const std::uint64_t p = item >> 32;
-          const std::uint64_t seq = item & 0xffffffffu;
-          if (seq != next[p]) ++order_violations;
-          next[p] = seq + 1;
-          ++consumed;
-          ++by_consumer[id];
-        }
-      }
-      std::this_thread::yield();
-    }
-  };
-  std::thread other([&] { consume(0); });
-  consume(1);
-  other.join();
-  for (std::thread& producer : producers) producer.join();
-  EXPECT_EQ(order_violations, 0u);
-  EXPECT_EQ(consumed, kTotal);
-  for (std::uint64_t p = 0; p < kProducers; ++p) {
-    EXPECT_EQ(next[p], kPerProducer) << "producer " << p;
-  }
-  EXPECT_GT(by_consumer[0], 0u);
-  EXPECT_GT(by_consumer[1], 0u);
 }
 
 TEST(DeterminismTest, CensusBitIdenticalAcrossPoolSizes) {

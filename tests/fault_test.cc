@@ -188,7 +188,7 @@ TEST(FaultTest, CommittedTransactionsAreImmune) {
 }
 
 // Backpressure and deadlines: a fault plan that pauses the admission
-// core makes the bounded ring fill (kRetry) and deadlines expire
+// core makes the bounded inbox fill (kRetry) and deadlines expire
 // (kTimeout); SubmitWithBackoff rides out the retries.
 TEST(FaultTest, BackpressureRetriesAndDeadlineTimeouts) {
   WorkloadParams wp;
@@ -208,14 +208,14 @@ TEST(FaultTest, BackpressureRetriesAndDeadlineTimeouts) {
 
   Tracer tracer(TraceLevel::kCounters);
   ShardedAdmitterOptions options;
-  options.queue_capacity = 2;  // tiny ring: backpressure is the norm
+  options.queue_capacity = 2;  // tiny inbox: backpressure is the norm
   options.tracer = &tracer;
   options.faults = &plan;
   ShardedAdmitter admitter(txns, spec, OneShard(txns), options);
 
   // One client per transaction: blocking submissions allow one
   // operation in flight per transaction, so only concurrent clients
-  // can fill the ring while the core pauses.
+  // can fill the inbox while the core pauses.
   std::atomic<std::uint64_t> timeouts{0};
   std::vector<std::thread> clients;
   clients.reserve(txns.txn_count());
@@ -242,7 +242,7 @@ TEST(FaultTest, BackpressureRetriesAndDeadlineTimeouts) {
   for (std::thread& client : clients) client.join();
   admitter.Stop();
 
-  EXPECT_GT(admitter.retries(), 0u) << "tiny ring + paused core must refuse";
+  EXPECT_GT(admitter.retries(), 0u) << "tiny inbox + paused core must refuse";
   EXPECT_GT(timeouts.load(), 0u)
       << "50us deadlines under ~1ms pauses must expire";
   EXPECT_EQ(tracer.counters().retries, admitter.retries());

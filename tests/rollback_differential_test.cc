@@ -5,7 +5,10 @@
 // that of a fresh checker fed its feed_log(). Truncation is driven the way
 // the single-shard admitter drives it: an EpochManager fed the direct
 // conflicts of each accepted operation, a finish per commit or abort, and
-// a Truncate whenever the GC generation moves.
+// a Truncate whenever the GC generation moves. Along the way, after every
+// accept, last_conflicts() must name exactly the transactions of the
+// foreign frontier the operation met (empty for a TryAppendIsolated
+// accept), through every abort and truncation that moved the frontiers.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -77,6 +80,8 @@ class FeedRun {
   std::size_t cascades() const { return cascades_; }
   std::size_t truncations() const { return truncations_; }
   std::size_t victims_before_truncation() const { return old_victims_; }
+  std::size_t isolated_accepts() const { return isolated_accepts_; }
+  std::size_t conflicted_accepts() const { return conflicted_accepts_; }
 
  private:
   static constexpr std::uint8_t kPending = 0;
@@ -85,7 +90,8 @@ class FeedRun {
   static constexpr std::uint8_t kDead = 3;
 
   void Feed(const Operation& op) {
-    // The direct conflicts the admitter notes: the pre-operation frontier.
+    // The direct conflicts the admitter notes: the transactions of the
+    // foreign members of the pre-operation frontier, writer first.
     deps_.clear();
     const std::size_t writer_gid = checker_.FrontierWriterGid(op.object);
     const bool has_writer = writer_gid != OnlineRsrChecker::kNoOp &&
@@ -101,7 +107,18 @@ class FeedRun {
       }
     }
     AdmitResult result = checker_.TryAppendIsolated(op);
-    if (!result.ok()) result = checker_.TryAppend(op);
+    if (result.ok()) {
+      ++isolated_accepts_;
+      ASSERT_TRUE(checker_.last_conflicts().empty())
+          << "isolated accept of T" << op.txn << " op " << op.index;
+    } else {
+      result = checker_.TryAppend(op);
+      if (result.ok()) {
+        if (!deps_.empty()) ++conflicted_accepts_;
+        ASSERT_EQ(checker_.last_conflicts(), deps_)
+            << "accept of T" << op.txn << " op " << op.index;
+      }
+    }
     if (!result.ok()) {
       Kill(op.txn);
       return;
@@ -188,6 +205,8 @@ class FeedRun {
   std::size_t cascades_ = 0;
   std::size_t truncations_ = 0;
   std::size_t old_victims_ = 0;
+  std::size_t isolated_accepts_ = 0;
+  std::size_t conflicted_accepts_ = 0;
 };
 
 TEST(RollbackDifferential, AbortsAndTruncationsMatchAFreshChecker) {
@@ -197,6 +216,8 @@ TEST(RollbackDifferential, AbortsAndTruncationsMatchAFreshChecker) {
   std::size_t cascades = 0;
   std::size_t truncations = 0;
   std::size_t old_victims = 0;
+  std::size_t isolated_accepts = 0;
+  std::size_t conflicted_accepts = 0;
   for (int round = 0; round < kRounds; ++round) {
     Rng rng = base.Split(static_cast<std::uint64_t>(round));
     WorkloadParams wp;
@@ -217,12 +238,16 @@ TEST(RollbackDifferential, AbortsAndTruncationsMatchAFreshChecker) {
     cascades += run.cascades();
     truncations += run.truncations();
     old_victims += run.victims_before_truncation();
+    isolated_accepts += run.isolated_accepts();
+    conflicted_accepts += run.conflicted_accepts();
   }
   // The mix must actually exercise every path.
   EXPECT_GT(aborts, 100u);
   EXPECT_GT(cascades, 10u);
   EXPECT_GT(truncations, 100u);
   EXPECT_GT(old_victims, 10u);
+  EXPECT_GT(isolated_accepts, 100u);
+  EXPECT_GT(conflicted_accepts, 100u);
 }
 
 }  // namespace

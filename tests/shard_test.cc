@@ -8,16 +8,19 @@
 // with and without the TryAppendIsolated fast path. Caller-runs
 // admission (a submitter deciding on its own thread under the shard's
 // token) is checked for repeatable single-client decisions, for a
-// contended client fleet that mixes it with the ring fallback (also
+// contended client fleet that mixes it with the inbox fallback (also
 // under TSan in ci.sh), and for liveness without any admitter thread:
-// a kill posted to an idle shard, a timed-out waiter left in the ring,
+// a kill posted to an idle shard, a timed-out waiter left in the inbox,
 // and a client abort on a busy shard are all resolved by the token
-// release re-check or the try after a post.
+// release re-check or the try after a post. queue_capacity is checked as
+// an exact bound on queued operations, and the shard_route trace event
+// as one per resident shard of each multi-shard transaction.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -432,7 +435,7 @@ TEST(ShardedAdmitterTest, CrossShardAbortCascadesToRemoteDirtyReaders) {
 }
 
 // Backpressure and deadlines survive sharding: a fault plan pausing the
-// shard cores makes the tiny rings refuse (kRetry) and deadlines expire
+// shard cores makes the tiny inboxes refuse (kRetry) and deadlines expire
 // (kTimeout); SubmitWithBackoff rides it out and whatever commits still
 // replays on the full checker.
 TEST(ShardedAdmitterTest, BackpressureRetriesAndTimeoutsUnderFaultPlan) {
@@ -450,14 +453,14 @@ TEST(ShardedAdmitterTest, BackpressureRetriesAndTimeoutsUnderFaultPlan) {
   FaultPlanParams fp;
   fp.core_pause_prob = 1.0;
   // Wide pauses so saturation is robust even under sanitizer slowdown:
-  // a capacity-2 ring needs three submissions inside one pause window,
+  // a capacity-2 inbox needs three submissions inside one pause window,
   // and TSan staggers the client threads by whole milliseconds.
   fp.max_core_pause_us = 20000;
   const FaultPlan plan(0x5A03, fp);
 
   Tracer tracer(TraceLevel::kCounters);
   ShardedAdmitterOptions options;
-  options.queue_capacity = 2;  // tiny rings: backpressure is the norm
+  options.queue_capacity = 2;  // tiny inboxes: backpressure is the norm
   options.tracer = &tracer;
   options.faults = &plan;
   ShardedAdmitter admitter(
@@ -465,7 +468,7 @@ TEST(ShardedAdmitterTest, BackpressureRetriesAndTimeoutsUnderFaultPlan) {
       options);
 
   // One client per transaction: concurrent submissions against paused
-  // cores are what actually fill the tiny rings.
+  // cores are what actually fill the tiny inboxes.
   std::atomic<std::uint64_t> timeouts{0};
   std::vector<std::thread> clients;
   clients.reserve(txns.txn_count());
@@ -491,7 +494,7 @@ TEST(ShardedAdmitterTest, BackpressureRetriesAndTimeoutsUnderFaultPlan) {
   for (std::thread& client : clients) client.join();
   admitter.Stop();
 
-  EXPECT_GT(admitter.retries(), 0u) << "tiny rings + paused cores must refuse";
+  EXPECT_GT(admitter.retries(), 0u) << "tiny inboxes + paused cores must refuse";
   EXPECT_GT(timeouts.load(), 0u)
       << "50us deadlines under multi-ms pauses must expire";
   EXPECT_EQ(tracer.counters().retries, admitter.retries());
@@ -875,11 +878,11 @@ TEST(ShardedAdmitterTest, TwoShardSnapshotSingleClientIsRepeatable) {
   }
 }
 
-// Eight clients on two shards with two-slot rings: submitters race each
+// Eight clients on two shards with two-slot inboxes: submitters race each
 // other for the ownership tokens, so operations are decided both inline
-// and through the ring, interleaved with client aborts, deadline
+// and through the inbox, interleaved with client aborts, deadline
 // timeouts and cross-shard kills. Short fault-plan pauses keep holders
-// on the token long enough for the others to fall back to the ring.
+// on the token long enough for the others to fall back to the inbox.
 // Every submitted operation is decided exactly once, and the committed
 // history replays relatively serializably.
 TEST(ShardedAdmitterTest, CallerRunsUnderContentionDecidesEveryOpOnce) {
@@ -954,7 +957,7 @@ TEST(ShardedAdmitterTest, CallerRunsUnderContentionDecidesEveryOpOnce) {
     }
   }
   EXPECT_GT(inline_decisions, 0u) << "no submitter ever decided inline";
-  EXPECT_LT(inline_decisions, ops_routed) << "the ring path never decided";
+  EXPECT_LT(inline_decisions, ops_routed) << "the inbox path never decided";
   OnlineRsrChecker replay(txns, spec);
   for (const Operation& op : admitter.CommittedLog()) {
     ASSERT_TRUE(replay.TryAppend(op).ok());
@@ -962,10 +965,10 @@ TEST(ShardedAdmitterTest, CallerRunsUnderContentionDecidesEveryOpOnce) {
 }
 
 
-// Liveness without an admitter thread: every request or control left in
-// a ring or a control channel is taken by the poster's token try or by
-// the re-check of whoever releases the token. Each case below hangs
-// (and fails on the ctest TIMEOUT) if one of the two rules is missing.
+// Liveness without an admitter thread: every operation or control left
+// in an inbox is taken by the poster's token try or by the re-check of
+// whoever releases the token. Each case below hangs (and fails on the
+// ctest TIMEOUT) if one of the two rules is missing.
 
 // A fault plan that pauses a shard for at least 200 ms right after its
 // `step`-th decision and not at all on its other early steps, so a test
@@ -1016,10 +1019,10 @@ TEST(ShardedAdmitterLivenessTest, KillPostedToIdleShardIsApplied) {
   EXPECT_EQ(admitter.CommittedLog().size(), 2u);
 }
 
-// (2) A waiter's deadline expires while its operation sits in the ring
+// (2) A waiter's deadline expires while its operation sits in the inbox
 // behind a paused token holder, and no other client touches the shard.
 // The holder's release re-check decides the operation, exactly once.
-TEST(ShardedAdmitterLivenessTest, TimedOutRingRequestIsDecidedOnce) {
+TEST(ShardedAdmitterLivenessTest, TimedOutQueuedRequestIsDecidedOnce) {
   auto txns = ParseTransactionSet(
       "T1 = w1[a]\n"
       "T2 = w2[b] w2[b]\n");
@@ -1069,6 +1072,100 @@ TEST(ShardedAdmitterLivenessTest, AbortOnBusyShardReturnsDeathOutcome) {
   EXPECT_FALSE(admitter.checker(0).TxnHasExecuted(1));
   ASSERT_EQ(admitter.CommittedLog().size(), 1u);
   EXPECT_EQ(admitter.CommittedLog()[0].txn, 0u);
+}
+
+
+// queue_capacity bounds queued operations exactly, also when it is not a
+// power of two: with the token holder paused, three of four fallback
+// submitters queue and the fourth is refused.
+TEST(ShardedAdmitterTest, QueueCapacityBoundsQueuedOperationsExactly) {
+  auto txns = ParseTransactionSet(
+      "T1 = w1[a]\n"
+      "T2 = w2[b]\n"
+      "T3 = w3[c]\n"
+      "T4 = w4[d]\n"
+      "T5 = w5[e]\n");
+  ASSERT_TRUE(txns.ok());
+  const AtomicitySpec spec = FullyRelaxedSpec(*txns);
+  const FaultPlan plan = PlanPausingLongAt(1);
+  ShardedAdmitterOptions options;
+  options.queue_capacity = 3;
+  options.faults = &plan;
+  ShardedAdmitter admitter(*txns, spec,
+                           ShardRouter(5, 1, ShardStrategy::kRange), options);
+  const Operation& held = txns->txn(0).op(0);
+  std::thread holder([&] { EXPECT_TRUE(admitter.SubmitAndWait(held)); });
+  AwaitDecided(admitter, held);
+  std::vector<AdmitOutcome> outcomes(4, AdmitOutcome::kReject);
+  std::vector<std::thread> submitters;
+  for (TxnId t = 1; t <= 4; ++t) {
+    submitters.emplace_back([&, t] {
+      outcomes[t - 1] = admitter.SubmitAndWait(txns->txn(t).op(0)).outcome;
+    });
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+  holder.join();
+  EXPECT_EQ(std::count(outcomes.begin(), outcomes.end(), AdmitOutcome::kAccept),
+            3);
+  EXPECT_EQ(std::count(outcomes.begin(), outcomes.end(), AdmitOutcome::kRetry),
+            1);
+  EXPECT_EQ(admitter.retries(), 1u);
+  // The three queued operations were decided by the holder's re-check.
+  EXPECT_EQ(admitter.shard_stats(0).ops_routed, 4u);
+  EXPECT_EQ(admitter.shard_stats(0).inline_decisions, 1u);
+  admitter.Stop();
+}
+
+// Every committed multi-shard transaction records exactly one
+// shard_route event per resident shard, each naming its shard count, and
+// no single-shard transaction records one.
+TEST(ShardedAdmitterTest, ShardRouteTracedOncePerResidentShard) {
+  Rng rng(0x5E0A);
+  ShardedWorkloadParams wp;
+  wp.txn_count = 120;
+  wp.min_ops_per_txn = 2;
+  wp.max_ops_per_txn = 7;
+  wp.shard_count = 2;
+  wp.objects_per_shard = 16;
+  wp.cross_shard_ratio = 0.4;
+  const TransactionSet txns = GenerateShardedTransactions(wp, &rng);
+  const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+  Tracer tracer(TraceLevel::kFull);
+  ShardedAdmitterOptions options;
+  options.tracer = &tracer;
+  ShardedAdmitter admitter(
+      txns, spec, ShardRouter(txns.object_count(), 2, ShardStrategy::kRange),
+      options);
+  std::vector<std::uint8_t> dead(txns.txn_count(), 0);
+  for (const Operation& op : RoundRobinFeed(txns)) {
+    if (dead[op.txn] != 0) continue;
+    if (!admitter.SubmitAndWait(op).ok()) dead[op.txn] = 1;
+  }
+  admitter.Stop();
+
+  std::vector<std::size_t> routes(txns.txn_count(), 0);
+  for (const TraceEvent& event : tracer.events()) {
+    if (event.kind != TraceEventKind::kShardRoute) continue;
+    ++routes[event.txn];
+    const std::size_t shards = admitter.plan().spans().ShardsOf(event.txn).size();
+    EXPECT_EQ(event.cause.note, "spans " + std::to_string(shards) + " shards")
+        << "T" << event.txn;
+  }
+  std::size_t committed_multi = 0;
+  for (TxnId t = 0; t < txns.txn_count(); ++t) {
+    const std::size_t shards = admitter.plan().spans().ShardsOf(t).size();
+    if (!admitter.plan().spans().MultiShard(t)) {
+      EXPECT_EQ(routes[t], 0u) << "T" << t;
+    } else if (admitter.TxnCommitted(t)) {
+      ++committed_multi;
+      EXPECT_EQ(routes[t], shards) << "T" << t;
+    } else {
+      EXPECT_LE(routes[t], shards) << "T" << t;
+    }
+  }
+  EXPECT_GT(committed_multi, 10u);
+  EXPECT_GT(std::count(dead.begin(), dead.end(), 1), 0)
+      << "no transaction died";
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ TEST(ShardedDifferential, CommittedHistoriesReplayOnTheFullChecker) {
     fp.max_core_pause_us = 40;
     const FaultPlan faults(rng.Next(), fp);
     ShardedAdmitterOptions options;
-    options.queue_capacity = 16;  // small rings: exercise backpressure
+    options.queue_capacity = 16;  // small inboxes: exercise backpressure
     if (round % 4 == 3) options.faults = &faults;
     ShardedAdmitter admitter(txns, spec, router, options);
 
