@@ -5,9 +5,11 @@
 // OnlineRsrCheckerBaseline (the baseline's per-op cost grows with the
 // transitive ancestor count, so it is only run up to 10^4). Records, per
 // size: ops/sec, arcs submitted/inserted, steady-state heap allocations
-// per operation (global new/delete counters, second half of the feed) and
-// p50/p99 admission latency. Results go to BENCH_online.json for the
-// perf trajectory; bench/trajectory/ keeps committed snapshots.
+// per operation (global new/delete counters, second half of the feed),
+// p50/p99 admission latency, and the optimized checker's ancestor-row
+// pool at its high water mark (rows, and rows x T x column bytes).
+// Results go to BENCH_online.json for the perf trajectory;
+// bench/trajectory/ keeps committed snapshots.
 //
 // Both checkers must agree on every accept/reject decision (the
 // optimization's bit-identical contract), and the optimized checker's
@@ -282,6 +284,11 @@ int Run(bool smoke) {
     json.Uint(wl.txn_length);
     json.Key("objects");
     json.Uint(wl.object_count);
+    json.Key("pool_rows_hw");
+    json.Uint(optimized.pool_rows());
+    json.Key("row_bytes_hw");
+    json.Uint(optimized.pool_rows() * wl.txns.txn_count() *
+              sizeof(OnlineRsrChecker::AncestorColumn));
     json.Key("optimized");
     EmitImpl(json, opt_feed, opt_lat, ops, optimized.arcs_submitted(),
              optimized.arcs_inserted_total());

@@ -36,8 +36,15 @@ ctest --preset asan
 # failing.
 (cd build-asan && ./bench/bench_online_hotpath --smoke)
 
-# The emitted JSON must parse.
-python3 -c "import json; json.load(open('build-asan/BENCH_online.json'))"
+# The emitted JSON must parse, and every size must report the ancestor
+# row pool at its high water mark.
+python3 - <<'EOF'
+import json
+
+for size in json.load(open("build-asan/BENCH_online.json"))["sizes"]:
+    for key in ("pool_rows_hw", "row_bytes_hw"):
+        assert key in size, f"size {size['target_ops']} lacks {key}"
+EOF
 
 # Fault smoke: the robustness layer under deterministic fault injection.
 # Exits non-zero unless the committed prefix replays relatively
@@ -192,6 +199,14 @@ cmake --build --preset tsan -j"$(nproc)" \
  { rc=0; ./tools/audit --no-witness ci_audit/fig3_witness.jsonl \
      > /dev/null || rc=$?; [ "$rc" -eq 1 ]; } &&
  python3 -c "import json; json.load(open('ci_audit/fig3_witness.chrome.json'))")
+
+# Over-long transaction: one operation past the checker's 65,534-op
+# bound is a parse error, exit 2 with a message, not an abort.
+(cd build-asan &&
+ python3 -c 'print("{\"txn\": 1, \"object\": \"x\", \"rw\": \"w\"}\n" * 65535,
+                   end="")' > ci_audit/overlong.jsonl &&
+ { rc=0; ./tools/audit ci_audit/overlong.jsonl > /dev/null 2>&1 || rc=$?;
+   [ "$rc" -eq 2 ]; })
 
 # Streaming-audit smoke: the constant-memory segmented replay must
 # reproduce the batch auditor's exit codes from a pipe — 0 on the

@@ -76,6 +76,13 @@ class HistoryBuilder {
                            std::to_string(index),
                            " (program order must be contiguous)"));
     }
+    if (next == kMaxTxnOps) {
+      return LineError(line_no,
+                       Cat("T", std::to_string(txn + 1), " exceeds ",
+                           std::to_string(kMaxTxnOps),
+                           " operations, the longest transaction the "
+                           "checker accepts"));
+    }
     const ObjectId obj = txns_.InternObject(object);
     const std::uint32_t got =
         is_write ? writer->Write(obj) : writer->Read(obj);

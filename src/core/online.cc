@@ -46,6 +46,9 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
   // structures whose final size is workload-dependent).
   topo_.ReserveAdjacency(8);
   for (TxnId t = 0; t < txn_count_; ++t) {
+    RELSER_CHECK_MSG(txns_.txn(t).size() <= kMaxTxnOps,
+                     "transaction T" << t + 1 << " has more than "
+                                     << kMaxTxnOps << " operations");
     // One entry per executed op of t (entries are appended per op, so the
     // exact bound is the transaction length).
     txn_objects_[t].reserve(txns_.txn(t).size());
@@ -101,13 +104,15 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   // Seed the scratch ancestor array from the previous op of the same
   // transaction (ancestor arrays are cumulative along program order).
   // `prev` stays the predecessor's row for the F/B scan below.
-  const std::uint32_t* prev = zero_row_.data();
+  const AncestorColumn* prev = zero_row_.data();
   if (op.index > 0) {
     const std::uint32_t prev_slot = slot_of_[gid - 1];
     RELSER_DCHECK(prev_slot != kNoSlot);
     prev = &pool_[prev_slot * txn_count_];
     std::copy(prev, prev + txn_count_, scratch_anc_.begin());
-    scratch_anc_[j] = std::max(scratch_anc_[j], op.index);  // prev op itself
+    // The prev op itself; kMaxTxnOps keeps the index within a column.
+    scratch_anc_[j] = std::max(scratch_anc_[j],
+                               static_cast<AncestorColumn>(op.index));
   } else {
     std::fill(scratch_anc_.begin(), scratch_anc_.end(), 0);
   }
@@ -149,13 +154,13 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     conflict_txns_.push_back(pred_txn);
     const std::uint32_t pred_slot = slot_of_[pred];
     RELSER_DCHECK(pred_slot != kNoSlot);
-    const std::uint32_t* panc = &pool_[pred_slot * txn_count_];
+    const AncestorColumn* panc = &pool_[pred_slot * txn_count_];
     for (std::size_t t = 0; t < txn_count_; ++t) {
       scratch_anc_[t] = std::max(scratch_anc_[t], panc[t]);
     }
     // pred's +1-encoded index within its transaction.
     const auto pred_p1 =
-        static_cast<std::uint32_t>(pred - indexer_.TxnBegin(pred_txn) + 1);
+        static_cast<AncestorColumn>(pred - indexer_.TxnBegin(pred_txn) + 1);
     scratch_anc_[pred_txn] = std::max(scratch_anc_[pred_txn], pred_p1);
   }
 
@@ -169,7 +174,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     const std::uint32_t u_p1 = scratch_anc_[i];
     const std::uint32_t old_p1 = prev[i];
     if (u_p1 <= old_p1 || i == j) continue;  // nothing new to push or pull
-    undo_deltas_.push_back({i, old_p1});
+    undo_deltas_.push_back({i, prev[i]});
     const std::uint32_t u = u_p1 - 1;
     const std::uint32_t pushed = spec_.PushForward(i, j, u);
     // PushForward is monotone in u, so the predecessor already emitted
@@ -287,9 +292,10 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
   if (op.index > 0) {
     const std::uint32_t prev_slot = slot_of_[gid - 1];
     RELSER_DCHECK(prev_slot != kNoSlot);
-    const std::uint32_t* prev = &pool_[prev_slot * txn_count_];
+    const AncestorColumn* prev = &pool_[prev_slot * txn_count_];
     std::copy(prev, prev + txn_count_, scratch_anc_.begin());
-    scratch_anc_[j] = std::max(scratch_anc_[j], op.index);
+    scratch_anc_[j] = std::max(scratch_anc_[j],
+                               static_cast<AncestorColumn>(op.index));
     const IncrementalTopology::AddResult added = topo_.AddEdge(gid - 1, gid);
     RELSER_CHECK(added != IncrementalTopology::AddResult::kCycle);
     ++arcs_submitted_;
@@ -370,8 +376,8 @@ void OnlineRsrChecker::RestoreRow(std::size_t gid) {
   RELSER_DCHECK(newest != kNoGid && newest > gid &&
                 slot_of_[newest] != kNoSlot);
   const std::uint32_t slot = AcquireSlot(gid);
-  std::uint32_t* row = &pool_[slot * txn_count_];
-  const std::uint32_t* src = &pool_[slot_of_[newest] * txn_count_];
+  AncestorColumn* row = &pool_[slot * txn_count_];
+  const AncestorColumn* src = &pool_[slot_of_[newest] * txn_count_];
   std::copy(src, src + txn_count_, row);
   for (std::size_t later = newest; later > gid; --later) {
     const std::size_t k = pos_of_[later];
@@ -380,7 +386,7 @@ void OnlineRsrChecker::RestoreRow(std::size_t gid) {
     }
   }
   // The own column is the +1-encoded index of gid's predecessor.
-  row[txn] = static_cast<std::uint32_t>(gid - indexer_.TxnBegin(txn));
+  row[txn] = static_cast<AncestorColumn>(gid - indexer_.TxnBegin(txn));
 }
 
 void OnlineRsrChecker::UndoLast() {
@@ -537,7 +543,7 @@ std::size_t OnlineRsrChecker::Truncate(
   // Settled columns vanish from the retained rows...
   for (std::size_t slot = 0; slot < slot_owner_.size(); ++slot) {
     if (slot_owner_[slot] == kNoGid) continue;
-    std::uint32_t* row = &pool_[slot * txn_count_];
+    AncestorColumn* row = &pool_[slot * txn_count_];
     for (const TxnId t : drop_txns_) row[t] = 0;
   }
   // ...and from the undo log, which also drops the settled records and
@@ -589,7 +595,7 @@ std::size_t OnlineRsrChecker::Truncate(
   live_pairs_ = 0;
   for (TxnId t = 0; t < txn_count_; ++t) {
     if (newest_gid_[t] == kNoGid) continue;
-    const std::uint32_t* row =
+    const AncestorColumn* row =
         &pool_[static_cast<std::size_t>(slot_of_[newest_gid_[t]]) *
                txn_count_];
     for (TxnId c = 0; c < txn_count_; ++c) {
@@ -658,8 +664,8 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
     if (slot == kNoSlot) continue;
     mix(gid);
     mix(flags_[gid]);
-    const std::uint32_t* row = &pool_[static_cast<std::size_t>(slot) *
-                                      txn_count_];
+    const AncestorColumn* row = &pool_[static_cast<std::size_t>(slot) *
+                                       txn_count_];
     for (std::size_t t = 0; t < txn_count_; ++t) mix(row[t]);
   }
   // Graph adjacency, sorted per node (F/B arcs can land on not-yet-

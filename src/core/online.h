@@ -45,6 +45,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/admit.h"
@@ -61,7 +62,14 @@ class Tracer;
 /// Incremental relative-serializability certification.
 class OnlineRsrChecker {
  public:
-  /// `txns` and `spec` must outlive the checker.
+  /// One ancestor-row column: a +1-encoded operation index within one
+  /// transaction (0 = no ancestor there), at most kMaxTxnOps.
+  using AncestorColumn = std::uint16_t;
+  static_assert(kMaxTxnOps < std::numeric_limits<AncestorColumn>::max());
+
+  /// `txns` and `spec` must outlive the checker. Every transaction must
+  /// have at most kMaxTxnOps operations (checked; parsers of outside
+  /// input refuse longer ones first).
   OnlineRsrChecker(const TransactionSet& txns, const AtomicitySpec& spec);
   /// Guard against binding a temporary specification.
   OnlineRsrChecker(const TransactionSet&, AtomicitySpec&&) = delete;
@@ -121,7 +129,8 @@ class OnlineRsrChecker {
 
   /// Retained-state gauges for long-lived memory accounting
   /// (bench_longlived): accepted operations currently remembered,
-  /// ancestor-array pool rows allocated, and live F/B pairs — the nonzero
+  /// ancestor-array pool rows allocated (the pool never shrinks, so this
+  /// is its high water mark), and live F/B pairs — the nonzero
   /// cross-transaction entries of the transactions' newest rows, i.e. the
   /// (Ti -> Tj) pairs whose F/B arcs have been evaluated.
   std::size_t retained_ops() const { return feed_log_.size(); }
@@ -232,7 +241,7 @@ class OnlineRsrChecker {
   /// A column an operation's row raised over its predecessor's row.
   struct ColumnDelta {
     std::uint32_t column;
-    std::uint32_t old_p1;  // the predecessor row's value
+    AncestorColumn old_p1;  // the predecessor row's value
   };
 
   std::uint32_t ObjIndex(ObjectId object);
@@ -272,11 +281,14 @@ class OnlineRsrChecker {
   std::vector<std::size_t> newest_gid_;    // txn -> newest executed gid
 
   // Ancestor-array pool: row `slot` holds txn_count_ +1-encoded maximum
-  // ancestor indices (0 = no ancestor in that transaction). Rows are
-  // retained only for operations that can still become direct
-  // predecessors: the newest executed op of each transaction and the
-  // current object frontiers.
-  std::vector<std::uint32_t> pool_;
+  // ancestor indices (0 = no ancestor in that transaction), 16 bits each:
+  // an index never leaves its transaction, and kMaxTxnOps bounds every
+  // transaction's length. Rows are retained only for operations that can
+  // still become direct predecessors: the newest executed op of each
+  // transaction and the current object frontiers. The F/B scan reads and
+  // writes about four rows per append, so the row width is its memory
+  // traffic.
+  std::vector<AncestorColumn> pool_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::size_t> slot_owner_;  // slot -> gid (kNoGid when free)
 
@@ -295,8 +307,8 @@ class OnlineRsrChecker {
   std::vector<std::size_t> undo_frontier_;
 
   // Reusable per-append scratch (no steady-state allocations).
-  std::vector<std::uint32_t> scratch_anc_;
-  std::vector<std::uint32_t> zero_row_;  // predecessor row of a first op
+  std::vector<AncestorColumn> scratch_anc_;
+  std::vector<AncestorColumn> zero_row_;  // predecessor row of a first op
   std::vector<std::size_t> pred_buf_;
   std::vector<TxnId> conflict_txns_;  // last_conflicts(), parallel to pred_buf_
   std::vector<std::pair<NodeId, NodeId>> arc_buf_;

@@ -149,6 +149,12 @@ Result<TransactionSet> ParseTransactionSet(std::string_view text) {
     if (tokens->empty()) {
       return Status::InvalidArgument("transaction with no operations");
     }
+    if (tokens->size() > kMaxTxnOps) {
+      return Status::InvalidArgument(
+          StrCat("transaction T", set.txn_count() + 1, " has ",
+                 tokens->size(), " operations; at most ", kMaxTxnOps,
+                 " are supported"));
+    }
     Transaction* txn = set.AddTransaction();
     for (const OpToken& token : *tokens) {
       if (token.txn != txn->id()) {

@@ -19,6 +19,14 @@
 
 namespace relser {
 
+/// Longest transaction, in operations, that the online certifier
+/// accepts: OnlineRsrChecker (core/online.h) keeps +1-encoded operation
+/// indices in 16-bit ancestor columns, so the last operation's column
+/// value is at most 0xFFFE. Parsers of outside input (model/text.h,
+/// audit/ingest.h) refuse a longer transaction with a Status; the
+/// checker's constructor aborts on one.
+inline constexpr std::uint32_t kMaxTxnOps = 65534;
+
 /// A totally ordered sequence of operations issued by one transaction.
 class Transaction {
  public:

@@ -281,21 +281,21 @@ class ShardedAdmitter {
   /// The version store backing the fast path; nullptr when off.
   const VersionStore* version_store() const { return store_.get(); }
 
-  /// Race-free live-state high-water marks, sampled by each core's
-  /// token holder at every GC tick just BEFORE truncation — i.e. at
-  /// local maxima of retained state — so readers never race
-  /// core-private structures.
-  /// Per-core gauges (pool rows, feed entries, memos, accept-log) take
-  /// the max over cores; shared gauges (coordinator arcs, versions, dep
+  /// Race-free live-state high-water marks, sampled by the holder of
+  /// each shard's token at every GC tick just BEFORE truncation — i.e.
+  /// at local maxima of retained state — so readers never race
+  /// shard-private structures.
+  /// Per-shard gauges (pool rows, feed entries, memos, accept-log) take
+  /// the max over shards; shared gauges (coordinator arcs, versions, dep
   /// arcs) are instantaneous retained counts. All zeros until the first
   /// GC tick; meaningful only with options.epoch_gc.
   struct LiveHighWater {
-    std::uint64_t pool_rows = 0;         ///< ancestor rows (max core)
-    std::uint64_t retained_ops = 0;      ///< checker feed rows (max core)
+    std::uint64_t pool_rows = 0;         ///< ancestor rows (max shard)
+    std::uint64_t retained_ops = 0;      ///< checker feed rows (max shard)
     /// Nonzero cross entries of newest rows, i.e.
-    /// OnlineRsrChecker::memo_entries() (max core).
+    /// OnlineRsrChecker::memo_entries() (max shard).
     std::uint64_t memo_entries = 0;
-    std::uint64_t accept_entries = 0;    ///< live accept-log (max core)
+    std::uint64_t accept_entries = 0;    ///< live accept-log (max shard)
     std::uint64_t coordinator_arcs = 0;  ///< retained coordinator arcs
     std::uint64_t versions = 0;          ///< version-arena retained
     std::uint64_t dep_arcs = 0;          ///< epoch-manager dep arcs live
@@ -304,7 +304,7 @@ class ShardedAdmitter {
 
   /// Per-shard roll-up; safe once Stop returned.
   struct ShardStats {
-    std::size_t ops_routed = 0;     ///< operations decided by this core
+    std::size_t ops_routed = 0;     ///< operations decided by this shard
     std::size_t accepted = 0;
     std::size_t rejected = 0;       ///< non-accept decisions published
     std::size_t fast_path = 0;      ///< TryAppendIsolated accepts

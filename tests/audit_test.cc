@@ -83,6 +83,50 @@ TEST(AuditIngest, GenericDialectReconstructsProgramOrder) {
   EXPECT_TRUE(in->spec.IsAbsolute());  // the generic default
 }
 
+// One transaction of `ops` writes in the generic dialect (program order
+// implied), or in the relser-trace dialect with a header that embeds no
+// transactions, so both reconstruct it line by line.
+std::string LongTransaction(std::size_t ops, bool trace_dialect) {
+  std::string text;
+  if (trace_dialect) {
+    text = "{\"kind\":\"header\",\"version\":1,\"format\":\"relser-trace\"}\n";
+  }
+  for (std::size_t k = 0; k < ops; ++k) {
+    if (trace_dialect) {
+      text += "{\"kind\":\"admit\",\"txn\":1,\"op_index\":" +
+              std::to_string(k) + ",\"op_type\":\"w\",\"object\":\"x\"}\n";
+    } else {
+      text += "{\"txn\": 1, \"object\": \"x\", \"rw\": \"w\"}\n";
+    }
+  }
+  return text;
+}
+
+// The online checker's 16-bit ancestor columns bound a transaction at
+// kMaxTxnOps operations; ingest refuses the next one with a Status that
+// names its line, in both dialects, and the longest admissible
+// transaction still audits.
+TEST(AuditIngest, OverlongTransactionFailsWithLineNumber) {
+  for (const bool trace_dialect : {false, true}) {
+    const std::size_t header_lines = trace_dialect ? 1 : 0;
+    const Result<AuditInput> too_long =
+        IngestHistoryText(LongTransaction(kMaxTxnOps + 1, trace_dialect));
+    ASSERT_FALSE(too_long.ok()) << "trace dialect " << trace_dialect;
+    EXPECT_EQ(too_long.status().code(), StatusCode::kInvalidArgument);
+    const std::string line =
+        "line " + std::to_string(kMaxTxnOps + 1 + header_lines) + ":";
+    EXPECT_NE(too_long.status().message().find(line), std::string::npos)
+        << too_long.status().message();
+
+    const Result<AuditInput> longest =
+        IngestHistoryText(LongTransaction(kMaxTxnOps, trace_dialect));
+    ASSERT_TRUE(longest.ok()) << longest.status().message();
+    ASSERT_EQ(longest->txns.txn(0).size(), kMaxTxnOps);
+    EXPECT_TRUE(
+        AuditHistory(longest->txns, longest->spec, longest->history).accepted);
+  }
+}
+
 // Unmutated, Figure 3's S2 is serializable (its conflict graph is
 // acyclic), so even the absolute default accepts it.
 TEST(AuditHistoryTest, UnmutatedFigure3AcceptsUnderAbsolute) {

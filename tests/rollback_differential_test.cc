@@ -9,7 +9,10 @@
 // accept, last_conflicts() must name exactly the transactions of the
 // foreign frontier the operation met (empty for a TryAppendIsolated
 // accept), through every abort and truncation that moved the frontiers.
+// A second case drives the 16-bit ancestor columns to the top of their
+// range (0xFFFE) and checks the same digest equality around them.
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "core/online.h"
 #include "epoch/epoch.h"
 #include "model/op_indexer.h"
+#include "spec/builders.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 #include "workload/spec_gen.h"
@@ -248,6 +252,117 @@ TEST(RollbackDifferential, AbortsAndTruncationsMatchAFreshChecker) {
   EXPECT_GT(old_victims, 10u);
   EXPECT_GT(isolated_accepts, 100u);
   EXPECT_GT(conflicted_accepts, 100u);
+}
+
+// A transaction of kMaxTxnOps operations puts its last operation's
+// +1-encoded index, 0xFFFE, into the ancestor columns of everything
+// that reads from it. Exact aborts restore rows from undo deltas near
+// that value, and truncation scrubs it; after each, the state must
+// equal a fresh checker fed feed_log(), as it does for small indices.
+TEST(RollbackDifferential, TopOfTheColumnRangeRoundTrips) {
+  TransactionSet txns;
+  const ObjectId f = txns.InternObject("f");
+  const ObjectId v = txns.InternObject("v");
+  const ObjectId x = txns.InternObject("x");
+  const ObjectId y = txns.InternObject("y");
+  const ObjectId z = txns.InternObject("z");
+  // A = T1: filler writes of f, then ten writes at the top of its index
+  // range, from kTop = 65524 on.
+  constexpr std::uint32_t kTop = kMaxTxnOps - 10;
+  Transaction* a = txns.AddTransaction();
+  for (std::uint32_t k = 0; k < kTop; ++k) a->Write(f);
+  for (const ObjectId object : {x, y, y, y, x, y, y, y, v, v}) {
+    a->Write(object);
+  }
+  Transaction* b = txns.AddTransaction();  // T2
+  b->Read(x);
+  b->Read(x);
+  b->Read(v);
+  b->Write(z);
+  Transaction* c = txns.AddTransaction();  // T3
+  c->Write(z);
+  c->Read(v);
+  c->Write(x);
+  Transaction* d = txns.AddTransaction();  // T4
+  d->Write(x);
+  ASSERT_EQ(a->size(), kMaxTxnOps);
+  // Every gap is a breakpoint except inside A's four-operation units
+  // relative to B, so B reading A mid-unit draws an F-arc from the
+  // unit's end: pushes near the top of the range too.
+  AtomicitySpec spec = FullyRelaxedSpec(txns);
+  std::vector<std::uint32_t> units(kMaxTxnOps / 4, 4);
+  units.push_back(kMaxTxnOps % 4);
+  SetUnitsByLength(&spec, 0, 1, units);
+
+  struct Step {
+    TxnId txn;
+    std::uint32_t index;
+  };
+  const auto feed = [&txns](OnlineRsrChecker* checker,
+                            const std::vector<Step>& steps) {
+    for (const Step& step : steps) {
+      ASSERT_TRUE(checker->TryAppend(txns.txn(step.txn).op(step.index)).ok())
+          << "T" << step.txn + 1 << " op " << step.index;
+    }
+  };
+  const auto a_ops = [](std::uint32_t first, std::uint32_t last) {
+    std::vector<Step> steps;
+    for (std::uint32_t k = first; k <= last; ++k) steps.push_back({0, k});
+    return steps;
+  };
+
+  // Aborts. B reads x from A twice, mid-unit (F-arcs from A's ops 65527
+  // and 65531), then v from A's last op, which raises B's column A from
+  // 65529 to 0xFFFE. C's write of x dominates B's second read, and C's
+  // abort must restore that read's row (column A 65529, from B's undo
+  // delta) and A's op 65528's row (own column 65528), both of which stay
+  // in x's frontier.
+  {
+    OnlineRsrChecker checker(txns, spec);
+    feed(&checker, a_ops(0, kTop));
+    feed(&checker, {{1, 0}});
+    feed(&checker, a_ops(kTop + 1, kTop + 4));
+    feed(&checker, {{1, 1}, {2, 0}});
+    feed(&checker, a_ops(kTop + 5, kTop + 8));
+    feed(&checker, {{2, 1}, {0, kMaxTxnOps - 1}, {1, 2}, {2, 2}, {1, 3}});
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    ASSERT_EQ(checker.StateDigest(), FreshDigest(txns, spec, checker));
+    // C's rollback reaches back over A's last five operations and B's
+    // last two, then re-admits them.
+    checker.RemoveTransactionExact(2);
+    EXPECT_EQ(checker.replayed_ops(), 7u);
+    ASSERT_EQ(checker.StateDigest(), FreshDigest(txns, spec, checker))
+        << "after aborting T3";
+    checker.RemoveTransactionExact(1);
+    ASSERT_EQ(checker.StateDigest(), FreshDigest(txns, spec, checker))
+        << "after aborting T2";
+    EXPECT_EQ(checker.retained_ops(), kMaxTxnOps);
+  }
+
+  // Truncation. D's write of x precedes all of A; B and C read v from
+  // A's last op. Settling D scrubs column D under rows that keep
+  // 0xFFFE; settling A then scrubs 0xFFFE itself.
+  {
+    OnlineRsrChecker checker(txns, spec);
+    feed(&checker, {{3, 0}});
+    feed(&checker, a_ops(0, kMaxTxnOps - 1));
+    feed(&checker,
+         {{1, 0}, {2, 0}, {2, 1}, {1, 1}, {2, 2}, {1, 2}, {1, 3}});
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    std::vector<std::atomic<std::uint8_t>> settled(txns.txn_count());
+    settled[3].store(1);
+    ASSERT_EQ(checker.Truncate(settled.data()), 1u);
+    ASSERT_EQ(checker.StateDigest(), FreshDigest(txns, spec, checker))
+        << "after settling T4";
+    settled[0].store(1);
+    ASSERT_EQ(checker.Truncate(settled.data()), kMaxTxnOps);
+    ASSERT_EQ(checker.StateDigest(), FreshDigest(txns, spec, checker))
+        << "after settling T1";
+    checker.RemoveTransactionExact(2);
+    ASSERT_EQ(checker.StateDigest(), FreshDigest(txns, spec, checker))
+        << "after aborting T3 past the truncation";
+    EXPECT_EQ(checker.retained_ops(), 4u);
+  }
 }
 
 }  // namespace

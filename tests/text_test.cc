@@ -32,6 +32,25 @@ TEST(ParseTransactionSet, LabelsAreOptional) {
   EXPECT_EQ(txns->txn_count(), 2u);
 }
 
+// kMaxTxnOps bounds a transaction (the online checker's 16-bit ancestor
+// columns); one operation more is a Status, not an abort.
+TEST(ParseTransactionSet, RefusesTransactionsOverTheLengthBound) {
+  const auto text_of = [](std::size_t ops) {
+    std::string text = "T1 = r1[x]; T2 = ";
+    for (std::size_t k = 0; k < ops; ++k) text += "w2[x]";
+    return text;
+  };
+  const auto too_long = ParseTransactionSet(text_of(kMaxTxnOps + 1));
+  ASSERT_FALSE(too_long.ok());
+  EXPECT_EQ(too_long.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_long.status().message().find("T2"), std::string::npos)
+      << too_long.status().message();
+
+  const auto longest = ParseTransactionSet(text_of(kMaxTxnOps));
+  ASSERT_TRUE(longest.ok()) << longest.status().message();
+  EXPECT_EQ(longest->txn(1).size(), kMaxTxnOps);
+}
+
 TEST(ParseTransactionSet, SemicolonSeparatesTransactions) {
   auto txns = ParseTransactionSet("r1[x]; w2[x]; r3[y]");
   ASSERT_TRUE(txns.ok());
