@@ -115,7 +115,7 @@ struct LongLivedRow {
 // ~10^7 operations (waves of one long audit transaction plus short
 // RMW/read-only transactions, interleaved by one feeding client) while
 // the live state — checker ancestor rows, F/B pairs, coordinator arcs,
-// version chains, accept logs — stays flat, and each wave leaves little
+// accept logs — stays flat, and each wave leaves little
 // retained behind once its transactions finish. These are exit-coded
 // gates; without the stable-prefix GC the checkers keep every admitted
 // operation of a wave, and every later checkpoint and abort works over
@@ -148,7 +148,7 @@ AdmissionWave MakeAdmissionWave(std::size_t wave_txns, std::size_t objects,
     if (a == b) b = static_cast<ObjectId>((b + 1) % objects);
     if (a > b) std::swap(a, b);
     if (s % 4 == 0) {
-      // Read-only auditor: snapshot fast-path + version-prune fodder.
+      // Read-only auditor: snapshot fast-path fodder.
       txn->Read(a);
       txn->Read(b);
     } else {
@@ -197,13 +197,14 @@ std::uint64_t P99(std::vector<std::uint32_t> window) {
 /// count of the structures stable-prefix GC bounds.
 std::uint64_t CompositeBytes(const relser::ShardedAdmitter::LiveHighWater& hw,
                              std::size_t txn_count) {
-  return hw.pool_rows * txn_count * sizeof(std::uint32_t) +
+  return hw.pool_rows * txn_count *
+             sizeof(relser::OnlineRsrChecker::AncestorColumn) +
          hw.retained_ops * sizeof(std::size_t) +
          // Live F/B pairs, weighted as the former memo hash slot.
          hw.memo_entries * 24 +
          hw.accept_entries *
              sizeof(std::pair<std::uint64_t, relser::Operation>) +
-         hw.coordinator_arcs * 16 + hw.versions * 16 + hw.dep_arcs * 8;
+         hw.coordinator_arcs * 16 + hw.dep_arcs * 8;
 }
 
 struct GcPhaseResult {
@@ -215,13 +216,11 @@ struct GcPhaseResult {
   std::uint64_t epochs_advanced = 0;
   std::uint64_t checkpoints = 0;
   std::uint64_t arcs_gcd = 0;
-  std::uint64_t versions_pruned = 0;
   std::uint64_t early_live_bytes = 0;  // max composite, first 10% of waves
   std::uint64_t final_live_bytes = 0;  // composite of the last wave
   std::uint64_t peak_live_bytes = 0;   // max composite over the whole run
   std::uint64_t hw_pool_rows = 0;
   std::uint64_t hw_coordinator_arcs = 0;
-  std::uint64_t hw_versions = 0;
   std::size_t rss_early_kb = 0;  // VmRSS at the 10%-of-run boundary
   std::size_t rss_final_kb = 0;
   std::uint64_t p99_early_ns = 0;  // first 10% of operations
@@ -329,12 +328,10 @@ GcPhaseResult RunGcPhase(std::size_t target_ops, std::size_t wave_txns,
     out.epochs_advanced += admitter.epochs()->epochs_advanced();
     out.checkpoints += admitter.checkpoints();
     out.arcs_gcd += admitter.coordinator().arcs_gcd();
-    out.versions_pruned += admitter.version_store()->versions_pruned();
     const ShardedAdmitter::LiveHighWater hw = admitter.live_high_water();
     out.hw_pool_rows = std::max(out.hw_pool_rows, hw.pool_rows);
     out.hw_coordinator_arcs =
         std::max(out.hw_coordinator_arcs, hw.coordinator_arcs);
-    out.hw_versions = std::max(out.hw_versions, hw.versions);
     wave_bytes.push_back(CompositeBytes(hw, w.txns.txn_count()));
     std::size_t replayed = 0;
     std::size_t residual = 0;
@@ -509,7 +506,6 @@ int main(int argc, char** argv) {
   gc_table.AddRow({"epochs_advanced", std::to_string(gc.epochs_advanced)});
   gc_table.AddRow({"checkpoints", std::to_string(gc.checkpoints)});
   gc_table.AddRow({"arcs_gcd", std::to_string(gc.arcs_gcd)});
-  gc_table.AddRow({"versions_pruned", std::to_string(gc.versions_pruned)});
   gc_table.AddRow({"live_bytes_early_hw",
                    std::to_string(gc.early_live_bytes)});
   gc_table.AddRow({"live_bytes_final", std::to_string(gc.final_live_bytes)});
@@ -517,7 +513,6 @@ int main(int argc, char** argv) {
   gc_table.AddRow({"hw_pool_rows", std::to_string(gc.hw_pool_rows)});
   gc_table.AddRow({"hw_coordinator_arcs",
                    std::to_string(gc.hw_coordinator_arcs)});
-  gc_table.AddRow({"hw_version_chain", std::to_string(gc.hw_versions)});
   gc_table.AddRow({"rss_early_kb", std::to_string(gc.rss_early_kb)});
   gc_table.AddRow({"rss_final_kb", std::to_string(gc.rss_final_kb)});
   gc_table.AddRow({"p99_early_ns", std::to_string(gc.p99_early_ns)});
@@ -607,8 +602,6 @@ int main(int argc, char** argv) {
   json.Uint(gc.checkpoints);
   json.Key("arcs_gcd");
   json.Uint(gc.arcs_gcd);
-  json.Key("versions_pruned");
-  json.Uint(gc.versions_pruned);
   json.Key("live_bytes_early_hw");
   json.Uint(gc.early_live_bytes);
   json.Key("live_bytes_final");
@@ -619,8 +612,6 @@ int main(int argc, char** argv) {
   json.Uint(gc.hw_pool_rows);
   json.Key("hw_coordinator_arcs");
   json.Uint(gc.hw_coordinator_arcs);
-  json.Key("hw_version_chain");
-  json.Uint(gc.hw_versions);
   json.Key("rss_early_kb");
   json.Uint(gc.rss_early_kb);
   json.Key("rss_final_kb");

@@ -95,7 +95,6 @@ struct MvccRun {
   double ops_per_sec = 0.0;
   bool replay_sound = true;
   bool committed_complete = true;
-  VersionChainStats chains;  // zeros when snapshot_reads off
 };
 
 /// Replays `committed_log` through a fresh full checker and verifies
@@ -165,9 +164,6 @@ MvccRun RunCell(const TransactionSet& txns, const AtomicitySpec& spec,
   run.snapshot_escalations = admitter.snapshot_escalations();
   for (std::uint32_t shard = 0; shard < shard_count; ++shard) {
     run.checker_arcs += admitter.checker(shard).arcs_submitted();
-  }
-  if (admitter.version_store() != nullptr) {
-    run.chains = admitter.version_store()->ChainStats();
   }
 
   std::vector<std::uint8_t> committed(txns.txn_count(), 0);
@@ -419,16 +415,6 @@ int main(int argc, char** argv) {
     json.Double(run.read_txns_per_sec);
     json.Key("ops_per_sec");
     json.Double(run.ops_per_sec);
-    json.Key("versions");
-    json.Uint(run.chains.versions);
-    json.Key("objects_with_versions");
-    json.Uint(run.chains.objects_with_versions);
-    json.Key("max_chain");
-    json.Uint(run.chains.max_chain);
-    json.Key("p50_chain");
-    json.Double(run.chains.p50_chain);
-    json.Key("p99_chain");
-    json.Double(run.chains.p99_chain);
     json.Key("replay_sound");
     json.Bool(run.replay_sound);
     json.Key("committed_complete");

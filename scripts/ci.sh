@@ -153,7 +153,10 @@ EOF
 # (submitters deciding inline against token holders applying the inbox
 # on release), and bench_faults' smoke adds aborts, timeouts and fault
 # pauses, the paths that leave work for a release re-check or a try
-# after a post. The token hand-over cases of shard_test (liveness, the
+# after a post. bench_mvcc's smoke grid, the only multi-client fleet
+# with snapshot reads on, races client-side classification (settledness
+# counters, watermark, commit CAS) against the lock-free NoteCommit of
+# committing token holders. The token hand-over cases of shard_test (liveness, the
 # contended caller-runs fleet, backpressure under pauses, the exact
 # inbox bound) then run 20 more times each, since a lost re-check shows
 # up as a rare hang rather than a report. -fno-sanitize-recover turns
@@ -163,7 +166,7 @@ cmake --build --preset tsan -j"$(nproc)" \
   --target exec_test fault_test shard_test \
            sharded_differential_test mvcc_test \
            epoch_test epoch_gc_differential_test reshard_test \
-           bench_sharded bench_faults
+           bench_sharded bench_faults bench_mvcc
 (cd build-tsan &&
  RELSER_SHARD_DIFF_ROUNDS=120 \
  RELSER_EPOCH_DIFF_ROUNDS=40 \
@@ -174,6 +177,7 @@ cmake --build --preset tsan -j"$(nproc)" \
    --gtest_repeat=20)
 (cd build-tsan && ./bench/bench_sharded --smoke)
 (cd build-tsan && ./bench/bench_faults --smoke)
+(cd build-tsan && ./bench/bench_mvcc --smoke)
 
 # Trace smoke: export a paper-figure trace, validate it against the
 # documented schema, and summarize it.

@@ -13,9 +13,7 @@ VersionStore::VersionStore(const TransactionSet& txns)
     : read_only_(txns.txn_count(), 0),
       unfinished_writers_(txns.object_count()),
       finished_(txns.txn_count()),
-      escalated_(txns.txn_count()),
-      heads_(txns.object_count(), 0),
-      chain_len_(txns.object_count(), 0) {
+      escalated_(txns.txn_count()) {
   reads_.offsets.push_back(0);
   writes_.offsets.push_back(0);
   for (auto& counter : unfinished_writers_) {
@@ -58,28 +56,11 @@ bool VersionStore::ReadSetSettled(TxnId txn) const {
 
 void VersionStore::NoteCommit(TxnId txn) {
   if (finished_[txn].exchange(1, std::memory_order_acq_rel) != 0) return;
+  watermark_.fetch_add(1, std::memory_order_release);
+  // The release decrement is what a classifying reader acquires: once it
+  // reads zero, this commit's watermark bump is visible.
   const std::uint32_t begin = writes_.offsets[txn];
   const std::uint32_t end = writes_.offsets[txn + 1];
-  {
-    std::lock_guard<std::mutex> lock(arena_mutex_);
-    // Epoch assignment and version appends share the mutex so per-object
-    // chains are strictly epoch-descending from the head.
-    const std::uint64_t epoch =
-        watermark_.fetch_add(1, std::memory_order_release) + 1;
-    for (std::uint32_t i = begin; i < end; ++i) {
-      const ObjectId obj = writes_.flat[i];
-      version_epoch_.push_back(epoch);
-      version_writer_.push_back(txn);
-      version_prev_.push_back(heads_[obj]);
-      heads_[obj] = static_cast<std::uint32_t>(version_epoch_.size());
-      if (chain_len_[obj]++ == 0) ++objects_with_versions_;
-      chain_hist_.Record(chain_len_[obj]);
-      max_chain_ = std::max<std::uint64_t>(max_chain_, chain_len_[obj]);
-    }
-  }
-  // The release decrement is what a classifying reader acquires: once it
-  // reads zero, this commit's watermark bump (and arena state, behind
-  // the mutex) is visible.
   for (std::uint32_t i = begin; i < end; ++i) {
     unfinished_writers_[writes_.flat[i]].fetch_sub(1,
                                                    std::memory_order_release);
@@ -124,93 +105,6 @@ bool VersionStore::TryCountEscalation(TxnId txn) {
   }
   snapshot_escalations_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-std::uint32_t VersionStore::VisibleWriter(ObjectId object,
-                                          std::uint64_t epoch) const {
-  std::lock_guard<std::mutex> lock(arena_mutex_);
-  for (std::uint32_t v = heads_[object]; v != 0; v = version_prev_[v - 1]) {
-    if (version_epoch_[v - 1] <= epoch) return version_writer_[v - 1] + 1;
-  }
-  return 0;
-}
-
-std::uint64_t VersionStore::ChainLength(ObjectId object) const {
-  std::lock_guard<std::mutex> lock(arena_mutex_);
-  return chain_len_[object];
-}
-
-std::uint64_t VersionStore::PruneBelow(std::uint64_t floor) {
-  std::lock_guard<std::mutex> lock(arena_mutex_);
-  const std::size_t before = version_epoch_.size();
-  if (before == 0) return 0;
-  // Rebuild the arena compactly: per object, walk the chain newest-first
-  // and stop one version past the floor (that version is the resolution
-  // target of every floor-or-later snapshot; everything older is
-  // unreachable). Chains are strictly epoch-descending from the head, so
-  // the walk's suffix is exactly the dominated set.
-  std::vector<std::uint64_t> new_epoch;
-  std::vector<TxnId> new_writer;
-  std::vector<std::uint32_t> new_prev;
-  new_epoch.reserve(before);
-  new_writer.reserve(before);
-  new_prev.reserve(before);
-  for (ObjectId obj = 0; obj < heads_.size(); ++obj) {
-    prune_buf_.clear();
-    for (std::uint32_t v = heads_[obj]; v != 0; v = version_prev_[v - 1]) {
-      prune_buf_.push_back(v - 1);
-      if (version_epoch_[v - 1] <= floor) break;
-    }
-    std::uint32_t prev = 0;
-    for (auto it = prune_buf_.rbegin(); it != prune_buf_.rend(); ++it) {
-      new_epoch.push_back(version_epoch_[*it]);
-      new_writer.push_back(version_writer_[*it]);
-      new_prev.push_back(prev);
-      prev = static_cast<std::uint32_t>(new_epoch.size());
-    }
-    heads_[obj] = prev;
-  }
-  const std::uint64_t pruned =
-      static_cast<std::uint64_t>(before - new_epoch.size());
-  version_epoch_ = std::move(new_epoch);
-  version_writer_ = std::move(new_writer);
-  version_prev_ = std::move(new_prev);
-  versions_pruned_ += pruned;
-  return pruned;
-}
-
-std::uint64_t VersionStore::SafePruneFloor(
-    const std::atomic<std::uint8_t>* settled) const {
-  std::uint64_t floor = watermark();
-  std::lock_guard<std::mutex> lock(log_mutex_);
-  for (const SnapshotAdmitRecord& rec : admit_log_) {
-    if (settled[rec.txn].load(std::memory_order_relaxed) == 0 &&
-        rec.epoch < floor) {
-      floor = rec.epoch;
-    }
-  }
-  return floor;
-}
-
-std::uint64_t VersionStore::versions_pruned() const {
-  std::lock_guard<std::mutex> lock(arena_mutex_);
-  return versions_pruned_;
-}
-
-std::uint64_t VersionStore::retained_versions() const {
-  std::lock_guard<std::mutex> lock(arena_mutex_);
-  return version_epoch_.size();
-}
-
-VersionChainStats VersionStore::ChainStats() const {
-  std::lock_guard<std::mutex> lock(arena_mutex_);
-  VersionChainStats stats;
-  stats.versions = version_epoch_.size();
-  stats.objects_with_versions = objects_with_versions_;
-  stats.max_chain = max_chain_;
-  stats.p50_chain = chain_hist_.Quantile(0.5);
-  stats.p99_chain = chain_hist_.Quantile(0.99);
-  return stats;
 }
 
 }  // namespace relser

@@ -1,14 +1,16 @@
-// Per-object multiversion store: the state behind the snapshot-read
-// fast path.
+// Per-object snapshot-read state: what the snapshot-read fast path
+// classifies from.
 //
 // The single-version construction (Definition 3) runs every operation —
 // including pure reads — through the checker, so read-only transactions
 // serialize through the same Pearce–Kelly hot path as writers. The
-// multiversion layer keeps epoch-stamped committed versions per object
-// plus one piece of *monotone* shared state per object — the count of
-// not-yet-finished static writers — and admits a read-only transaction
-// entirely from the committed snapshot when that count has drained to
-// zero for every object it reads.
+// snapshot layer keeps one piece of *monotone* shared state per object —
+// the count of not-yet-finished static writers — plus a commit counter,
+// and admits a read-only transaction entirely from the committed
+// snapshot when that count has drained to zero for every object it
+// reads. No committed versions are kept: classification reads only the
+// counters and the watermark, so nothing asks which version a reader
+// sees.
 //
 // Admissibility criterion (conservative, see docs/mvcc.md):
 //
@@ -37,14 +39,11 @@
 //     against committing cores.
 //   * `NoteCommit` / `NoteAbort` are called by admission cores (any
 //     thread), at most once per transaction (idempotent via a finished
-//     flag). The unfinished-writer decrement is the release edge the
-//     classifying reader acquires: once a reader observes zero for all
-//     its objects, every such writer's commit epoch is visible and is
-//     <= the watermark the reader subsequently loads.
-//   * The version arena is append-only SoA (epoch / writer / prev
-//     columns) guarded by one mutex; the epoch counter is bumped under
-//     the same mutex so per-object chains are strictly epoch-descending
-//     from the head.
+//     flag) and take no lock. The unfinished-writer decrement is the
+//     release edge the classifying reader acquires: once a reader
+//     observes zero for all its objects, every such writer's commit
+//     count is visible and is <= the watermark the reader subsequently
+//     loads.
 #ifndef RELSER_CORE_MVCC_VERSION_STORE_H_
 #define RELSER_CORE_MVCC_VERSION_STORE_H_
 
@@ -54,7 +53,6 @@
 #include <vector>
 
 #include "model/transaction.h"
-#include "obs/trace.h"
 
 namespace relser {
 
@@ -71,15 +69,6 @@ struct SnapshotAdmitRecord {
   std::uint64_t stamp = 0;
 };
 
-/// Roll-up of the per-object version-chain length distribution.
-struct VersionChainStats {
-  std::uint64_t versions = 0;            ///< committed versions appended
-  std::uint64_t objects_with_versions = 0;
-  std::uint64_t max_chain = 0;
-  double p50_chain = 0.0;
-  double p99_chain = 0.0;
-};
-
 class VersionStore {
  public:
   explicit VersionStore(const TransactionSet& txns);
@@ -94,25 +83,20 @@ class VersionStore {
   /// finished. Monotone: once true it stays true. Lock-free.
   bool ReadSetSettled(TxnId txn) const;
 
-  /// Number of committed transactions whose versions are visible.
+  /// Number of committed transactions so far: a snapshot reader
+  /// admitted at watermark w sees exactly the first w commits.
   std::uint64_t watermark() const {
     return watermark_.load(std::memory_order_acquire);
   }
 
-  /// Records `txn`'s commit: assigns the next epoch, appends one version
-  /// per written object, then release-decrements the unfinished-writer
-  /// counters. Idempotent; thread-safe.
+  /// Records `txn`'s commit: bumps the watermark, then release-decrements
+  /// the unfinished-writer counters. Idempotent; lock-free.
   void NoteCommit(TxnId txn);
 
   /// Records `txn`'s abort: release-decrements its write set's
-  /// unfinished-writer counters (an aborted writer can never produce a
-  /// version, so readers need not wait on it). Idempotent; thread-safe.
+  /// unfinished-writer counters (an aborted writer is never visible, so
+  /// readers need not wait on it). Idempotent; lock-free.
   void NoteAbort(TxnId txn);
-
-  /// True iff NoteCommit/NoteAbort has run for `txn`.
-  bool TxnFinished(TxnId txn) const {
-    return finished_[txn].load(std::memory_order_acquire) != 0;
-  }
 
   /// Logs a snapshot admission (thread-safe) and bumps snapshot_admits.
   void LogSnapshotAdmit(TxnId txn, std::uint64_t epoch, std::uint64_t stamp);
@@ -131,45 +115,6 @@ class VersionStore {
   std::uint64_t snapshot_escalations() const {
     return snapshot_escalations_.load(std::memory_order_relaxed);
   }
-
-  /// Committed writer of `object` visible at `epoch`, as txn id + 1
-  /// (0 = the initial version: no commit <= epoch wrote it).
-  std::uint32_t VisibleWriter(ObjectId object, std::uint64_t epoch) const;
-
-  /// Committed versions of `object` so far.
-  std::uint64_t ChainLength(ObjectId object) const;
-
-  /// Watermark GC: compacts every per-object chain to the versions still
-  /// reachable by a snapshot at or above epoch `floor` — everything with
-  /// epoch > floor plus the newest version with epoch <= floor (the one
-  /// a floor-or-later snapshot resolves to). VisibleWriter stays exact
-  /// for every epoch >= floor; epochs below the floor may resolve to the
-  /// retained <=floor version instead of their historical one, so the
-  /// caller must pass a floor no greater than any epoch it still queries
-  /// exactly (the epoch manager's watermark qualifies: settled snapshot
-  /// readers have finished, live ones admitted at or above it).
-  /// Admission decisions never read chains — classification uses only
-  /// the unfinished-writer counters and the watermark — so pruning is
-  /// decision-neutral by construction. Returns versions dropped.
-  std::uint64_t PruneBelow(std::uint64_t floor);
-
-  /// The largest floor PruneBelow may take without losing exactness for
-  /// any snapshot reader that could still be queried: the minimum
-  /// admission epoch over UNSETTLED snapshot admissions (per `settled`,
-  /// epoch/epoch.h's view), or the current watermark when none is
-  /// pending — future readers admit at or above the watermark, and
-  /// settled readers are fully resolved.
-  std::uint64_t SafePruneFloor(const std::atomic<std::uint8_t>* settled) const;
-
-  /// Cumulative versions dropped by PruneBelow.
-  std::uint64_t versions_pruned() const;
-  /// Versions currently held in the arena (appends minus pruned) — the
-  /// long-lived memory gauge.
-  std::uint64_t retained_versions() const;
-
-  /// Distribution over per-object chain lengths, one sample per version
-  /// append (i.e. chain length at append time).
-  VersionChainStats ChainStats() const;
 
   /// Relaxed peek at an object's unfinished static-writer count (tests).
   std::uint32_t UnfinishedWriters(ObjectId object) const {
@@ -193,21 +138,6 @@ class VersionStore {
   std::atomic<std::uint64_t> watermark_{0};
   std::vector<std::atomic<std::uint8_t>> finished_;
   std::vector<std::atomic<std::uint8_t>> escalated_;
-
-  // Version arena (SoA columns), mutex-guarded; heads_[obj] is
-  // 1 + index of the newest version (0 = none).
-  mutable std::mutex arena_mutex_;
-  std::vector<std::uint32_t> heads_;
-  std::vector<std::uint64_t> version_epoch_;
-  std::vector<TxnId> version_writer_;
-  std::vector<std::uint32_t> version_prev_;
-  std::vector<std::uint32_t> chain_len_;
-  LatencyHistogram chain_hist_;  // samples are chain lengths, not ns
-  std::uint64_t max_chain_ = 0;
-  std::uint64_t objects_with_versions_ = 0;
-  std::uint64_t versions_pruned_ = 0;
-  // PruneBelow scratch (chain indices, newest first).
-  std::vector<std::uint32_t> prune_buf_;
 
   mutable std::mutex log_mutex_;
   std::vector<SnapshotAdmitRecord> admit_log_;

@@ -62,7 +62,6 @@ std::uint32_t OnlineRsrChecker::ObjIndex(ObjectId object) {
     objects_.emplace_back();
     // Skip the small-capacity doublings every per-object vector would
     // otherwise go through; hot objects still grow past this normally.
-    objects_.back().ops.reserve(16);
     objects_.back().readers.reserve(8);
   }
   return *slot;
@@ -360,11 +359,9 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
   } else {
     state.readers.push_back(gid);
   }
-  state.ops.push_back(gid);
   txn_objects_[j].push_back(obj_idx);
 
   executed_[gid] = 1;
-  ++executed_count_;
   pos_of_[gid] = static_cast<std::uint32_t>(feed_log_.size());
   feed_log_.push_back(gid);
 }
@@ -401,8 +398,6 @@ void OnlineRsrChecker::UndoLast() {
   }
   ObjState& state = objects_[txn_objects_[j].back()];
   txn_objects_[j].pop_back();
-  RELSER_DCHECK(state.ops.back() == gid);
-  state.ops.pop_back();
   if (op.is_write()) {
     // Reinstate the dominated frontier. Its members' rows were released
     // when this write dominated them unless something else retained them;
@@ -442,7 +437,6 @@ void OnlineRsrChecker::UndoLast() {
   cross_pairs_[j] -= dropped_pairs;
   live_pairs_ -= dropped_pairs;
   executed_[gid] = 0;
-  --executed_count_;
   feed_log_.pop_back();
   undo_log_.pop_back();
   undo_deltas_.resize(rec.deltas);
@@ -517,18 +511,16 @@ std::size_t OnlineRsrChecker::Truncate(
     txn_objects_[t].clear();
   }
   topo_.IsolateNodes(drop_nodes_, drop_mark_);
-  executed_count_ -= dropped;
 
-  // Object frontiers and op lists lose their settled members. A settled
-  // op never sits after a survivor it conflicts with, so no survivor
-  // joins a frontier: every remaining member still holds its row.
+  // Object frontiers lose their settled members. A settled op never
+  // sits after a survivor it conflicts with, so no survivor joins a
+  // frontier: every remaining member still holds its row.
   std::sort(drop_objects_.begin(), drop_objects_.end());
   drop_objects_.erase(std::unique(drop_objects_.begin(), drop_objects_.end()),
                       drop_objects_.end());
   const auto marked = [this](std::size_t gid) { return drop_mark_[gid] != 0; };
   for (const std::uint32_t obj_idx : drop_objects_) {
     ObjState& state = objects_[obj_idx];
-    std::erase_if(state.ops, marked);
     std::erase_if(state.readers, marked);
     if (state.last_writer != kNoGid && marked(state.last_writer)) {
       state.last_writer = kNoGid;
@@ -631,7 +623,7 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
       h *= 1099511628211ULL;
     }
   };
-  mix(executed_count_);
+  mix(feed_log_.size());
   for (const std::uint8_t bit : executed_) mix(bit);
   for (const std::uint32_t pairs : cross_pairs_) mix(pairs);
   for (const std::size_t gid : newest_gid_) mix(gid);
@@ -648,11 +640,13 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
     for (const auto& [object, idx] : by_object) {
       const ObjState& state = objects_[idx];
       // A rejected, undone or truncated op can leave an empty entry that
-      // a fresh checker never created.
-      if (state.ops.empty()) continue;
+      // a fresh checker never created. An object has a retained executed
+      // op exactly when its frontier is non-empty: the newest retained
+      // op on it is always in the frontier, and Truncate drops no op
+      // that a survivor on the same object follows (settledness is
+      // predecessor-closed).
+      if (state.last_writer == kNoGid && state.readers.empty()) continue;
       mix(object);
-      mix(state.ops.size());
-      for (const std::size_t gid : state.ops) mix(gid);
       mix(state.last_writer);
       for (const std::size_t gid : state.readers) mix(gid);
     }

@@ -187,9 +187,6 @@ class OnlineRsrChecker {
     return executed_[indexer_.GlobalId(txn, index)] != 0;
   }
 
-  /// Number of operations currently accepted.
-  std::size_t executed_count() const { return executed_count_; }
-
   /// Cycle rejections so far.
   std::size_t rejections() const { return rejections_; }
 
@@ -222,9 +219,8 @@ class OnlineRsrChecker {
   static constexpr std::uint8_t kNewestFlag = 1;    // newest executed of txn
   static constexpr std::uint8_t kFrontierFlag = 2;  // in an object frontier
 
-  /// Conflict frontier and executed-op list of one object.
+  /// Conflict frontier of one object.
   struct ObjState {
-    std::vector<std::size_t> ops;      // executed gids, feed order
     std::vector<std::size_t> readers;  // reads since last_writer, feed order
     std::size_t last_writer = kNoGid;
   };
@@ -320,7 +316,6 @@ class OnlineRsrChecker {
   std::vector<std::uint32_t> drop_objects_;
   std::vector<std::uint8_t> drop_mark_;  // gid -> dropped by this Truncate
 
-  std::size_t executed_count_ = 0;
   std::size_t replayed_ops_ = 0;
   std::size_t rejections_ = 0;
   std::size_t arcs_submitted_ = 0;

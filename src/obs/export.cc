@@ -29,7 +29,6 @@ bool IsTxnLevel(TraceEventKind kind) {
 bool IsEpochGcKind(TraceEventKind kind) {
   return kind == TraceEventKind::kEpochAdvance ||
          kind == TraceEventKind::kArcGc ||
-         kind == TraceEventKind::kVersionPrune ||
          kind == TraceEventKind::kCheckpoint ||
          kind == TraceEventKind::kRouterSwap;
 }

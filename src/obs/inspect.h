@@ -88,7 +88,8 @@ struct TraceSummary {
   std::uint64_t cross_shard_arcs_live = 0;
   std::uint64_t cross_shard_arcs_dead = 0;
   // Epoch/watermark GC activity (informational events; `arcs_gcd` and
-  // `versions_pruned` sum the per-event `count` payloads).
+  // `versions_pruned` sum the per-event `count` payloads; only older
+  // traces carry `version_prune` events).
   std::uint64_t epochs_advanced = 0;
   std::uint64_t arcs_gcd = 0;
   std::uint64_t versions_pruned = 0;

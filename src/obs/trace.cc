@@ -24,7 +24,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kSnapshotRead: return "snapshot_read";
     case TraceEventKind::kEpochAdvance: return "epoch_advance";
     case TraceEventKind::kArcGc: return "arc_gc";
-    case TraceEventKind::kVersionPrune: return "version_prune";
     case TraceEventKind::kCheckpoint: return "checkpoint";
     case TraceEventKind::kRouterSwap: return "router_swap";
   }
@@ -311,18 +310,6 @@ void Tracer::RecordArcGc(std::uint64_t collected, std::uint64_t tick) {
   events_.push_back(std::move(event));
 }
 
-void Tracer::RecordVersionPrune(std::uint64_t pruned, std::uint64_t tick) {
-  if (!counting()) return;
-  counters_.versions_pruned += pruned;
-  if (!events_on()) return;
-  TraceEvent event;
-  event.seq = next_seq_++;
-  event.tick = tick;
-  event.kind = TraceEventKind::kVersionPrune;
-  event.count = pruned;
-  events_.push_back(std::move(event));
-}
-
 void Tracer::RecordCheckpoint(std::uint64_t dropped, std::uint64_t tick) {
   if (!counting()) return;
   ++counters_.checkpoints;
@@ -380,7 +367,6 @@ void Tracer::MergeFrom(const Tracer& other) {
   counters_.coordinator_arcs_dead += c.coordinator_arcs_dead;
   counters_.epochs_advanced += c.epochs_advanced;
   counters_.arcs_gcd += c.arcs_gcd;
-  counters_.versions_pruned += c.versions_pruned;
   counters_.checkpoints += c.checkpoints;
   counters_.router_swaps += c.router_swaps;
   admit_latency_.MergeFrom(other.admit_latency_);
@@ -483,8 +469,6 @@ std::string SnapshotToJson(const TraceSnapshot& snapshot) {
   json.Uint(snapshot.counters.epochs_advanced);
   json.Key("arcs_gcd");
   json.Uint(snapshot.counters.arcs_gcd);
-  json.Key("versions_pruned");
-  json.Uint(snapshot.counters.versions_pruned);
   json.Key("checkpoints");
   json.Uint(snapshot.counters.checkpoints);
   json.Key("router_swaps");

@@ -74,7 +74,6 @@ enum class TraceEventKind : std::uint8_t {
   // reclaimed quantity where one applies.
   kEpochAdvance,   ///< a sweep settled `count` transactions
   kArcGc,          ///< coordinator dropped `count` settled/tombstoned arcs
-  kVersionPrune,   ///< version store pruned `count` dominated versions
   kCheckpoint,     ///< a checker truncated `count` settled feed entries
   kRouterSwap,     ///< a new ShardRouter was installed at a quiescent cut
 };
@@ -133,8 +132,7 @@ struct TraceEvent {
   Operation op;            ///< the operation decided on (when has_op)
   std::uint64_t latency_ns = 0;  ///< decision latency when measured
   /// Reclaimed quantity for the epoch-GC kinds (settled transactions,
-  /// collected arcs, pruned versions, truncated feed entries); 0 for
-  /// every other kind.
+  /// collected arcs, truncated feed entries); 0 for every other kind.
   std::uint64_t count = 0;
   TraceCause cause;
 };
@@ -176,12 +174,10 @@ struct TraceCounters {
   std::uint64_t coordinator_arcs_live = 0;
   std::uint64_t coordinator_arcs_dead = 0;
   // Epoch/watermark GC (epoch/ + consumers): sweeps that advanced the
-  // settled set, coordinator arcs reclaimed, version-store versions
-  // pruned, checker truncation checkpoints taken, and live ShardRouter
-  // swaps completed.
+  // settled set, coordinator arcs reclaimed, checker truncation
+  // checkpoints taken, and live ShardRouter swaps completed.
   std::uint64_t epochs_advanced = 0;
   std::uint64_t arcs_gcd = 0;
-  std::uint64_t versions_pruned = 0;
   std::uint64_t checkpoints = 0;
   std::uint64_t router_swaps = 0;
 };
@@ -315,7 +311,6 @@ class Tracer {
   void RecordEpochAdvance(std::uint64_t settled, std::uint64_t watermark,
                           std::uint64_t tick);
   void RecordArcGc(std::uint64_t collected, std::uint64_t tick);
-  void RecordVersionPrune(std::uint64_t pruned, std::uint64_t tick);
   void RecordCheckpoint(std::uint64_t dropped, std::uint64_t tick);
   void RecordRouterSwap(std::uint64_t tick);
 

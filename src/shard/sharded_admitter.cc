@@ -130,7 +130,7 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
   // acquire-reads that decrement before drawing its own stamp — so a
   // snapshot block's stamp exceeds the stamp of every operation of
   // every committed writer of its read set, and CommittedLog splices
-  // the block after all versions it read.
+  // the block after every write it read.
   if (store_ != nullptr && store_->IsReadOnly(op.txn)) {
     const std::uint8_t word = decision_[gid].load(std::memory_order_acquire);
     if (word != 0) {
@@ -156,8 +156,7 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
                 kAcceptWord, std::memory_order_release);
           }
           accepted_.fetch_add(txn.size(), std::memory_order_relaxed);
-          // Arc-free and fully resolved: report the finish (after the
-          // admit record exists, so SafePruneFloor sees its epoch).
+          // Arc-free and fully resolved: report the finish.
           if (epochs_ != nullptr) epochs_->NoteFinish(op.txn);
           return AdmitResult::Accept(op.txn);
         }
@@ -853,7 +852,6 @@ ShardedAdmitter::LiveHighWater ShardedAdmitter::live_high_water() const {
   hw.memo_entries = hw_memo_entries_.load(std::memory_order_relaxed);
   hw.accept_entries = hw_accept_entries_.load(std::memory_order_relaxed);
   hw.coordinator_arcs = hw_coordinator_arcs_.load(std::memory_order_relaxed);
-  hw.versions = hw_versions_.load(std::memory_order_relaxed);
   hw.dep_arcs = hw_dep_arcs_.load(std::memory_order_relaxed);
   return hw;
 }
@@ -869,7 +867,6 @@ void ShardedAdmitter::MaybeGcCore(Core& core) {
   FetchMax(hw_memo_entries_, core.checker.memo_entries());
   FetchMax(hw_accept_entries_, core.accept_log.size());
   FetchMax(hw_coordinator_arcs_, coordinator_.arc_count());
-  if (store_ != nullptr) FetchMax(hw_versions_, store_->retained_versions());
   FetchMax(hw_dep_arcs_, epochs_->dep_arcs_live());
   const std::atomic<std::uint8_t>* settled = epochs_->settled_view();
   const auto is_settled = [settled](TxnId txn) {
@@ -922,7 +919,7 @@ void ShardedAdmitter::MaybeGcCore(Core& core) {
     core.tracer.RecordCheckpoint(dropped, core.core_steps);
   }
   // Shared structures once per generation: the first core to notice
-  // claims the coordinator collect and the version-chain prune.
+  // claims the coordinator collect.
   std::uint64_t prev = gc_claim_.load(std::memory_order_relaxed);
   while (prev < gen && !gc_claim_.compare_exchange_weak(
                            prev, gen, std::memory_order_acq_rel,
@@ -930,13 +927,6 @@ void ShardedAdmitter::MaybeGcCore(Core& core) {
   }
   if (prev < gen) {
     coordinator_.CollectSettled(settled);
-    if (store_ != nullptr) {
-      const std::uint64_t pruned =
-          store_->PruneBelow(store_->SafePruneFloor(settled));
-      if (pruned > 0 && core.tracer.counting()) {
-        core.tracer.RecordVersionPrune(pruned, core.core_steps);
-      }
-    }
     if (core.tracer.counting()) {
       core.tracer.RecordEpochAdvance(epochs_->settled_count(),
                                      epochs_->watermark(), core.core_steps);
@@ -981,9 +971,7 @@ void ShardedAdmitter::InstallRouter(ShardRouter router) {
   // swap is a full-history GC tick, and empty fresh cores are exactly
   // what truncation would leave behind.
   epochs_->Sweep();
-  const std::atomic<std::uint8_t>* settled = epochs_->settled_view();
-  coordinator_.CollectSettled(settled);
-  if (store_ != nullptr) store_->PruneBelow(store_->SafePruneFloor(settled));
+  coordinator_.CollectSettled(epochs_->settled_view());
   for (auto& core : cores_) {
     archived_tracer_.MergeFrom(core->tracer);
     if (options_.committed_log) {

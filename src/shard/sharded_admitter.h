@@ -116,10 +116,13 @@ struct ShardedAdmitterOptions {
   /// read-only transactions whose read set is settled (every static
   /// writer finished) commit on the CLIENT thread against the committed
   /// watermark — no inbox hop, no shard core, no checker arcs, no
-  /// coordinator traffic. Unsettled read-only transactions escalate to
-  /// the normal sharded path unchanged. Off by default: the flag is a
-  /// relaxation knob, and decision bit-identity with the flag off is
-  /// the differential baseline (tests/mvcc_test.cc, bench_mvcc).
+  /// coordinator traffic. Classification reads per-object
+  /// unfinished-writer counters and the commit counter; no committed
+  /// versions are stored, so GC has nothing to prune here. Unsettled
+  /// read-only transactions escalate to the normal sharded path
+  /// unchanged. Off by default: the flag is a relaxation knob, and
+  /// decision bit-identity with the flag off is the differential
+  /// baseline (tests/mvcc_test.cc, bench_mvcc).
   bool snapshot_reads = false;
   /// Epoch-based stable-prefix GC (epoch/epoch.h). Every core feeds the
   /// shared EpochManager (direct-conflict arcs at local-DAG insertion,
@@ -127,10 +130,10 @@ struct ShardedAdmitterOptions {
   /// per step: on advance it truncates its checker's settled rows,
   /// scrubs arc bookkeeping of settled transactions, and
   /// archives (or drops) settled accept-log entries; one core per
-  /// generation additionally collects coordinator arcs and prunes
-  /// version chains. Decision-identical to gc off — a settled
-  /// transaction can never lie on a future cycle in any shard checker
-  /// or the coordinator graph (tests/epoch_gc_differential_test.cc).
+  /// generation additionally collects coordinator arcs.
+  /// Decision-identical to gc off — a settled transaction can never lie
+  /// on a future cycle in any shard checker or the coordinator graph
+  /// (tests/epoch_gc_differential_test.cc).
   /// Also the prerequisite for InstallRouter live resharding.
   bool epoch_gc = false;
   /// NoteFinish calls between settlement sweeps (epoch_gc only).
@@ -278,16 +281,14 @@ class ShardedAdmitter {
   std::uint64_t snapshot_escalations() const {
     return store_ != nullptr ? store_->snapshot_escalations() : 0;
   }
-  /// The version store backing the fast path; nullptr when off.
-  const VersionStore* version_store() const { return store_.get(); }
 
   /// Race-free live-state high-water marks, sampled by the holder of
   /// each shard's token at every GC tick just BEFORE truncation — i.e.
   /// at local maxima of retained state — so readers never race
   /// shard-private structures.
   /// Per-shard gauges (pool rows, feed entries, memos, accept-log) take
-  /// the max over shards; shared gauges (coordinator arcs, versions, dep
-  /// arcs) are instantaneous retained counts. All zeros until the first
+  /// the max over shards; shared gauges (coordinator arcs, dep arcs) are
+  /// instantaneous retained counts. All zeros until the first
   /// GC tick; meaningful only with options.epoch_gc.
   struct LiveHighWater {
     std::uint64_t pool_rows = 0;         ///< ancestor rows (max shard)
@@ -297,7 +298,9 @@ class ShardedAdmitter {
     std::uint64_t memo_entries = 0;
     std::uint64_t accept_entries = 0;    ///< live accept-log (max shard)
     std::uint64_t coordinator_arcs = 0;  ///< retained coordinator arcs
-    std::uint64_t versions = 0;          ///< version-arena retained
+    /// Always 0: the snapshot-read store keeps no versions. Kept
+    /// because the benchmark's `mvcc.versions_hw` column reads it.
+    std::uint64_t versions = 0;
     std::uint64_t dep_arcs = 0;          ///< epoch-manager dep arcs live
   };
   LiveHighWater live_high_water() const;
@@ -406,7 +409,7 @@ class ShardedAdmitter {
   /// GC tick (token holder only): when the settled set advanced,
   /// archive/drop settled accept-log entries, truncate the checker and
   /// scrub settled bookkeeping; the generation's claim winner also
-  /// collects coordinator arcs and prunes version chains.
+  /// collects coordinator arcs.
   void MaybeGcCore(Core& core);
   /// One step of `core` (token held): swaps the inbox out; applies its
   /// controls, then decides its operations and then `own` (when given),
@@ -477,8 +480,8 @@ class ShardedAdmitter {
   // txn -> resident-shard withdrawals still outstanding after a kill;
   // the last KillLocal reports the fully-applied abort to epochs_.
   std::vector<std::atomic<std::uint32_t>> kill_remaining_;
-  // Highest gc_generation whose shared work (coordinator collect +
-  // version prune) some core has claimed.
+  // Highest gc_generation whose shared work (the coordinator collect)
+  // some core has claimed.
   std::atomic<std::uint64_t> gc_claim_{0};
   std::atomic<std::uint64_t> checkpoints_{0};
   // live_high_water() marks, fed by MaybeGcCore (CAS-max).
@@ -487,7 +490,6 @@ class ShardedAdmitter {
   std::atomic<std::uint64_t> hw_memo_entries_{0};
   std::atomic<std::uint64_t> hw_accept_entries_{0};
   std::atomic<std::uint64_t> hw_coordinator_arcs_{0};
-  std::atomic<std::uint64_t> hw_versions_{0};
   std::atomic<std::uint64_t> hw_dep_arcs_{0};
 
   // InstallRouter machinery. Clients take swap_gate_ shared around

@@ -262,7 +262,7 @@ TEST(DifferentialOnline, AcceptedExecutionsStayExactAcrossAborts) {
       } else if (next[t] > 0 && rng.UniformDouble() < 0.3) {
         drop_txn(t);  // spontaneous abort of a partially executed txn
       }
-      ASSERT_EQ(checker.executed_count(), fed.size()) << "round " << round;
+      ASSERT_EQ(checker.retained_ops(), fed.size()) << "round " << round;
       ASSERT_FALSE(HasCycle(BuildPrefixRsg(txns, indexer, fed, spec)))
           << "round " << round << " step " << step
           << ": checker admitted a non-RSR execution";

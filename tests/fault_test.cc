@@ -156,7 +156,7 @@ TEST(FaultTest, ClientAbortCascadesToDirtyReaders) {
 
   // Only T3 survives, and the post-cascade state is bit-identical to a
   // checker that only ever saw T3.
-  EXPECT_EQ(admitter.checker(0).executed_count(), 2u);
+  EXPECT_EQ(admitter.checker(0).retained_ops(), 2u);
   EXPECT_EQ(admitter.checker(0).StateDigest(),
             RebuiltDigest(*txns, spec, admitter.checker(0)));
   EXPECT_EQ(admitter.unrecoverable_reads(), 0u);

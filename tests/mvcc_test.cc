@@ -1,7 +1,7 @@
 // Tests for the MVCC snapshot-read fast path (core/mvcc/):
 //
 //   * VersionStore unit behavior — settledness counters, watermark,
-//     version-chain visibility, chain stats, escalation counting.
+//     escalation counting.
 //   * The write-skew shape: a read-only transaction raced by live
 //     writers of its read set MUST escalate; once the writers have
 //     finished it snapshot-admits arc-free.
@@ -70,21 +70,10 @@ TEST(VersionStore, SettlednessAndWatermark) {
   EXPECT_TRUE(store.ReadSetSettled(1));
   EXPECT_EQ(store.UnfinishedWriters(0), 0u);
   // Idempotent: a second NoteCommit must not double-decrement or
-  // double-append.
+  // double-count.
   store.NoteCommit(0);
   EXPECT_EQ(store.watermark(), 1u);
-  EXPECT_EQ(store.ChainLength(0), 1u);
-
-  // Visibility: before epoch 1 only the initial version (0); from
-  // epoch 1 on, T0's version (writer + 1).
-  EXPECT_EQ(store.VisibleWriter(0, 0), 0u);
-  EXPECT_EQ(store.VisibleWriter(0, 1), 1u);
-  EXPECT_EQ(store.VisibleWriter(1, 1), 0u);  // y never written
-
-  const VersionChainStats stats = store.ChainStats();
-  EXPECT_EQ(stats.versions, 1u);
-  EXPECT_EQ(stats.objects_with_versions, 1u);
-  EXPECT_EQ(stats.max_chain, 1u);
+  EXPECT_EQ(store.UnfinishedWriters(0), 0u);
 }
 
 TEST(VersionStore, AbortSettlesWithoutVersions) {
@@ -98,10 +87,9 @@ TEST(VersionStore, AbortSettlesWithoutVersions) {
   VersionStore store(txns);
   EXPECT_FALSE(store.ReadSetSettled(1));
   store.NoteAbort(0);
-  // An aborted writer settles the read set but appends no version.
+  // An aborted writer settles the read set but is no commit.
   EXPECT_TRUE(store.ReadSetSettled(1));
   EXPECT_EQ(store.watermark(), 0u);
-  EXPECT_EQ(store.ChainLength(0), 0u);
 }
 
 TEST(VersionStore, EscalationCountsOnce) {
@@ -354,6 +342,66 @@ TEST(SnapshotAdmitters, ShardedFleetReadHeavySound) {
       options);
   FleetAndGate(txns, spec, admitter, 4, 0xC0FFEFULL);
   EXPECT_GT(admitter.snapshot_admits(), 0u);
+}
+
+// The stamp-order contract (ShardedAdmitter::Submit): a snapshot
+// reader's stamp exceeds the stamp of every operation of every committed
+// writer of its read set, so CommittedLog places the reader's whole
+// block after all of them.
+TEST(SnapshotAdmitters, SnapshotBlocksFollowTheirCommittedWriters) {
+  Rng rng(0x5B10C4EDULL);
+  ShardedWorkloadParams wp;
+  wp.txn_count = 256;
+  wp.shard_count = 4;
+  wp.objects_per_shard = 16;
+  wp.zipf_theta = 0.8;
+  wp.read_ratio = 0.6;
+  wp.read_only_txn_ratio = 0.6;
+  const TransactionSet txns = GenerateShardedTransactions(wp, &rng);
+  const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+  Tracer tracer(TraceLevel::kFull);
+  ShardedAdmitterOptions options;
+  options.snapshot_reads = true;
+  options.tracer = &tracer;
+  ShardedAdmitter admitter(
+      txns, spec, ShardRouter(txns.object_count(), 4, ShardStrategy::kRange),
+      options);
+  FleetAndGate(txns, spec, admitter, 4, 0xB10C4ULL);
+  if (HasFatalFailure()) return;
+
+  constexpr std::size_t kAbsent = ~static_cast<std::size_t>(0);
+  const std::vector<Operation> log = admitter.CommittedLog();
+  std::vector<std::size_t> first(txns.txn_count(), kAbsent);
+  std::vector<std::size_t> last(txns.txn_count(), 0);
+  for (std::size_t pos = 0; pos < log.size(); ++pos) {
+    if (first[log[pos].txn] == kAbsent) first[log[pos].txn] = pos;
+    last[log[pos].txn] = pos;
+  }
+  std::vector<std::vector<TxnId>> writers_of(txns.object_count());
+  for (TxnId t = 0; t < txns.txn_count(); ++t) {
+    if (!admitter.TxnCommitted(t)) continue;
+    for (const Operation& op : txns.txn(t).ops()) {
+      if (op.is_write()) writers_of[op.object].push_back(t);
+    }
+  }
+  std::size_t readers = 0;
+  std::size_t pairs = 0;
+  for (const TraceEvent& event : tracer.events()) {
+    if (event.kind != TraceEventKind::kSnapshotRead) continue;
+    const TxnId reader = event.txn;
+    ASSERT_NE(first[reader], kAbsent) << "snapshot reader T" << reader;
+    ++readers;
+    for (const Operation& op : txns.txn(reader).ops()) {
+      for (const TxnId writer : writers_of[op.object]) {
+        EXPECT_LT(last[writer], first[reader])
+            << "T" << reader << " reads object " << op.object
+            << " written by T" << writer;
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_EQ(readers, admitter.snapshot_admits());
+  EXPECT_GT(pairs, 0u);
 }
 
 // snapshot_read events survive the full observability round-trip:

@@ -58,7 +58,7 @@ TEST(OnlineChecker, RejectionLeavesStateUnchanged) {
   // r1[y] now closes the sandwich cycle: rejected.
   EXPECT_FALSE(checker.TryAppend(txns->txn(0).op(1)));
   EXPECT_EQ(checker.rejections(), 1u);
-  EXPECT_EQ(checker.executed_count(), 3u);
+  EXPECT_EQ(checker.retained_ops(), 3u);
   // Retry is still rejected (arcs only grow), but state stays coherent.
   EXPECT_FALSE(checker.TryAppend(txns->txn(0).op(1)));
   EXPECT_EQ(checker.rejections(), 2u);
@@ -74,11 +74,11 @@ TEST(OnlineChecker, RemoveTransactionExactEnablesRetry) {
   EXPECT_FALSE(checker.TryAppend(txns->txn(0).op(1)));
   // Abort T1 and replay it after T2: now serial, accepted.
   checker.RemoveTransactionExact(0);
-  EXPECT_EQ(checker.executed_count(), 2u);
+  EXPECT_EQ(checker.retained_ops(), 2u);
   EXPECT_FALSE(checker.Executed(0, 0));
   EXPECT_TRUE(checker.TryAppend(txns->txn(0).op(0)));
   EXPECT_TRUE(checker.TryAppend(txns->txn(0).op(1)));
-  EXPECT_EQ(checker.executed_count(), 4u);
+  EXPECT_EQ(checker.retained_ops(), 4u);
 }
 
 TEST(OnlineChecker, RemoveTransactionExactDropsItsPairs) {

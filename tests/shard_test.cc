@@ -677,7 +677,7 @@ TEST(ShardedAdmitterTest, TxnVerdictReportsRejectedTransactions) {
   // T1's rejection aborted it and withdrew w1[x] exactly; T2 survives
   // whole. T2's r2[x] had read T1's uncommitted write, but T2 committed
   // before the abort — an unrecoverable read, counted not cascaded.
-  EXPECT_EQ(admitter.checker(0).executed_count(), 2u);
+  EXPECT_EQ(admitter.checker(0).retained_ops(), 2u);
   EXPECT_TRUE(admitter.TxnCommitted(1));
   EXPECT_EQ(admitter.unrecoverable_reads(), 1u);
 }

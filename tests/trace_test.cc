@@ -411,6 +411,36 @@ TEST(TraceSchema, ValidatorRejectsMalformedEvents) {
                    .ok);
 }
 
+// No writer emits version_prune any more, but version-1 readers accept
+// every version-1 kind: an older trace carrying one still validates and
+// its count is still tallied.
+TEST(TraceSchema, RetiredVersionPruneKindStillReads) {
+  const std::string trace =
+      "{\"kind\":\"header\",\"version\":1,\"format\":\"relser-trace\","
+      "\"txn_count\":2,\"events\":3}\n"
+      "{\"seq\":0,\"tick\":0,\"kind\":\"commit\",\"txn\":1}\n"
+      "{\"seq\":1,\"tick\":1,\"kind\":\"version_prune\",\"txn\":0,"
+      "\"count\":7}\n"
+      "{\"seq\":2,\"tick\":2,\"kind\":\"version_prune\",\"txn\":0,"
+      "\"count\":5}\n";
+  const TraceValidation validation = ValidateTraceJsonl(trace);
+  EXPECT_TRUE(validation.ok) << (validation.errors.empty()
+                                     ? "unknown"
+                                     : validation.errors.front());
+  const TraceSummary summary = SummarizeTraceJsonl(trace);
+  EXPECT_EQ(summary.events, 3u);
+  EXPECT_EQ(summary.versions_pruned, 12u);
+  EXPECT_EQ(summary.commits, 1u);
+  // The count is required, as for every count-carrying epoch-GC kind.
+  EXPECT_FALSE(ValidateTraceJsonl(
+                   "{\"kind\":\"header\",\"version\":1,"
+                   "\"format\":\"relser-trace\",\"txn_count\":2,"
+                   "\"events\":1}\n"
+                   "{\"seq\":0,\"tick\":0,\"kind\":\"version_prune\","
+                   "\"txn\":0}\n")
+                   .ok);
+}
+
 }  // namespace
 }  // namespace relser
 
