@@ -200,8 +200,6 @@ std::uint64_t CompositeBytes(const relser::ShardedAdmitter::LiveHighWater& hw,
   return hw.pool_rows * txn_count *
              sizeof(relser::OnlineRsrChecker::AncestorColumn) +
          hw.retained_ops * sizeof(std::size_t) +
-         // Live F/B pairs, weighted as the former memo hash slot.
-         hw.memo_entries * 24 +
          hw.accept_entries *
              sizeof(std::pair<std::uint64_t, relser::Operation>) +
          hw.coordinator_arcs * 16 + hw.dep_arcs * 8;
@@ -225,6 +223,9 @@ struct GcPhaseResult {
   std::size_t rss_final_kb = 0;
   std::uint64_t p99_early_ns = 0;  // first 10% of operations
   std::uint64_t p99_final_ns = 0;  // last 10% of operations
+  // Per-wave admitter construction (shard projection included).
+  double setup_ms_p50 = 0;
+  double setup_ms_max = 0;
   // Checker work counters, summed over shards: operations re-admitted by
   // exact aborts, and operations still retained when a wave's admitter
   // stops (what its next checkpoint and aborts would still work over),
@@ -267,6 +268,7 @@ GcPhaseResult RunGcPhase(std::size_t target_ops, std::size_t wave_txns,
   std::vector<std::uint64_t> wave_bytes;
   std::vector<double> wave_replayed;  // per decided op
   std::vector<double> wave_residual;  // per decided op
+  std::vector<double> wave_setup_ms;
   Rng wave_rng(0xEB0C5);
   Backoff backoff(0xEB0C6);
   constexpr std::size_t kWindow = 32;  // concurrently-open transactions
@@ -280,8 +282,12 @@ GcPhaseResult RunGcPhase(std::size_t target_ops, std::size_t wave_txns,
     opt.gc_interval = 64;
     opt.committed_log = false;  // cap memory at the unsettled suffix
     opt.snapshot_reads = true;
+    const auto setup_start = std::chrono::steady_clock::now();
     ShardedAdmitter admitter(w.txns, w.spec,
                              ShardRouter(objects, /*shard_count=*/2), opt);
+    wave_setup_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - setup_start)
+                                .count());
     // One client interleaves a window of open transactions in round-robin
     // program order (the blocking feeding contract is per transaction).
     std::vector<TxnId> active;
@@ -373,6 +379,13 @@ GcPhaseResult RunGcPhase(std::size_t target_ops, std::size_t wave_txns,
   for (const double residual : wave_residual) {
     out.residual_per_op_max = std::max(out.residual_per_op_max, residual);
   }
+  out.setup_ms_max =
+      *std::max_element(wave_setup_ms.begin(), wave_setup_ms.end());
+  std::nth_element(wave_setup_ms.begin(),
+                   wave_setup_ms.begin() + static_cast<std::ptrdiff_t>(
+                                               wave_setup_ms.size() / 2),
+                   wave_setup_ms.end());
+  out.setup_ms_p50 = wave_setup_ms[wave_setup_ms.size() / 2];
   const std::size_t decile = std::max<std::size_t>(1, latencies.size() / 10);
   out.p99_early_ns = P99(std::vector<std::uint32_t>(
       latencies.begin(), latencies.begin() + static_cast<std::ptrdiff_t>(
@@ -517,6 +530,8 @@ int main(int argc, char** argv) {
   gc_table.AddRow({"rss_final_kb", std::to_string(gc.rss_final_kb)});
   gc_table.AddRow({"p99_early_ns", std::to_string(gc.p99_early_ns)});
   gc_table.AddRow({"p99_final_ns", std::to_string(gc.p99_final_ns)});
+  gc_table.AddRow({"setup_ms_p50", FormatDouble(gc.setup_ms_p50, 3)});
+  gc_table.AddRow({"setup_ms_max", FormatDouble(gc.setup_ms_max, 3)});
   gc_table.AddRow({"replayed_ops", std::to_string(gc.replayed_ops)});
   gc_table.AddRow({"replayed_per_op_early",
                    FormatDouble(gc.replayed_per_op_early, 3)});
@@ -620,6 +635,10 @@ int main(int argc, char** argv) {
   json.Uint(gc.p99_early_ns);
   json.Key("p99_final_ns");
   json.Uint(gc.p99_final_ns);
+  json.Key("setup_ms_p50");
+  json.Double(gc.setup_ms_p50);
+  json.Key("setup_ms_max");
+  json.Double(gc.setup_ms_max);
   json.Key("replayed_ops");
   json.Uint(gc.replayed_ops);
   json.Key("replayed_per_op_early");

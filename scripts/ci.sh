@@ -73,9 +73,16 @@ python3 -c "import json; json.load(open('build-asan/BENCH_mvcc.json'))"
 # AND the admission GC phase must hold its exit-coded flat-memory
 # and bounded-work gates at the smoke op count (the full 10^7-op run is
 # the offline gate; same binary, same gates). Its flat-RSS gate ran on
-# the tier-1 build above.
+# the tier-1 build above. The JSON must parse and report the per-wave
+# admitter set-up time (reported, not gated).
 (cd build-asan && ./bench/bench_longlived --smoke)
-python3 -c "import json; json.load(open('build-asan/BENCH_longlived.json'))"
+python3 - <<'EOF'
+import json
+
+gc = json.load(open("build-asan/BENCH_longlived.json"))["gc"]
+for key in ("setup_ms_p50", "setup_ms_max"):
+    assert key in gc, f"gc lacks {key}"
+EOF
 
 # Audit smoke: the offline auditor's scale + minimization gates (a
 # 100k-op committed-epoch ingest/check and a planted cycle reduced to a

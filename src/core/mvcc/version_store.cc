@@ -99,6 +99,20 @@ std::vector<SnapshotAdmitRecord> VersionStore::SnapshotAdmits() const {
   return out;
 }
 
+void VersionStore::TakeSettledAdmits(const std::atomic<std::uint8_t>* settled,
+                                     std::vector<SnapshotAdmitRecord>* out) {
+  std::lock_guard<std::mutex> lock(log_mutex_);
+  std::size_t kept = 0;
+  for (const SnapshotAdmitRecord& rec : admit_log_) {
+    if (settled[rec.txn].load(std::memory_order_relaxed) != 0) {
+      out->push_back(rec);
+    } else {
+      admit_log_[kept++] = rec;
+    }
+  }
+  admit_log_.resize(kept);
+}
+
 bool VersionStore::TryCountEscalation(TxnId txn) {
   if (escalated_[txn].exchange(1, std::memory_order_relaxed) != 0) {
     return false;

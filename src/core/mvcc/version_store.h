@@ -104,6 +104,12 @@ class VersionStore {
   /// Copy of the admit log, ordered by stamp.
   std::vector<SnapshotAdmitRecord> SnapshotAdmits() const;
 
+  /// Moves the records of transactions that `settled` marks out of the
+  /// admit log, appending them to `out` (thread-safe). snapshot_admits()
+  /// keeps counting them.
+  void TakeSettledAdmits(const std::atomic<std::uint8_t>* settled,
+                         std::vector<SnapshotAdmitRecord>* out);
+
   /// Counts a read-only transaction that failed classification exactly
   /// once; returns true the first time it is called for `txn` (the
   /// caller then routes the transaction through the checker).

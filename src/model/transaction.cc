@@ -28,8 +28,16 @@ const std::string& TransactionSet::ObjectName(ObjectId object) const {
 
 ObjectId TransactionSet::AddObjects(std::size_t count) {
   const auto first = static_cast<ObjectId>(object_names_.size());
+  // Reserving object_names_ too saved little and raised strict-window's
+  // peak RSS by 2.4 MB (EXPERIMENTS.md WORDPROJECT).
+  object_ids_.reserve(object_ids_.size() + count);
   for (std::size_t i = 0; i < count; ++i) {
-    InternObject(StrCat("o", object_names_.size()));
+    const auto id = static_cast<ObjectId>(object_names_.size());
+    // "o<id>", with '_' appended while the name is already interned.
+    std::string name(1, 'o');
+    name += std::to_string(id);
+    while (!object_ids_.try_emplace(name, id).second) name += '_';
+    object_names_.push_back(std::move(name));
   }
   return first;
 }

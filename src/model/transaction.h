@@ -87,11 +87,12 @@ class TransactionSet {
   /// Returns the id of the named object, interning it on first use.
   ObjectId InternObject(const std::string& name);
 
-  /// Name of `object`; objects created without a name print as "#<id>".
+  /// Name of `object`.
   const std::string& ObjectName(ObjectId object) const;
 
-  /// Creates `count` anonymous objects (workload generators), returning the
-  /// first new id.
+  /// Creates exactly `count` anonymous objects (workload generators),
+  /// returning the first new id. Object `id` is named "o<id>", with '_'
+  /// appended until the name is not already interned.
   ObjectId AddObjects(std::size_t count);
 
   std::size_t object_count() const { return object_names_.size(); }

@@ -38,30 +38,15 @@ ShardPlan::ShardPlan(const TransactionSet& txns, const AtomicitySpec& spec,
         }
       }
     }
-    // Projected spec: start absolute over the projected sizes, then set a
-    // breakpoint at projected gap g of (Ti, Tj) iff any original gap in
-    // [orig(g), orig(g+1)) carries one — projected units are the
-    // intersections of original units with the owned subsequence. The
-    // first such gap is PushForward(orig(g)), the end of orig(g)'s unit.
-    // A transaction resident here in full projects to itself, so its row
-    // is copied word for word.
+    // Projected spec: gap g of (Ti, Tj) breaks iff any original gap in
+    // [orig(g), orig(g+1)) does, so projected units are the intersections
+    // of original units with the owned subsequence. One ProjectRow per
+    // row; a transaction resident here in full projects to itself, which
+    // is the word copy.
     slice.spec = AtomicitySpec(slice.txns);
     const auto txn_count = static_cast<TxnId>(txns.txn_count());
     for (TxnId i = 0; i < txn_count; ++i) {
-      const std::vector<std::uint32_t>& back = slice.to_original[i];
-      if (back.size() < 2) continue;
-      if (back.size() == txns.txn(i).size()) {
-        slice.spec.CopyRow(spec, i);
-        continue;
-      }
-      for (TxnId j = 0; j < txn_count; ++j) {
-        if (i == j) continue;
-        for (std::uint32_t g = 0; g + 1 < back.size(); ++g) {
-          if (spec.PushForward(i, j, back[g]) < back[g + 1]) {
-            slice.spec.SetBreakpoint(i, j, g);
-          }
-        }
-      }
+      slice.spec.ProjectRow(spec, i, slice.to_original[i]);
     }
   }
 }

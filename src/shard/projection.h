@@ -19,6 +19,8 @@
 // counterparts through program-order I-arcs, so every arc of a shard's
 // projected RSG corresponds to a path in the global RSG. A projected
 // cycle is a global cycle: shard-local rejections are never spurious.
+// ShardPlan builds each projected row with one AtomicitySpec::ProjectRow
+// call over the row's kept original op indices (to_original).
 #ifndef RELSER_SHARD_PROJECTION_H_
 #define RELSER_SHARD_PROJECTION_H_
 

@@ -85,6 +85,12 @@ thread_local const ShardedAdmitter* settle_owed = nullptr;
 // thread leaves the admitter.
 thread_local std::vector<std::uint32_t> posted_shards;
 
+// A snapshot admit's trace events, ticked at the admit's watermark.
+void TraceSnapshotAdmit(Tracer* tracer, const SnapshotAdmitRecord& rec) {
+  tracer->RecordSnapshotRead(rec.txn, rec.epoch);
+  tracer->RecordCommit(rec.txn, rec.epoch);
+}
+
 }  // namespace
 
 AdmitResult ShardedAdmitter::SubmitAndWait(const Operation& op,
@@ -341,10 +347,10 @@ void ShardedAdmitter::Stop() {
     options_.tracer->AddRetries(retry_count_.load(std::memory_order_acquire));
     if (store_ != nullptr) {
       // Snapshot admits bypass every core, so no per-core tracer saw
-      // them; fold their events here (tick = the admit's watermark).
+      // them; fold the events of those still logged here (GC folded the
+      // dropped ones into a core's tracer).
       for (const SnapshotAdmitRecord& rec : store_->SnapshotAdmits()) {
-        options_.tracer->RecordSnapshotRead(rec.txn, rec.epoch);
-        options_.tracer->RecordCommit(rec.txn, rec.epoch);
+        TraceSnapshotAdmit(options_.tracer, rec);
       }
       options_.tracer->AddSnapshotEscalations(store_->snapshot_escalations());
     }
@@ -927,6 +933,16 @@ void ShardedAdmitter::MaybeGcCore(Core& core) {
   }
   if (prev < gen) {
     coordinator_.CollectSettled(settled);
+    // Settled snapshot readers leave the admit log too when memory is
+    // capped; their events fold into this core's tracer, so Stop's
+    // counts stay exact.
+    if (store_ != nullptr && !options_.committed_log) {
+      core.gc_admit_buf.clear();
+      store_->TakeSettledAdmits(settled, &core.gc_admit_buf);
+      for (const SnapshotAdmitRecord& rec : core.gc_admit_buf) {
+        TraceSnapshotAdmit(&core.tracer, rec);
+      }
+    }
     if (core.tracer.counting()) {
       core.tracer.RecordEpochAdvance(epochs_->settled_count(),
                                      epochs_->watermark(), core.core_steps);

@@ -139,10 +139,10 @@ struct ShardedAdmitterOptions {
   /// NoteFinish calls between settlement sweeps (epoch_gc only).
   std::uint32_t gc_interval = 64;
   /// With epoch_gc on, keep GC'd settled accept-log entries in a
-  /// per-core archive so CommittedLog/AdmittedLog still cover the full
-  /// history. Turn off to cap memory at the unsettled suffix (the
-  /// long-lived bench does); the logs then cover only the unarchived
-  /// survivors.
+  /// per-core archive, and settled snapshot admits in the admit log, so
+  /// CommittedLog/AdmittedLog still cover the full history. Turn off to
+  /// cap memory at the unsettled suffix (the long-lived bench does); GC
+  /// then drops both, and the logs cover only the survivors.
   bool committed_log = true;
 };
 
@@ -271,6 +271,9 @@ class ShardedAdmitter {
     return checkpoints_.load(std::memory_order_relaxed);
   }
 
+  /// The snapshot-read store; nullptr unless options.snapshot_reads.
+  const VersionStore* version_store() const { return store_.get(); }
+
   /// Read-only transactions admitted arc-free from the committed
   /// watermark (0 unless options.snapshot_reads).
   std::uint64_t snapshot_admits() const {
@@ -386,6 +389,7 @@ class ShardedAdmitter {
     std::vector<TxnId> flood_stack;
     std::vector<TxnId> newly_tainted;  // per-decision taint undo log
     std::vector<std::uint64_t> gc_key_buf;  // settled arc keys per GC pass
+    std::vector<SnapshotAdmitRecord> gc_admit_buf;  // settled snapshot admits
 
     std::uint32_t shard_id = 0;
 
@@ -409,7 +413,8 @@ class ShardedAdmitter {
   /// GC tick (token holder only): when the settled set advanced,
   /// archive/drop settled accept-log entries, truncate the checker and
   /// scrub settled bookkeeping; the generation's claim winner also
-  /// collects coordinator arcs.
+  /// collects coordinator arcs and, without committed_log, drops settled
+  /// snapshot-admit records.
   void MaybeGcCore(Core& core);
   /// One step of `core` (token held): swaps the inbox out; applies its
   /// controls, then decides its operations and then `own` (when given),

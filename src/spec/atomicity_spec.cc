@@ -1,6 +1,7 @@
 #include "spec/atomicity_spec.h"
 
 #include <algorithm>
+#include <array>
 
 #include "util/strings.h"
 
@@ -53,12 +54,71 @@ void AtomicitySpec::RelaxFully(TxnId i, TxnId j) {
   if (tail != 0) words[stride - 1] = (std::uint64_t{1} << tail) - 1;
 }
 
-void AtomicitySpec::CopyRow(const AtomicitySpec& other, TxnId i) {
-  RELSER_CHECK(other.txn_count() == txn_count());
-  RELSER_CHECK(other.txn_sizes_[i] == txn_sizes_[i]);
-  // Equal sizes give equal strides, so row i has the same length in both.
-  std::copy_n(other.words_.data() + other.base_[i],
-              txn_count() * stride_[i], words_.data() + base_[i]);
+namespace {
+
+// True iff any of bits [first, last) of `words` is set; first < last.
+bool AnyBitIn(const std::uint64_t* words, std::uint32_t first,
+              std::uint32_t last) {
+  std::size_t w = first >> 6;
+  const std::size_t last_word = (last - 1) >> 6;
+  std::uint64_t bits = words[w] & (~std::uint64_t{0} << (first & 63));
+  for (; w < last_word; bits = words[++w]) {
+    if (bits != 0) return true;
+  }
+  return (bits & (~std::uint64_t{0} >> (63 - ((last - 1) & 63)))) != 0;
+}
+
+}  // namespace
+
+void AtomicitySpec::ProjectRow(const AtomicitySpec& from, TxnId i,
+                               std::span<const std::uint32_t> kept) {
+  RELSER_CHECK(from.txn_count() == txn_count());
+  RELSER_CHECK(kept.size() == txn_sizes_[i]);
+  RELSER_CHECK(kept.size() <= from.txn_sizes_[i]);
+  if (kept.size() < 2) return;  // no gaps, so no words
+  RELSER_DCHECK(kept.back() < from.txn_sizes_[i]);
+  const std::size_t n = txn_count();
+  const std::uint64_t* src = from.words_.data() + from.base_[i];
+  std::uint64_t* dst = words_.data() + base_[i];
+  // Strictly increasing and as long as Ti: the identity projection, and
+  // equal sizes give equal strides.
+  if (kept.size() == from.txn_sizes_[i]) {
+    std::copy_n(src, n * stride_[i], dst);
+    return;
+  }
+  // Every observer j, the diagonal included: its source words are zero,
+  // so it projects to zero.
+  const std::size_t gaps = kept.size() - 1;
+  if (from.stride_[i] == 1) {
+    // |Ti| <= 65 and at least one op dropped, so gaps <= 63 and every
+    // window [kept[g], kept[g+1]) is 1..64 bits starting below bit 64.
+    std::array<std::uint64_t, 64> masks{};
+    for (std::size_t g = 0; g < gaps; ++g) {
+      const std::uint32_t len = kept[g + 1] - kept[g];
+      masks[g] = (~std::uint64_t{0} >> (64 - len)) << kept[g];
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint64_t word = src[j];
+      std::uint64_t out = 0;
+      for (std::size_t g = 0; g < gaps; ++g) {
+        out |= static_cast<std::uint64_t>((word & masks[g]) != 0) << g;
+      }
+      dst[j] = out;
+    }
+    return;
+  }
+  const std::size_t src_stride = from.stride_[i];
+  const std::size_t dst_stride = stride_[i];
+  std::fill(dst, dst + n * dst_stride, std::uint64_t{0});
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint64_t* s = src + j * src_stride;
+    std::uint64_t* d = dst + j * dst_stride;
+    for (std::size_t g = 0; g < gaps; ++g) {
+      if (AnyBitIn(s, kept[g], kept[g + 1])) {
+        d[g >> 6] |= std::uint64_t{1} << (g & 63);
+      }
+    }
+  }
 }
 
 std::size_t AtomicitySpec::UnitCount(TxnId i, TxnId j) const {

@@ -20,12 +20,15 @@
 // the next set bit at or after `index` and PullBackward the previous set
 // bit below it: O(1) word scans (O(|Ti|/64) in general) with no per-pair
 // heap object. Bits past a pair's last gap, and the diagonal pairs
-// (i == j), stay zero.
+// (i == j), stay zero. ProjectRow derives a row over a subsequence of
+// Ti's ops (a shard's view, shard/projection.h) from the full row, a
+// word at a time when the full row's pairs are one word.
 #ifndef RELSER_SPEC_ATOMICITY_SPEC_H_
 #define RELSER_SPEC_ATOMICITY_SPEC_H_
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/operation.h"
@@ -76,9 +79,16 @@ class AtomicitySpec {
   /// anywhere in Ti).
   void RelaxFully(TxnId i, TxnId j);
 
-  /// Copies every Atomicity(Ti, Tj), j != i, from `other` word for word.
-  /// Requires the same transaction count and the same |Ti| in both.
-  void CopyRow(const AtomicitySpec& other, TxnId i);
+  /// Overwrites every Atomicity(Ti, Tj) of this spec with the
+  /// projection of `from`'s onto the ops of Ti that `kept` lists:
+  /// `kept` holds strictly increasing original op indices of Ti in
+  /// `from`, one per op of Ti here, and projected gap g carries a
+  /// breakpoint iff some original gap in [kept[g], kept[g+1]) does.
+  /// Requires the same transaction count in both specs. Keeping all of Ti
+  /// is the word copy; a one-word source row costs one AND, compare and
+  /// OR per observer and projected gap, against per-gap masks built once.
+  void ProjectRow(const AtomicitySpec& from, TxnId i,
+                  std::span<const std::uint32_t> kept);
 
   /// Number of atomic units in Atomicity(Ti, Tj) (breakpoints + 1).
   std::size_t UnitCount(TxnId i, TxnId j) const;

@@ -74,6 +74,26 @@ TEST(TransactionSet, AddObjectsCreatesAnonymousObjects) {
   const ObjectId first = txns.AddObjects(3);
   EXPECT_EQ(first, 0u);
   EXPECT_EQ(txns.object_count(), 3u);
+  EXPECT_EQ(txns.ObjectName(0), "o0");
+  EXPECT_EQ(txns.ObjectName(2), "o2");
+}
+
+// A generated name that is already interned must not swallow an object:
+// "o1" named first, AddObjects(3) still adds three fresh ids.
+TEST(TransactionSet, AddObjectsAddsExactlyCountPastInternedNames) {
+  TransactionSet txns;
+  const ObjectId o1 = txns.InternObject("o1");
+  const ObjectId first = txns.AddObjects(3);
+  EXPECT_EQ(first, 1u);
+  ASSERT_EQ(txns.object_count(), 4u);
+  EXPECT_EQ(txns.InternObject("o1"), o1);
+  for (ObjectId id = first; id < 4; ++id) {
+    EXPECT_NE(txns.ObjectName(id), "o1");
+    EXPECT_EQ(txns.InternObject(txns.ObjectName(id)), id) << id;
+  }
+  Transaction* txn = txns.AddTransaction();
+  txn->Write(first + 2);
+  EXPECT_TRUE(txns.Validate().ok());
 }
 
 TEST(TransactionSet, TransactionsGetSequentialIdsAndIndexedOps) {

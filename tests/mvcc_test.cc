@@ -17,6 +17,7 @@
 //     the admitter with snapshot_reads on; replay + completeness.
 //   * Trace round-trip: snapshot_read events validate against the
 //     trace-format schema, summarize, and ingest into the auditor.
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -402,6 +403,62 @@ TEST(SnapshotAdmitters, SnapshotBlocksFollowTheirCommittedWriters) {
   }
   EXPECT_EQ(readers, admitter.snapshot_admits());
   EXPECT_GT(pairs, 0u);
+}
+
+// With epoch GC on and committed_log off, the snapshot-admit log holds
+// only unsettled readers: GC drops settled records the way it drops
+// settled accept-log entries, while snapshot_admits() and the tracer
+// still count every admit. Eight writers finish first; thousands of
+// single-read readers of their objects then snapshot-admit, and a
+// one-write ticker transaction every 16 readers steps a shard core so
+// GC ticks.
+TEST(SnapshotAdmitters, SettledAdmitRecordsLeaveTheLogUnderGc) {
+  constexpr std::size_t kReaders = 4096;
+  constexpr std::size_t kTickEvery = 16;
+  TransactionSet txns;
+  txns.AddObjects(16);  // 0-7 read by readers, 8-15 written by tickers
+  for (ObjectId o = 0; o < 8; ++o) {
+    Transaction* writer = txns.AddTransaction();
+    writer->Read(o);
+    writer->Write(o);
+  }
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    if (r % kTickEvery == 0) {
+      Transaction* ticker = txns.AddTransaction();
+      ticker->Write(static_cast<ObjectId>(8 + (r / kTickEvery) % 8));
+    }
+    txns.AddTransaction()->Read(static_cast<ObjectId>(r % 8));
+  }
+  const AtomicitySpec spec(txns);
+  Tracer tracer(TraceLevel::kFull);
+  ShardedAdmitterOptions options;
+  options.snapshot_reads = true;
+  options.epoch_gc = true;
+  options.gc_interval = 64;
+  options.committed_log = false;
+  options.tracer = &tracer;
+  ShardedAdmitter admitter(
+      txns, spec, ShardRouter(txns.object_count(), 2, ShardStrategy::kRange),
+      options);
+  std::size_t log_high_water = 0;
+  for (TxnId t = 0; t < txns.txn_count(); ++t) {
+    for (const Operation& op : txns.txn(t).ops()) {
+      ASSERT_TRUE(admitter.SubmitAndWait(op).ok()) << "T" << t;
+    }
+    log_high_water = std::max(
+        log_high_water, admitter.version_store()->SnapshotAdmits().size());
+  }
+  admitter.Stop();
+  EXPECT_EQ(admitter.snapshot_admits(), kReaders);
+  EXPECT_LT(log_high_water, kReaders / 16) << "admit log grew unbounded";
+  EXPECT_LT(admitter.version_store()->SnapshotAdmits().size(), kReaders / 16);
+  EXPECT_EQ(tracer.counters().snapshot_admits, kReaders);
+  EXPECT_EQ(tracer.counters().commits, txns.txn_count());
+  std::size_t snapshot_events = 0;
+  for (const TraceEvent& event : tracer.events()) {
+    if (event.kind == TraceEventKind::kSnapshotRead) ++snapshot_events;
+  }
+  EXPECT_EQ(snapshot_events, kReaders);
 }
 
 // snapshot_read events survive the full observability round-trip:

@@ -156,6 +156,10 @@ TEST(ShardProjectionTest, SlicesMatchManualSubsequenceAndSpecWindows) {
       const ShardSlice& slice = plan.slice(shard);
       ASSERT_EQ(slice.txns.txn_count(), txns.txn_count());
       ASSERT_EQ(slice.txns.object_count(), txns.object_count());
+      for (ObjectId o = 0; o < txns.object_count(); ++o) {
+        EXPECT_EQ(slice.txns.ObjectName(o), txns.ObjectName(o))
+            << "round " << round << " shard " << shard << " object " << o;
+      }
       for (TxnId t = 0; t < txns.txn_count(); ++t) {
         // Owned subsequence, in program order.
         std::vector<std::uint32_t> owned;
@@ -195,9 +199,10 @@ TEST(ShardProjectionTest, SlicesMatchManualSubsequenceAndSpecWindows) {
   }
 }
 
-// The projected spec, whichever way ShardPlan builds a row (word copy
-// for a transaction resident in full, per-gap projection for a split
-// one), equals the per-gap PushForward definition.
+// The projected spec, whichever way ProjectRow builds a row (word copy
+// for a transaction resident in full, per-gap masks for a split row of
+// at most 65 ops, the range test for a longer one), equals the per-gap
+// PushForward definition.
 TEST(ShardProjectionTest, ProjectedSpecEqualsPerGapPushForwardDefinition) {
   Rng rng(0xC09F);
   std::size_t resident_rows = 0;

@@ -544,5 +544,75 @@ TEST(AtomicitySpec, BitmaskLayoutMatchesNaiveGapModel) {
   }
 }
 
+// ProjectRow against its definition: projected gap g of (Ti, Tj) breaks
+// iff PushForward(i, j, kept[g]) < kept[g+1], i.e. some original gap in
+// [kept[g], kept[g+1]) breaks. Sizes cover one-word (2, 64, 65) and
+// multi-word (66, 130) source rows; the kept lists cover the identity,
+// fewer than two ops, random subsets and windows exactly 64 gaps long.
+// The destination starts with every row relaxed, so a stale bit ProjectRow
+// fails to overwrite shows, and so does a write outside row i.
+TEST(AtomicitySpec, ProjectRowMatchesPerGapPushForwardDefinition) {
+  const std::vector<std::size_t> sizes = {2, 64, 65, 66, 130, 3};
+  const TransactionSet txns = TxnsOfSizes(sizes);
+  const auto n = static_cast<TxnId>(txns.txn_count());
+  Rng rng(0x9A0E);
+  std::size_t rows_checked = 0;
+  for (const double density : {0.0, 0.02, 0.2, 0.7}) {
+    AtomicitySpec from(txns);
+    NaiveSpec naive(txns);
+    RandomizeBoth(&rng, density, &from, &naive);
+    for (TxnId i = 0; i < n; ++i) {
+      const auto size = static_cast<std::uint32_t>(sizes[i]);
+      std::vector<std::vector<std::uint32_t>> kept_lists;
+      std::vector<std::uint32_t> all(size);
+      for (std::uint32_t k = 0; k < size; ++k) all[k] = k;
+      kept_lists.push_back(all);
+      kept_lists.push_back({});
+      kept_lists.push_back({size - 1});
+      kept_lists.push_back({0, size - 1});
+      if (size >= 65) kept_lists.push_back({0, 64});
+      if (size >= 66) kept_lists.push_back({1, 65});
+      if (size >= 129) kept_lists.push_back({0, 64, 128});
+      for (const double keep : {0.1, 0.5, 0.9}) {
+        for (int round = 0; round < 4; ++round) {
+          std::vector<std::uint32_t> kept;
+          for (std::uint32_t k = 0; k < size; ++k) {
+            if (rng.Bernoulli(keep)) kept.push_back(k);
+          }
+          kept_lists.push_back(kept);
+        }
+      }
+      for (const std::vector<std::uint32_t>& kept : kept_lists) {
+        std::vector<std::size_t> projected_sizes = sizes;
+        projected_sizes[i] = kept.size();
+        const TransactionSet projected = TxnsOfSizes(projected_sizes);
+        AtomicitySpec to(projected);
+        for (TxnId a = 0; a < n; ++a) {
+          for (TxnId b = 0; b < n; ++b) {
+            if (a != b) to.RelaxFully(a, b);
+          }
+        }
+        AtomicitySpec expected = to;
+        for (TxnId j = 0; j < n; ++j) {
+          if (j == i) continue;
+          for (std::uint32_t g = 0; g + 1 < kept.size(); ++g) {
+            if (from.PushForward(i, j, kept[g]) < kept[g + 1]) {
+              expected.SetBreakpoint(i, j, g);
+            } else {
+              expected.ClearBreakpoint(i, j, g);
+            }
+          }
+        }
+        to.ProjectRow(from, i, kept);
+        EXPECT_TRUE(to == expected)
+            << "density " << density << " T" << i << " (" << size
+            << " ops) keeping " << kept.size();
+        ++rows_checked;
+      }
+    }
+  }
+  EXPECT_GT(rows_checked, 300u);
+}
+
 }  // namespace
 }  // namespace relser
