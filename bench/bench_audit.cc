@@ -37,6 +37,7 @@
 
 #include "audit/audit.h"
 #include "audit/ingest.h"
+#include "bench_common.h"
 #include "model/text.h"
 #include "obs/inspect.h"
 #include "spec/builders.h"
@@ -46,12 +47,6 @@
 
 namespace relser {
 namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 // Serializes `history` as generic-dialect JSONL (docs/trace-format.md):
 // one {"txn","op","object","rw"} object per line.

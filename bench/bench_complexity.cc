@@ -14,6 +14,7 @@
 #include <chrono>
 #include <iostream>
 
+#include "bench_common.h"
 #include "core/brute.h"
 #include "core/rsg.h"
 #include "graph/cycle.h"
@@ -21,16 +22,6 @@
 #include "workload/adversarial.h"
 #include "workload/generator.h"
 #include "workload/spec_gen.h"
-
-namespace {
-
-double MicrosSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 int main() {
   using namespace relser;

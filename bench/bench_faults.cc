@@ -29,7 +29,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/online.h"
+#include "bench_common.h"
 #include "exec/backoff.h"
 #include "exec/faultplan.h"
 #include "obs/trace.h"
@@ -43,12 +43,6 @@
 
 namespace relser {
 namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 struct FaultRun {
   double fault_rate = 0.0;
@@ -169,23 +163,11 @@ FaultRun RunAtRate(const TransactionSet& txns, const AtomicitySpec& spec,
       run.seconds > 0
           ? static_cast<double>(run.committed_ops) / run.seconds
           : 0.0;
-  OnlineRsrChecker replay(txns, spec);
-  std::vector<std::uint32_t> ops_of(txns.txn_count(), 0);
-  for (const Operation& op : committed_log) {
-    if (!replay.TryAppend(op)) {
-      run.replay_sound = false;
-      break;
-    }
-    ++ops_of[op.txn];
-  }
-  for (TxnId t = 0; t < txns.txn_count(); ++t) {
-    if (admitter.TxnCommitted(t)) {
-      ++run.committed;
-      if (ops_of[t] != txns.txn(t).size()) run.committed_complete = false;
-    } else if (ops_of[t] != 0) {
-      run.committed_complete = false;  // uncommitted op leaked into the log
-    }
-  }
+  const ReplayVerdict verdict =
+      ReplayCommittedLog(admitter, txns, spec, committed_log);
+  run.committed = verdict.committed;
+  run.replay_sound = verdict.sound;
+  run.committed_complete = verdict.complete;
   return run;
 }
 

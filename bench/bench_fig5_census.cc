@@ -11,8 +11,8 @@
 //
 // The census itself lives in workload/census.{h,cc} and runs sharded
 // over a thread pool; shards are Rng::Split-seeded, so the counts below
-// are bit-identical for every thread count (bench_parallel and
-// exec_test verify that claim explicitly).
+// are bit-identical for every thread count (exec_test's
+// DeterminismTest.CensusBitIdenticalAcrossPoolSizes verifies that claim).
 #include <iostream>
 
 #include "core/classify.h"

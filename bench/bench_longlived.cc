@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "exec/backoff.h"
 #include "sched/engine.h"
 #include "sched/factory.h"
@@ -181,16 +182,6 @@ std::size_t ReadRssKb() {
     }
   }
   return 0;
-}
-
-std::uint64_t P99(std::vector<std::uint32_t> window) {
-  if (window.empty()) return 0;
-  const std::size_t idx = (window.size() * 99) / 100;
-  const std::size_t nth = idx < window.size() ? idx : window.size() - 1;
-  std::nth_element(window.begin(),
-                   window.begin() + static_cast<std::ptrdiff_t>(nth),
-                   window.end());
-  return window[nth];
 }
 
 /// One wave's live-state high-water, collapsed to an estimated byte
@@ -381,27 +372,29 @@ GcPhaseResult RunGcPhase(std::size_t target_ops, std::size_t wave_txns,
   }
   out.setup_ms_max =
       *std::max_element(wave_setup_ms.begin(), wave_setup_ms.end());
-  std::nth_element(wave_setup_ms.begin(),
-                   wave_setup_ms.begin() + static_cast<std::ptrdiff_t>(
-                                               wave_setup_ms.size() / 2),
-                   wave_setup_ms.end());
-  out.setup_ms_p50 = wave_setup_ms[wave_setup_ms.size() / 2];
+  out.setup_ms_p50 = Percentile(wave_setup_ms, 50);
   const std::size_t decile = std::max<std::size_t>(1, latencies.size() / 10);
-  out.p99_early_ns = P99(std::vector<std::uint32_t>(
-      latencies.begin(), latencies.begin() + static_cast<std::ptrdiff_t>(
-                                                 decile)));
-  out.p99_final_ns = P99(std::vector<std::uint32_t>(
-      latencies.end() - static_cast<std::ptrdiff_t>(decile),
-      latencies.end()));
+  out.p99_early_ns = Percentile(
+      std::vector<std::uint32_t>(
+          latencies.begin(),
+          latencies.begin() + static_cast<std::ptrdiff_t>(decile)),
+      99);
+  out.p99_final_ns = Percentile(
+      std::vector<std::uint32_t>(
+          latencies.end() - static_cast<std::ptrdiff_t>(decile),
+          latencies.end()),
+      99);
   if (std::getenv("RELSER_LONGLIVED_DECILES") != nullptr) {
     std::cout << "per-decile p99_ns:";
     for (std::size_t d = 0; d < 10; ++d) {
       const std::size_t lo = latencies.size() * d / 10;
       const std::size_t hi = latencies.size() * (d + 1) / 10;
       std::cout << ' '
-                << P99(std::vector<std::uint32_t>(
-                       latencies.begin() + static_cast<std::ptrdiff_t>(lo),
-                       latencies.begin() + static_cast<std::ptrdiff_t>(hi)));
+                << Percentile(
+                       std::vector<std::uint32_t>(
+                           latencies.begin() + static_cast<std::ptrdiff_t>(lo),
+                           latencies.begin() + static_cast<std::ptrdiff_t>(hi)),
+                       99);
     }
     std::cout << '\n';
   }

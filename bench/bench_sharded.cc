@@ -27,7 +27,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/online.h"
+#include "bench_common.h"
 #include "exec/backoff.h"
 #include "shard/router.h"
 #include "shard/sharded_admitter.h"
@@ -44,12 +44,6 @@ std::string Fixed2(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f", value);
   return buf;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
 }
 
 struct ShardedRun {
@@ -137,23 +131,11 @@ ShardedRun RunCell(std::size_t shard_count, double ratio, double theta,
   run.committed_ops_per_sec =
       run.seconds > 0 ? static_cast<double>(run.committed_ops) / run.seconds
                       : 0.0;
-  OnlineRsrChecker replay(txns, spec);
-  std::vector<std::uint32_t> ops_of(txns.txn_count(), 0);
-  for (const Operation& op : committed_log) {
-    if (!replay.TryAppend(op)) {
-      run.replay_sound = false;
-      break;
-    }
-    ++ops_of[op.txn];
-  }
-  for (TxnId t = 0; t < txns.txn_count(); ++t) {
-    if (admitter.TxnCommitted(t)) {
-      ++run.committed;
-      if (ops_of[t] != txns.txn(t).size()) run.committed_complete = false;
-    } else if (ops_of[t] != 0) {
-      run.committed_complete = false;
-    }
-  }
+  const ReplayVerdict verdict =
+      ReplayCommittedLog(admitter, txns, spec, committed_log);
+  run.committed = verdict.committed;
+  run.replay_sound = verdict.sound;
+  run.committed_complete = verdict.complete;
   return run;
 }
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# CI entry point: the tier-1 build and test command, a sanitizer build,
-# the full test suite, and a perf smoke of the online admission hot
-# path. Fails on any test failure, any sanitizer report, a decision
-# mismatch between the optimized and baseline checkers, an optimized
-# checker over its steady allocs/op ceiling, or a malformed
-# BENCH_online.json.
+# CI entry point: the tier-1 build and test command, the benchmark's
+# self-test, an ASan/UBSan build running the full test suite and the
+# JSON benches' smokes, the docs gate, a TSan subset, and the trace and
+# audit tool round-trips. Fails on any test failure, any sanitizer
+# report, any bench gate, a malformed or incomplete BENCH_*.json, or a
+# dangling path in the docs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,23 +29,6 @@ cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
 ctest --preset asan
 
-# Perf smoke: small sizes, but the same harness as the full trajectory
-# run — it exercises the allocation counters, the JSON emitter, the
-# optimized-vs-baseline decision cross-check, and the optimized
-# checker's steady-allocs/op ceiling, and exits non-zero on any of them
-# failing.
-(cd build-asan && ./bench/bench_online_hotpath --smoke)
-
-# The emitted JSON must parse, and every size must report the ancestor
-# row pool at its high water mark.
-python3 - <<'EOF'
-import json
-
-for size in json.load(open("build-asan/BENCH_online.json"))["sizes"]:
-    for key in ("pool_rows_hw", "row_bytes_hw"):
-        assert key in size, f"size {size['target_ops']} lacks {key}"
-EOF
-
 # Fault smoke: the robustness layer under deterministic fault injection.
 # Exits non-zero unless the committed prefix replays relatively
 # serializably at every fault rate in the (shrunken) grid.
@@ -60,28 +43,22 @@ python3 -c "import json; json.load(open('build-asan/BENCH_faults.json'))"
 (cd build-asan && ./bench/bench_sharded --smoke)
 python3 -c "import json; json.load(open('build-asan/BENCH_sharded.json'))"
 
-# MVCC smoke: the snapshot-read fast path over a shrunken ratio grid.
-# Exits non-zero unless every cell's committed history replays
-# relatively serializably, ratio-0 runs over four shards are
-# bit-identical to the fast path being off, and the ratio-1 cell admits
-# every transaction arc-free.
-(cd build-asan && ./bench/bench_mvcc --smoke)
-python3 -c "import json; json.load(open('build-asan/BENCH_mvcc.json'))"
-
 # Long-lived-transaction smoke: the spec-aware schedulers must keep
 # every short-transaction-latency guarantee at each long-txn length,
 # AND the admission GC phase must hold its exit-coded flat-memory
 # and bounded-work gates at the smoke op count (the full 10^7-op run is
 # the offline gate; same binary, same gates). Its flat-RSS gate ran on
 # the tier-1 build above. The JSON must parse and report the per-wave
-# admitter set-up time (reported, not gated).
+# admitter set-up time (reported, not gated) and the ancestor-row
+# pool's high water mark, which must be positive.
 (cd build-asan && ./bench/bench_longlived --smoke)
 python3 - <<'EOF'
 import json
 
 gc = json.load(open("build-asan/BENCH_longlived.json"))["gc"]
-for key in ("setup_ms_p50", "setup_ms_max"):
+for key in ("setup_ms_p50", "setup_ms_max", "hw_pool_rows"):
     assert key in gc, f"gc lacks {key}"
+assert gc["hw_pool_rows"] > 0, "gc.hw_pool_rows is not positive"
 EOF
 
 # Audit smoke: the offline auditor's scale + minimization gates (a
@@ -160,20 +137,21 @@ EOF
 # (submitters deciding inline against token holders applying the inbox
 # on release), and bench_faults' smoke adds aborts, timeouts and fault
 # pauses, the paths that leave work for a release re-check or a try
-# after a post. bench_mvcc's smoke grid, the only multi-client fleet
-# with snapshot reads on, races client-side classification (settledness
-# counters, watermark, commit CAS) against the lock-free NoteCommit of
-# committing token holders. The token hand-over cases of shard_test (liveness, the
-# contended caller-runs fleet, backpressure under pauses, the exact
-# inbox bound) then run 20 more times each, since a lost re-check shows
-# up as a rare hang rather than a report. -fno-sanitize-recover turns
-# any report into a non-zero exit.
+# after a post. mvcc_test's client fleets (ShardedFleetReadHeavySound and
+# the FleetGridSoundAndAllReadersArcFree grid: four clients, up to four
+# shards, snapshot reads on) race client-side classification
+# (settledness counters, watermark, commit CAS) against the lock-free
+# NoteCommit of committing token holders. The token hand-over cases of
+# shard_test (liveness, the contended caller-runs fleet, backpressure
+# under pauses, the exact inbox bound) then run 20 more times each, since
+# a lost re-check shows up as a rare hang rather than a report.
+# -fno-sanitize-recover turns any report into a non-zero exit.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target exec_test fault_test shard_test \
            sharded_differential_test mvcc_test \
            epoch_test epoch_gc_differential_test reshard_test \
-           bench_sharded bench_faults bench_mvcc
+           bench_sharded bench_faults
 (cd build-tsan &&
  RELSER_SHARD_DIFF_ROUNDS=120 \
  RELSER_EPOCH_DIFF_ROUNDS=40 \
@@ -184,7 +162,6 @@ cmake --build --preset tsan -j"$(nproc)" \
    --gtest_repeat=20)
 (cd build-tsan && ./bench/bench_sharded --smoke)
 (cd build-tsan && ./bench/bench_faults --smoke)
-(cd build-tsan && ./bench/bench_mvcc --smoke)
 
 # Trace smoke: export a paper-figure trace, validate it against the
 # documented schema, and summarize it.

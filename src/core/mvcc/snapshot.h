@@ -26,7 +26,7 @@
 // accepts in admission order with each snapshot reader's block spliced
 // at its admission stamp. Soundness of the splice (the merged history is
 // relatively serializable whenever the checker's own feed was) is argued
-// in docs/mvcc.md and enforced by replay in tests and bench_mvcc.
+// in docs/mvcc.md and enforced by replay in tests/mvcc_test.cc.
 #ifndef RELSER_CORE_MVCC_SNAPSHOT_H_
 #define RELSER_CORE_MVCC_SNAPSHOT_H_
 

@@ -41,9 +41,9 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
   topo_.Reserve(4 * indexer_.total_ops());
   // Pre-size the adjacency arena; together with the per-object and
   // per-transaction reservations below this keeps the steady-state
-  // admission path free of heap allocations (bench_online_hotpath
-  // measures the residual, which is only amortized growth of the few
-  // structures whose final size is workload-dependent).
+  // admission path free of heap allocations (trace_test's
+  // CheckerAllocations bounds the residual, which is only amortized
+  // growth of the few structures whose final size is workload-dependent).
   topo_.ReserveAdjacency(8);
   for (TxnId t = 0; t < txn_count_; ++t) {
     RELSER_CHECK_MSG(txns_.txn(t).size() <= kMaxTxnOps,

@@ -2,10 +2,10 @@
 //
 // This is a faithful copy of the original OnlineRsrChecker admission path
 // (per-op DenseBitset ancestor closure, full-ancestor D/F/B arc fan-out,
-// per-edge trial insertion). It is kept as (a) the reference point for
-// bench_online_hotpath's speedup measurement and (b) an independent
-// semantic oracle in the differential tests: the optimized checker must
-// accept/reject at exactly the same schedule prefix.
+// per-edge trial insertion). It is kept as an independent semantic
+// oracle in tests/differential_online_test.cc: the optimized checker
+// must accept/reject at exactly the same schedule prefix. It shares
+// only the topology substrate (graph/dynamic_topo.h) with that checker.
 //
 // Do not use this in production paths; use OnlineRsrChecker.
 #ifndef RELSER_CORE_ONLINE_BASELINE_H_

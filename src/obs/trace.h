@@ -12,8 +12,8 @@
 //
 // Overhead contract:
 //   * No tracer attached (the default everywhere): the instrumented code
-//     paths cost one pointer compare. bench_online_hotpath guards this —
-//     bench/trajectory/ keeps before/after snapshots.
+//     paths cost one pointer compare. tests/trace_test.cc guards this:
+//     TraceDisabled.OffTracerAllocationParityWithNoTracer.
 //   * TraceLevel::kOff: a Tracer is attached but records nothing.
 //   * kCounters: O(1) counter bumps and latency-histogram inserts; no
 //     per-event allocation.

@@ -122,7 +122,7 @@ struct ShardedAdmitterOptions {
   /// read-only transactions escalate to the normal sharded path
   /// unchanged. Off by default: the flag is a relaxation knob, and
   /// decision bit-identity with the flag off is the differential
-  /// baseline (tests/mvcc_test.cc, bench_mvcc).
+  /// baseline (tests/mvcc_test.cc, RatioZeroBitIdentitySharded).
   bool snapshot_reads = false;
   /// Epoch-based stable-prefix GC (epoch/epoch.h). Every core feeds the
   /// shared EpochManager (direct-conflict arcs at local-DAG insertion,

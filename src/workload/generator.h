@@ -36,8 +36,8 @@ struct WorkloadParams {
   /// probability, and every non-selected transaction is guaranteed at
   /// least one write (its last access is flipped when sampling produced
   /// none) — so ratio 0.0 means "0% read-only", the bit-identity
-  /// baseline of bench_mvcc, and 0.95 means the read-heavy web-traffic
-  /// shape.
+  /// baseline of mvcc_test's lock-step cases, and 0.95 means the
+  /// read-heavy web-traffic shape.
   double read_only_txn_ratio = -1.0;
 };
 

@@ -13,8 +13,12 @@
 //   * Ratio-0 bit-identity: with no read-only transactions the fast
 //     path is invisible in ShardedAdmitter, decision for decision,
 //     under a deterministic lock-step feed.
-//   * Concurrent stress (run under TSan in ci.sh): a client fleet over
-//     the admitter with snapshot_reads on; replay + completeness.
+//   * Concurrent stress (run under TSan in ci.sh): client fleets over
+//     a shards x read-only ratio x snapshot on/off grid; replay +
+//     completeness in every cell, and an all-readers workload admitted
+//     entirely by the fast path with zero arcs.
+//   * Work saving: at read-only ratio 0.95 the shards decide at most a
+//     third of the operations they decide with the fast path off.
 //   * Trace round-trip: snapshot_read events validate against the
 //     trace-format schema, summarize, and ingest into the auditor.
 #include <algorithm>
@@ -225,10 +229,12 @@ TEST(SnapshotChecker, DifferentialVsReplayAndBruteForce) {
   EXPECT_GT(brute_checked, 100u);
 }
 
-// Ratio 0 (every transaction has a writer): the fast path must be
-// bit-invisible under a lock-step deterministic feed.
-bool LockStepIdentical(const TransactionSet& txns, ShardedAdmitter& on,
-                       ShardedAdmitter& off, std::size_t round) {
+// Lock-step deterministic feed: one operation of each live transaction
+// per round, in transaction order, until every transaction has finished
+// or had an operation refused. `submit` returns whether its operation
+// was admitted.
+template <typename Submit>
+void LockStepFeed(const TransactionSet& txns, Submit submit) {
   std::vector<std::uint32_t> next(txns.txn_count(), 0);
   std::vector<std::uint8_t> dead(txns.txn_count(), 0);
   bool progress = true;
@@ -236,19 +242,29 @@ bool LockStepIdentical(const TransactionSet& txns, ShardedAdmitter& on,
     progress = false;
     for (TxnId t = 0; t < txns.txn_count(); ++t) {
       if (dead[t] != 0 || next[t] >= txns.txn(t).size()) continue;
-      const Operation& op = txns.txn(t).op(next[t]);
-      const AdmitResult a = on.SubmitAndWait(op);
-      const AdmitResult b = off.SubmitAndWait(op);
-      EXPECT_EQ(a.outcome, b.outcome)
-          << "round " << round << " T" << t << " op " << next[t];
-      if (a.outcome != b.outcome) return false;
-      ++next[t];
-      if (!a.ok()) dead[t] = 1;
+      if (!submit(txns.txn(t).op(next[t]++))) dead[t] = 1;
       progress = true;
     }
   }
+}
+
+// Ratio 0 (every transaction has a writer): the fast path must be
+// bit-invisible under a lock-step deterministic feed.
+bool LockStepIdentical(const TransactionSet& txns, ShardedAdmitter& on,
+                       ShardedAdmitter& off, std::size_t round) {
+  bool same = true;
+  LockStepFeed(txns, [&](const Operation& op) {
+    if (!same) return false;
+    const AdmitResult a = on.SubmitAndWait(op);
+    const AdmitResult b = off.SubmitAndWait(op);
+    EXPECT_EQ(a.outcome, b.outcome)
+        << "round " << round << " T" << op.txn << " op " << op.index;
+    same = a.outcome == b.outcome;
+    return same && a.ok();
+  });
   on.Stop();
   off.Stop();
+  if (!same) return false;
   const std::vector<Operation> log_on = on.CommittedLog();
   const std::vector<Operation> log_off = off.CommittedLog();
   const OpIndexer indexer(txns);
@@ -343,6 +359,87 @@ TEST(SnapshotAdmitters, ShardedFleetReadHeavySound) {
       options);
   FleetAndGate(txns, spec, admitter, 4, 0xC0FFEFULL);
   EXPECT_GT(admitter.snapshot_admits(), 0u);
+}
+
+// The fast path over a shards x read-only ratio x on/off grid: every
+// cell's merged committed history replays, complete, through a fresh
+// checker. An all-readers workload is admitted entirely by the fast
+// path, with no arc reaching any shard's checker.
+TEST(SnapshotAdmitters, FleetGridSoundAndAllReadersArcFree) {
+  std::uint64_t cell = 0;
+  for (const std::uint32_t shards : {1u, 4u}) {
+    for (const double ratio : {0.0, 0.95, 1.0}) {
+      const std::uint64_t seed = 0x36CC0000ULL + 977 * ++cell;
+      Rng rng(seed);
+      ShardedWorkloadParams wp;
+      wp.txn_count = 128;
+      wp.min_ops_per_txn = 2;
+      wp.max_ops_per_txn = 5;
+      wp.shard_count = shards;
+      wp.objects_per_shard = 256 / shards;
+      wp.read_ratio = 0.6;
+      wp.read_only_txn_ratio = ratio;
+      const TransactionSet txns = GenerateShardedTransactions(wp, &rng);
+      const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+      for (const bool snapshot_on : {false, true}) {
+        SCOPED_TRACE(testing::Message() << shards << " shards, ratio "
+                                        << ratio << ", snapshot reads "
+                                        << (snapshot_on ? "on" : "off"));
+        ShardedAdmitterOptions options;
+        options.snapshot_reads = snapshot_on;
+        ShardedAdmitter admitter(
+            txns, spec,
+            ShardRouter(txns.object_count(), shards, ShardStrategy::kRange),
+            options);
+        FleetAndGate(txns, spec, admitter, 4, seed);
+        if (HasFatalFailure()) return;
+        if (!snapshot_on || ratio != 1.0) continue;
+        EXPECT_EQ(admitter.snapshot_admits(), txns.txn_count());
+        for (std::uint32_t shard = 0; shard < shards; ++shard) {
+          EXPECT_EQ(admitter.checker(shard).arcs_submitted(), 0u)
+              << "shard " << shard;
+        }
+      }
+    }
+  }
+}
+
+// The fast path's work saving, counted rather than timed: on a
+// read-heavy workload (95% read-only transactions) under a lock-step
+// single-client feed, the shards decide at most a third of the
+// operations they decide with snapshot reads off. Measured: 227/1784,
+// 348/1763 and 207/1808 operations on the three seeds.
+std::size_t LockStepOpsRouted(const TransactionSet& txns,
+                              const AtomicitySpec& spec, bool snapshot_on) {
+  ShardedAdmitterOptions options;
+  options.snapshot_reads = snapshot_on;
+  ShardedAdmitter admitter(
+      txns, spec, ShardRouter(txns.object_count(), 1, ShardStrategy::kRange),
+      options);
+  LockStepFeed(txns, [&](const Operation& op) {
+    return admitter.SubmitAndWait(op).ok();
+  });
+  admitter.Stop();
+  return admitter.shard_stats(0).ops_routed;
+}
+
+TEST(SnapshotAdmitters, ReadHeavyFastPathRoutesAThirdOfTheOps) {
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    Rng rng(0x36CC0000ULL + 977 * k);
+    WorkloadParams wp;
+    wp.txn_count = 512;
+    wp.min_ops_per_txn = 2;
+    wp.max_ops_per_txn = 5;
+    wp.object_count = 1024;
+    wp.read_ratio = 0.6;
+    wp.read_only_txn_ratio = 0.95;
+    const TransactionSet txns = GenerateTransactions(wp, &rng);
+    const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+    const std::size_t on = LockStepOpsRouted(txns, spec, true);
+    const std::size_t off = LockStepOpsRouted(txns, spec, false);
+    EXPECT_LE(3 * on, off) << "seed offset " << k << ": " << on << " vs "
+                           << off << " operations routed";
+  }
 }
 
 // The stamp-order contract (ShardedAdmitter::Submit): a snapshot

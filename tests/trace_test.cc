@@ -1,12 +1,17 @@
 // Golden-sequence and invariant tests for the obs/ tracing layer: the
 // paper's figures replayed under traced schedulers, the JSONL schema
-// contract, the counter identities, and the disabled-path guarantees.
+// contract, the counter identities, the disabled-path guarantees, and
+// the online checker's steady allocations per operation.
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/online.h"
 #include "core/paper_examples.h"
 #include "core/rsg.h"
 #include "model/text.h"
@@ -19,13 +24,16 @@
 #include "shard/router.h"
 #include "shard/sharded_admitter.h"
 #include "util/json.h"
+#include "util/rng.h"
+#include "workload/generator.h"
+#include "workload/spec_gen.h"
 
 namespace relser {
 namespace {
 
 // Counting operator new: proves the untraced / kOff replay paths do not
-// allocate more than the tracer-free run (same pattern as
-// bench_online_hotpath).
+// allocate more than the tracer-free run, and bounds the online
+// checker's steady allocations per operation (CheckerAllocations below).
 std::size_t g_alloc_count = 0;
 
 const TraceEvent* FindEvent(const Tracer& tracer, TraceEventKind kind,
@@ -370,6 +378,50 @@ TEST(TraceDisabled, CountersLevelKeepsCountsButNoEvents) {
   EXPECT_EQ(tracer.counters().admits, 6u);
   EXPECT_EQ(tracer.counters().delays, 1u);
   EXPECT_EQ(tracer.counters().requests, 7u);
+}
+
+// ---------------------------------------------------------------------------
+// Allocation ceiling of the online checker's admission path.
+
+// The online checker allocates only when an amortized structure grows,
+// so the second half of a feed runs at a small, flat allocation rate.
+// The workload is a uniform random schedule of `target_ops` operations
+// over 16-op transactions (seed 0xB0B0 + target_ops); a rejected
+// transaction's remaining operations are skipped. Measured: 0.125
+// allocs/op at 10^2 and 0.044 at 10^3.
+constexpr double kMaxSteadyAllocsPerOp = 0.25;
+
+double SteadyAllocsPerOp(std::size_t target_ops) {
+  const std::size_t txn_count = std::max<std::size_t>(target_ops / 16, 2);
+  Rng rng(0xB0B0 + target_ops);
+  WorkloadParams wp;
+  wp.txn_count = txn_count;
+  wp.min_ops_per_txn = target_ops / txn_count;
+  wp.max_ops_per_txn = target_ops / txn_count;
+  wp.object_count = std::max<std::size_t>(16, target_ops / 8);
+  wp.read_ratio = 0.5;
+  const TransactionSet txns = GenerateTransactions(wp, &rng);
+  const AtomicitySpec spec = RandomUniformObserverSpec(txns, 0.5, &rng);
+  const Schedule schedule = RandomSchedule(txns, &rng);
+
+  OnlineRsrChecker checker(txns, spec);
+  std::vector<std::uint8_t> dead(txns.txn_count(), 0);
+  const std::size_t half = schedule.size() / 2;
+  std::size_t half_allocs = 0;
+  for (std::size_t pos = 0; pos < schedule.size(); ++pos) {
+    if (pos == half) half_allocs = g_alloc_count;
+    const Operation& op = schedule.op(pos);
+    if (dead[op.txn] == 0 && !checker.TryAppend(op)) dead[op.txn] = 1;
+  }
+  return static_cast<double>(g_alloc_count - half_allocs) /
+         static_cast<double>(schedule.size() - half);
+}
+
+TEST(CheckerAllocations, SteadyAllocsPerOpUnderCeiling) {
+  for (const std::size_t target_ops : {std::size_t{100}, std::size_t{1000}}) {
+    EXPECT_LE(SteadyAllocsPerOp(target_ops), kMaxSteadyAllocsPerOp)
+        << target_ops << " ops";
+  }
 }
 
 // Validation must actually reject malformed traces, not just accept
