@@ -24,8 +24,8 @@
 //      JSONL trace passes the versioned schema validator
 //      (docs/trace-format.md).
 //
-// Emits BENCH_audit.json (cwd + repo root + bench/trajectory/ when a
-// tag is set) via WriteBenchJsonFile. `--smoke` shrinks the scale cell
+// Emits BENCH_audit.json (cwd, plus bench/trajectory/ when a tag is
+// set) via WriteBenchJsonFile. `--smoke` shrinks the scale cell
 // for CI; `--tag=NAME` snapshots the trajectory file.
 #include <chrono>
 #include <cstring>

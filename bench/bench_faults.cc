@@ -18,8 +18,8 @@
 // its operations present). Aborts, cascades and timeouts may discard
 // work, but they must never corrupt what committed.
 //
-// Emits BENCH_faults.json (cwd + repo root + bench/trajectory/ when a
-// tag is set) via WriteBenchJsonFile. `--smoke` shrinks the grid and the
+// Emits BENCH_faults.json (cwd, plus bench/trajectory/ when a tag is
+// set) via WriteBenchJsonFile. `--smoke` shrinks the grid and the
 // workload for CI; `--tag=NAME` snapshots the trajectory file.
 #include <chrono>
 #include <cstring>

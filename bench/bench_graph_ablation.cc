@@ -217,9 +217,9 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // Re-emit through the canonical trajectory writer so the artifact also
-  // lands at the repo root (and in bench/trajectory/ when a tag is set),
-  // matching the hand-rolled benches.
+  // Re-emit through the canonical trajectory writer so a tagged run
+  // (RELSER_BENCH_TAG) also lands in bench/trajectory/, matching the
+  // hand-rolled benches.
   if (!has_out) {
     std::ifstream in("BENCH_graph_ablation.json");
     if (in) {

@@ -17,8 +17,8 @@
 // decides exactly as the serial abort-and-cascade policy is gated by
 // tests/shard_test.cc.)
 //
-// Emits BENCH_sharded.json (cwd + repo root + bench/trajectory/ when a
-// tag is set) via WriteBenchJsonFile. `--smoke` shrinks the grid for
+// Emits BENCH_sharded.json (cwd, plus bench/trajectory/ when a tag is
+// set) via WriteBenchJsonFile. `--smoke` shrinks the grid for
 // CI; `--tag=NAME` snapshots the trajectory file.
 #include <chrono>
 #include <cstring>

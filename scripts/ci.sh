@@ -3,11 +3,22 @@
 # self-test, an ASan/UBSan build running the full test suite and the
 # JSON benches' smokes, the docs gate, a TSan subset, and the trace and
 # audit tool round-trips. Fails on any test failure, any sanitizer
-# report, any bench gate, a malformed or incomplete BENCH_*.json, or a
-# dangling path in the docs.
+# report, any bench gate, a malformed or incomplete BENCH_*.json, a
+# dangling path in the docs, or a run that changes the git working tree.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# A CI run must leave the checkout as it found it: builds and bench
+# outputs go to ignored directories, never over tracked files. Record the
+# tree's status now and compare it at the end (skipped outside a git
+# checkout).
+tree_status_at_start=""
+in_git_checkout=0
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  in_git_checkout=1
+  tree_status_at_start="$(git status --porcelain)"
+fi
 
 # Tier-1, exactly as ROADMAP.md states it: the plain default build
 # (no preset) must compile every target and pass every test, so a
@@ -204,5 +215,13 @@ cmake --build --preset tsan -j"$(nproc)" \
  { rc=0; ./tools/audit --stream --no-witness - \
      < ci_audit/fig3_witness.jsonl > /dev/null || rc=$?;
    [ "$rc" -eq 1 ]; })
+
+if [ "$in_git_checkout" -eq 1 ] &&
+   [ "$(git status --porcelain)" != "$tree_status_at_start" ]; then
+  echo "ci: the run changed the working tree:" >&2
+  diff <(printf '%s\n' "$tree_status_at_start") \
+       <(git status --porcelain) >&2 || true
+  exit 1
+fi
 
 echo "ci: all checks passed"

@@ -38,7 +38,6 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
   undo_log_.reserve(indexer_.total_ops());
   undo_arcs_.reserve(4 * indexer_.total_ops());
   undo_deltas_.reserve(4 * indexer_.total_ops());
-  topo_.Reserve(4 * indexer_.total_ops());
   // Pre-size the adjacency arena; together with the per-object and
   // per-transaction reservations below this keeps the steady-state
   // admission path free of heap allocations (trace_test's

@@ -41,58 +41,47 @@ Digraph& Digraph::operator=(const Digraph& other) {
     dst_in.size = dst_in.capacity = src_in.size;
     std::copy(src_in.data, src_in.data + src_in.size, dst_in.data);
   }
-  index_ = other.index_;
   edge_count_ = other.edge_count_;
   return *this;
+}
+
+bool Digraph::HasEdge(NodeId from, NodeId to) const {
+  RELSER_DCHECK(from < out_.size() && to < out_.size());
+  const AdjList& succs = out_[from];
+  const AdjList& preds = in_[to];
+  if (succs.size <= preds.size) {
+    return std::find(succs.data, succs.data + succs.size, to) !=
+           succs.data + succs.size;
+  }
+  return std::find(preds.data, preds.data + preds.size, from) !=
+         preds.data + preds.size;
 }
 
 bool Digraph::AddEdge(NodeId from, NodeId to) {
   RELSER_CHECK_MSG(from < out_.size() && to < out_.size(),
                    "edge (" << from << "," << to << ") out of range for "
                             << out_.size() << " nodes");
-  const auto [pos, inserted] = index_.Upsert(EdgeKey(from, to));
-  if (!inserted) {
-    return false;
-  }
-  pos->out_pos = out_[from].size;
-  pos->in_pos = in_[to].size;
+  if (HasEdge(from, to)) return false;
   Push(out_[from], to);
   Push(in_[to], from);
   ++edge_count_;
   return true;
 }
 
-void Digraph::UnlinkOut(NodeId from, std::uint32_t pos) {
-  AdjList& succs = out_[from];
-  const std::uint32_t last = succs.size - 1;
-  if (pos != last) {
-    const NodeId moved = succs.data[last];
-    succs.data[pos] = moved;
-    index_.Find(EdgeKey(from, moved))->out_pos = pos;
+bool Digraph::Unlink(AdjList& list, NodeId value) {
+  for (std::uint32_t pos = list.size; pos-- > 0;) {
+    if (list.data[pos] == value) {
+      list.data[pos] = list.data[--list.size];
+      return true;
+    }
   }
-  --succs.size;
-}
-
-void Digraph::UnlinkIn(NodeId to, std::uint32_t pos) {
-  AdjList& preds = in_[to];
-  const std::uint32_t last = preds.size - 1;
-  if (pos != last) {
-    const NodeId moved = preds.data[last];
-    preds.data[pos] = moved;
-    index_.Find(EdgeKey(moved, to))->in_pos = pos;
-  }
-  --preds.size;
+  return false;
 }
 
 bool Digraph::RemoveEdge(NodeId from, NodeId to) {
   RELSER_DCHECK(from < out_.size() && to < out_.size());
-  const EdgePos* entry = index_.Find(EdgeKey(from, to));
-  if (entry == nullptr) return false;
-  // The swap-compactions below only touch index entries of *other* edges
-  // (duplicates are impossible), so `entry` stays valid throughout.
-  UnlinkOut(from, entry->out_pos);
-  UnlinkIn(to, entry->in_pos);
-  index_.Erase(EdgeKey(from, to));
+  if (!Unlink(out_[from], to)) return false;
+  Unlink(in_[to], from);  // edges are mirrored, so this entry exists
   --edge_count_;
   return true;
 }
@@ -113,27 +102,24 @@ void Digraph::IsolateNode(NodeId node) {
 
 void Digraph::IsolateNodes(const std::vector<NodeId>& nodes,
                            const std::vector<std::uint8_t>& member) {
-  // An edge leaving a member is erased with its source's out-list; an
-  // edge entering a member from outside, with its target's in-list. Only
-  // the non-member end of an edge is unlinked entry by entry; member
-  // lists are emptied wholesale.
-  EdgePos pos;
+  // An edge leaving a member goes with its source's out-list; an edge
+  // entering a member from outside, with its target's in-list. Only the
+  // non-member end of an edge is unlinked entry by entry; member lists
+  // are emptied wholesale.
   for (const NodeId node : nodes) {
     RELSER_DCHECK(member[node] != 0);
     AdjList& succs = out_[node];
     for (std::uint32_t k = 0; k < succs.size; ++k) {
       const NodeId succ = succs.data[k];
-      index_.Erase(EdgeKey(node, succ), &pos);
-      if (member[succ] == 0) UnlinkIn(succ, pos.in_pos);
-      --edge_count_;
+      if (member[succ] == 0) Unlink(in_[succ], node);
     }
+    edge_count_ -= succs.size;
     succs.size = 0;
     AdjList& preds = in_[node];
     for (std::uint32_t k = 0; k < preds.size; ++k) {
       const NodeId pred = preds.data[k];
       if (member[pred] != 0) continue;
-      index_.Erase(EdgeKey(pred, node), &pos);
-      UnlinkOut(pred, pos.out_pos);
+      Unlink(out_[pred], node);
       --edge_count_;
     }
     preds.size = 0;

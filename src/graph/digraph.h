@@ -4,9 +4,10 @@
 // serialization graph SG(S), the relative serialization graph RSG(S), the
 // waits-for graph of the 2PL scheduler, and the dynamic graphs of the
 // online SGT / RSGT protocols. Nodes are pre-sized; edges are stored in
-// forward and reverse adjacency lists plus a hashed side index keyed on
-// (from, to), so AddEdge dedup, HasEdge, and RemoveEdge are O(1) average
-// instead of linear scans of the adjacency lists.
+// forward and reverse adjacency lists and nowhere else. AddEdge dedup and
+// HasEdge scan the shorter of the two endpoint lists, and RemoveEdge
+// scans each list from its newest entry, where rollbacks find the arcs
+// they take back.
 #ifndef RELSER_GRAPH_DIGRAPH_H_
 #define RELSER_GRAPH_DIGRAPH_H_
 
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "util/check.h"
-#include "util/flat_map.h"
 
 namespace relser {
 
@@ -80,26 +80,19 @@ class Digraph {
     }
   }
 
-  /// Pre-sizes the edge index for `expected_edges` concurrent edges.
-  void Reserve(std::size_t expected_edges) { index_.Reserve(expected_edges); }
-
-  /// Pre-sizes the adjacency arena for about `per_node` neighbor entries
-  /// per node (one up-front block), so even the first arena growths are
+  /// Pre-sizes the adjacency arena for `edges` edges (two list entries
+  /// each, in one up-front block), so even the first arena growths are
   /// avoided. Purely an optimization; lists grow on demand regardless.
-  void ReserveAdjacency(std::size_t per_node) {
-    arena_.Reserve(2 * per_node * out_.size());
-  }
+  void ReserveEdges(std::size_t edges) { arena_.Reserve(2 * edges); }
 
   /// Adds the edge from -> to if not already present.
   /// Returns true when the edge was newly inserted. Self-loops are
   /// permitted (they make the graph cyclic).
   bool AddEdge(NodeId from, NodeId to);
 
-  /// True if the edge from -> to exists (hashed index lookup).
-  bool HasEdge(NodeId from, NodeId to) const {
-    RELSER_DCHECK(from < out_.size() && to < out_.size());
-    return index_.Find(EdgeKey(from, to)) != nullptr;
-  }
+  /// True if the edge from -> to exists (a scan of the shorter of
+  /// from's successors and to's predecessors).
+  bool HasEdge(NodeId from, NodeId to) const;
 
   /// Removes the edge from -> to if present; returns true when removed.
   /// Used by online schedulers to roll back trial insertions.
@@ -129,9 +122,10 @@ class Digraph {
   void IsolateNode(NodeId node);
 
   /// IsolateNode for every node of `nodes` at once; `member[n]` is
-  /// nonzero exactly for the nodes in `nodes`. An edge between two
-  /// members is dropped without touching either adjacency list entry by
-  /// entry, so isolating a closed region costs one index erase per edge.
+  /// nonzero exactly for the nodes in `nodes`. Member lists are emptied
+  /// wholesale; only an edge with one end outside the set is unlinked,
+  /// by a scan of that end's list, so an edge between two members costs
+  /// nothing beyond its visit.
   void IsolateNodes(const std::vector<NodeId>& nodes,
                     const std::vector<std::uint8_t>& member);
 
@@ -139,12 +133,6 @@ class Digraph {
   std::vector<std::pair<NodeId, NodeId>> Edges() const;
 
  private:
-  /// Position of an edge inside its two adjacency lists.
-  struct EdgePos {
-    std::uint32_t out_pos = 0;
-    std::uint32_t in_pos = 0;
-  };
-
   /// One adjacency list: a slab inside the arena. Grows by slab
   /// replacement (copy into a doubled slab), never by heap allocation.
   struct AdjList {
@@ -169,9 +157,15 @@ class Digraph {
       return slab;
     }
 
-    /// Ensures at least `entries` are available without a new block.
+    /// Ensures at least `entries` are available without a new block. A
+    /// block nothing was allocated from yet is replaced, not kept beside
+    /// the new one.
     void Reserve(std::size_t entries) {
-      if (entries > remaining_) NewBlock(entries);
+      if (entries <= remaining_) return;
+      if (!blocks_.empty() && bump_ == blocks_.back().get()) {
+        blocks_.pop_back();
+      }
+      NewBlock(entries);
     }
 
     void Clear() {
@@ -192,20 +186,14 @@ class Digraph {
     std::size_t next_block_size_ = kFirstBlock;
   };
 
-  static std::uint64_t EdgeKey(NodeId from, NodeId to) {
-    RELSER_DCHECK(from < (1ULL << 32) && to < (1ULL << 32));
-    return (static_cast<std::uint64_t>(from) << 32) |
-           static_cast<std::uint64_t>(to);
-  }
-
   void Push(AdjList& list, NodeId value);
-  void UnlinkOut(NodeId from, std::uint32_t pos);
-  void UnlinkIn(NodeId to, std::uint32_t pos);
+  // Swap-compacts `value` out of `list`, scanning from its newest entry;
+  // returns false when absent.
+  static bool Unlink(AdjList& list, NodeId value);
 
   std::vector<AdjList> out_;
   std::vector<AdjList> in_;
   AdjArena arena_;
-  FlatMap64<EdgePos> index_;
   std::vector<NodeId> scratch_;  // reusable buffer for IsolateNode
   std::size_t edge_count_ = 0;
 };

@@ -7,8 +7,7 @@ namespace relser {
 IncrementalTopology::IncrementalTopology(std::size_t node_count)
     : graph_(node_count),
       position_(node_count),
-      visit_stamp_(node_count, 0),
-      probe_stamp_(node_count, 0) {
+      visit_stamp_(node_count, 0) {
   // Moves append labels up to the 2 * node_count span limit; reserving it
   // keeps them allocation-free.
   order_.reserve(2 * node_count);
@@ -25,7 +24,6 @@ void IncrementalTopology::EnsureNodes(std::size_t node_count) {
   position_.resize(node_count);
   order_.reserve(2 * node_count);
   visit_stamp_.resize(node_count, 0);
-  probe_stamp_.resize(node_count, 0);
   // The span grows by as much as the node count, so it stays within
   // 2 * node_count.
   for (NodeId node = old; node < node_count; ++node) {
@@ -126,29 +124,6 @@ bool IncrementalTopology::AddEdges(
     }
   }
   return true;
-}
-
-bool IncrementalTopology::WouldCreateCycle(NodeId from, NodeId to) const {
-  if (from == to) return true;
-  if (position_[to] > position_[from]) return false;
-  // Any path to -> ... -> from must stay within positions <= pos(from).
-  ++probe_gen_;
-  probe_stack_.clear();
-  probe_stack_.push_back(to);
-  probe_stamp_[to] = probe_gen_;
-  const std::size_t bound = position_[from];
-  while (!probe_stack_.empty()) {
-    const NodeId node = probe_stack_.back();
-    probe_stack_.pop_back();
-    if (node == from) return true;
-    for (const NodeId succ : graph_.OutNeighbors(node)) {
-      if (probe_stamp_[succ] != probe_gen_ && position_[succ] <= bound) {
-        probe_stamp_[succ] = probe_gen_;
-        probe_stack_.push_back(succ);
-      }
-    }
-  }
-  return false;
 }
 
 bool IncrementalTopology::DiscoverForward(NodeId start, std::size_t bound,

@@ -26,8 +26,8 @@
 // 2 * node_count: when it reaches that, the labels are renumbered densely
 // in place, so memory stays O(nodes) and a move is amortized O(1).
 //
-// All traversal scratch is owned by the instance, so AddEdge/AddEdges/
-// WouldCreateCycle perform no heap allocations in the steady state.
+// All traversal scratch is owned by the instance, so AddEdge/AddEdges
+// perform no heap allocations in the steady state.
 #ifndef RELSER_GRAPH_DYNAMIC_TOPO_H_
 #define RELSER_GRAPH_DYNAMIC_TOPO_H_
 
@@ -56,13 +56,15 @@ class IncrementalTopology {
   /// of the topological order.
   void EnsureNodes(std::size_t node_count);
 
-  /// Pre-sizes the underlying edge index for `expected_edges` edges.
-  void Reserve(std::size_t expected_edges) { graph_.Reserve(expected_edges); }
+  /// Pre-sizes the adjacency arena for `expected_edges` edges; see
+  /// Digraph::ReserveEdges.
+  void Reserve(std::size_t expected_edges) {
+    graph_.ReserveEdges(expected_edges);
+  }
 
-  /// Pre-reserves per-node adjacency capacity; see
-  /// Digraph::ReserveAdjacency.
+  /// Pre-sizes the adjacency arena for about `per_node` edges per node.
   void ReserveAdjacency(std::size_t per_node) {
-    graph_.ReserveAdjacency(per_node);
+    graph_.ReserveEdges(per_node * graph_.node_count());
   }
 
   /// Attempts to insert edge from -> to, moving an isolated source or a
@@ -103,9 +105,6 @@ class IncrementalTopology {
   bool RemoveEdge(NodeId from, NodeId to) {
     return graph_.RemoveEdge(from, to);
   }
-
-  /// True iff the edge would close a cycle, *without* inserting it.
-  bool WouldCreateCycle(NodeId from, NodeId to) const;
 
   /// Label of `node`: a smaller label means earlier in the maintained
   /// topological order. Labels are sparse; only their order is meaningful.
@@ -156,10 +155,9 @@ class IncrementalTopology {
   Digraph graph_;
   std::vector<std::size_t> position_;  // node -> label
   std::vector<NodeId> order_;          // label -> node, kHole when vacated
-  // Repair-DFS scratch: generation stamps (like probe_stamp_ below) make
-  // "clear the visited set" a single counter bump instead of a walk over
-  // the discovered region — failed insertions and large repairs pay no
-  // cleanup pass.
+  // Repair-DFS scratch: generation stamps make "clear the visited set" a
+  // single counter bump instead of a walk over the discovered region —
+  // failed insertions and large repairs pay no cleanup pass.
   std::vector<std::uint64_t> visit_stamp_;
   std::uint64_t visit_gen_ = 0;
   std::vector<NodeId> delta_forward_;
@@ -169,10 +167,6 @@ class IncrementalTopology {
   // AddEdges undo log; after a successful call, its inserted arcs.
   std::vector<std::pair<NodeId, NodeId>> rollback_;
   std::vector<std::size_t> deferred_;                // AddEdges pass-2 arcs
-  // WouldCreateCycle scratch: generation stamps avoid a per-probe clear.
-  mutable std::vector<std::uint64_t> probe_stamp_;
-  mutable std::vector<NodeId> probe_stack_;
-  mutable std::uint64_t probe_gen_ = 0;
   std::pair<NodeId, NodeId> last_rejected_edge_{0, 0};
   std::uint64_t reorder_count_ = 0;
 };

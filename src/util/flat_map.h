@@ -1,13 +1,15 @@
 // FlatMap64: a minimal open-addressing hash map over 64-bit keys.
 //
-// The admission hot paths (Digraph's edge-dedup side index, the online
-// checker's per-transaction-pair arc memos) need find/upsert/erase in O(1)
-// average with zero per-entry heap allocations: std::unordered_map's
-// node-per-entry allocation and pointer chasing are exactly what the
-// perf-trajectory benches flag. Storage is two parallel vectors (keys,
-// values) with linear probing, power-of-two capacity, and tombstone
-// deletion; growth is the only allocation and is amortized away by
-// Reserve().
+// The admission hot paths need find/upsert/erase in O(1) average with
+// zero per-entry heap allocations: the online checker's and the SGT
+// scheduler's `object_index_` (object id -> per-object state), the
+// cross-shard coordinator's `pair_index_` (transaction pair -> live or
+// dead mirrored arc) and each shard's `arc_state` (transaction pair ->
+// recorded locally or also mirrored). std::unordered_map's node-per-entry
+// allocation and pointer chasing are exactly what the perf-trajectory
+// benches flag. Storage is two parallel vectors (keys, values) with linear
+// probing, power-of-two capacity, and tombstone deletion; growth is the
+// only allocation and is amortized away by Reserve().
 #ifndef RELSER_UTIL_FLAT_MAP_H_
 #define RELSER_UTIL_FLAT_MAP_H_
 
@@ -97,17 +99,6 @@ class FlatMap64 {
     if (keys_.empty()) return false;
     const std::size_t slot = FindSlot(key);
     if (slot == kNoSlot) return false;
-    keys_[slot] = kTombstoneKey;
-    --size_;
-    return true;
-  }
-
-  /// Erase that also copies the removed value to `*value` (one probe).
-  bool Erase(std::uint64_t key, V* value) {
-    if (keys_.empty()) return false;
-    const std::size_t slot = FindSlot(key);
-    if (slot == kNoSlot) return false;
-    *value = values_[slot];
     keys_[slot] = kTombstoneKey;
     --size_;
     return true;

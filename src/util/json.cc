@@ -129,36 +129,27 @@ std::string FindRepoRoot(const std::string& marker) {
 bool WriteBenchJsonFile(const std::string& filename,
                         const std::string& content, const std::string& tag) {
   bool ok = WriteJsonFile(filename, content);
-  const std::string root = FindRepoRoot();
-  if (root.empty()) return ok;
-
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path root_path(root);
-  const fs::path root_copy = root_path / filename;
-  // Skip the second write when the bench already runs at the root.
-  if (!fs::equivalent(root_copy, fs::path(filename), ec) || ec) {
-    ok = WriteJsonFile(root_copy.string(), content) && ok;
-  }
-
   std::string effective_tag = tag;
   if (effective_tag.empty()) {
     if (const char* env = std::getenv("RELSER_BENCH_TAG")) effective_tag = env;
   }
-  if (!effective_tag.empty()) {
-    std::string stem = filename;
-    constexpr std::string_view kExt = ".json";
-    if (stem.size() > kExt.size() &&
-        stem.compare(stem.size() - kExt.size(), kExt.size(), kExt) == 0) {
-      stem.resize(stem.size() - kExt.size());
-    }
-    const fs::path traj_dir = root_path / "bench" / "trajectory";
-    fs::create_directories(traj_dir, ec);
-    const fs::path snapshot =
-        traj_dir / (stem + "_" + effective_tag + std::string(kExt));
-    ok = WriteJsonFile(snapshot.string(), content) && ok;
+  if (effective_tag.empty()) return ok;
+  const std::string root = FindRepoRoot();
+  if (root.empty()) return ok;
+
+  namespace fs = std::filesystem;
+  std::string stem = filename;
+  constexpr std::string_view kExt = ".json";
+  if (stem.size() > kExt.size() &&
+      stem.compare(stem.size() - kExt.size(), kExt.size(), kExt) == 0) {
+    stem.resize(stem.size() - kExt.size());
   }
-  return ok;
+  const fs::path traj_dir = fs::path(root) / "bench" / "trajectory";
+  std::error_code ec;
+  fs::create_directories(traj_dir, ec);
+  const fs::path snapshot =
+      traj_dir / (stem + "_" + effective_tag + std::string(kExt));
+  return WriteJsonFile(snapshot.string(), content) && ok;
 }
 
 /// Recursive-descent parser over a string_view; depth-bounded so hostile

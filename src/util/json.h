@@ -75,14 +75,13 @@ bool WriteJsonFile(const std::string& path, const std::string& content);
 /// empty string when no ancestor qualifies.
 std::string FindRepoRoot(const std::string& marker = "ROADMAP.md");
 
-/// Emits a canonical perf-trajectory artifact. Writes `content` to
-/// `filename` in the current directory and, when the repository root can
-/// be located (see FindRepoRoot), at `<root>/<filename>` too — so the
-/// canonical BENCH_*.json lands at the repo root no matter which build
-/// directory the bench ran from. When `tag` — or, if `tag` is empty, the
-/// RELSER_BENCH_TAG environment variable — is non-empty, additionally
-/// snapshots to `<root>/bench/trajectory/<stem>_<tag>.json`, the
-/// committed perf-trajectory record. Returns false if any write fails.
+/// Emits a perf-trajectory artifact. Writes `content` to `filename` in the
+/// current directory only, so a bench run from a build directory leaves
+/// the committed root BENCH_*.json files alone. When `tag` — or, if `tag`
+/// is empty, the RELSER_BENCH_TAG environment variable — is non-empty and
+/// the repository root can be located (see FindRepoRoot), additionally
+/// snapshots to `<root>/bench/trajectory/<stem>_<tag>.json`, the committed
+/// perf-trajectory record. Returns false if any write fails.
 bool WriteBenchJsonFile(const std::string& filename,
                         const std::string& content,
                         const std::string& tag = "");

@@ -53,17 +53,6 @@ TEST(IncrementalTopology, BackwardEdgeTriggersReorder) {
   EXPECT_EQ(topo.AddEdge(1, 2), AddResult::kCycle);
 }
 
-TEST(IncrementalTopology, WouldCreateCycleDoesNotMutate) {
-  IncrementalTopology topo(3);
-  topo.AddEdge(0, 1);
-  topo.AddEdge(1, 2);
-  EXPECT_TRUE(topo.WouldCreateCycle(2, 0));
-  EXPECT_FALSE(topo.WouldCreateCycle(0, 2));
-  EXPECT_EQ(topo.edge_count(), 2u);
-  // The probe must not have inserted anything.
-  EXPECT_EQ(topo.AddEdge(2, 0), AddResult::kCycle);
-}
-
 TEST(IncrementalTopology, RemoveEdgeAllowsReinsertOpposite) {
   IncrementalTopology topo(2);
   topo.AddEdge(0, 1);

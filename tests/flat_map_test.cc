@@ -90,12 +90,6 @@ TEST(FlatMap64, ChurnOverABoundedLiveSetKeepsItsCapacity) {
   }
   EXPECT_EQ(map.size(), 64u);
   EXPECT_LE(map.capacity(), 256u);
-  // Erase(key, &value) hands back the removed value.
-  std::uint32_t value = 0;
-  *map.Upsert(7ULL << 40).first = 42;
-  EXPECT_TRUE(map.Erase(7ULL << 40, &value));
-  EXPECT_EQ(value, 42u);
-  EXPECT_FALSE(map.Erase(7ULL << 40, &value));
 }
 
 TEST(FlatMap64, RandomizedDifferentialAgainstStdMap) {

@@ -2,6 +2,11 @@
 // substrate of both the bench snapshots and the obs/ trace sinks).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <random>
+#include <string>
+
 #include "util/json.h"
 
 namespace relser {
@@ -66,6 +71,31 @@ TEST(JsonParser, BoundsNestingDepth) {
   EXPECT_FALSE(JsonValue::Parse(deep).ok());
   std::string shallow = "[[[[[[1]]]]]]";
   EXPECT_TRUE(JsonValue::Parse(shallow).ok());
+}
+
+TEST(WriteBenchJsonFile, LeavesTheRepositoryRootAlone) {
+  // A throwaway repository (a directory holding the root marker) with a
+  // build directory inside it; the bench runs from the build directory.
+  namespace fs = std::filesystem;
+  const fs::path saved_cwd = fs::current_path();
+  const fs::path root = fs::temp_directory_path() /
+                        ("relser_json_test_" +
+                         std::to_string(std::random_device{}()));
+  fs::remove_all(root);
+  fs::create_directories(root / "build");
+  std::ofstream(root / "ROADMAP.md") << "marker\n";
+  fs::current_path(root / "build");
+
+  const bool untagged = WriteBenchJsonFile("BENCH_probe.json", "{}");
+  const bool tagged = WriteBenchJsonFile("BENCH_probe.json", "{}", "t1");
+  fs::current_path(saved_cwd);
+  EXPECT_TRUE(untagged);
+  EXPECT_TRUE(tagged);
+  EXPECT_TRUE(fs::exists(root / "build" / "BENCH_probe.json"));
+  EXPECT_FALSE(fs::exists(root / "BENCH_probe.json"));
+  EXPECT_TRUE(
+      fs::exists(root / "bench" / "trajectory" / "BENCH_probe_t1.json"));
+  fs::remove_all(root);
 }
 
 }  // namespace
