@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # CI entry point: the tier-1 build and test command, the benchmark's
-# self-test, an ASan/UBSan build running the full test suite and the
-# JSON benches' smokes, the docs gate, a TSan subset, and the trace and
-# audit tool round-trips. Fails on any test failure, any sanitizer
-# report, any bench gate, a malformed or incomplete BENCH_*.json, a
-# dangling path in the docs, or a run that changes the git working tree.
+# self-test, an ASan/UBSan build running the full test suite, the JSON
+# benches' smokes and one second of each benchmark workload, the docs
+# gate, a TSan subset, and the trace and audit tool round-trips. Fails
+# on any test failure, any sanitizer report, any bench gate, a malformed
+# or incomplete BENCH_*.json, a dangling path in the docs, or a run that
+# changes the git working tree.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -78,8 +79,25 @@ EOF
 (cd build-asan && ./bench/bench_audit --smoke)
 python3 -c "import json; json.load(open('build-asan/BENCH_audit.json'))"
 
+# Benchmark workloads under ASan/UBSan: the benchmark's own CMake
+# project, sanitized, runs one traced second of each workload. A failed
+# RELSER_CHECK, a heap error or undefined behaviour on the admission,
+# exact-abort, truncation or snapshot-read path aborts the run here,
+# with its report, instead of as a bare SIGABRT in a benchmark run.
+cmake -S perfbench -B build-perfbench-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=undefined" \
+  "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=address,undefined"
+cmake --build build-perfbench-asan -j"$(nproc)"
+for workload in relaxed-batch strict-window sharded-snapshot; do
+  ./build-perfbench-asan/perfbench --workload "$workload" --seed 1 \
+    --seconds 1 --trace 1 > /dev/null
+done
+
 # Docs gate: every relative markdown link and every repo path mentioned
-# in README.md / docs/*.md must exist on disk; every file under docs/
+# in README.md / docs/*.md must exist on disk, and so must every bare
+# upper-case root document name (ROADMAP.md); a bare BENCH_*.json name
+# must be a root file or a string literal in some bench/*.cc (the file
+# that bench writes); every file under docs/
 # must be reachable from README.md's documentation index; and every
 # event kind the validator accepts (src/obs/inspect.cc) must be
 # documented in the normative schema, docs/trace-format.md.
@@ -87,6 +105,9 @@ python3 - <<'EOF'
 import os, re, sys
 
 bad = []
+bench_sources = "".join(
+    open(os.path.join("bench", f), encoding="utf-8").read()
+    for f in sorted(os.listdir("bench")) if f.endswith(".cc"))
 docs = ["README.md"] + sorted(
     os.path.join("docs", f) for f in os.listdir("docs") if f.endswith(".md"))
 for doc in docs:
@@ -102,6 +123,13 @@ for doc in docs:
             r"[\w./-]+\.(?:h|cc|cpp|md|sh|json|txt)\b", text):
         if not os.path.exists(path):
             bad.append(f"{doc}: dangling path -> {path}")
+    for name in re.findall(r"(?<![\w./-])[A-Z][A-Z0-9_]*\.md\b", text):
+        if not os.path.exists(name):
+            bad.append(f"{doc}: no root file {name}")
+    for name in re.findall(r"(?<![\w./-])BENCH_\w+\.json\b", text):
+        if not os.path.exists(name) and f'"{name}"' not in bench_sources:
+            bad.append(f"{doc}: {name} is neither a root file nor "
+                       "written by a bench/*.cc")
 
 # Reachability: README.md must link every docs/*.md.
 readme = open("README.md", encoding="utf-8").read()

@@ -25,6 +25,7 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
       pos_of_(indexer_.total_ops(), 0),
       scratch_anc_(txn_count_, 0),
       zero_row_(txn_count_, 0),
+      raised_buf_(txn_count_ + 1, 0),
       drop_mark_(indexer_.total_ops(), 0) {
   RELSER_CHECK_MSG(spec.ValidateAgainst(txns).ok(),
                    "specification does not match the transaction set");
@@ -166,12 +167,29 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   // row raised its column over the predecessor's row — the furthest
   // ancestor the predecessor already handled is that row's column — and
   // emitted only when not already implied transitively (docs/hotpath.md,
-  // Lemmas 2-3). Each raised column is an undo delta.
+  // Lemmas 2-3). Each raised column is an undo delta. With no
+  // cross-transaction predecessor the row is the predecessor's plus the
+  // own column, so no column that needs a pair can rise and the pass is
+  // skipped. Otherwise the raised columns are gathered first, in
+  // ascending order, with an unconditional store and a compare-bump;
+  // their PushForward words are prefetched before any is read.
   const std::size_t deltas_begin = undo_deltas_.size();
-  for (TxnId i = 0; i < txn_count_; ++i) {
+  std::size_t raised_count = 0;
+  if (!pred_buf_.empty()) {
+    TxnId* raised = raised_buf_.data();
+    for (TxnId i = 0; i < txn_count_; ++i) {
+      raised[raised_count] = i;
+      raised_count += static_cast<std::size_t>(scratch_anc_[i] > prev[i]);
+    }
+    for (std::size_t r = 0; r < raised_count; ++r) {
+      if (raised[r] != j) spec_.PrefetchPushForward(raised[r], j);
+    }
+  }
+  for (std::size_t r = 0; r < raised_count; ++r) {
+    const TxnId i = raised_buf_[r];
+    if (i == j) continue;  // the own column pairs with nothing
     const std::uint32_t u_p1 = scratch_anc_[i];
     const std::uint32_t old_p1 = prev[i];
-    if (u_p1 <= old_p1 || i == j) continue;  // nothing new to push or pull
     undo_deltas_.push_back({i, prev[i]});
     const std::uint32_t u = u_p1 - 1;
     const std::uint32_t pushed = spec_.PushForward(i, j, u);

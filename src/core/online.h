@@ -305,6 +305,7 @@ class OnlineRsrChecker {
   // Reusable per-append scratch (no steady-state allocations).
   std::vector<AncestorColumn> scratch_anc_;
   std::vector<AncestorColumn> zero_row_;  // predecessor row of a first op
+  std::vector<TxnId> raised_buf_;  // columns the append raised, ascending
   std::vector<std::size_t> pred_buf_;
   std::vector<TxnId> conflict_txns_;  // last_conflicts(), parallel to pred_buf_
   std::vector<std::pair<NodeId, NodeId>> arc_buf_;

@@ -110,6 +110,12 @@ class AtomicitySpec {
   /// unit of Ti (relative to Tj) containing op `index` (Section 3).
   std::uint32_t PullBackward(TxnId i, TxnId j, std::uint32_t index) const;
 
+  /// Hints that PushForward(i, j, ·) is about to be read: prefetches the
+  /// first word of Atomicity(Ti, Tj). Requires i != j.
+  void PrefetchPushForward(TxnId i, TxnId j) const {
+    __builtin_prefetch(words_.data() + PairBase(i, j));
+  }
+
   /// True iff no pair has any breakpoint (the traditional model).
   bool IsAbsolute() const;
 

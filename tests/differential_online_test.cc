@@ -273,5 +273,95 @@ TEST(DifferentialOnline, AcceptedExecutionsStayExactAcrossAborts) {
   }
 }
 
+// The compare pass in two phases (docs/hotpath.md, "The F/B scan"): an
+// append with no foreign predecessor skips it, and any other append
+// evaluates only the columns it gathered as raised. T = 67 is no
+// multiple of 8, 16 or 64. One append (J0) raises the first and the last
+// column at once, and the only arc that closes the later cycle is the
+// last column's F-arc from that append: a gather that misses column T-1,
+// or a skip taken with predecessors present, admits a non-RSR prefix.
+TEST(DifferentialOnline, CompareSkipAndGatherCoverFirstAndLastColumns) {
+  constexpr TxnId kTxns = 67;
+  constexpr TxnId kX = 0;
+  constexpr TxnId kJ = 33;
+  constexpr TxnId kK = 50;
+  constexpr TxnId kA = kTxns - 1;
+  TransactionSet txns;
+  const ObjectId y = txns.AddObjects(1 + kTxns);  // y, then one per txn
+  const auto own = [y](TxnId t) { return static_cast<ObjectId>(y + 1 + t); };
+  for (TxnId t = 0; t < kTxns; ++t) {
+    Transaction* txn = txns.AddTransaction();
+    if (t == kA) {
+      txn->Write(y);       // A0
+      txn->Read(own(t));   // A1: conflicts with nothing
+      txn->Write(y);       // A2
+    } else if (t == kJ) {
+      txn->Write(y);       // J0
+      txn->Write(own(t));  // J1: no predecessor
+    } else if (t == kX || t == kK) {
+      txn->Read(y);
+    } else {
+      txn->Write(own(t));
+    }
+  }
+  // Every unit is a single operation except A's: relative to J, A0 and
+  // A1 form one unit (F-arc A1 -> J0 once J0 depends on A0); relative
+  // to K, A1 and A2 do (B-arc K0 -> A1 once A2 depends on K0).
+  AtomicitySpec spec(txns);
+  for (TxnId i = 0; i < kTxns; ++i) {
+    for (TxnId k = 0; k < kTxns; ++k) {
+      if (i != k) spec.RelaxFully(i, k);
+    }
+  }
+  spec.ClearBreakpoint(kA, kJ, 0);
+  spec.ClearBreakpoint(kA, kK, 1);
+
+  const auto op = [&txns](TxnId t, std::uint32_t index) {
+    return txns.txn(t).op(index);
+  };
+  const std::vector<Operation> feed = {op(kA, 0), op(kX, 0), op(kJ, 0),
+                                       op(kJ, 1), op(kK, 0), op(kA, 1),
+                                       op(kA, 2)};
+  // A2 closes A1 -> J0 -> K0 -> A1.
+  const std::vector<bool> expected = {true, true, true, true,
+                                      true, true, false};
+  const OpIndexer indexer(txns);
+  OnlineRsrChecker checker(txns, spec);
+  OnlineRsrCheckerBaseline baseline(txns, spec);
+  std::vector<Operation> fed;
+  for (std::size_t pos = 0; pos < feed.size(); ++pos) {
+    std::vector<Operation> prefix = fed;
+    prefix.push_back(feed[pos]);
+    const bool oracle = !HasCycle(BuildPrefixRsg(txns, indexer, prefix, spec));
+    const std::size_t submitted_before = checker.arcs_submitted();
+    const std::size_t edges_before = checker.topology().edge_count();
+    const bool accepted = checker.TryAppend(feed[pos]).ok();
+    ASSERT_EQ(oracle, expected[pos]) << "pos " << pos;
+    ASSERT_EQ(accepted, oracle) << "pos " << pos;
+    ASSERT_EQ(baseline.TryAppend(feed[pos]), oracle) << "pos " << pos;
+    if (pos == 2) {
+      // J0 raises columns 0 and T-1 in one append.
+      EXPECT_EQ(checker.last_conflicts(), (std::vector<TxnId>{kA, kX}));
+    }
+    if (pos == 3) {
+      // J1 has cross columns but no predecessor: its I-arc alone.
+      EXPECT_EQ(checker.arcs_submitted() - submitted_before, 1u);
+      EXPECT_EQ(checker.topology().edge_count() - edges_before, 1u);
+      EXPECT_FALSE(checker.TxnIsolated(kJ));
+    }
+    if (accepted) fed.push_back(feed[pos]);
+  }
+
+  // The rejection aborts A; the survivors re-admit through the same
+  // compare pass and must leave the state of a fresh feed.
+  checker.RemoveTransactionExact(kA);
+  std::erase_if(fed, [](const Operation& o) { return o.txn == kA; });
+  OnlineRsrChecker fresh(txns, spec);
+  for (const Operation& survivor : fed) {
+    ASSERT_TRUE(fresh.TryAppend(survivor).ok());
+  }
+  EXPECT_EQ(checker.StateDigest(), fresh.StateDigest());
+}
+
 }  // namespace
 }  // namespace relser
