@@ -80,10 +80,12 @@ EOF
 python3 -c "import json; json.load(open('build-asan/BENCH_audit.json'))"
 
 # Benchmark workloads under ASan/UBSan: the benchmark's own CMake
-# project, sanitized, runs one traced second of each workload. A failed
-# RELSER_CHECK, a heap error or undefined behaviour on the admission,
-# exact-abort, truncation or snapshot-read path aborts the run here,
-# with its report, instead of as a bare SIGABRT in a benchmark run.
+# project, sanitized, runs one traced second of each workload, then
+# five untraced seconds of sharded-snapshot (the two-shard, GC and
+# snapshot-read path) at three more seeds. A failed RELSER_CHECK, a
+# heap error or undefined behaviour on the admission, exact-abort,
+# truncation or snapshot-read path aborts the run here, with its
+# report, instead of as a bare SIGABRT in a benchmark run.
 cmake -S perfbench -B build-perfbench-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=undefined" \
   "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=address,undefined"
@@ -91,6 +93,10 @@ cmake --build build-perfbench-asan -j"$(nproc)"
 for workload in relaxed-batch strict-window sharded-snapshot; do
   ./build-perfbench-asan/perfbench --workload "$workload" --seed 1 \
     --seconds 1 --trace 1 > /dev/null
+done
+for seed in 2 3 4; do
+  ./build-perfbench-asan/perfbench --workload sharded-snapshot --seed "$seed" \
+    --seconds 5 --trace 0 > /dev/null
 done
 
 # Docs gate: every relative markdown link and every repo path mentioned
@@ -170,7 +176,7 @@ EOF
 # MVCC snapshot-read fleets whose settledness counters and commit CAS
 # are the fast path's entire synchronization story, and the epoch-GC
 # machinery: the settled-flag publication, the per-step collectors
-# racing admission, live router swaps racing traffic, and a
+# racing admission, router swaps between client phases, and a
 # reduced-round GC'd-vs-unbounded differential). bench_sharded's smoke
 # grid adds the multi-client fleet racing for the shard ownership tokens
 # (submitters deciding inline against token holders applying the inbox

@@ -1,6 +1,6 @@
 // EpochManager: the stable-prefix watermark authority behind every
 // garbage-collection consumer (coordinator arc GC, checker truncation,
-// version-chain pruning, epoch-based router swaps).
+// and the router swaps a caller makes at a quiescent cut).
 //
 // A transaction is *settled* when no future RSG arc can be incident on
 // it in either direction. Two facts make that decidable online:
@@ -20,7 +20,7 @@
 //      outside would require an arc from a non-member into S, which
 //      closure forbids. So no cycle can ever route through S — every
 //      arc *out of* S is dead weight and can be reclaimed, along with
-//      S's checker rows, coordinator arcs and dominated versions.
+//      S's checker rows and coordinator arcs.
 //
 // The settled set is therefore the *greatest* predecessor-closed set of
 // finished transactions: the complement of everything forward-reachable
@@ -36,9 +36,8 @@
 // Feeding contract (mirrors the admitters):
 //   * NoteDep(from, to): a conflict arc from -> to was created while
 //     `to` was appending. Call for every direct-conflict pair handed to
-//     the checker or coordinator, and (conservatively) for every
-//     ancestor transaction the checker reports on an accept. Duplicate
-//     and settled-source reports are absorbed.
+//     the checker or coordinator. Duplicate and settled-source reports
+//     are absorbed.
 //   * NoteFinish(txn): `txn` reached a terminal state — committed, or
 //     aborted with its removal/tombstoning fully applied everywhere.
 //     Every `gc_interval`-th finish triggers a sweep; each sweep that

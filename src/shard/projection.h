@@ -53,12 +53,6 @@ struct ShardSlice {
     RELSER_DCHECK(projected != kNotHere);
     return Operation{op.txn, projected, op.type, op.object};
   }
-
-  /// The original operation behind a projected one.
-  Operation Unproject(const Operation& projected) const {
-    return Operation{projected.txn, to_original[projected.txn][projected.index],
-                     projected.type, projected.object};
-  }
 };
 
 /// The complete partitioned workload: router, per-transaction spans, and

@@ -31,9 +31,6 @@ ShardedAdmitter::ShardedAdmitter(const TransactionSet& txns,
                                                     : TraceLevel::kOff),
       kill_remaining_(
           std::vector<std::atomic<std::uint32_t>>(txns.txn_count())),
-      txn_open_(std::vector<std::atomic<std::uint8_t>>(txns.txn_count())),
-      archived_tracer_(options.tracer != nullptr ? options.tracer->level()
-                                                 : TraceLevel::kOff),
       decision_(std::vector<std::atomic<std::uint8_t>>(indexer_.total_ops())),
       txn_state_(std::vector<std::atomic<std::uint8_t>>(txns.txn_count())),
       pending_(std::vector<std::atomic<std::uint32_t>>(txns.txn_count())) {
@@ -107,7 +104,6 @@ AdmitResult ShardedAdmitter::SubmitAndWait(const Operation& op,
 void ShardedAdmitter::SettleOwedControls() {
   if (settle_owed != this) return;
   settle_owed = nullptr;
-  std::shared_lock<std::shared_mutex> gate(swap_gate_);
   while (controls_inflight_.load(std::memory_order_acquire) != 0) {
     for (auto& core : cores_) {
       // Taken even when nothing is posted: it waits out a step that has
@@ -177,48 +173,29 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
       store_->TryCountEscalation(op.txn);
     }
   }
-  {
-    // Routing + the inline step or the post run under the swap gate
-    // (shared side): the reshard swapper holds it unique while it
-    // replaces plan_/cores_. The gate is never held across a wait.
-    std::shared_lock<std::shared_mutex> gate(swap_gate_);
-    if (txn_open_[op.txn].load(std::memory_order_relaxed) == 0) {
-      if (reshard_pending_.load(std::memory_order_acquire)) {
-        // A router swap is draining: transactions that have not started
-        // yet are refused so the open set shrinks to zero. kRetry is
-        // nothing-was-queued, exactly like inbox backpressure.
-        retry_count_.fetch_add(1, std::memory_order_relaxed);
-        return AdmitResult::Retry(op.txn);
-      }
-      // The feeding contract makes this thread the transaction's only
-      // submitter, so a plain transition is race-free.
-      txn_open_[op.txn].store(1, std::memory_order_relaxed);
-      open_txns_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    const std::uint32_t shard = plan_->router().ShardOf(op.object);
-    Core& core = *cores_[shard];
-    pending_[op.txn].fetch_add(1, std::memory_order_relaxed);
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    // Caller-runs: an idle shard decides the operation right here, with
-    // no inbox or condition-variable round trip.
-    if (core.TryTake()) {
-      Step(core, &op);
-      Release(core);
-      TryPostedShards();
-      const std::uint8_t word = decision_[gid].load(std::memory_order_acquire);
-      return AdmitResult{static_cast<AdmitOutcome>(word - 1), {}, op.txn};
-    }
-    if (!Post(core, Request{op, RequestKind::kOp})) {
-      pending_[op.txn].fetch_sub(1, std::memory_order_relaxed);
-      submitted_.fetch_sub(1, std::memory_order_relaxed);
-      retry_count_.fetch_add(1, std::memory_order_relaxed);
-      return AdmitResult::Retry(op.txn);
-    }
-    // Rule (b): the holder that beat this thread to the token may have
-    // made its last re-check before the post.
-    posted_shards.push_back(shard);
+  const std::uint32_t shard = plan_->router().ShardOf(op.object);
+  Core& core = *cores_[shard];
+  pending_[op.txn].fetch_add(1, std::memory_order_relaxed);
+  submitted_.fetch_add(1, std::memory_order_relaxed);
+  // Caller-runs: an idle shard decides the operation right here, with
+  // no inbox or condition-variable round trip.
+  if (core.TryTake()) {
+    Step(core, &op);
+    Release(core);
     TryPostedShards();
+    const std::uint8_t word = decision_[gid].load(std::memory_order_acquire);
+    return AdmitResult{static_cast<AdmitOutcome>(word - 1), {}, op.txn};
   }
+  if (!Post(core, Request{op, RequestKind::kOp})) {
+    pending_[op.txn].fetch_sub(1, std::memory_order_relaxed);
+    submitted_.fetch_sub(1, std::memory_order_relaxed);
+    retry_count_.fetch_add(1, std::memory_order_relaxed);
+    return AdmitResult::Retry(op.txn);
+  }
+  // Rule (b): the holder that beat this thread to the token may have
+  // made its last re-check before the post.
+  posted_shards.push_back(shard);
+  TryPostedShards();
   const auto decided = [&] {
     return decision_[gid].load(std::memory_order_acquire) != 0;
   };
@@ -231,12 +208,8 @@ AdmitResult ShardedAdmitter::Submit(const Operation& op,
       lock.unlock();
       // Doom the transaction; the next step of the shard publishes the
       // in-flight decision word when it reaches the operation, so nobody
-      // hangs. Re-derive the owner under the gate: the op was posted
-      // before any swap could start, and an open transaction blocks the
-      // swap, so the plan here is the one that routed it.
-      std::shared_lock<std::shared_mutex> gate(swap_gate_);
-      PostControl(plan_->router().ShardOf(op.object), op.txn,
-                  RequestKind::kTimeoutAbort);
+      // hangs.
+      PostControl(shard, op.txn, RequestKind::kTimeoutAbort);
       TryPostedShards();
       return AdmitResult::Timeout(op.txn);
     }
@@ -265,12 +238,8 @@ AdmitResult ShardedAdmitter::AbortTxn(TxnId txn) {
   if (state >= kStateDead) {
     return AdmitResult{static_cast<AdmitOutcome>(state - kStateDead), {}, txn};
   }
-  {
-    std::shared_lock<std::shared_mutex> gate(swap_gate_);
-    PostControl(plan_->spans().ShardsOf(txn).front(), txn,
-                RequestKind::kAbort);
-    TryPostedShards();
-  }
+  PostControl(plan_->spans().ShardsOf(txn).front(), txn, RequestKind::kAbort);
+  TryPostedShards();
   std::unique_lock<std::mutex> lock(decide_mu_);
   decided_cv_.wait(lock, [&] { return TxnState(txn) != kStateLive; });
   const std::uint8_t final_state = TxnState(txn);
@@ -342,8 +311,6 @@ void ShardedAdmitter::Stop() {
       options_.tracer->MergeFrom(core->tracer);
     }
     options_.tracer->MergeFrom(coordinator_tracer_);
-    // Pre-swap history, rescued from the cores InstallRouter destroyed.
-    options_.tracer->MergeFrom(archived_tracer_);
     options_.tracer->AddRetries(retry_count_.load(std::memory_order_acquire));
     if (store_ != nullptr) {
       // Snapshot admits bypass every core, so no per-core tracer saw
@@ -553,16 +520,6 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
   if (state != kStateLive) {
     // Died (abort/cascade/timeout) with this operation in flight, or a
     // feeding-contract violation against a committed transaction.
-    // The submission may also have RE-registered the transaction: an
-    // asynchronous kill clears txn_open_ before the client learns the
-    // verdict, so the client's next submit sees txn_open_ == 0 and
-    // registers a dead transaction. Clear it here — this operation is
-    // the registration's only in-flight work (one submitter, blocking
-    // feeding), so nobody re-increments behind us — or open_txns_ never
-    // drains and InstallRouter's quiescence wait deadlocks.
-    if (txn_open_[txn].exchange(0, std::memory_order_relaxed) != 0) {
-      open_txns_.fetch_sub(1, std::memory_order_acq_rel);
-    }
     const AdmitOutcome outcome =
         state == kStateCommitted
             ? AdmitOutcome::kReject
@@ -693,9 +650,6 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
   // (SubmitAndWait fast path) lands after every stamp of this writer.
   if (committed && store_ != nullptr) store_->NoteCommit(txn);
   if (committed) {
-    if (txn_open_[txn].exchange(0, std::memory_order_relaxed) != 0) {
-      open_txns_.fetch_sub(1, std::memory_order_acq_rel);
-    }
     // All of this transaction's arcs were noted before its last accept
     // (program-order blocking feeding), so the finish is final word.
     if (epochs_ != nullptr) epochs_->NoteFinish(txn);
@@ -780,9 +734,6 @@ void ShardedAdmitter::GlobalKill(Core& core, TxnId root, AdmitOutcome outcome,
     return;
   }
   if (store_ != nullptr) store_->NoteAbort(root);
-  if (txn_open_[root].exchange(0, std::memory_order_relaxed) != 0) {
-    open_txns_.fetch_sub(1, std::memory_order_acq_rel);
-  }
   Tracer* const tracer = &core.tracer;
   if (tracer->counting()) {
     if (outcome == AdmitOutcome::kTimeout) {
@@ -954,42 +905,30 @@ void ShardedAdmitter::InstallRouter(ShardRouter router) {
   RELSER_CHECK_MSG(options_.epoch_gc,
                    "InstallRouter requires options.epoch_gc");
   RELSER_CHECK_MSG(!stopped_, "InstallRouter after Stop");
-  bool expected = false;
-  RELSER_CHECK_MSG(reshard_pending_.compare_exchange_strong(
-                       expected, true, std::memory_order_acq_rel),
-                   "concurrent InstallRouter calls");
-  // Drain to the quiescent cut: reshard_pending_ refuses every NEW
-  // transaction registration (kRetry), so the open set only shrinks;
-  // started transactions run to a terminal state (their clients keep
-  // feeding under the blocking contract). The unique gate then excludes
-  // the instant between a client's registration check and its inline
-  // step or post.
-  std::unique_lock<std::shared_mutex> gate(swap_gate_, std::defer_lock);
-  const auto quiescent = [&] {
-    return open_txns_.load(std::memory_order_acquire) == 0 &&
-           decided_.load(std::memory_order_acquire) ==
-               submitted_.load(std::memory_order_acquire);
-  };
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(decide_mu_);
-      decided_cv_.wait(lock, quiescent);
-    }
-    gate.lock();
-    if (quiescent()) break;
-    gate.unlock();
+  Flush();
+  // The caller's cut: no call races this one, and every started
+  // transaction is committed or dead. Blocking program-order feeding
+  // decides a transaction's first operation before it submits another,
+  // so a live transaction with a decided first operation is one a
+  // client is still running.
+  const auto txn_count = static_cast<TxnId>(txns_.txn_count());
+  for (TxnId txn = 0; txn < txn_count; ++txn) {
+    RELSER_CHECK_MSG(
+        txns_.txn(txn).size() == 0 || TxnState(txn) != kStateLive ||
+            decision_[indexer_.GlobalId(txn, 0)].load(
+                std::memory_order_acquire) == 0,
+        "InstallRouter outside a quiescent cut: transaction "
+            << txn << " has a decided operation and is unfinished");
   }
-  // No step is running: every token holder holds the gate shared.
-  // decided == submitted also means every control channel drained, so
-  // no kill is half-applied across shards.
-  // At the cut nothing unfinished has ever appended (unstarted
+  // Flush drained every control too, so no kill is half-applied across
+  // shards. At the cut nothing unfinished has ever appended (unstarted
   // transactions have no arcs), so this sweep settles ALL history: the
   // swap is a full-history GC tick, and empty fresh cores are exactly
   // what truncation would leave behind.
   epochs_->Sweep();
   coordinator_.CollectSettled(epochs_->settled_view());
   for (auto& core : cores_) {
-    archived_tracer_.MergeFrom(core->tracer);
+    if (options_.tracer != nullptr) options_.tracer->MergeFrom(core->tracer);
     if (options_.committed_log) {
       swap_archive_.insert(swap_archive_.end(),
                            core->archived_accepts.begin(),
@@ -1003,12 +942,10 @@ void ShardedAdmitter::InstallRouter(ShardRouter router) {
   cores_.clear();
   plan_ = std::make_unique<ShardPlan>(txns_, spec_, std::move(router));
   BuildCores();
-  if (archived_tracer_.counting()) {
-    archived_tracer_.RecordRouterSwap(
-        decided_.load(std::memory_order_relaxed));
+  if (options_.tracer != nullptr) {
+    options_.tracer->RecordRouterSwap(decided_.load(std::memory_order_relaxed));
   }
-  router_swaps_.fetch_add(1, std::memory_order_release);
-  reshard_pending_.store(false, std::memory_order_release);
+  ++router_swaps_;
 }
 
 void ShardedAdmitter::Publish(std::size_t gid, TxnId txn,

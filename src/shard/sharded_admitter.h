@@ -79,7 +79,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <utility>
 #include <vector>
 
@@ -106,7 +105,8 @@ struct ShardedAdmitterOptions {
   std::size_t queue_capacity = 1024;
   /// Observability sink. Each shard core and the coordinator record
   /// into private tracers (a core's tracer is written only by the
-  /// holder of its token); Stop merges them all into this one.
+  /// holder of its token); Stop merges them all into this one, and
+  /// InstallRouter merges the cores it replaces.
   Tracer* tracer = nullptr;
   /// Deterministic per-core pause schedule (exec/faultplan.h), keyed by
   /// each shard core's own decision count; a pause runs on whichever
@@ -134,7 +134,7 @@ struct ShardedAdmitterOptions {
   /// Decision-identical to gc off — a settled transaction can never lie
   /// on a future cycle in any shard checker or the coordinator graph
   /// (tests/epoch_gc_differential_test.cc).
-  /// Also the prerequisite for InstallRouter live resharding.
+  /// Also the prerequisite for InstallRouter.
   bool epoch_gc = false;
   /// NoteFinish calls between settlement sweeps (epoch_gc only).
   std::uint32_t gc_interval = 64;
@@ -243,27 +243,24 @@ class ShardedAdmitter {
   const ShardPlan& plan() const { return *plan_; }
   const CrossShardCoordinator& coordinator() const { return coordinator_; }
 
-  /// Live reshard (requires options.epoch_gc): atomically replaces the
-  /// object partition with `router` at a watermark boundary, without
-  /// stopping admission — clients keep submitting throughout. Protocol:
-  /// new transactions are refused with kRetry (their SubmitWithBackoff
-  /// loops ride it out) while every started transaction drains to a
-  /// terminal state; at that quiescent cut a settlement sweep settles
-  /// ALL history (nothing unfinished remains that ever appended), so
-  /// every checker row, coordinator arc and accept-log entry is
-  /// reclaimable, and fresh per-shard cores over the new partition are
-  /// sound by the same argument that justifies truncation — the swap IS
-  /// a full-history GC tick. Old core tracers and accept logs are
-  /// archived so observability and CommittedLog span the swap. Blocks
-  /// until the new cores are built; safe to call from any thread that
-  /// is not mid-transaction; must not race Stop or another
-  /// InstallRouter. `router` must partition the same object universe.
+  /// Reshard (requires options.epoch_gc): replaces the object partition
+  /// with `router` at a quiescent cut the caller provides. Like Stop,
+  /// it must not race any other call on the admitter (no submission,
+  /// abort, verdict or another InstallRouter), and every transaction
+  /// that has submitted an operation must be committed or dead; a
+  /// started, unfinished transaction is a checked failure. At that cut
+  /// a settlement sweep settles ALL history (nothing unfinished ever
+  /// appended), so every checker row, coordinator arc and accept-log
+  /// entry is reclaimable, and fresh per-shard cores over the new
+  /// partition are sound by the same argument that justifies truncation
+  /// — the swap IS a full-history GC tick. The old cores' tracers are
+  /// merged into options.tracer and their accept logs archived, so
+  /// observability and CommittedLog span the swap. `router` must
+  /// partition the same object universe.
   void InstallRouter(ShardRouter router);
 
   /// Completed InstallRouter swaps.
-  std::uint64_t router_swaps() const {
-    return router_swaps_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t router_swaps() const { return router_swaps_; }
   /// The epoch manager driving stable-prefix GC; nullptr when off.
   const EpochManager* epochs() const { return epochs_.get(); }
   /// Per-core checker truncation passes taken; 0 when epoch_gc is off.
@@ -289,10 +286,10 @@ class ShardedAdmitter {
   /// each shard's token at every GC tick just BEFORE truncation — i.e.
   /// at local maxima of retained state — so readers never race
   /// shard-private structures.
-  /// Per-shard gauges (pool rows, feed entries, memos, accept-log) take
-  /// the max over shards; shared gauges (coordinator arcs, dep arcs) are
-  /// instantaneous retained counts. All zeros until the first
-  /// GC tick; meaningful only with options.epoch_gc.
+  /// Per-shard gauges (pool rows, feed entries, live F/B pairs,
+  /// accept-log) take the max over shards; shared gauges (coordinator
+  /// arcs, dep arcs) are instantaneous retained counts. All zeros until
+  /// the first GC tick; meaningful only with options.epoch_gc.
   struct LiveHighWater {
     std::uint64_t pool_rows = 0;         ///< ancestor rows (max shard)
     std::uint64_t retained_ops = 0;      ///< checker feed rows (max shard)
@@ -427,7 +424,7 @@ class ShardedAdmitter {
   void Release(Core& core);
   /// Rule (b): tries the token of each shard this thread posted an
   /// operation or a control to since its last call, stepping and releasing
-  /// each one it takes. Call under swap_gate_ (shared).
+  /// each one it takes.
   void TryPostedShards();
   /// SubmitAndWait's body: the snapshot fast path, then the inline step
   /// or the inbox and the wait.
@@ -497,20 +494,7 @@ class ShardedAdmitter {
   std::atomic<std::uint64_t> hw_coordinator_arcs_{0};
   std::atomic<std::uint64_t> hw_dep_arcs_{0};
 
-  // InstallRouter machinery. Clients take swap_gate_ shared around
-  // registration + routing + the inline step or the post, around every
-  // post and the token tries after it, and around SettleOwedControls
-  // (never around waits), so every token holder holds it; the swapper
-  // takes it unique while it rebuilds plan_ and cores_. txn_open_ is
-  // the registration flag (CAS 0 -> 1 under the shared gate; a pending
-  // swap refuses new registrations with kRetry), open_txns_ counts
-  // registered transactions not yet terminal.
-  mutable std::shared_mutex swap_gate_;
-  std::atomic<bool> reshard_pending_{false};
-  std::vector<std::atomic<std::uint8_t>> txn_open_;
-  std::atomic<std::size_t> open_txns_{0};
-  std::atomic<std::uint64_t> router_swaps_{0};
-  Tracer archived_tracer_;  // pre-swap core tracers, merged at swap time
+  std::uint64_t router_swaps_ = 0;  // written by InstallRouter only
   // Pre-swap stamped accepts, rescued from destroyed cores
   // (committed_log only); merged into CommittedLog/AdmittedLog.
   std::vector<std::pair<std::uint64_t, Operation>> swap_archive_;
