@@ -37,9 +37,17 @@ python3 perfbench/run.py --self-test
 # (flat_memory, bounded_work).
 (cd build && ./bench/bench_longlived --smoke)
 
+# ASan fills every fresh heap allocation with 0xFF bytes, up to 1 MiB
+# of it (its default fills only the first 4 KiB). The checker allocates
+# its ancestor-row blocks uninitialized, 128 KiB each at T = 1024; a
+# column read before it was written then reads 0xFFFF, above the largest
+# +1-encoded index (0xFFFE), and trips PushForward's RELSER_CHECK or a
+# digest gate instead of passing silently on zeroed pages.
+asan_fill_options="malloc_fill_byte=255:max_malloc_fill_size=1048576"
+
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
-ctest --preset asan
+ASAN_OPTIONS="$asan_fill_options" ctest --preset asan
 
 # Fault smoke: the robustness layer under deterministic fault injection.
 # Exits non-zero unless the committed prefix replays relatively
@@ -82,7 +90,8 @@ python3 -c "import json; json.load(open('build-asan/BENCH_audit.json'))"
 # Benchmark workloads under ASan/UBSan: the benchmark's own CMake
 # project, sanitized, runs one traced second of each workload, then
 # five untraced seconds of sharded-snapshot (the two-shard, GC and
-# snapshot-read path) at three more seeds. A failed RELSER_CHECK, a
+# snapshot-read path) at three more seeds, with the same 0xFF fill as
+# the sanitized test suite. A failed RELSER_CHECK, a
 # heap error or undefined behaviour on the admission, exact-abort,
 # truncation or snapshot-read path aborts the run here, with its
 # report, instead of as a bare SIGABRT in a benchmark run.
@@ -91,12 +100,13 @@ cmake -S perfbench -B build-perfbench-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=address,undefined"
 cmake --build build-perfbench-asan -j"$(nproc)"
 for workload in relaxed-batch strict-window sharded-snapshot; do
-  ./build-perfbench-asan/perfbench --workload "$workload" --seed 1 \
-    --seconds 1 --trace 1 > /dev/null
+  ASAN_OPTIONS="$asan_fill_options" ./build-perfbench-asan/perfbench \
+    --workload "$workload" --seed 1 --seconds 1 --trace 1 > /dev/null
 done
 for seed in 2 3 4; do
-  ./build-perfbench-asan/perfbench --workload sharded-snapshot --seed "$seed" \
-    --seconds 5 --trace 0 > /dev/null
+  ASAN_OPTIONS="$asan_fill_options" ./build-perfbench-asan/perfbench \
+    --workload sharded-snapshot --seed "$seed" --seconds 5 --trace 0 \
+    > /dev/null
 done
 
 # Docs gate: every relative markdown link and every repo path mentioned

@@ -1,6 +1,7 @@
 #include "core/online.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "core/explain.h"
 #include "core/rsg.h"
@@ -75,7 +76,10 @@ std::uint32_t OnlineRsrChecker::AcquireSlot(std::size_t gid) {
   } else {
     slot = static_cast<std::uint32_t>(slot_owner_.size());
     slot_owner_.push_back(kNoGid);
-    pool_.resize(pool_.size() + txn_count_);
+    if (slot % kRowsPerBlock == 0) {
+      row_blocks_.push_back(std::make_unique_for_overwrite<AncestorColumn[]>(
+          kRowsPerBlock * txn_count_));
+    }
   }
   slot_owner_[slot] = gid;
   slot_of_[gid] = slot;
@@ -107,7 +111,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   if (op.index > 0) {
     const std::uint32_t prev_slot = slot_of_[gid - 1];
     RELSER_DCHECK(prev_slot != kNoSlot);
-    prev = &pool_[prev_slot * txn_count_];
+    prev = Row(prev_slot);
     std::copy(prev, prev + txn_count_, scratch_anc_.begin());
     // The prev op itself; kMaxTxnOps keeps the index within a column.
     scratch_anc_[j] = std::max(scratch_anc_[j],
@@ -153,7 +157,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     conflict_txns_.push_back(pred_txn);
     const std::uint32_t pred_slot = slot_of_[pred];
     RELSER_DCHECK(pred_slot != kNoSlot);
-    const AncestorColumn* panc = &pool_[pred_slot * txn_count_];
+    const AncestorColumn* panc = Row(pred_slot);
     for (std::size_t t = 0; t < txn_count_; ++t) {
       scratch_anc_[t] = std::max(scratch_anc_[t], panc[t]);
     }
@@ -308,7 +312,7 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
   if (op.index > 0) {
     const std::uint32_t prev_slot = slot_of_[gid - 1];
     RELSER_DCHECK(prev_slot != kNoSlot);
-    const AncestorColumn* prev = &pool_[prev_slot * txn_count_];
+    const AncestorColumn* prev = Row(prev_slot);
     std::copy(prev, prev + txn_count_, scratch_anc_.begin());
     scratch_anc_[j] = std::max(scratch_anc_[j],
                                static_cast<AncestorColumn>(op.index));
@@ -344,8 +348,7 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
   const TxnId j = op.txn;
   undo_log_.push_back({deltas_begin, arcs_begin, undo_frontier_.size()});
   const std::uint32_t slot = AcquireSlot(gid);
-  std::copy(scratch_anc_.begin(), scratch_anc_.end(),
-            &pool_[slot * txn_count_]);
+  std::copy(scratch_anc_.begin(), scratch_anc_.end(), Row(slot));
   flags_[gid] = static_cast<std::uint8_t>(kNewestFlag | kFrontierFlag);
   if (op.index > 0) {
     flags_[gid - 1] = static_cast<std::uint8_t>(flags_[gid - 1] &
@@ -389,9 +392,8 @@ void OnlineRsrChecker::RestoreRow(std::size_t gid) {
   const std::size_t newest = newest_gid_[txn];
   RELSER_DCHECK(newest != kNoGid && newest > gid &&
                 slot_of_[newest] != kNoSlot);
-  const std::uint32_t slot = AcquireSlot(gid);
-  AncestorColumn* row = &pool_[slot * txn_count_];
-  const AncestorColumn* src = &pool_[slot_of_[newest] * txn_count_];
+  AncestorColumn* row = Row(AcquireSlot(gid));
+  const AncestorColumn* src = Row(slot_of_[newest]);
   std::copy(src, src + txn_count_, row);
   for (std::size_t later = newest; later > gid; --later) {
     const std::size_t k = pos_of_[later];
@@ -550,9 +552,9 @@ std::size_t OnlineRsrChecker::Truncate(
   }
 
   // Settled columns vanish from the retained rows...
-  for (std::size_t slot = 0; slot < slot_owner_.size(); ++slot) {
+  for (std::uint32_t slot = 0; slot < slot_owner_.size(); ++slot) {
     if (slot_owner_[slot] == kNoGid) continue;
-    AncestorColumn* row = &pool_[slot * txn_count_];
+    AncestorColumn* row = Row(slot);
     for (const TxnId t : drop_txns_) row[t] = 0;
   }
   // ...and from the undo log, which also drops the settled records and
@@ -604,9 +606,7 @@ std::size_t OnlineRsrChecker::Truncate(
   live_pairs_ = 0;
   for (TxnId t = 0; t < txn_count_; ++t) {
     if (newest_gid_[t] == kNoGid) continue;
-    const AncestorColumn* row =
-        &pool_[static_cast<std::size_t>(slot_of_[newest_gid_[t]]) *
-               txn_count_];
+    const AncestorColumn* row = Row(slot_of_[newest_gid_[t]]);
     for (TxnId c = 0; c < txn_count_; ++c) {
       if (c == t || row[c] == 0) continue;
       ++cross_pairs_[t];
@@ -675,8 +675,7 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
     if (slot == kNoSlot) continue;
     mix(gid);
     mix(flags_[gid]);
-    const AncestorColumn* row = &pool_[static_cast<std::size_t>(slot) *
-                                       txn_count_];
+    const AncestorColumn* row = Row(slot);
     for (std::size_t t = 0; t < txn_count_; ++t) mix(row[t]);
   }
   // Graph adjacency, sorted per node (F/B arcs can land on not-yet-

@@ -46,6 +46,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/admit.h"
@@ -129,10 +130,12 @@ class OnlineRsrChecker {
 
   /// Retained-state gauges for long-lived memory accounting
   /// (bench_longlived): accepted operations currently remembered,
-  /// ancestor-array pool rows allocated (the pool never shrinks, so this
-  /// is its high water mark), and live F/B pairs — the nonzero
-  /// cross-transaction entries of the transactions' newest rows, i.e. the
-  /// (Ti -> Tj) pairs whose F/B arcs have been evaluated.
+  /// ancestor-row slots ever handed out (slots are recycled but never
+  /// returned, so this is the pool's high water mark; the blocks behind
+  /// it hold this many rows rounded up to a whole block), and live F/B
+  /// pairs — the nonzero cross-transaction entries of the transactions'
+  /// newest rows, i.e. the (Ti -> Tj) pairs whose F/B arcs have been
+  /// evaluated.
   std::size_t retained_ops() const { return feed_log_.size(); }
   std::size_t pool_rows() const { return slot_owner_.size(); }
   std::size_t memo_entries() const { return live_pairs_; }
@@ -242,6 +245,15 @@ class OnlineRsrChecker {
 
   std::uint32_t ObjIndex(ObjectId object);
   std::uint32_t AcquireSlot(std::size_t gid);
+  /// The ancestor row of pool slot `slot`: txn_count_ columns.
+  AncestorColumn* Row(std::uint32_t slot) {
+    return &row_blocks_[slot / kRowsPerBlock]
+                       [(slot % kRowsPerBlock) * txn_count_];
+  }
+  const AncestorColumn* Row(std::uint32_t slot) const {
+    return &row_blocks_[slot / kRowsPerBlock]
+                       [(slot % kRowsPerBlock) * txn_count_];
+  }
   void ReleaseSlotIfAny(std::size_t gid);
   /// Shared commit tail of TryAppend / TryAppendIsolated: persists
   /// scratch_anc_ into the slot pool, updates retention flags, the object
@@ -276,15 +288,24 @@ class OnlineRsrChecker {
   std::vector<std::uint32_t> slot_of_;     // gid -> pool slot (kNoSlot)
   std::vector<std::size_t> newest_gid_;    // txn -> newest executed gid
 
-  // Ancestor-array pool: row `slot` holds txn_count_ +1-encoded maximum
-  // ancestor indices (0 = no ancestor in that transaction), 16 bits each:
-  // an index never leaves its transaction, and kMaxTxnOps bounds every
-  // transaction's length. Rows are retained only for operations that can
-  // still become direct predecessors: the newest executed op of each
-  // transaction and the current object frontiers. The F/B scan reads and
-  // writes about four rows per append, so the row width is its memory
-  // traffic.
-  std::vector<AncestorColumn> pool_;
+  // Ancestor-row pool: row `slot` (Row) holds txn_count_ +1-encoded
+  // maximum ancestor indices (0 = no ancestor in that transaction), 16
+  // bits each: an index never leaves its transaction, and kMaxTxnOps
+  // bounds every transaction's length. Rows are retained only for
+  // operations that can still become direct predecessors: the newest
+  // executed op of each transaction and the current object frontiers.
+  // The F/B scan reads and writes about four rows per append, so the row
+  // width is its memory traffic.
+  //
+  // Rows live in fixed blocks of kRowsPerBlock, allocated as slot
+  // numbers first cross into them and never moved, resized or freed
+  // before the checker. A block is allocated uninitialized. That is
+  // safe because every slot is fully written before any read: a slot is
+  // read only while it has an owner, and AcquireSlot's only callers,
+  // CommitOp and RestoreRow, copy a whole row into it at once. Truncate
+  // and StateDigest visit owned slots only.
+  static constexpr std::size_t kRowsPerBlock = 64;
+  std::vector<std::unique_ptr<AncestorColumn[]>> row_blocks_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::size_t> slot_owner_;  // slot -> gid (kNoGid when free)
 

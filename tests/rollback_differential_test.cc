@@ -10,7 +10,9 @@
 // foreign frontier the operation met (empty for a TryAppendIsolated
 // accept), through every abort and truncation that moved the frontiers.
 // A second case drives the 16-bit ancestor columns to the top of their
-// range (0xFFFE) and checks the same digest equality around them.
+// range (0xFFFE) and checks the same digest equality around them, and a
+// third keeps hundreds of ancestor rows live, across several blocks of
+// the row pool, through an abort and a truncation.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -363,6 +365,139 @@ TEST(RollbackDifferential, TopOfTheColumnRangeRoundTrips) {
         << "after aborting T3 past the truncation";
     EXPECT_EQ(checker.retained_ops(), 4u);
   }
+}
+
+// Ancestor rows live in fixed 64-row blocks. The random rounds above
+// seldom hold more than one block's worth of rows at once, so this case
+// keeps hundreds of rows live: a read-heavy feed with GC off, where
+// every read stays in its object's frontier. Then, with the rows spread
+// over at least five blocks, it exact-aborts a transaction whose
+// retained rows sit in different blocks, truncates a settled prefix and
+// feeds the rest. After each step the state must equal a fresh checker
+// fed feed_log(). T = 45 is not a multiple of 8, so rows do not start on
+// a 16-byte boundary.
+TEST(RollbackDifferential, RowsAcrossBlocksRoundTrip) {
+  constexpr std::size_t kRowsPerBlock = 64;
+  Rng rng(0xB10C5);
+  WorkloadParams wp;
+  wp.txn_count = 45;
+  wp.min_ops_per_txn = 12;
+  wp.max_ops_per_txn = 20;
+  wp.object_count = 360;
+  wp.read_ratio = 0.92;
+  const TransactionSet txns = GenerateTransactions(wp, &rng);
+  const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+  const OpIndexer indexer(txns);
+  OnlineRsrChecker checker(txns, spec);
+  EpochManager epochs(txns.txn_count(), /*gc_interval=*/0);
+
+  // The slot each operation took when its accept grew the pool (a fresh
+  // slot, at pool_rows() - 1); a slot taken from the free list is not
+  // known. An abort re-acquires slots, so it forgets them all.
+  constexpr std::size_t kUnknown = ~std::size_t{0};
+  std::vector<std::size_t> fresh_slot(indexer.total_ops(), kUnknown);
+  std::vector<std::uint32_t> next(txns.txn_count(), 0);
+  std::vector<std::uint8_t> finished(txns.txn_count(), 0);
+  std::vector<TxnId> open;
+  TxnId next_txn = 0;
+  const auto kill = [&](TxnId txn) {
+    checker.RemoveTransactionExact(txn);
+    std::fill(fresh_slot.begin(), fresh_slot.end(), kUnknown);
+    finished[txn] = 1;
+    epochs.NoteFinish(txn);
+  };
+  // Feeds `count` operations of a window of 12 open transactions in
+  // random interleaving; a rejected transaction is aborted.
+  const auto feed = [&](std::size_t count) {
+    for (std::size_t fed = 0; fed < count;) {
+      while (open.size() < 12 && next_txn < txns.txn_count()) {
+        open.push_back(next_txn++);
+      }
+      std::erase_if(open, [&](TxnId t) { return finished[t] != 0; });
+      if (open.empty()) return;
+      const TxnId t = open[rng.UniformIndex(open.size())];
+      const Operation& op = txns.txn(t).op(next[t]);
+      const std::size_t rows = checker.pool_rows();
+      if (!checker.TryAppend(op).ok()) {
+        kill(t);
+        continue;
+      }
+      ++fed;
+      if (checker.pool_rows() > rows) {
+        fresh_slot[indexer.GlobalId(op)] = checker.pool_rows() - 1;
+      }
+      epochs.NoteDeps(checker.last_conflicts(), t);
+      if (++next[t] == txns.txn(t).size()) {
+        finished[t] = 1;
+        epochs.NoteFinish(t);
+      }
+    }
+  };
+  // The operations holding a row: the object frontiers and each
+  // transaction's newest executed operation.
+  const auto live_rows = [&] {
+    std::vector<std::size_t> gids;
+    for (ObjectId object = 0; object < txns.object_count(); ++object) {
+      const std::size_t writer = checker.FrontierWriterGid(object);
+      if (writer != OnlineRsrChecker::kNoOp) gids.push_back(writer);
+      checker.FrontierReaders(object, &gids);
+    }
+    for (TxnId t = 0; t < txns.txn_count(); ++t) {
+      for (std::uint32_t k = next[t]; k-- > 0;) {
+        if (!checker.Executed(t, k)) continue;
+        gids.push_back(indexer.GlobalId(t, k));
+        break;
+      }
+    }
+    std::sort(gids.begin(), gids.end());
+    gids.erase(std::unique(gids.begin(), gids.end()), gids.end());
+    return gids;
+  };
+
+  feed(480);
+  std::vector<std::size_t> live = live_rows();
+  // More live rows than four blocks hold: they span at least five.
+  ASSERT_GT(live.size(), 4 * kRowsPerBlock);
+  ASSERT_GE(checker.pool_rows(), live.size());
+  ASSERT_EQ(checker.StateDigest(), FreshDigest(txns, spec, checker))
+      << "after the read-heavy feed";
+
+  // The victim: the earliest-started unfinished transaction with two
+  // live rows in fresh slots of different blocks. Its rollback undoes
+  // and re-admits the feed since its first operation.
+  TxnId victim = static_cast<TxnId>(txns.txn_count());
+  for (TxnId t = 0; t < txns.txn_count() && victim == txns.txn_count(); ++t) {
+    if (finished[t] != 0 || !checker.TxnHasExecuted(t)) continue;
+    std::size_t lowest_block = kUnknown;
+    for (const std::size_t gid : live) {
+      if (!indexer.InTxn(t, gid) || fresh_slot[gid] == kUnknown) continue;
+      const std::size_t block = fresh_slot[gid] / kRowsPerBlock;
+      if (lowest_block == kUnknown) {
+        lowest_block = block;
+      } else if (block != lowest_block) {
+        victim = t;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(victim, txns.txn_count()) << "no transaction spans two blocks";
+  kill(victim);
+  ASSERT_EQ(checker.StateDigest(), FreshDigest(txns, spec, checker))
+      << "after aborting T" << victim + 1;
+
+  epochs.Sweep();
+  const std::size_t retained = checker.retained_ops();
+  ASSERT_GT(checker.Truncate(epochs.settled_view()), 0u);
+  ASSERT_LT(checker.retained_ops(), retained);
+  ASSERT_EQ(checker.StateDigest(), FreshDigest(txns, spec, checker))
+      << "after truncating the settled prefix";
+
+  for (int step = 0; step < 4; ++step) {
+    feed(60);
+    ASSERT_EQ(checker.StateDigest(), FreshDigest(txns, spec, checker))
+        << "after feed step " << step;
+  }
+  EXPECT_GT(live_rows().size(), 4 * kRowsPerBlock);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,8 +34,10 @@ namespace {
 
 // Counting operator new: proves the untraced / kOff replay paths do not
 // allocate more than the tracer-free run, and bounds the online
-// checker's steady allocations per operation (CheckerAllocations below).
+// checker's steady allocations per operation and the bytes its row pool
+// allocates (CheckerAllocations below).
 std::size_t g_alloc_count = 0;
+std::size_t g_alloc_bytes = 0;
 
 const TraceEvent* FindEvent(const Tracer& tracer, TraceEventKind kind,
                             const Operation& op) {
@@ -424,6 +427,51 @@ TEST(CheckerAllocations, SteadyAllocsPerOpUnderCeiling) {
   }
 }
 
+// The bytes a feed allocates, over the bytes of the rows it keeps:
+// pool_rows() rows of T 16-bit columns. Rows live in fixed 64-row
+// blocks allocated once each, so the pool allocates its final size
+// rounded up to a block. A pool that grows by doubling allocates about
+// twice its final size, and up to four times it, since every capacity
+// it passed through was allocated too. The feed has relaxed-batch's
+// shape: 625 16-op transactions over 1250 uniform objects, read ratio
+// 0.8, every gap a breakpoint, one random interleaving and no GC, 10^4
+// operations; a rejected transaction's remaining operations are
+// skipped. Measured at 5,114 rows: 1.79 with blocks (1.00 for the pool,
+// 0.79 for the other structures the feed grows, mostly the undo-delta
+// arena) and 3.99 with a doubling pool.
+constexpr double kMaxFeedBytesPerRowByte = 2.5;
+
+TEST(CheckerAllocations, FeedBytesTrackThePoolSize) {
+  Rng rng(0xB10C);
+  WorkloadParams wp;
+  wp.txn_count = 625;
+  wp.min_ops_per_txn = 16;
+  wp.max_ops_per_txn = 16;
+  wp.object_count = 1250;
+  wp.read_ratio = 0.8;
+  const TransactionSet txns = GenerateTransactions(wp, &rng);
+  const AtomicitySpec spec = RandomUniformObserverSpec(txns, 1.0, &rng);
+  const Schedule schedule = RandomSchedule(txns, &rng);
+
+  OnlineRsrChecker checker(txns, spec);
+  std::vector<std::uint8_t> dead(txns.txn_count(), 0);
+  const std::size_t before = g_alloc_bytes;
+  for (std::size_t pos = 0; pos < schedule.size(); ++pos) {
+    const Operation& op = schedule.op(pos);
+    if (dead[op.txn] == 0 && !checker.TryAppend(op)) dead[op.txn] = 1;
+  }
+  const std::size_t fed_bytes = g_alloc_bytes - before;
+  const std::size_t row_bytes = checker.pool_rows() * txns.txn_count() *
+                                sizeof(OnlineRsrChecker::AncestorColumn);
+  ASSERT_GT(row_bytes, 0u);
+  const double ratio =
+      static_cast<double>(fed_bytes) / static_cast<double>(row_bytes);
+  RecordProperty("feed_bytes_per_row_byte", std::to_string(ratio));
+  EXPECT_LE(ratio, kMaxFeedBytesPerRowByte)
+      << fed_bytes << " bytes allocated for " << checker.pool_rows()
+      << " rows";
+}
+
 // Validation must actually reject malformed traces, not just accept
 // everything (guards the guard).
 TEST(TraceSchema, ValidatorRejectsMalformedEvents) {
@@ -501,6 +549,7 @@ TEST(TraceSchema, RetiredVersionPruneKindStillReads) {
 // caller's sized delete and raise -Wmismatched-new-delete.
 __attribute__((noinline)) void* operator new(std::size_t size) {
   ++relser::g_alloc_count;
+  relser::g_alloc_bytes += size;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -510,6 +559,7 @@ __attribute__((noinline)) void* operator new[](std::size_t size) {
 __attribute__((noinline)) void* operator new(std::size_t size,
                                              const std::nothrow_t&) noexcept {
   ++relser::g_alloc_count;
+  relser::g_alloc_bytes += size;
   return std::malloc(size == 0 ? 1 : size);
 }
 __attribute__((noinline)) void* operator new[](
