@@ -50,8 +50,11 @@ struct FaultRun {
   std::size_t committed = 0;
   std::uint64_t aborts = 0;
   std::uint64_t cascade_aborts = 0;
-  // Operations the checker re-admitted across all exact aborts (the
-  // survivors fed after each victim's first operation).
+  // Operations the checker re-admitted across all exact aborts: each
+  // victim's dependents (the later operations that descend from it
+  // through conflicts or program order), not the whole feed since the
+  // victim started. The table's replayed/abort column divides this by
+  // the aborts.
   std::uint64_t replayed_ops = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t retries = 0;

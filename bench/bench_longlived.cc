@@ -218,7 +218,9 @@ struct GcPhaseResult {
   double setup_ms_p50 = 0;
   double setup_ms_max = 0;
   // Checker work counters, summed over shards: operations re-admitted by
-  // exact aborts, and operations still retained when a wave's admitter
+  // exact aborts (each victim's dependents outside the victim, so
+  // replayed_per_op_* counts only work that depends on an aborted
+  // transaction), and operations still retained when a wave's admitter
   // stops (what its next checkpoint and aborts would still work over),
   // per decided operation; means over the first and last 10% of waves.
   std::uint64_t replayed_ops = 0;

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: the tier-1 build and test command, the benchmark's
 # self-test, an ASan/UBSan build running the full test suite, the JSON
-# benches' smokes and one second of each benchmark workload, the docs
-# gate, a TSan subset, and the trace and audit tool round-trips. Fails
+# benches' smokes and one second of each benchmark workload, a Debug
+# build of the abort differential suites, the docs gate, a TSan subset,
+# and the trace and audit tool round-trips. Fails
 # on any test failure, any sanitizer report, any bench gate, a malformed
 # or incomplete BENCH_*.json, a dangling path in the docs, or a run that
 # changes the git working tree.
@@ -108,6 +109,26 @@ for seed in 2 3 4; do
     --workload sharded-snapshot --seed "$seed" --seconds 5 --trace 0 \
     > /dev/null
 done
+# strict-window is the abort-heavy workload: every abort removes the
+# victim and its dependents in place and re-admits the dependents, so a
+# stale row, arc or frontier left by the removal fails the re-admission's
+# RELSER_CHECK or reads an unwritten 0xFF column here.
+for seed in 2 3 4; do
+  ASAN_OPTIONS="$asan_fill_options" ./build-perfbench-asan/perfbench \
+    --workload strict-window --seed "$seed" --seconds 5 --trace 0 \
+    > /dev/null
+done
+
+# Debug build of the abort differential suites: RELSER_DCHECK is on
+# here (RelWithDebInfo and Release compile it out), so RestoreRow's
+# preconditions and the checker's other debug checks run under every
+# abort of the three suites.
+cmake -S . -B build-debug -DCMAKE_BUILD_TYPE=Debug
+cmake --build build-debug -j"$(nproc)" \
+  --target rollback_differential_test fault_test differential_online_test
+(cd build-debug &&
+ ctest -R '^(rollback_differential_test|fault_test|differential_online_test)$' \
+   --output-on-failure)
 
 # Docs gate: every relative markdown link and every repo path mentioned
 # in README.md / docs/*.md must exist on disk, and so must every bare

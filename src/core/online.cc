@@ -397,7 +397,8 @@ void OnlineRsrChecker::RestoreRow(std::size_t gid) {
   std::copy(src, src + txn_count_, row);
   for (std::size_t later = newest; later > gid; --later) {
     const std::size_t k = pos_of_[later];
-    for (std::size_t d = undo_log_[k].deltas; d < DeltasEnd(k); ++d) {
+    const std::size_t end = RecordEnd(k).deltas;
+    for (std::size_t d = undo_log_[k].deltas; d < end; ++d) {
       row[undo_deltas_[d].column] = undo_deltas_[d].old_p1;
     }
   }
@@ -405,27 +406,56 @@ void OnlineRsrChecker::RestoreRow(std::size_t gid) {
   row[txn] = static_cast<AncestorColumn>(gid - indexer_.TxnBegin(txn));
 }
 
-void OnlineRsrChecker::UndoLast() {
-  const std::size_t gid = feed_log_.back();
-  const UndoRecord rec = undo_log_.back();
-  const Operation& op = indexer_.Op(txns_, gid);
-  const TxnId j = op.txn;
-  // Edge removal never invalidates the topological order, so the labels
-  // stay as they are.
-  for (std::size_t a = rec.arcs; a < undo_arcs_.size(); ++a) {
-    RELSER_CHECK(topo_.RemoveEdge(undo_arcs_[a].first, undo_arcs_[a].second));
+void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
+  if (newest_gid_[txn] == kNoGid) return;  // nothing fed, nothing to remove
+  // The removed set R: the victim's operations and every later operation
+  // that depends on one of them, i.e. whose ancestor row carries a
+  // nonzero victim column. An operation's row is its predecessor's plus
+  // the columns its undo record raised, so it joins R when its
+  // predecessor is in R or its record raised the victim's column. R is
+  // successor-closed and a suffix of each transaction it touches.
+  const std::size_t first = pos_of_[indexer_.TxnBegin(txn)];
+  const auto removed = [this](std::size_t gid) { return drop_mark_[gid] != 0; };
+  drop_nodes_.clear();
+  replay_.clear();
+  for (std::size_t k = first; k < feed_log_.size(); ++k) {
+    const std::size_t gid = feed_log_[k];
+    bool dependent = indexer_.InTxn(txn, gid) ||
+                     (gid > 0 && removed(gid - 1) &&
+                      indexer_.InTxn(indexer_.TxnOf(gid - 1), gid));
+    const std::size_t deltas_end = RecordEnd(k).deltas;
+    for (std::size_t d = undo_log_[k].deltas; !dependent && d < deltas_end;
+         ++d) {
+      dependent = undo_deltas_[d].column == txn;
+    }
+    if (!dependent) continue;
+    drop_mark_[gid] = 1;
+    drop_nodes_.push_back(gid);
+    if (!indexer_.InTxn(txn, gid)) replay_.push_back(gid);
   }
-  ObjState& state = objects_[txn_objects_[j].back()];
-  txn_objects_[j].pop_back();
-  if (op.is_write()) {
-    // Reinstate the dominated frontier. Its members' rows were released
-    // when this write dominated them unless something else retained them;
-    // rebuild those while this op's row (its transaction's newest) and
-    // deltas are still in place.
-    state.last_writer = undo_frontier_[rec.frontier];
-    state.readers.assign(undo_frontier_.begin() +
-                             static_cast<std::ptrdiff_t>(rec.frontier) + 1,
-                         undo_frontier_.end());
+
+  // Frontiers, newest removal first. A removed write hands its object
+  // back the frontier it dominated, minus removed members; the earliest
+  // removed write on an object settles it, and every member it brings
+  // back stays (docs/hotpath.md, "Aborts"). Kept members get their rows
+  // back while the rows and deltas they are rebuilt from are in place.
+  for (auto it = drop_nodes_.rbegin(); it != drop_nodes_.rend(); ++it) {
+    const std::size_t gid = *it;
+    const Operation& op = indexer_.Op(txns_, gid);
+    ObjState& state = objects_[txn_objects_[op.txn][op.index]];
+    if (!op.is_write()) {
+      std::erase(state.readers, gid);
+      continue;
+    }
+    const std::size_t k = pos_of_[gid];
+    const std::size_t end = RecordEnd(k).frontier;
+    const std::size_t writer = undo_frontier_[undo_log_[k].frontier];
+    state.last_writer = writer != kNoGid && removed(writer) ? kNoGid : writer;
+    state.readers.clear();
+    for (std::size_t f = undo_log_[k].frontier + 1; f < end; ++f) {
+      const std::size_t reader = undo_frontier_[f];
+      if (!removed(reader)) state.readers.push_back(reader);
+    }
     if (state.last_writer != kNoGid) {
       flags_[state.last_writer] |= kFrontierFlag;
       RestoreRow(state.last_writer);
@@ -434,55 +464,85 @@ void OnlineRsrChecker::UndoLast() {
       flags_[reader] |= kFrontierFlag;
       RestoreRow(reader);
     }
-  } else {
-    RELSER_DCHECK(state.readers.back() == gid);
-    state.readers.pop_back();
   }
-  if (op.index > 0) {
-    flags_[gid - 1] |= kNewestFlag;
-    RestoreRow(gid - 1);
-    newest_gid_[j] = gid - 1;
-  } else {
-    newest_gid_[j] = kNoGid;
-  }
-  flags_[gid] = 0;
-  ReleaseSlotIfAny(gid);
-  std::uint32_t dropped_pairs = 0;
-  for (std::size_t d = rec.deltas; d < undo_deltas_.size(); ++d) {
-    if (undo_deltas_[d].old_p1 != 0) continue;
-    --cross_pairs_[undo_deltas_[d].column];
-    ++dropped_pairs;
-  }
-  cross_pairs_[j] -= dropped_pairs;
-  live_pairs_ -= dropped_pairs;
-  executed_[gid] = 0;
-  feed_log_.pop_back();
-  undo_log_.pop_back();
-  undo_deltas_.resize(rec.deltas);
-  undo_arcs_.resize(rec.arcs);
-  undo_frontier_.resize(rec.frontier);
-}
 
-void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
-  if (newest_gid_[txn] == kNoGid) return;  // nothing fed, nothing to undo
-  // Roll back to the victim's first operation, keeping the survivors fed
-  // since then for re-admission.
-  const std::size_t first = pos_of_[indexer_.TxnBegin(txn)];
-  replay_.clear();
+  // Removed operations, oldest first. Each takes the arcs its record
+  // inserted and its new cross pairs with it; at a transaction's first
+  // removed operation, the predecessor becomes the newest again, its row
+  // rebuilt before the old newest row is released. Edge removal never
+  // invalidates the topological order, so the labels stay as they are.
+  for (const std::size_t gid : drop_nodes_) {
+    const Operation& op = indexer_.Op(txns_, gid);
+    const TxnId j = op.txn;
+    const std::size_t k = pos_of_[gid];
+    const UndoRecord end = RecordEnd(k);
+    for (std::size_t a = undo_log_[k].arcs; a < end.arcs; ++a) {
+      RELSER_CHECK(topo_.RemoveEdge(undo_arcs_[a].first, undo_arcs_[a].second));
+    }
+    std::uint32_t dropped_pairs = 0;
+    for (std::size_t d = undo_log_[k].deltas; d < end.deltas; ++d) {
+      if (undo_deltas_[d].old_p1 != 0) continue;
+      --cross_pairs_[undo_deltas_[d].column];
+      ++dropped_pairs;
+    }
+    cross_pairs_[j] -= dropped_pairs;
+    live_pairs_ -= dropped_pairs;
+    if (op.index == 0) {
+      newest_gid_[j] = kNoGid;
+      txn_objects_[j].clear();
+    } else if (!removed(gid - 1)) {
+      flags_[gid - 1] |= kNewestFlag;
+      RestoreRow(gid - 1);
+      newest_gid_[j] = gid - 1;
+      txn_objects_[j].resize(op.index);
+    }
+    executed_[gid] = 0;
+    flags_[gid] = 0;
+    ReleaseSlotIfAny(gid);
+  }
+
+  // Compact the feed and the undo log past the victim's first position:
+  // kept records move down whole, in their order.
+  const auto move_down = [](auto& arena, std::size_t begin, std::size_t end,
+                            std::size_t out) {
+    const auto at = [&arena](std::size_t i) {
+      return arena.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    std::copy(at(begin), at(end), at(out));
+    return out + (end - begin);
+  };
+  std::size_t kept = first;
+  UndoRecord out = undo_log_[first];
   for (std::size_t k = first; k < feed_log_.size(); ++k) {
-    if (!indexer_.InTxn(txn, feed_log_[k])) replay_.push_back(feed_log_[k]);
+    const std::size_t gid = feed_log_[k];
+    const UndoRecord rec = undo_log_[k];
+    const UndoRecord end = RecordEnd(k);
+    if (removed(gid)) continue;
+    undo_log_[kept] = out;
+    out.deltas = move_down(undo_deltas_, rec.deltas, end.deltas, out.deltas);
+    out.arcs = move_down(undo_arcs_, rec.arcs, end.arcs, out.arcs);
+    out.frontier =
+        move_down(undo_frontier_, rec.frontier, end.frontier, out.frontier);
+    pos_of_[gid] = static_cast<std::uint32_t>(kept);
+    feed_log_[kept++] = gid;
   }
-  while (feed_log_.size() > first) UndoLast();
+  feed_log_.resize(kept);
+  undo_log_.resize(kept);
+  undo_deltas_.resize(out.deltas);
+  undo_arcs_.resize(out.arcs);
+  undo_frontier_.resize(out.frontier);
+  for (const std::size_t gid : drop_nodes_) drop_mark_[gid] = 0;
 
-  // Silent re-admission: no trace events, and rejections() keeps its
+  // Silent re-admission of the dependents, in their original order, at
+  // the end of the feed: no trace events, and rejections() keeps its
   // pre-abort value (the re-admission cannot reject — see below).
   Tracer* const saved_tracer = tracer_;
   tracer_ = nullptr;
   for (const std::size_t gid : replay_) {
-    // Every survivor re-admits: the re-admitted prefix's RSG is a
-    // subgraph of the original graph restricted to survivors (conflict
-    // frontiers and ancestor maxima can only shrink when operations
-    // disappear), and a subgraph of an acyclic graph is acyclic.
+    // Every dependent re-admits: no kept operation after it conflicts
+    // with it, so the new feed has the survivors' depends-on relation,
+    // which is the original one minus the paths through the victim. Its
+    // RSG is therefore a subgraph of the original acyclic graph.
     RELSER_CHECK_MSG(TryAppend(indexer_.Op(txns_, gid)).ok(),
                      "surviving feed must replay cleanly after an abort");
   }
@@ -566,11 +626,7 @@ std::size_t OnlineRsrChecker::Truncate(
   for (std::size_t k = 0; k < feed_log_.size(); ++k) {
     const std::size_t gid = feed_log_[k];
     const UndoRecord rec = undo_log_[k];
-    const bool last = k + 1 == feed_log_.size();
-    const UndoRecord end =
-        last ? UndoRecord{undo_deltas_.size(), undo_arcs_.size(),
-                          undo_frontier_.size()}
-             : undo_log_[k + 1];
+    const UndoRecord end = RecordEnd(k);
     if (marked(gid)) continue;
     undo_log_[kept] = {deltas_out, arcs_out, frontier_out};
     for (std::size_t d = rec.deltas; d < end.deltas; ++d) {

@@ -29,12 +29,11 @@
 // feed_log() entry: the row columns it raised (with their old values),
 // the object frontier it dominated, and the arcs it actually inserted.
 // That makes removal exact and proportional to what changed:
-// RemoveTransactionExact rolls the log back to the victim's first
-// operation and re-admits only the survivors fed after it, and Truncate
-// drops settled transactions in place. After either, the state is
-// bit-identical (StateDigest) to a fresh checker fed feed_log() —
-// differentially tested by tests/fault_test.cc and
-// tests/rollback_differential_test.cc.
+// RemoveTransactionExact removes the victim and the operations that depend
+// on it in place and re-admits only those dependents, and Truncate drops
+// settled transactions in place. After either, the state is bit-identical
+// (StateDigest) to a fresh checker fed feed_log() — differentially tested
+// by tests/fault_test.cc and tests/rollback_differential_test.cc.
 //
 // Decisions are reported as AdmitResult (core/admit.h): kAccept commits
 // the arcs, kReject leaves the state unchanged and carries the
@@ -98,18 +97,25 @@ class OnlineRsrChecker {
   /// node of `txn` (the TryAppendIsolated eligibility bit).
   bool TxnIsolated(TxnId txn) const { return cross_pairs_[txn] == 0; }
 
-  /// Exact abort: forgets every fed operation of `txn` and restores the
-  /// checker to the state of a fresh checker fed the surviving feed (the
-  /// accepted operations, in their original admission order, minus
-  /// `txn`'s). Rolls the undo log back to `txn`'s first operation, then
-  /// silently re-admits the survivors fed after it — every one of them
-  /// re-admits, because the survivor-restricted RSG is a subgraph of the
-  /// original acyclic graph. The cost is the feed since the victim
-  /// started, not the retained history, and the result is bit-identical
-  /// (StateDigest) to recompute-from-scratch. Counters: rejections() is
+  /// Exact abort: forgets every fed operation of `txn`. Its dependents
+  /// are the later operations that descend from one of `txn`'s through
+  /// conflicts or program order (those whose ancestor row carries a
+  /// nonzero `txn` column); in each transaction they are a suffix. The
+  /// victim's operations and the dependents leave in place, with the
+  /// arcs their undo records inserted; every other operation keeps its
+  /// row, arcs and relative feed order. The dependents are then silently
+  /// re-admitted at the end of the feed, in their original order — every
+  /// one re-admits, because no operation they move past conflicts with
+  /// them or precedes them in program order, so the new feed's RSG is a
+  /// subgraph of the original acyclic graph. feed_log() afterwards is
+  /// the old feed minus the victim and its dependents, followed by the
+  /// dependents, and the state is bit-identical (StateDigest) to a fresh
+  /// checker fed it. One pass over the feed since the victim started
+  /// finds the dependents and one compacts the log over it; no other
+  /// operation is undone or re-admitted. Counters: rejections() is
   /// preserved; arcs_submitted()/arcs_inserted_total() keep counting
   /// through the re-admission (they meter topology traffic, which it
-  /// genuinely performs), and replayed_ops() grows by the survivors
+  /// genuinely performs), and replayed_ops() grows by the dependents
   /// re-admitted.
   void RemoveTransactionExact(TxnId txn);
 
@@ -140,9 +146,8 @@ class OnlineRsrChecker {
   std::size_t pool_rows() const { return slot_owner_.size(); }
   std::size_t memo_entries() const { return live_pairs_; }
 
-  /// Cumulative operations re-admitted by RemoveTransactionExact (the
-  /// survivors fed after each victim's first operation). Truncate never
-  /// adds to it.
+  /// Cumulative operations re-admitted by RemoveTransactionExact (each
+  /// victim's dependents outside the victim). Truncate never adds to it.
   std::size_t replayed_ops() const { return replayed_ops_; }
 
   /// Order-insensitive FNV-1a digest of the complete admission state:
@@ -261,17 +266,16 @@ class OnlineRsrChecker {
   /// undo record whose deltas and arcs begin at the given offsets.
   void CommitOp(const Operation& op, std::size_t gid, std::uint32_t obj_idx,
                 std::size_t deltas_begin, std::size_t arcs_begin);
-  /// Undoes the newest undo record, restoring the exact state before
-  /// that operation was accepted (topology labels aside).
-  void UndoLast();
   /// Gives `gid` its ancestor row back if it was released: its
   /// transaction's newest row with the deltas of the later operations
   /// reverted (rows are cumulative along program order).
   void RestoreRow(std::size_t gid);
-  /// One past record `k`'s last entry in undo_deltas_.
-  std::size_t DeltasEnd(std::size_t k) const {
-    return k + 1 < undo_log_.size() ? undo_log_[k + 1].deltas
-                                    : undo_deltas_.size();
+  /// One past record `k`'s last entry in each undo arena.
+  UndoRecord RecordEnd(std::size_t k) const {
+    return k + 1 < undo_log_.size()
+               ? undo_log_[k + 1]
+               : UndoRecord{undo_deltas_.size(), undo_arcs_.size(),
+                            undo_frontier_.size()};
   }
 
   const TransactionSet& txns_;
@@ -336,7 +340,7 @@ class OnlineRsrChecker {
   std::vector<TxnId> drop_txns_;
   std::vector<NodeId> drop_nodes_;
   std::vector<std::uint32_t> drop_objects_;
-  std::vector<std::uint8_t> drop_mark_;  // gid -> dropped by this Truncate
+  std::vector<std::uint8_t> drop_mark_;  // gid -> removed by this call
 
   std::size_t replayed_ops_ = 0;
   std::size_t rejections_ = 0;

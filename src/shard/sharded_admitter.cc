@@ -770,7 +770,8 @@ void ShardedAdmitter::KillLocal(Core& core, TxnId txn) {
   // keeps the withdrawn transaction's arcs: they are the durable
   // waypoints surviving conflict chains route through (a writer chain
   // Ta -> Tdead -> Tc must still read as Ta => Tc after the withdrawal,
-  // exactly as the restored checker orders the surviving operations).
+  // as the checker orders them when it re-admits Tc's dependent
+  // operations against Ta's surviving frontier).
   if (core.checker.TxnHasExecuted(txn)) {
     core.checker.RemoveTransactionExact(txn);
   }

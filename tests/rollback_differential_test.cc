@@ -1,8 +1,10 @@
-// Differential gate for the checker's undo log: exact aborts roll back to
-// the victim's first operation and re-admit only the survivors fed after
-// it, and epoch truncation drops settled transactions in place. After
-// every abort and every truncation the checker's StateDigest must equal
-// that of a fresh checker fed its feed_log(). Truncation is driven the way
+// Differential gate for the checker's undo log: exact aborts remove the
+// victim and its dependents in place and re-admit only the dependents, at
+// the end of the feed, and epoch truncation drops settled transactions in
+// place. After every abort and every truncation the checker's StateDigest
+// must equal that of a fresh checker fed its feed_log(), and each abort
+// must re-admit exactly the dependents an independent closure over the
+// feed finds. Truncation is driven the way
 // the single-shard admitter drives it: an EpochManager fed the direct
 // conflicts of each accepted operation, a finish per commit or abort, and
 // a Truncate whenever the GC generation moves. Along the way, after every
@@ -10,9 +12,10 @@
 // foreign frontier the operation met (empty for a TryAppendIsolated
 // accept), through every abort and truncation that moved the frontiers.
 // A second case drives the 16-bit ancestor columns to the top of their
-// range (0xFFFE) and checks the same digest equality around them, and a
+// range (0xFFFE) and checks the same digest equality around them, a
 // third keeps hundreds of ancestor rows live, across several blocks of
-// the row pool, through an abort and a truncation.
+// the row pool, through an abort and a truncation, and a fourth pins the
+// feed order and the arcs, frontiers and rows an abort leaves in place.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -41,6 +44,49 @@ std::uint64_t FreshDigest(const TransactionSet& txns,
         << "surviving feed must replay cleanly";
   }
   return fresh.StateDigest();
+}
+
+// One hand-fed operation: a transaction and an index within it.
+struct Step {
+  TxnId txn;
+  std::uint32_t index;
+};
+
+// Feeds `steps` in order; each must be accepted.
+void FeedSteps(const TransactionSet& txns, OnlineRsrChecker* checker,
+               const std::vector<Step>& steps) {
+  for (const Step& step : steps) {
+    ASSERT_TRUE(checker->TryAppend(txns.txn(step.txn).op(step.index)).ok())
+        << "T" << step.txn + 1 << " op " << step.index;
+  }
+}
+
+// The dependents an abort of `victim` re-admits, found by a closure over
+// `log` independent of the checker's rows: from the victim's first
+// operation at `first` on, an operation is marked when its transaction
+// already is, or when it conflicts (same object, one of them a write)
+// with an earlier marked operation. Counts the marked operations that are
+// not the victim's.
+std::size_t DependentCount(const TransactionSet& txns, const OpIndexer& indexer,
+                           const std::vector<std::size_t>& log,
+                           std::size_t first, TxnId victim) {
+  std::vector<std::uint8_t> marked_txn(txns.txn_count(), 0);
+  marked_txn[victim] = 1;
+  std::vector<Operation> marked;
+  std::size_t dependents = 0;
+  for (std::size_t k = first; k < log.size(); ++k) {
+    const Operation& op = indexer.Op(txns, log[k]);
+    bool dependent = marked_txn[op.txn] != 0;
+    for (const Operation& earlier : marked) {
+      dependent = dependent || (earlier.object == op.object &&
+                                (earlier.is_write() || op.is_write()));
+    }
+    if (!dependent) continue;
+    marked_txn[op.txn] = 1;
+    marked.push_back(op);
+    if (op.txn != victim) ++dependents;
+  }
+  return dependents;
 }
 
 // One seeded run: a sliding window of open transactions fed in random
@@ -143,16 +189,14 @@ class FeedRun {
   void Kill(TxnId txn) {
     state_[txn] = kDead;
     if (checker_.TxnHasExecuted(txn)) {
-      // Survivors fed after the victim's first operation.
+      // The victim's dependents, by the independent closure.
       const std::vector<std::size_t>& log = checker_.feed_log();
       const std::size_t first = static_cast<std::size_t>(
           std::find(log.begin(), log.end(), indexer_.TxnBegin(txn)) -
           log.begin());
       ASSERT_LT(first, log.size());
-      std::size_t expected = 0;
-      for (std::size_t k = first; k < log.size(); ++k) {
-        if (!indexer_.InTxn(txn, log[k])) ++expected;
-      }
+      const std::size_t expected =
+          DependentCount(txns_, indexer_, log, first, txn);
       if (first_fed_at_[txn] < last_truncation_at_) ++old_victims_;
       const std::size_t replayed = checker_.replayed_ops();
       checker_.RemoveTransactionExact(txn);
@@ -296,17 +340,6 @@ TEST(RollbackDifferential, TopOfTheColumnRangeRoundTrips) {
   units.push_back(kMaxTxnOps % 4);
   SetUnitsByLength(&spec, 0, 1, units);
 
-  struct Step {
-    TxnId txn;
-    std::uint32_t index;
-  };
-  const auto feed = [&txns](OnlineRsrChecker* checker,
-                            const std::vector<Step>& steps) {
-    for (const Step& step : steps) {
-      ASSERT_TRUE(checker->TryAppend(txns.txn(step.txn).op(step.index)).ok())
-          << "T" << step.txn + 1 << " op " << step.index;
-    }
-  };
   const auto a_ops = [](std::uint32_t first, std::uint32_t last) {
     std::vector<Step> steps;
     for (std::uint32_t k = first; k <= last; ++k) steps.push_back({0, k});
@@ -321,18 +354,21 @@ TEST(RollbackDifferential, TopOfTheColumnRangeRoundTrips) {
   // in x's frontier.
   {
     OnlineRsrChecker checker(txns, spec);
-    feed(&checker, a_ops(0, kTop));
-    feed(&checker, {{1, 0}});
-    feed(&checker, a_ops(kTop + 1, kTop + 4));
-    feed(&checker, {{1, 1}, {2, 0}});
-    feed(&checker, a_ops(kTop + 5, kTop + 8));
-    feed(&checker, {{2, 1}, {0, kMaxTxnOps - 1}, {1, 2}, {2, 2}, {1, 3}});
+    FeedSteps(txns, &checker, a_ops(0, kTop));
+    FeedSteps(txns, &checker, {{1, 0}});
+    FeedSteps(txns, &checker, a_ops(kTop + 1, kTop + 4));
+    FeedSteps(txns, &checker, {{1, 1}, {2, 0}});
+    FeedSteps(txns, &checker, a_ops(kTop + 5, kTop + 8));
+    FeedSteps(txns, &checker,
+              {{2, 1}, {0, kMaxTxnOps - 1}, {1, 2}, {2, 2}, {1, 3}});
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
     ASSERT_EQ(checker.StateDigest(), FreshDigest(txns, spec, checker));
-    // C's rollback reaches back over A's last five operations and B's
-    // last two, then re-admits them.
+    // C's dependents are A's last operation (its write of v follows C's
+    // read of v), B's read of v from it and B's write of z (after C's
+    // write of z); A's four operations fed after C started and B's first
+    // two stay in place.
     checker.RemoveTransactionExact(2);
-    EXPECT_EQ(checker.replayed_ops(), 7u);
+    EXPECT_EQ(checker.replayed_ops(), 3u);
     ASSERT_EQ(checker.StateDigest(), FreshDigest(txns, spec, checker))
         << "after aborting T3";
     checker.RemoveTransactionExact(1);
@@ -346,10 +382,10 @@ TEST(RollbackDifferential, TopOfTheColumnRangeRoundTrips) {
   // 0xFFFE; settling A then scrubs 0xFFFE itself.
   {
     OnlineRsrChecker checker(txns, spec);
-    feed(&checker, {{3, 0}});
-    feed(&checker, a_ops(0, kMaxTxnOps - 1));
-    feed(&checker,
-         {{1, 0}, {2, 0}, {2, 1}, {1, 1}, {2, 2}, {1, 2}, {1, 3}});
+    FeedSteps(txns, &checker, {{3, 0}});
+    FeedSteps(txns, &checker, a_ops(0, kMaxTxnOps - 1));
+    FeedSteps(txns, &checker,
+              {{1, 0}, {2, 0}, {2, 1}, {1, 1}, {2, 2}, {1, 2}, {1, 3}});
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
     std::vector<std::atomic<std::uint8_t>> settled(txns.txn_count());
     settled[3].store(1);
@@ -463,8 +499,8 @@ TEST(RollbackDifferential, RowsAcrossBlocksRoundTrip) {
       << "after the read-heavy feed";
 
   // The victim: the earliest-started unfinished transaction with two
-  // live rows in fresh slots of different blocks. Its rollback undoes
-  // and re-admits the feed since its first operation.
+  // live rows in fresh slots of different blocks. Its abort removes it
+  // and its dependents and re-admits the dependents.
   TxnId victim = static_cast<TxnId>(txns.txn_count());
   for (TxnId t = 0; t < txns.txn_count() && victim == txns.txn_count(); ++t) {
     if (finished[t] != 0 || !checker.TxnHasExecuted(t)) continue;
@@ -498,6 +534,120 @@ TEST(RollbackDifferential, RowsAcrossBlocksRoundTrip) {
         << "after feed step " << step;
   }
   EXPECT_GT(live_rows().size(), 4 * kRowsPerBlock);
+}
+
+// An abort removes the victim and the operations that depend on it, and
+// nothing else: every other operation keeps its row, its arcs and its
+// place in the feed, and the dependents' surviving operations are
+// re-admitted after it, in their original order. Under AbsoluteSpec every
+// transaction is one unit, so an operation that depends on T_i draws a
+// B-arc from T_i to its own transaction's first operation.
+TEST(RollbackDifferential, AbortKeepsNonDependentsInPlace) {
+  TransactionSet txns;
+  const ObjectId a = txns.InternObject("a");
+  const ObjectId b = txns.InternObject("b");
+  const ObjectId k = txns.InternObject("k");
+  const ObjectId w = txns.InternObject("w");
+  const ObjectId x = txns.InternObject("x");
+  const ObjectId y = txns.InternObject("y");
+  const ObjectId z = txns.InternObject("z");
+  Transaction* keep = txns.AddTransaction();  // K = T1
+  keep->Write(y);
+  keep->Read(w);
+  keep->Write(k);
+  Transaction* victim = txns.AddTransaction();  // V = T2
+  victim->Read(y);
+  victim->Write(x);
+  victim->Write(w);
+  Transaction* dep = txns.AddTransaction();  // D = T3
+  dep->Read(a);
+  dep->Read(x);
+  dep->Write(b);
+  txns.AddTransaction()->Write(z);  // N = T4
+  txns.AddTransaction()->Write(y);  // S = T5
+  constexpr TxnId kK = 0;
+  constexpr TxnId kV = 1;
+  constexpr TxnId kD = 2;
+  constexpr TxnId kN = 3;
+  constexpr TxnId kS = 4;
+  const AtomicitySpec spec = AbsoluteSpec(txns);
+  const OpIndexer indexer(txns);
+
+  const auto gids = [&indexer](const std::vector<Step>& steps) {
+    std::vector<std::size_t> out;
+    for (const Step& step : steps) {
+      out.push_back(indexer.GlobalId(step.txn, step.index));
+    }
+    return out;
+  };
+  const auto abort = [&](OnlineRsrChecker* checker, TxnId txn) {
+    const std::vector<std::size_t> log = checker->feed_log();
+    const std::size_t first = static_cast<std::size_t>(
+        std::find(log.begin(), log.end(), indexer.TxnBegin(txn)) -
+        log.begin());
+    const std::size_t replayed = checker->replayed_ops();
+    checker->RemoveTransactionExact(txn);
+    EXPECT_EQ(checker->replayed_ops() - replayed,
+              DependentCount(txns, indexer, log, first, txn));
+    EXPECT_EQ(checker->StateDigest(), FreshDigest(txns, spec, *checker))
+        << "after aborting T" << txn + 1;
+  };
+
+  // D's read of x from V makes D's suffix dependent; its prefix, D's read
+  // of a, stays. That read drew B-arcs into D's first operation from V's
+  // write of x and from K's write of y, which V read: the second joins
+  // two operations that both stay, and only D's undo record says it must
+  // go. V's write of w dominated K's read of w, whose row K's later write
+  // of k released; the abort puts the read back in w's frontier with its
+  // row. N's write of z follows the dependent read and does not move.
+  {
+    OnlineRsrChecker checker(txns, spec);
+    FeedSteps(txns, &checker,
+              {{kK, 0}, {kK, 1}, {kK, 2}, {kD, 0}, {kV, 0}, {kV, 1}, {kD, 1},
+               {kN, 0}, {kV, 2}, {kD, 2}});
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    const std::size_t k_write = indexer.GlobalId(kK, 0);
+    const std::size_t d_first = indexer.GlobalId(kD, 0);
+    ASSERT_TRUE(checker.topology().graph().HasEdge(k_write, d_first));
+    abort(&checker, kV);
+    EXPECT_FALSE(checker.topology().graph().HasEdge(k_write, d_first));
+    EXPECT_EQ(checker.feed_log(),
+              gids({{kK, 0}, {kK, 1}, {kK, 2}, {kD, 0}, {kN, 0}, {kD, 1},
+                    {kD, 2}}));
+    std::vector<std::size_t> readers;
+    checker.FrontierReaders(w, &readers);
+    EXPECT_EQ(readers, gids({{kK, 1}}));
+    EXPECT_EQ(checker.FrontierWriterGid(x), OnlineRsrChecker::kNoOp);
+    EXPECT_EQ(checker.replayed_ops(), 2u);
+  }
+
+  // A victim fed before the last truncation. V reads y from S, which
+  // settles and is truncated away under it; K's write of y then depends
+  // on V's read, so K goes and comes back whole after D's prefix and N.
+  {
+    OnlineRsrChecker checker(txns, spec);
+    FeedSteps(txns, &checker, {{kS, 0}, {kV, 0}, {kD, 0}});
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    std::vector<std::atomic<std::uint8_t>> settled(txns.txn_count());
+    settled[kS].store(1);
+    ASSERT_EQ(checker.Truncate(settled.data()), 1u);
+    ASSERT_EQ(checker.StateDigest(), FreshDigest(txns, spec, checker));
+    FeedSteps(txns, &checker,
+              {{kK, 0}, {kV, 1}, {kK, 1}, {kD, 1}, {kN, 0}, {kK, 2}});
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    abort(&checker, kV);
+    EXPECT_EQ(checker.feed_log(),
+              gids({{kD, 0}, {kN, 0}, {kK, 0}, {kK, 1}, {kD, 1}, {kK, 2}}));
+    EXPECT_EQ(checker.FrontierWriterGid(y), indexer.GlobalId(kK, 0));
+    EXPECT_EQ(checker.replayed_ops(), 4u);
+    // The re-admitted order is a feed like any other: D finishes, and K,
+    // aborted in turn, takes nothing of D or N with it.
+    FeedSteps(txns, &checker, {{kD, 2}});
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    abort(&checker, kK);
+    EXPECT_EQ(checker.feed_log(),
+              gids({{kD, 0}, {kN, 0}, {kD, 1}, {kD, 2}}));
+  }
 }
 
 }  // namespace
