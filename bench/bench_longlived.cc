@@ -115,8 +115,8 @@ struct LongLivedRow {
 // run them INDEFINITELY: a sharded admitter with epoch GC on processes
 // ~10^7 operations (waves of one long audit transaction plus short
 // RMW/read-only transactions, interleaved by one feeding client) while
-// the live state — checker ancestor rows, F/B pairs, coordinator arcs,
-// accept logs — stays flat, and each wave leaves little
+// the live state — checker ancestor rows, coordinator arcs, accept
+// logs — stays flat, and each wave leaves little
 // retained behind once its transactions finish. These are exit-coded
 // gates; without the stable-prefix GC the checkers keep every admitted
 // operation of a wave, and every later checkpoint and abort works over

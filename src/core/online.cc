@@ -18,7 +18,6 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
       topo_(indexer_.total_ops()),
       txn_count_(indexer_.txn_count()),
       executed_(indexer_.total_ops(), 0),
-      cross_pairs_(txn_count_, 0),
       flags_(indexer_.total_ops(), 0),
       slot_of_(indexer_.total_ops(), kNoSlot),
       newest_gid_(txn_count_, kNoGid),
@@ -257,87 +256,10 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     }
   }
 
-  // Commit. Isolation tracking for TryAppendIsolated: a column that rose
-  // from zero is a new cross-transaction pair (i -> j), which counts
-  // against both transactions; every arc emitted above is incident only
-  // on such ancestor transactions (plus j itself).
-  std::uint32_t new_pairs = 0;
-  for (std::size_t d = deltas_begin; d < undo_deltas_.size(); ++d) {
-    if (undo_deltas_[d].old_p1 != 0) continue;
-    ++cross_pairs_[undo_deltas_[d].column];
-    ++new_pairs;
-  }
-  cross_pairs_[j] += new_pairs;
-  live_pairs_ += new_pairs;
   const std::size_t arcs_begin = undo_arcs_.size();
   undo_arcs_.insert(undo_arcs_.end(), topo_.last_inserted().begin(),
                     topo_.last_inserted().end());
   CommitOp(op, gid, obj_idx, deltas_begin, arcs_begin);
-  return AdmitResult::Accept(j);
-}
-
-AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
-  const std::size_t gid = indexer_.GlobalId(op);
-  RELSER_CHECK_MSG(executed_[gid] == 0,
-                   "operation fed twice without RemoveTransactionExact");
-  if (op.index > 0) {
-    RELSER_CHECK_MSG(executed_[gid - 1] != 0,
-                     "operations must be fed in program order");
-  }
-  const TxnId j = op.txn;
-  conflict_txns_.clear();  // an accept here has no direct conflict
-  if (cross_pairs_[j] != 0) return AdmitResult::Retry(j);
-  const std::uint32_t obj_idx = ObjIndex(op.object);
-  {
-    // Eligibility: the object's frontier must be empty or owned by j.
-    // (A read could tolerate foreign readers; this path stays
-    // conservative.)
-    // Ineligibility is kRetry — retry through the full TryAppend — never
-    // kReject: this path cannot prove a cycle.
-    const ObjState& state = objects_[obj_idx];
-    if (state.last_writer != kNoGid && !indexer_.InTxn(j, state.last_writer)) {
-      return AdmitResult::Retry(j);
-    }
-    for (const std::size_t reader : state.readers) {
-      if (!indexer_.InTxn(j, reader)) return AdmitResult::Retry(j);
-    }
-  }
-
-  // Guaranteed accept: j's nodes carry no cross-transaction arcs
-  // (cross_pairs_), the frontier contributes no D-arc and the ancestor
-  // array has no cross entries, so no F/B arc is due — the only emission
-  // is the program-order I-arc into the fresh sink node `gid`, which
-  // cannot close a cycle. The F/B scan is skipped entirely.
-  const std::size_t arcs_begin = undo_arcs_.size();
-  if (op.index > 0) {
-    const std::uint32_t prev_slot = slot_of_[gid - 1];
-    RELSER_DCHECK(prev_slot != kNoSlot);
-    const AncestorColumn* prev = Row(prev_slot);
-    std::copy(prev, prev + txn_count_, scratch_anc_.begin());
-    scratch_anc_[j] = std::max(scratch_anc_[j],
-                               static_cast<AncestorColumn>(op.index));
-    const IncrementalTopology::AddResult added = topo_.AddEdge(gid - 1, gid);
-    RELSER_CHECK(added != IncrementalTopology::AddResult::kCycle);
-    ++arcs_submitted_;
-    if (added == IncrementalTopology::AddResult::kInserted) {
-      ++arcs_inserted_total_;
-      undo_arcs_.emplace_back(gid - 1, gid);
-    }
-    if (tracer_ != nullptr && tracer_->counting()) {
-      tracer_->AddArcStats(1,
-                           added == IncrementalTopology::AddResult::kInserted
-                               ? 1
-                               : 0,
-                           0);
-      if (tracer_->events_on()) {
-        tracer_->RecordArc(kInternalArc, indexer_.Op(txns_, gid - 1), op,
-                           tracer_->tick());
-      }
-    }
-  } else {
-    std::fill(scratch_anc_.begin(), scratch_anc_.end(), 0);
-  }
-  CommitOp(op, gid, obj_idx, undo_deltas_.size(), arcs_begin);
   return AdmitResult::Accept(j);
 }
 
@@ -467,7 +389,7 @@ void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
   }
 
   // Removed operations, oldest first. Each takes the arcs its record
-  // inserted and its new cross pairs with it; at a transaction's first
+  // inserted with it; at a transaction's first
   // removed operation, the predecessor becomes the newest again, its row
   // rebuilt before the old newest row is released. Edge removal never
   // invalidates the topological order, so the labels stay as they are.
@@ -479,14 +401,6 @@ void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
     for (std::size_t a = undo_log_[k].arcs; a < end.arcs; ++a) {
       RELSER_CHECK(topo_.RemoveEdge(undo_arcs_[a].first, undo_arcs_[a].second));
     }
-    std::uint32_t dropped_pairs = 0;
-    for (std::size_t d = undo_log_[k].deltas; d < end.deltas; ++d) {
-      if (undo_deltas_[d].old_p1 != 0) continue;
-      --cross_pairs_[undo_deltas_[d].column];
-      ++dropped_pairs;
-    }
-    cross_pairs_[j] -= dropped_pairs;
-    live_pairs_ -= dropped_pairs;
     if (op.index == 0) {
       newest_gid_[j] = kNoGid;
       txn_objects_[j].clear();
@@ -656,20 +570,6 @@ std::size_t OnlineRsrChecker::Truncate(
   undo_arcs_.resize(arcs_out);
   undo_frontier_.resize(frontier_out);
   for (const std::size_t gid : drop_nodes_) drop_mark_[gid] = 0;
-
-  // Recount the cross pairs from the newest rows.
-  std::fill(cross_pairs_.begin(), cross_pairs_.end(), 0);
-  live_pairs_ = 0;
-  for (TxnId t = 0; t < txn_count_; ++t) {
-    if (newest_gid_[t] == kNoGid) continue;
-    const AncestorColumn* row = Row(slot_of_[newest_gid_[t]]);
-    for (TxnId c = 0; c < txn_count_; ++c) {
-      if (c == t || row[c] == 0) continue;
-      ++cross_pairs_[t];
-      ++cross_pairs_[c];
-      ++live_pairs_;
-    }
-  }
   return dropped;
 }
 
@@ -698,7 +598,6 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
   };
   mix(feed_log_.size());
   for (const std::uint8_t bit : executed_) mix(bit);
-  for (const std::uint32_t pairs : cross_pairs_) mix(pairs);
   for (const std::size_t gid : newest_gid_) mix(gid);
   // Per-object state, keyed by ObjectId (objects_ index order depends on
   // first-touch order, which two equal-state checkers may disagree on).

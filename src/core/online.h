@@ -36,9 +36,8 @@
 // by tests/fault_test.cc and tests/rollback_differential_test.cc.
 //
 // Decisions are reported as AdmitResult (core/admit.h): kAccept commits
-// the arcs, kReject leaves the state unchanged and carries the
-// witnessing arc, and TryAppendIsolated's kRetry means "ineligible for
-// the fast path, fall back to TryAppend".
+// the arcs, and kReject leaves the state unchanged and carries the
+// witnessing arc.
 #ifndef RELSER_CORE_ONLINE_H_
 #define RELSER_CORE_ONLINE_H_
 
@@ -80,22 +79,11 @@ class OnlineRsrChecker {
   /// witnessing arc filled in) otherwise.
   AdmitResult TryAppend(const Operation& op);
 
-  /// Fast-path variant for operations that provably cannot conflict:
-  /// returns kAccept and commits `op` (identically to TryAppend) when
-  /// its transaction is *isolated* — no cross-transaction RSG arc has
-  /// ever touched any of its nodes — and its object's conflict frontier
-  /// is empty or owned by the same transaction. Under those conditions
-  /// the only new arc is the program-order I-arc into a fresh sink node,
-  /// which cannot close a cycle, so acceptance is guaranteed and the
-  /// F/B scan is skipped entirely. Returns kRetry — with the
-  /// checker unchanged — when the preconditions do not hold; the caller
-  /// then falls back to the full TryAppend. Never rejects. Same feeding
-  /// contract as TryAppend (next unfed op, program order).
-  AdmitResult TryAppendIsolated(const Operation& op);
-
-  /// True while no cross-transaction arc has ever been incident on a
-  /// node of `txn` (the TryAppendIsolated eligibility bit).
-  bool TxnIsolated(TxnId txn) const { return cross_pairs_[txn] == 0; }
+  /// Always kRetry, with the checker unchanged: TryAppend is the only
+  /// admission path. Kept because the benchmark's replica calls it.
+  AdmitResult TryAppendIsolated(const Operation& op) {
+    return AdmitResult::Retry(op.txn);
+  }
 
   /// Exact abort: forgets every fed operation of `txn`. Its dependents
   /// are the later operations that descend from one of `txn`'s through
@@ -135,29 +123,28 @@ class OnlineRsrChecker {
   std::size_t Truncate(const std::atomic<std::uint8_t>* settled);
 
   /// Retained-state gauges for long-lived memory accounting
-  /// (bench_longlived): accepted operations currently remembered,
+  /// (bench_longlived): accepted operations currently remembered, and
   /// ancestor-row slots ever handed out (slots are recycled but never
   /// returned, so this is the pool's high water mark; the blocks behind
-  /// it hold this many rows rounded up to a whole block), and live F/B
-  /// pairs — the nonzero cross-transaction entries of the transactions'
-  /// newest rows, i.e. the (Ti -> Tj) pairs whose F/B arcs have been
-  /// evaluated.
+  /// it hold this many rows rounded up to a whole block).
   std::size_t retained_ops() const { return feed_log_.size(); }
   std::size_t pool_rows() const { return slot_owner_.size(); }
-  std::size_t memo_entries() const { return live_pairs_; }
+  /// Always 0. Kept because the benchmark's `checker.memo_entries_hw`
+  /// column reads it.
+  std::size_t memo_entries() const { return 0; }
 
   /// Cumulative operations re-admitted by RemoveTransactionExact (each
   /// victim's dependents outside the victim). Truncate never adds to it.
   std::size_t replayed_ops() const { return replayed_ops_; }
 
   /// Order-insensitive FNV-1a digest of the complete admission state:
-  /// executed set, isolation counts, newest-op table, per-object
-  /// frontiers (objects with no executed operation count as absent),
-  /// retained ancestor rows and graph adjacency. Two
-  /// checkers over the same TransactionSet/spec digest equal iff their
-  /// future accept/reject behavior is identical state-wise; the
-  /// fault-injection tests compare post-RemoveTransactionExact digests
-  /// against rebuilt-from-scratch checkers.
+  /// executed set, newest-op table, per-object frontiers (objects with
+  /// no executed operation count as absent), retained ancestor rows and
+  /// graph adjacency. Two checkers over the same TransactionSet/spec
+  /// digest equal iff their future accept/reject behavior is identical
+  /// state-wise; the fault-injection tests compare
+  /// post-RemoveTransactionExact digests against rebuilt-from-scratch
+  /// checkers.
   std::uint64_t StateDigest() const;
 
   /// True while any operation of `txn` is currently executed (fed and
@@ -168,9 +155,10 @@ class OnlineRsrChecker {
   /// (D-arc) sources: the foreign members of its object's conflict
   /// frontier just before the append — the frontier writer first, then,
   /// for a write, the readers since it in feed order (one entry per
-  /// operation). Empty after a TryAppendIsolated accept. Valid until the
-  /// next call that feeds, removes or truncates; unspecified after a
-  /// rejection.
+  /// operation). Empty exactly when the operation met no foreign
+  /// conflict, the case in which TryAppend skips its compare pass. Valid
+  /// until the next call that feeds, removes or truncates; unspecified
+  /// after a rejection.
   const std::vector<TxnId>& last_conflicts() const { return conflict_txns_; }
 
   /// Global id of the frontier writer (last executed, still-present
@@ -260,10 +248,10 @@ class OnlineRsrChecker {
                        [(slot % kRowsPerBlock) * txn_count_];
   }
   void ReleaseSlotIfAny(std::size_t gid);
-  /// Shared commit tail of TryAppend / TryAppendIsolated: persists
-  /// scratch_anc_ into the slot pool, updates retention flags, the object
-  /// frontier, reverse indices and executed bookkeeping, and pushes the
-  /// undo record whose deltas and arcs begin at the given offsets.
+  /// TryAppend's commit tail: persists scratch_anc_ into the slot pool,
+  /// updates retention flags, the object frontier, reverse indices and
+  /// executed bookkeeping, and pushes the undo record whose deltas and
+  /// arcs begin at the given offsets.
   void CommitOp(const Operation& op, std::size_t gid, std::uint32_t obj_idx,
                 std::size_t deltas_begin, std::size_t arcs_begin);
   /// Gives `gid` its ancestor row back if it was released: its
@@ -285,9 +273,6 @@ class OnlineRsrChecker {
   std::size_t txn_count_;
 
   std::vector<std::uint8_t> executed_;
-  // txn -> nonzero cross-transaction entries of newest rows that involve
-  // it (as the row's or the column's transaction); 0 = isolated.
-  std::vector<std::uint32_t> cross_pairs_;
   std::vector<std::uint8_t> flags_;        // retention flags per gid
   std::vector<std::uint32_t> slot_of_;     // gid -> pool slot (kNoSlot)
   std::vector<std::size_t> newest_gid_;    // txn -> newest executed gid
@@ -316,7 +301,6 @@ class OnlineRsrChecker {
   FlatMap64<std::uint32_t> object_index_;  // ObjectId -> objects_ index
   std::vector<ObjState> objects_;
   std::vector<std::vector<std::uint32_t>> txn_objects_;  // reverse index
-  std::size_t live_pairs_ = 0;  // sum of cross_pairs_ / 2
 
   std::vector<std::size_t> feed_log_;  // accepted gids, admission order
   std::vector<std::uint32_t> pos_of_;  // gid -> its feed_log_ position

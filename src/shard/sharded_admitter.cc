@@ -405,7 +405,6 @@ ShardedAdmitter::ShardStats ShardedAdmitter::shard_stats(
   const Core& core = *cores_[shard];
   ShardStats stats;
   stats.ops_routed = core.ops_routed;
-  stats.fast_path = core.fast_path;
   stats.escalations = core.escalations;
   stats.accepted = core.accepts_total;
   stats.rejected = core.ops_routed - stats.accepted;
@@ -536,12 +535,7 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
         txn, static_cast<std::uint32_t>(plan_->spans().ShardsOf(txn).size()),
         core.core_steps);
   }
-  AdmitResult result = core.checker.TryAppendIsolated(projected);
-  if (result.ok()) {
-    ++core.fast_path;
-  } else {
-    result = core.checker.TryAppend(projected);
-  }
+  const AdmitResult result = core.checker.TryAppend(projected);
   if (!result.ok()) {
     // Shard-local certification rejection. Projected arcs map to global
     // RSG paths (shard/projection.h), so this is never spurious: the
@@ -807,7 +801,6 @@ ShardedAdmitter::LiveHighWater ShardedAdmitter::live_high_water() const {
   LiveHighWater hw;
   hw.pool_rows = hw_pool_rows_.load(std::memory_order_relaxed);
   hw.retained_ops = hw_retained_ops_.load(std::memory_order_relaxed);
-  hw.memo_entries = hw_memo_entries_.load(std::memory_order_relaxed);
   hw.accept_entries = hw_accept_entries_.load(std::memory_order_relaxed);
   hw.coordinator_arcs = hw_coordinator_arcs_.load(std::memory_order_relaxed);
   hw.dep_arcs = hw_dep_arcs_.load(std::memory_order_relaxed);
@@ -822,7 +815,6 @@ void ShardedAdmitter::MaybeGcCore(Core& core) {
   // High-water sampling at the pre-truncation local maximum.
   FetchMax(hw_pool_rows_, core.checker.pool_rows());
   FetchMax(hw_retained_ops_, core.checker.retained_ops());
-  FetchMax(hw_memo_entries_, core.checker.memo_entries());
   FetchMax(hw_accept_entries_, core.accept_log.size());
   FetchMax(hw_coordinator_arcs_, coordinator_.arc_count());
   FetchMax(hw_dep_arcs_, epochs_->dep_arcs_live());

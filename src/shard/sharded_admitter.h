@@ -286,15 +286,15 @@ class ShardedAdmitter {
   /// each shard's token at every GC tick just BEFORE truncation — i.e.
   /// at local maxima of retained state — so readers never race
   /// shard-private structures.
-  /// Per-shard gauges (pool rows, feed entries, live F/B pairs,
-  /// accept-log) take the max over shards; shared gauges (coordinator
-  /// arcs, dep arcs) are instantaneous retained counts. All zeros until
-  /// the first GC tick; meaningful only with options.epoch_gc.
+  /// Per-shard gauges (pool rows, feed entries, accept-log) take the
+  /// max over shards; shared gauges (coordinator arcs, dep arcs) are
+  /// instantaneous retained counts. All zeros until the first GC tick;
+  /// meaningful only with options.epoch_gc.
   struct LiveHighWater {
     std::uint64_t pool_rows = 0;         ///< ancestor rows (max shard)
     std::uint64_t retained_ops = 0;      ///< checker feed rows (max shard)
-    /// Nonzero cross entries of newest rows, i.e.
-    /// OnlineRsrChecker::memo_entries() (max shard).
+    /// Always 0. Kept because the benchmark's `checker.memo_entries_hw`
+    /// column reads it.
     std::uint64_t memo_entries = 0;
     std::uint64_t accept_entries = 0;    ///< live accept-log (max shard)
     std::uint64_t coordinator_arcs = 0;  ///< retained coordinator arcs
@@ -310,7 +310,9 @@ class ShardedAdmitter {
     std::size_t ops_routed = 0;     ///< operations decided by this shard
     std::size_t accepted = 0;
     std::size_t rejected = 0;       ///< non-accept decisions published
-    std::size_t fast_path = 0;      ///< TryAppendIsolated accepts
+    /// Always 0. Kept because the benchmark's `shard.fast_path_ratio`
+    /// column reads it.
+    std::size_t fast_path = 0;
     std::uint64_t escalations = 0;  ///< txns taint-flooded to coordinator
     /// Operations decided by their own submitter (a step's own
     /// operation); the rest of ops_routed came through the inbox.
@@ -398,7 +400,6 @@ class ShardedAdmitter {
 
     std::uint64_t core_steps = 0;  // decisions taken (fault key, tick)
     std::size_t ops_routed = 0;
-    std::size_t fast_path = 0;
     std::size_t accepts_total = 0;  // survives GC (accept_log shrinks)
     std::uint64_t escalations = 0;
     std::size_t inline_decisions = 0;
@@ -489,7 +490,6 @@ class ShardedAdmitter {
   // live_high_water() marks, fed by MaybeGcCore (CAS-max).
   std::atomic<std::uint64_t> hw_pool_rows_{0};
   std::atomic<std::uint64_t> hw_retained_ops_{0};
-  std::atomic<std::uint64_t> hw_memo_entries_{0};
   std::atomic<std::uint64_t> hw_accept_entries_{0};
   std::atomic<std::uint64_t> hw_coordinator_arcs_{0};
   std::atomic<std::uint64_t> hw_dep_arcs_{0};

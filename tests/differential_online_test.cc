@@ -347,7 +347,6 @@ TEST(DifferentialOnline, CompareSkipAndGatherCoverFirstAndLastColumns) {
       // J1 has cross columns but no predecessor: its I-arc alone.
       EXPECT_EQ(checker.arcs_submitted() - submitted_before, 1u);
       EXPECT_EQ(checker.topology().edge_count() - edges_before, 1u);
-      EXPECT_FALSE(checker.TxnIsolated(kJ));
     }
     if (accepted) fed.push_back(feed[pos]);
   }

@@ -95,16 +95,13 @@ TEST(OnlineChecker, RemoveTransactionExactDropsItsPairs) {
     ASSERT_TRUE(checker.TryAppend(w1x));
     ASSERT_TRUE(checker.TryAppend(r2x));
     ASSERT_TRUE(checker.TryAppend(txns->txn(2).op(0)));
-    EXPECT_EQ(checker.memo_entries(), 3u);  // T1 -> T2, T1 -> T3, T2 -> T3
     checker.RemoveTransactionExact(1);
-    EXPECT_EQ(checker.memo_entries(), 1u);  // only T1 -> T3 survives
     // Re-fed, r2[x] reads from w3[x] and has T1 as an ancestor at the
     // same index as before: only a dropped T1 -> T2 pair emits the F-arc
     // again (a stale one would skip it as already emitted).
     ASSERT_TRUE(checker.TryAppend(r2x));
     EXPECT_TRUE(checker.topology().graph().HasEdge(ids.GlobalId(w1y),
                                                    ids.GlobalId(r2x)));
-    EXPECT_EQ(checker.memo_entries(), 3u);  // T1 -> T3, T1 -> T2, T3 -> T2
   }
   {
     // A stale pair also changes a decision. In its first incarnation T2
@@ -118,9 +115,7 @@ TEST(OnlineChecker, RemoveTransactionExactDropsItsPairs) {
     ASSERT_TRUE(checker.TryAppend(cyc->txn(1).op(0)));
     ASSERT_TRUE(checker.TryAppend(cyc->txn(1).op(1)));
     ASSERT_TRUE(checker.TryAppend(cyc->txn(0).op(0)));
-    EXPECT_EQ(checker.memo_entries(), 1u);
     checker.RemoveTransactionExact(1);
-    EXPECT_EQ(checker.memo_entries(), 0u);
     ASSERT_TRUE(checker.TryAppend(cyc->txn(1).op(0)));
     ASSERT_TRUE(checker.TryAppend(cyc->txn(1).op(1)));
     EXPECT_FALSE(checker.TryAppend(cyc->txn(0).op(1)));

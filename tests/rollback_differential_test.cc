@@ -9,8 +9,9 @@
 // conflicts of each accepted operation, a finish per commit or abort, and
 // a Truncate whenever the GC generation moves. Along the way, after every
 // accept, last_conflicts() must name exactly the transactions of the
-// foreign frontier the operation met (empty for a TryAppendIsolated
-// accept), through every abort and truncation that moved the frontiers.
+// foreign frontier the operation met (empty when it met none, the case in
+// which TryAppend skips its compare pass), through every abort and
+// truncation that moved the frontiers.
 // A second case drives the 16-bit ancestor columns to the top of their
 // range (0xFFFE) and checks the same digest equality around them, a
 // third keeps hundreds of ancestor rows live, across several blocks of
@@ -132,7 +133,7 @@ class FeedRun {
   std::size_t cascades() const { return cascades_; }
   std::size_t truncations() const { return truncations_; }
   std::size_t victims_before_truncation() const { return old_victims_; }
-  std::size_t isolated_accepts() const { return isolated_accepts_; }
+  std::size_t unconflicted_accepts() const { return unconflicted_accepts_; }
   std::size_t conflicted_accepts() const { return conflicted_accepts_; }
 
  private:
@@ -158,15 +159,14 @@ class FeedRun {
         if (reader != op.txn) deps_.push_back(reader);
       }
     }
-    AdmitResult result = checker_.TryAppendIsolated(op);
+    const AdmitResult result = checker_.TryAppend(op);
     if (result.ok()) {
-      ++isolated_accepts_;
-      ASSERT_TRUE(checker_.last_conflicts().empty())
-          << "isolated accept of T" << op.txn << " op " << op.index;
-    } else {
-      result = checker_.TryAppend(op);
-      if (result.ok()) {
-        if (!deps_.empty()) ++conflicted_accepts_;
+      if (deps_.empty()) {
+        ++unconflicted_accepts_;
+        ASSERT_TRUE(checker_.last_conflicts().empty())
+            << "unconflicted accept of T" << op.txn << " op " << op.index;
+      } else {
+        ++conflicted_accepts_;
         ASSERT_EQ(checker_.last_conflicts(), deps_)
             << "accept of T" << op.txn << " op " << op.index;
       }
@@ -255,7 +255,7 @@ class FeedRun {
   std::size_t cascades_ = 0;
   std::size_t truncations_ = 0;
   std::size_t old_victims_ = 0;
-  std::size_t isolated_accepts_ = 0;
+  std::size_t unconflicted_accepts_ = 0;
   std::size_t conflicted_accepts_ = 0;
 };
 
@@ -266,7 +266,7 @@ TEST(RollbackDifferential, AbortsAndTruncationsMatchAFreshChecker) {
   std::size_t cascades = 0;
   std::size_t truncations = 0;
   std::size_t old_victims = 0;
-  std::size_t isolated_accepts = 0;
+  std::size_t unconflicted_accepts = 0;
   std::size_t conflicted_accepts = 0;
   for (int round = 0; round < kRounds; ++round) {
     Rng rng = base.Split(static_cast<std::uint64_t>(round));
@@ -288,7 +288,7 @@ TEST(RollbackDifferential, AbortsAndTruncationsMatchAFreshChecker) {
     cascades += run.cascades();
     truncations += run.truncations();
     old_victims += run.victims_before_truncation();
-    isolated_accepts += run.isolated_accepts();
+    unconflicted_accepts += run.unconflicted_accepts();
     conflicted_accepts += run.conflicted_accepts();
   }
   // The mix must actually exercise every path.
@@ -296,7 +296,7 @@ TEST(RollbackDifferential, AbortsAndTruncationsMatchAFreshChecker) {
   EXPECT_GT(cascades, 10u);
   EXPECT_GT(truncations, 100u);
   EXPECT_GT(old_victims, 10u);
-  EXPECT_GT(isolated_accepts, 100u);
+  EXPECT_GT(unconflicted_accepts, 100u);
   EXPECT_GT(conflicted_accepts, 100u);
 }
 

@@ -4,12 +4,12 @@
 // coordinator's cycle/dead/dedup semantics, deterministic cross-shard
 // reject and abort-cascade scenarios on the ShardedAdmitter, fault-plan
 // driven backpressure/timeouts, and the single-shard gate: one shard
-// decides exactly as a serial model of the abort-and-cascade policy,
-// with and without the TryAppendIsolated fast path. Caller-runs
-// admission (a submitter deciding on its own thread under the shard's
-// token) is checked for repeatable single-client decisions, for a
-// contended client fleet that mixes it with the inbox fallback (also
-// under TSan in ci.sh), and for liveness without any admitter thread:
+// decides exactly as a serial model of the abort-and-cascade policy, on
+// dense and on sparse workloads. Caller-runs admission (a submitter
+// deciding on its own thread under the shard's token) is checked for
+// repeatable single-client decisions, for a contended client fleet that
+// mixes it with the inbox fallback (also under TSan in ci.sh), and for
+// liveness without any admitter thread:
 // a kill posted to an idle shard, a timed-out waiter left in the inbox,
 // and a client abort on a busy shard are all resolved by the token
 // release re-check or the try after a post. queue_capacity is checked as
@@ -686,10 +686,11 @@ TEST(ShardedAdmitterTest, TxnVerdictReportsRejectedTransactions) {
   EXPECT_EQ(admitter.unrecoverable_reads(), 1u);
 }
 
-TEST(ShardedAdmitterTest, FastPathDecisionsMatchSlowPath) {
-  // Sparse workload where most traffic qualifies for TryAppendIsolated:
-  // the admitter's decisions must still match the slow-path-only serial
-  // reference exactly (the fast path is a shortcut, not a relaxation).
+TEST(ShardedAdmitterTest, SparseWorkloadMatchesSerialReference) {
+  // Sparse workload where most operations meet no foreign conflict, so
+  // TryAppend skips its compare pass: the admitter's decisions must
+  // still match the serial reference exactly (the skip is a shortcut,
+  // not a relaxation).
   Rng rng(0xADA4);
   WorkloadParams wp;
   wp.txn_count = 12;
@@ -709,8 +710,6 @@ TEST(ShardedAdmitterTest, FastPathDecisionsMatchSlowPath) {
         << "op " << i;
   }
   admitter.Stop();
-  EXPECT_GT(admitter.shard_stats(0).fast_path, 0u)
-      << "sparse workload should exercise TryAppendIsolated";
 }
 
 // THE single-shard gate: with one shard the projection is the identity,
