@@ -63,9 +63,9 @@ struct SnapshotAdmitRecord {
   /// `epoch` commits, and belongs immediately after commit #epoch in any
   /// equivalent single-version history.
   std::uint64_t epoch = 0;
-  /// Caller-supplied total-order stamp (admission stamp in the sharded
-  /// admitter, a private sequence elsewhere) used to splice the reader
-  /// into the merged committed log.
+  /// The sharded admitter's admission stamp, drawn from the counter its
+  /// shard cores stamp accepts with; CommittedLog splices the reader's
+  /// block at it.
   std::uint64_t stamp = 0;
 };
 

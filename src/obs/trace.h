@@ -19,9 +19,6 @@
 //     per-event allocation.
 //   * kFull: kCounters plus structured TraceEvents (JSONL / Chrome-trace
 //     export via obs/export.h).
-//   * Compile-time kill switch: configure with -DRELSER_TRACING=OFF and
-//     every instrumentation site folds to nothing (kTracingCompiledIn is
-//     constant false).
 #ifndef RELSER_OBS_TRACE_H_
 #define RELSER_OBS_TRACE_H_
 
@@ -32,16 +29,7 @@
 
 #include "model/operation.h"
 
-#ifndef RELSER_TRACING_ENABLED
-#define RELSER_TRACING_ENABLED 1
-#endif
-
 namespace relser {
-
-/// Constant false when the library was configured with
-/// -DRELSER_TRACING=OFF; instrumentation sites test it first so the
-/// whole hook folds away at compile time.
-inline constexpr bool kTracingCompiledIn = RELSER_TRACING_ENABLED != 0;
 
 /// How much the tracer records.
 enum class TraceLevel : std::uint8_t {
@@ -224,13 +212,9 @@ class Tracer {
   void set_level(TraceLevel level) { level_ = level; }
 
   /// True when counters (and possibly events) are being recorded.
-  bool counting() const {
-    return kTracingCompiledIn && level_ != TraceLevel::kOff;
-  }
+  bool counting() const { return level_ != TraceLevel::kOff; }
   /// True when structured events are being recorded.
-  bool events_on() const {
-    return kTracingCompiledIn && level_ == TraceLevel::kFull;
-  }
+  bool events_on() const { return level_ == TraceLevel::kFull; }
 
   /// Advances the logical clock stamped onto events recorded by
   /// components that never see the engine tick themselves (arc events

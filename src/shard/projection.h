@@ -20,7 +20,7 @@
 // projected RSG corresponds to a path in the global RSG. A projected
 // cycle is a global cycle: shard-local rejections are never spurious.
 // ShardPlan builds each projected row with one AtomicitySpec::ProjectRow
-// call over the row's kept original op indices (to_original).
+// call over the row's kept original op indices.
 #ifndef RELSER_SHARD_PROJECTION_H_
 #define RELSER_SHARD_PROJECTION_H_
 
@@ -44,8 +44,6 @@ struct ShardSlice {
   /// lives on another shard).
   static constexpr std::uint32_t kNotHere = ~static_cast<std::uint32_t>(0);
   std::vector<std::vector<std::uint32_t>> to_projected;
-  /// txn -> projected index -> original op index.
-  std::vector<std::vector<std::uint32_t>> to_original;
 
   /// The shard-local image of original operation `op`; op must be owned.
   Operation Project(const Operation& op) const {

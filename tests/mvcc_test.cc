@@ -2,14 +2,16 @@
 //
 //   * VersionStore unit behavior — settledness counters, watermark,
 //     escalation counting.
-//   * The write-skew shape: a read-only transaction raced by live
-//     writers of its read set MUST escalate; once the writers have
-//     finished it snapshot-admits arc-free.
-//   * Differential soundness: >= 500 randomized workloads through the
-//     SnapshotRsrChecker facade; every merged committed history must
-//     replay relatively serializably through a fresh single-version
-//     checker, and fully-committed histories are additionally checked
-//     against the brute-force oracle (core/brute.h).
+//   * The write-skew shape, on one ShardedAdmitter shard: a read-only
+//     transaction raced by live writers of its read set MUST escalate
+//     to the shard; once the writers have finished it snapshot-admits
+//     without reaching the shard.
+//   * Differential soundness: 500 randomized workloads through
+//     ShardedAdmitter with snapshot reads on, for each of {1, 2} shards
+//     x epoch GC off/on; every merged committed history must replay
+//     relatively serializably through a fresh single-version checker,
+//     and fully-committed histories are additionally checked against
+//     the brute-force oracle (core/brute.h).
 //   * Ratio-0 bit-identity: with no read-only transactions the fast
 //     path is invisible in ShardedAdmitter, decision for decision,
 //     under a deterministic lock-step feed.
@@ -30,7 +32,6 @@
 
 #include "audit/ingest.h"
 #include "core/brute.h"
-#include "core/mvcc/snapshot.h"
 #include "core/mvcc/version_store.h"
 #include "core/online.h"
 #include "exec/backoff.h"
@@ -127,106 +128,140 @@ TransactionSet WriteSkewSet() {
   return txns;
 }
 
-TEST(SnapshotChecker, WriteSkewReaderEscalatesWhileWritersLive) {
-  const TransactionSet txns = WriteSkewSet();
-  const AtomicitySpec spec(txns);
-  SnapshotRsrChecker checker(txns, spec);
-  // Writers have started but not finished when R classifies.
-  ASSERT_TRUE(checker.Submit(txns.txn(0).op(0)).ok());
-  ASSERT_TRUE(checker.Submit(txns.txn(1).op(0)).ok());
-  ASSERT_TRUE(checker.Submit(txns.txn(2).op(0)).ok());
-  EXPECT_EQ(checker.Classification(2),
-            SnapshotRsrChecker::TxnClass::kEscalated);
-  EXPECT_EQ(checker.snapshot_admits(), 0u);
-  EXPECT_EQ(checker.snapshot_escalations(), 1u);
+// One range shard with the fast path on: the plain single-core
+// certifier plus client-side classification.
+ShardedAdmitter OneShardSnapshotAdmitter(const TransactionSet& txns,
+                                         const AtomicitySpec& spec) {
+  ShardedAdmitterOptions options;
+  options.snapshot_reads = true;
+  return ShardedAdmitter(
+      txns, spec, ShardRouter(txns.object_count(), 1, ShardStrategy::kRange),
+      options);
 }
 
-TEST(SnapshotChecker, WriteSkewReaderSnapshotAdmitsOnceWritersFinished) {
+TEST(SnapshotAdmitter, WriteSkewReaderEscalatesWhileWritersLive) {
   const TransactionSet txns = WriteSkewSet();
   const AtomicitySpec spec(txns);
-  SnapshotRsrChecker checker(txns, spec);
+  ShardedAdmitter admitter = OneShardSnapshotAdmitter(txns, spec);
+  // Writers have started but not finished when R classifies.
+  ASSERT_TRUE(admitter.SubmitAndWait(txns.txn(0).op(0)).ok());
+  ASSERT_TRUE(admitter.SubmitAndWait(txns.txn(1).op(0)).ok());
+  ASSERT_TRUE(admitter.SubmitAndWait(txns.txn(2).op(0)).ok());
+  EXPECT_EQ(admitter.snapshot_admits(), 0u);
+  EXPECT_EQ(admitter.snapshot_escalations(), 1u);
+  admitter.Stop();
+  // The reader's operation went to the shard with the writers'.
+  EXPECT_EQ(admitter.shard_stats(0).ops_routed, 3u);
+}
+
+TEST(SnapshotAdmitter, WriteSkewReaderSnapshotAdmitsOnceWritersFinished) {
+  const TransactionSet txns = WriteSkewSet();
+  const AtomicitySpec spec(txns);
+  ShardedAdmitter admitter = OneShardSnapshotAdmitter(txns, spec);
   for (TxnId t = 0; t < 2; ++t) {
     for (const Operation& op : txns.txn(t).ops()) {
-      ASSERT_TRUE(checker.Submit(op).ok());
+      ASSERT_TRUE(admitter.SubmitAndWait(op).ok());
     }
-    ASSERT_TRUE(checker.TxnCommitted(t));
+    ASSERT_TRUE(admitter.TxnCommitted(t));
   }
-  const std::size_t arcs_before_reader = checker.checker_arcs_submitted();
-  ASSERT_TRUE(checker.Submit(txns.txn(2).op(0)).ok());
-  ASSERT_TRUE(checker.Submit(txns.txn(2).op(1)).ok());
-  EXPECT_EQ(checker.Classification(2), SnapshotRsrChecker::TxnClass::kSnapshot);
-  EXPECT_TRUE(checker.TxnCommitted(2));
-  EXPECT_EQ(checker.snapshot_admits(), 1u);
-  // Zero arcs from the snapshot admission.
-  EXPECT_EQ(checker.checker_arcs_submitted(), arcs_before_reader);
+  ASSERT_TRUE(admitter.SubmitAndWait(txns.txn(2).op(0)).ok());
+  ASSERT_TRUE(admitter.SubmitAndWait(txns.txn(2).op(1)).ok());
+  EXPECT_TRUE(admitter.TxnCommitted(2));
+  EXPECT_EQ(admitter.snapshot_admits(), 1u);
+  EXPECT_EQ(admitter.snapshot_escalations(), 0u);
+  admitter.Stop();
+  // Only the writers' operations reached the shard: the snapshot
+  // admission added no arcs.
+  EXPECT_EQ(admitter.shard_stats(0).ops_routed, 4u);
 
   // The merged history replays through a fresh single-version checker.
-  const std::vector<Operation> log = checker.CommittedLog();
+  const std::vector<Operation> log = admitter.CommittedLog();
   EXPECT_EQ(log.size(), 6u);
   OnlineRsrChecker replay(txns, spec);
   for (const Operation& op : log) ASSERT_TRUE(replay.TryAppend(op).ok());
 }
 
-// Differential soundness over >= 500 randomized workloads: the facade's
-// merged committed history must always replay through a fresh
-// single-version checker; fully-committed histories must additionally
-// satisfy the brute-force relative-serializability oracle.
-TEST(SnapshotChecker, DifferentialVsReplayAndBruteForce) {
-  const Rng base(0x36CCD1FFULL);
-  std::size_t snapshot_admits_total = 0;
-  std::size_t escalations_total = 0;
-  std::size_t brute_checked = 0;
-  for (std::size_t iter = 0; iter < 500; ++iter) {
-    Rng rng = base.Split(iter);
-    WorkloadParams wp;
-    wp.txn_count = 4;
-    wp.min_ops_per_txn = 2;
-    wp.max_ops_per_txn = 4;
-    wp.object_count = 2 + iter % 5;
-    wp.read_ratio = 0.6;
-    wp.read_only_txn_ratio = 0.5;
-    const TransactionSet txns = GenerateTransactions(wp, &rng);
-    const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
-    const Schedule feed = RandomSchedule(txns, &rng);
+// Differential soundness over 500 randomized workloads per admitter
+// configuration ({1, 2} range shards x epoch GC off / on), fed by one
+// client in a random interleaving that skips a transaction's later
+// operations once one is refused: the admitter's merged committed
+// history must always replay through a fresh single-version checker;
+// fully-committed histories must additionally satisfy the brute-force
+// relative-serializability oracle.
+TEST(SnapshotAdmitter, DifferentialVsReplayAndBruteForce) {
+  for (const std::uint32_t shards : {1u, 2u}) {
+    for (const bool gc : {false, true}) {
+      SCOPED_TRACE(testing::Message() << shards << " shards, epoch GC "
+                                      << (gc ? "on" : "off"));
+      const Rng base(0x36CCD1FFULL);
+      std::size_t snapshot_admits_total = 0;
+      std::size_t escalations_total = 0;
+      std::size_t brute_checked = 0;
+      for (std::size_t iter = 0; iter < 500; ++iter) {
+        Rng rng = base.Split(iter);
+        WorkloadParams wp;
+        wp.txn_count = 4;
+        wp.min_ops_per_txn = 2;
+        wp.max_ops_per_txn = 4;
+        wp.object_count = 2 + iter % 5;
+        wp.read_ratio = 0.6;
+        wp.read_only_txn_ratio = 0.5;
+        const TransactionSet txns = GenerateTransactions(wp, &rng);
+        const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+        const Schedule feed = RandomSchedule(txns, &rng);
 
-    SnapshotRsrChecker checker(txns, spec);
-    for (const Operation& op : feed.ops()) checker.Submit(op);
-    snapshot_admits_total += checker.snapshot_admits();
-    escalations_total += checker.snapshot_escalations();
+        ShardedAdmitterOptions options;
+        options.snapshot_reads = true;
+        options.epoch_gc = gc;
+        options.gc_interval = 2;
+        ShardedAdmitter admitter(
+            txns, spec,
+            ShardRouter(txns.object_count(), shards, ShardStrategy::kRange),
+            options);
+        std::vector<std::uint8_t> refused(txns.txn_count(), 0);
+        for (const Operation& op : feed.ops()) {
+          if (refused[op.txn] != 0) continue;
+          if (!admitter.SubmitAndWait(op).ok()) refused[op.txn] = 1;
+        }
+        admitter.Stop();
+        snapshot_admits_total += admitter.snapshot_admits();
+        escalations_total += admitter.snapshot_escalations();
 
-    const std::vector<Operation> log = checker.CommittedLog();
-    OnlineRsrChecker replay(txns, spec);
-    std::vector<std::uint32_t> ops_of(txns.txn_count(), 0);
-    for (const Operation& op : log) {
-      ASSERT_TRUE(replay.TryAppend(op).ok())
-          << "iter " << iter << ": merged history replay rejected";
-      ++ops_of[op.txn];
-    }
-    bool all_committed = true;
-    for (TxnId t = 0; t < txns.txn_count(); ++t) {
-      if (checker.TxnCommitted(t)) {
-        ASSERT_EQ(ops_of[t], txns.txn(t).size()) << "iter " << iter;
-      } else {
-        ASSERT_EQ(ops_of[t], 0u) << "iter " << iter;
-        all_committed = false;
+        const std::vector<Operation> log = admitter.CommittedLog();
+        OnlineRsrChecker replay(txns, spec);
+        std::vector<std::uint32_t> ops_of(txns.txn_count(), 0);
+        for (const Operation& op : log) {
+          ASSERT_TRUE(replay.TryAppend(op).ok())
+              << "iter " << iter << ": merged history replay rejected";
+          ++ops_of[op.txn];
+        }
+        bool all_committed = true;
+        for (TxnId t = 0; t < txns.txn_count(); ++t) {
+          if (admitter.TxnCommitted(t)) {
+            ASSERT_EQ(ops_of[t], txns.txn(t).size()) << "iter " << iter;
+          } else {
+            ASSERT_EQ(ops_of[t], 0u) << "iter " << iter;
+            all_committed = false;
+          }
+        }
+        if (!all_committed) continue;
+        // Complete history: the brute-force oracle must agree it is
+        // relatively serializable.
+        auto schedule = Schedule::Over(txns, log);
+        ASSERT_TRUE(schedule.ok()) << "iter " << iter;
+        const BruteForceResult verdict = BruteForceRelativelySerializable(
+            txns, *schedule, spec, /*max_states=*/500000);
+        ASSERT_TRUE(verdict.decided.has_value()) << "iter " << iter;
+        EXPECT_TRUE(verdict.IsYes())
+            << "iter " << iter << ": admitted a non-RSR history";
+        ++brute_checked;
       }
+      // The sweep must actually exercise both paths and the oracle.
+      EXPECT_GT(snapshot_admits_total, 100u);
+      EXPECT_GT(escalations_total, 20u);
+      EXPECT_GT(brute_checked, 100u);
     }
-    if (!all_committed) continue;
-    // Complete history: the brute-force oracle must agree it is
-    // relatively serializable.
-    auto schedule = Schedule::Over(txns, log);
-    ASSERT_TRUE(schedule.ok()) << "iter " << iter;
-    const BruteForceResult verdict = BruteForceRelativelySerializable(
-        txns, *schedule, spec, /*max_states=*/500000);
-    ASSERT_TRUE(verdict.decided.has_value()) << "iter " << iter;
-    EXPECT_TRUE(verdict.IsYes())
-        << "iter " << iter << ": admitted a non-RSR history";
-    ++brute_checked;
   }
-  // The sweep must actually exercise both paths and the oracle.
-  EXPECT_GT(snapshot_admits_total, 100u);
-  EXPECT_GT(escalations_total, 20u);
-  EXPECT_GT(brute_checked, 100u);
 }
 
 // Lock-step deterministic feed: one operation of each live transaction

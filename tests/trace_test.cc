@@ -62,7 +62,6 @@ std::size_t CountEvents(const Tracer& tracer, TraceEventKind kind) {
 // r1[z] -> r2[x] of Definition 3.
 
 TEST(TraceGolden, RelativelyAtomicFigure3DelayNamesPushForwardArc) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   const PaperExample example = Figure3();
   const auto scheduler = MakeScheduler("ra", example.txns, example.spec);
   ASSERT_NE(scheduler, nullptr);
@@ -95,7 +94,6 @@ TEST(TraceGolden, RelativelyAtomicFigure3DelayNamesPushForwardArc) {
 // its arc stream must contain the same witnessing F-arc, recorded when
 // r2[x] is certified.
 TEST(TraceGolden, RsgtFigure3RecordsPushForwardArc) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   const PaperExample example = Figure3();
   const auto scheduler = MakeScheduler("rsgt", example.txns, example.spec);
   ASSERT_NE(scheduler, nullptr);
@@ -124,7 +122,6 @@ TEST(TraceGolden, RsgtFigure3RecordsPushForwardArc) {
 // serializable: RSGT admits all 10 operations, SGT must reject one and
 // name a witnessing conflict arc.
 TEST(TraceGolden, RsgtAdmitsFigure1S2Completely) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   const PaperExample example = Figure1();
   const auto scheduler = MakeScheduler("rsgt", example.txns, example.spec);
   Tracer tracer(TraceLevel::kFull);
@@ -138,7 +135,6 @@ TEST(TraceGolden, RsgtAdmitsFigure1S2Completely) {
 }
 
 TEST(TraceGolden, SgtRejectsFigure1S2WithConflictArc) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   const PaperExample example = Figure1();
   const auto scheduler = MakeScheduler("sgt", example.txns, example.spec);
   Tracer tracer(TraceLevel::kFull);
@@ -168,7 +164,6 @@ TEST(TraceGolden, SgtRejectsFigure1S2WithConflictArc) {
 // schedulers.
 
 TEST(TraceInvariants, FiguresSweepCountersAndSchema) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   for (const PaperExample& example : AllPaperExamples()) {
     for (const char* name : {"rsgt", "sgt"}) {
       for (const auto& [schedule_name, schedule] : example.schedules) {
@@ -194,7 +189,6 @@ TEST(TraceInvariants, FiguresSweepCountersAndSchema) {
 }
 
 TEST(TraceInvariants, EngineRunCountersConsistent) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   const PaperExample example = Figure1();
   for (const char* name : {"rsgt", "sgt", "2pl", "unit2pl", "ra"}) {
     const auto scheduler = MakeScheduler(name, example.txns, example.spec);
@@ -222,7 +216,6 @@ TEST(TraceInvariants, EngineRunCountersConsistent) {
 }
 
 TEST(TraceInvariants, SnapshotJsonParsesAndMatchesCounters) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   const PaperExample example = Figure3();
   const auto scheduler = MakeScheduler("rsgt", example.txns, example.spec);
   Tracer tracer(TraceLevel::kFull);
@@ -247,7 +240,6 @@ TEST(TraceInvariants, SnapshotJsonParsesAndMatchesCounters) {
 // deterministic: every SubmitAndWait blocks until its decision, so the
 // (single) shard core drains exactly one operation per batch.
 TEST(TraceInvariants, AdmitterCountersGoldenForSynchronousClient) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   const PaperExample example = Figure1();
   const Schedule& schedule = example.schedule("S2");
   Tracer tracer(TraceLevel::kCounters);
@@ -290,7 +282,6 @@ TEST(TraceInvariants, AdmitterCountersGoldenForSynchronousClient) {
 }
 
 TEST(TraceInvariants, ChromeTraceIsValidJsonWithPerTxnLanes) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   const PaperExample example = Figure3();
   const auto scheduler = MakeScheduler("ra", example.txns, example.spec);
   Tracer tracer(TraceLevel::kFull);
@@ -314,7 +305,6 @@ TEST(TraceInvariants, ChromeTraceIsValidJsonWithPerTxnLanes) {
 }
 
 TEST(TraceInvariants, SummaryAttributesTopBlockingCause) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   const PaperExample example = Figure3();
   const auto scheduler = MakeScheduler("ra", example.txns, example.spec);
   Tracer tracer(TraceLevel::kFull);
@@ -371,7 +361,6 @@ TEST(TraceDisabled, OffTracerAllocationParityWithNoTracer) {
 }
 
 TEST(TraceDisabled, CountersLevelKeepsCountsButNoEvents) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   const PaperExample example = Figure3();
   const auto scheduler = MakeScheduler("ra", example.txns, example.spec);
   Tracer tracer(TraceLevel::kCounters);
