@@ -2,11 +2,12 @@
 # CI entry point: the tier-1 build and test command, the benchmark's
 # self-test, an ASan/UBSan build running the full test suite, the JSON
 # benches' smokes and one second of each benchmark workload, a Debug
-# build of the abort differential suites and the snapshot-read sweep,
-# the docs gate, a TSan subset, and the trace and audit tool
-# round-trips. Fails on any test failure, any sanitizer report, any
-# bench gate, a malformed or incomplete BENCH_*.json, a dangling path in
-# the docs, or a run that changes the git working tree.
+# build of the abort and epoch-GC differential suites, the graph tests
+# and the snapshot-read sweep, the docs gate, a TSan subset, and the
+# trace and audit tool round-trips. Fails on any test failure, any
+# sanitizer report, any bench gate, a malformed or incomplete
+# BENCH_*.json, a dangling path in the docs, or a run that changes the
+# git working tree.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -139,18 +140,19 @@ for seed in 2 3 4; do
     > /dev/null
 done
 
-# Debug build of the abort differential suites and the snapshot-read
+# Debug build of the abort differential suites, the epoch-GC
+# differential suite, the graph substrate's tests and the snapshot-read
 # sweep: RELSER_DCHECK is on here (RelWithDebInfo and Release compile it
-# out), so RestoreRow's preconditions, ShardSlice::Project's owned-op
-# check and the checker's other debug checks run under every abort of
-# the three abort suites and under mvcc_test's kills, cascades and
-# snapshot admits.
+# out), so RestoreRow's preconditions, the check that no truncated
+# operation is fed again, ShardSlice::Project's owned-op check and the
+# checker's other debug checks run under every abort and truncation of those
+# suites and under mvcc_test's kills, cascades and snapshot admits.
 cmake -S . -B build-debug -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-debug -j"$(nproc)" \
   --target rollback_differential_test fault_test differential_online_test \
-           mvcc_test
+           mvcc_test epoch_gc_differential_test graph_test
 (cd build-debug &&
- ctest -R '^(rollback_differential_test|fault_test|differential_online_test|mvcc_test)$' \
+ ctest -R '^(rollback_differential_test|fault_test|differential_online_test|mvcc_test|epoch_gc_differential_test|graph_test)$' \
    --output-on-failure)
 
 # Docs gate: every relative markdown link and every repo path mentioned

@@ -23,6 +23,7 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
       newest_gid_(txn_count_, kNoGid),
       txn_objects_(txn_count_),
       pos_of_(indexer_.total_ops(), 0),
+      truncated_(indexer_.total_ops(), 0),
       scratch_anc_(txn_count_, 0),
       zero_row_(txn_count_, 0),
       raised_buf_(txn_count_ + 1, 0),
@@ -97,6 +98,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   const std::size_t gid = indexer_.GlobalId(op);
   RELSER_CHECK_MSG(executed_[gid] == 0,
                    "operation fed twice without RemoveTransactionExact");
+  RELSER_DCHECK(truncated_[gid] == 0);
   if (op.index > 0) {
     RELSER_CHECK_MSG(executed_[gid - 1] != 0,
                      "operations must be fed in program order");
@@ -268,7 +270,10 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
                                 std::size_t deltas_begin,
                                 std::size_t arcs_begin) {
   const TxnId j = op.txn;
-  undo_log_.push_back({deltas_begin, arcs_begin, undo_frontier_.size()});
+  UndoRecord record;
+  record.deltas = {deltas_begin, undo_deltas_.size()};
+  record.arcs = {arcs_begin, undo_arcs_.size()};
+  record.frontier.begin = undo_frontier_.size();
   const std::uint32_t slot = AcquireSlot(gid);
   std::copy(scratch_anc_.begin(), scratch_anc_.end(), Row(slot));
   flags_[gid] = static_cast<std::uint8_t>(kNewestFlag | kFrontierFlag);
@@ -301,11 +306,13 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
   } else {
     state.readers.push_back(gid);
   }
+  record.frontier.end = undo_frontier_.size();
   txn_objects_[j].push_back(obj_idx);
 
   executed_[gid] = 1;
   pos_of_[gid] = static_cast<std::uint32_t>(feed_log_.size());
   feed_log_.push_back(gid);
+  undo_log_.push_back(record);
 }
 
 void OnlineRsrChecker::RestoreRow(std::size_t gid) {
@@ -318,10 +325,14 @@ void OnlineRsrChecker::RestoreRow(std::size_t gid) {
   const AncestorColumn* src = Row(slot_of_[newest]);
   std::copy(src, src + txn_count_, row);
   for (std::size_t later = newest; later > gid; --later) {
-    const std::size_t k = pos_of_[later];
-    const std::size_t end = RecordEnd(k).deltas;
-    for (std::size_t d = undo_log_[k].deltas; d < end; ++d) {
-      row[undo_deltas_[d].column] = undo_deltas_[d].old_p1;
+    const UndoSpan deltas = undo_log_[pos_of_[later]].deltas;
+    for (std::size_t d = deltas.begin; d < deltas.end; ++d) {
+      // A truncated column (its transaction's first operation carries
+      // the byte) is zero in every row, as in a fresh checker.
+      const ColumnDelta delta = undo_deltas_[d];
+      if (truncated_[indexer_.TxnBegin(delta.column)] == 0) {
+        row[delta.column] = delta.old_p1;
+      }
     }
   }
   // The own column is the +1-encoded index of gid's predecessor.
@@ -345,9 +356,8 @@ void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
     bool dependent = indexer_.InTxn(txn, gid) ||
                      (gid > 0 && removed(gid - 1) &&
                       indexer_.InTxn(indexer_.TxnOf(gid - 1), gid));
-    const std::size_t deltas_end = RecordEnd(k).deltas;
-    for (std::size_t d = undo_log_[k].deltas; !dependent && d < deltas_end;
-         ++d) {
+    const UndoSpan deltas = undo_log_[k].deltas;
+    for (std::size_t d = deltas.begin; !dependent && d < deltas.end; ++d) {
       dependent = undo_deltas_[d].column == txn;
     }
     if (!dependent) continue;
@@ -357,10 +367,14 @@ void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
   }
 
   // Frontiers, newest removal first. A removed write hands its object
-  // back the frontier it dominated, minus removed members; the earliest
-  // removed write on an object settles it, and every member it brings
-  // back stays (docs/hotpath.md, "Aborts"). Kept members get their rows
-  // back while the rows and deltas they are rebuilt from are in place.
+  // back the frontier it dominated, minus removed and truncated members;
+  // the earliest removed write on an object settles it, and every member
+  // it brings back stays (docs/hotpath.md, "Aborts"). Kept members get
+  // their rows back while the rows and deltas they are rebuilt from are
+  // in place.
+  const auto gone = [this](std::size_t gid) {
+    return drop_mark_[gid] != 0 || truncated_[gid] != 0;
+  };
   for (auto it = drop_nodes_.rbegin(); it != drop_nodes_.rend(); ++it) {
     const std::size_t gid = *it;
     const Operation& op = indexer_.Op(txns_, gid);
@@ -369,14 +383,13 @@ void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
       std::erase(state.readers, gid);
       continue;
     }
-    const std::size_t k = pos_of_[gid];
-    const std::size_t end = RecordEnd(k).frontier;
-    const std::size_t writer = undo_frontier_[undo_log_[k].frontier];
-    state.last_writer = writer != kNoGid && removed(writer) ? kNoGid : writer;
+    const UndoSpan frontier = undo_log_[pos_of_[gid]].frontier;
+    const std::size_t writer = undo_frontier_[frontier.begin];
+    state.last_writer = writer != kNoGid && gone(writer) ? kNoGid : writer;
     state.readers.clear();
-    for (std::size_t f = undo_log_[k].frontier + 1; f < end; ++f) {
+    for (std::size_t f = frontier.begin + 1; f < frontier.end; ++f) {
       const std::size_t reader = undo_frontier_[f];
-      if (!removed(reader)) state.readers.push_back(reader);
+      if (!gone(reader)) state.readers.push_back(reader);
     }
     if (state.last_writer != kNoGid) {
       flags_[state.last_writer] |= kFrontierFlag;
@@ -389,18 +402,22 @@ void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
   }
 
   // Removed operations, oldest first. Each takes the arcs its record
-  // inserted with it; at a transaction's first
-  // removed operation, the predecessor becomes the newest again, its row
-  // rebuilt before the old newest row is released. Edge removal never
+  // inserted with it, except those from a truncated operation, which
+  // Truncate already isolated; at a transaction's first removed
+  // operation, the predecessor becomes the newest again, its row rebuilt
+  // before the old newest row is released. Edge removal never
   // invalidates the topological order, so the labels stay as they are.
   for (const std::size_t gid : drop_nodes_) {
     const Operation& op = indexer_.Op(txns_, gid);
     const TxnId j = op.txn;
-    const std::size_t k = pos_of_[gid];
-    const UndoRecord end = RecordEnd(k);
-    for (std::size_t a = undo_log_[k].arcs; a < end.arcs; ++a) {
-      RELSER_CHECK(topo_.RemoveEdge(undo_arcs_[a].first, undo_arcs_[a].second));
+    const UndoRecord& record = undo_log_[pos_of_[gid]];
+    const UndoSpan arcs = record.arcs;
+    for (std::size_t a = arcs.begin; a < arcs.end; ++a) {
+      const auto [from, to] = undo_arcs_[a];
+      if (truncated_[from] != 0) continue;
+      RELSER_CHECK(topo_.RemoveEdge(from, to));
     }
+    KillRecord(record);
     if (op.index == 0) {
       newest_gid_[j] = kNoGid;
       txn_objects_[j].clear();
@@ -415,37 +432,20 @@ void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
     ReleaseSlotIfAny(gid);
   }
 
-  // Compact the feed and the undo log past the victim's first position:
-  // kept records move down whole, in their order.
-  const auto move_down = [](auto& arena, std::size_t begin, std::size_t end,
-                            std::size_t out) {
-    const auto at = [&arena](std::size_t i) {
-      return arena.begin() + static_cast<std::ptrdiff_t>(i);
-    };
-    std::copy(at(begin), at(end), at(out));
-    return out + (end - begin);
-  };
+  // Compact the feed and its records past the victim's first position;
+  // the records' arena entries stay where they are.
   std::size_t kept = first;
-  UndoRecord out = undo_log_[first];
   for (std::size_t k = first; k < feed_log_.size(); ++k) {
     const std::size_t gid = feed_log_[k];
-    const UndoRecord rec = undo_log_[k];
-    const UndoRecord end = RecordEnd(k);
     if (removed(gid)) continue;
-    undo_log_[kept] = out;
-    out.deltas = move_down(undo_deltas_, rec.deltas, end.deltas, out.deltas);
-    out.arcs = move_down(undo_arcs_, rec.arcs, end.arcs, out.arcs);
-    out.frontier =
-        move_down(undo_frontier_, rec.frontier, end.frontier, out.frontier);
     pos_of_[gid] = static_cast<std::uint32_t>(kept);
+    undo_log_[kept] = undo_log_[k];
     feed_log_[kept++] = gid;
   }
   feed_log_.resize(kept);
   undo_log_.resize(kept);
-  undo_deltas_.resize(out.deltas);
-  undo_arcs_.resize(out.arcs);
-  undo_frontier_.resize(out.frontier);
   for (const std::size_t gid : drop_nodes_) drop_mark_[gid] = 0;
+  MaybeCompactUndo();
 
   // Silent re-admission of the dependents, in their original order, at
   // the end of the feed: no trace events, and rejections() keeps its
@@ -484,93 +484,108 @@ std::size_t OnlineRsrChecker::Truncate(
   }
   if (dropped == 0) return 0;
 
-  // Isolate every node of the settled transactions and release their
-  // executed state.
+  // Isolate every node of the settled transactions, release their
+  // executed state and count their undo records dead.
   drop_nodes_.clear();
-  drop_objects_.clear();
   for (const TxnId t : drop_txns_) {
     for (std::size_t gid = indexer_.TxnBegin(t); gid < indexer_.TxnEnd(t);
          ++gid) {
-      drop_mark_[gid] = 1;
+      truncated_[gid] = 1;
       drop_nodes_.push_back(gid);
       if (executed_[gid] == 0) continue;
+      KillRecord(undo_log_[pos_of_[gid]]);
       executed_[gid] = 0;
       flags_[gid] = 0;
       ReleaseSlotIfAny(gid);
     }
     newest_gid_[t] = kNoGid;
-    drop_objects_.insert(drop_objects_.end(), txn_objects_[t].begin(),
-                         txn_objects_[t].end());
+  }
+  topo_.IsolateNodes(drop_nodes_, truncated_);
+
+  // Object frontiers lose their settled members; an object visited
+  // twice has none left the second time. A settled op never sits after
+  // a survivor it conflicts with, so no survivor joins a frontier: every
+  // remaining member still holds its row.
+  const auto marked = [this](std::size_t gid) { return truncated_[gid] != 0; };
+  for (const TxnId t : drop_txns_) {
+    for (const std::uint32_t obj_idx : txn_objects_[t]) {
+      ObjState& state = objects_[obj_idx];
+      std::erase_if(state.readers, marked);
+      if (state.last_writer != kNoGid && marked(state.last_writer)) {
+        state.last_writer = kNoGid;
+      }
+      RELSER_CHECK(state.last_writer == kNoGid ||
+                   slot_of_[state.last_writer] != kNoSlot);
+      for (const std::size_t reader : state.readers) {
+        RELSER_CHECK(slot_of_[reader] != kNoSlot);
+      }
+    }
     txn_objects_[t].clear();
   }
-  topo_.IsolateNodes(drop_nodes_, drop_mark_);
 
-  // Object frontiers lose their settled members. A settled op never
-  // sits after a survivor it conflicts with, so no survivor joins a
-  // frontier: every remaining member still holds its row.
-  std::sort(drop_objects_.begin(), drop_objects_.end());
-  drop_objects_.erase(std::unique(drop_objects_.begin(), drop_objects_.end()),
-                      drop_objects_.end());
-  const auto marked = [this](std::size_t gid) { return drop_mark_[gid] != 0; };
-  for (const std::uint32_t obj_idx : drop_objects_) {
-    ObjState& state = objects_[obj_idx];
-    std::erase_if(state.readers, marked);
-    if (state.last_writer != kNoGid && marked(state.last_writer)) {
-      state.last_writer = kNoGid;
-    }
-    RELSER_CHECK(state.last_writer == kNoGid ||
-                 slot_of_[state.last_writer] != kNoSlot);
-    for (const std::size_t reader : state.readers) {
-      RELSER_CHECK(slot_of_[reader] != kNoSlot);
-    }
-  }
-
-  // Settled columns vanish from the retained rows...
+  // Settled columns vanish from the retained rows. The survivors' undo
+  // records keep their settled deltas, arcs and frontier members; each
+  // reader skips them by truncated_.
   for (std::uint32_t slot = 0; slot < slot_owner_.size(); ++slot) {
     if (slot_owner_[slot] == kNoGid) continue;
     AncestorColumn* row = Row(slot);
     for (const TxnId t : drop_txns_) row[t] = 0;
   }
-  // ...and from the undo log, which also drops the settled records and
-  // the settled arcs and frontier members of the surviving ones.
+  // feed_log() and the undo log drop the settled operations; their
+  // records' arena entries stay, counted dead.
   std::size_t kept = 0;
-  std::size_t deltas_out = 0;
-  std::size_t arcs_out = 0;
-  std::size_t frontier_out = 0;
   for (std::size_t k = 0; k < feed_log_.size(); ++k) {
     const std::size_t gid = feed_log_[k];
-    const UndoRecord rec = undo_log_[k];
-    const UndoRecord end = RecordEnd(k);
     if (marked(gid)) continue;
-    undo_log_[kept] = {deltas_out, arcs_out, frontier_out};
-    for (std::size_t d = rec.deltas; d < end.deltas; ++d) {
-      if (!is_settled(undo_deltas_[d].column)) {
-        undo_deltas_[deltas_out++] = undo_deltas_[d];
-      }
-    }
-    for (std::size_t a = rec.arcs; a < end.arcs; ++a) {
-      // Arcs target the emitting transaction, a survivor here.
-      if (!marked(undo_arcs_[a].first)) undo_arcs_[arcs_out++] = undo_arcs_[a];
-    }
-    for (std::size_t f = rec.frontier; f < end.frontier; ++f) {
-      const std::size_t member = undo_frontier_[f];
-      if (f == rec.frontier) {  // the dominated writer keeps its place
-        undo_frontier_[frontier_out++] =
-            member != kNoGid && marked(member) ? kNoGid : member;
-      } else if (!marked(member)) {
-        undo_frontier_[frontier_out++] = member;
-      }
-    }
     pos_of_[gid] = static_cast<std::uint32_t>(kept);
+    undo_log_[kept] = undo_log_[k];
     feed_log_[kept++] = gid;
   }
   feed_log_.resize(kept);
   undo_log_.resize(kept);
+  MaybeCompactUndo();
+  return dropped;
+}
+
+void OnlineRsrChecker::KillRecord(const UndoRecord& record) {
+  const std::size_t entries =
+      record.deltas.size() + record.arcs.size() + record.frontier.size();
+  undo_dead_ += entries;
+  undo_entries_died_ += entries;
+}
+
+void OnlineRsrChecker::MaybeCompactUndo() {
+  const std::size_t total =
+      undo_deltas_.size() + undo_arcs_.size() + undo_frontier_.size();
+  if (undo_dead_ == 0 || 2 * undo_dead_ < total) return;
+  // Live records' entries sit in undo_log_ order in every arena, so
+  // moving them down in that order never overwrites one not yet moved.
+  std::size_t moved = 0;
+  const auto move_down = [&moved](auto& arena, UndoSpan* span,
+                                  std::size_t* out) {
+    if (span->begin != *out) {
+      const auto at = [&arena](std::size_t i) {
+        return arena.begin() + static_cast<std::ptrdiff_t>(i);
+      };
+      std::copy(at(span->begin), at(span->end), at(*out));
+      moved += span->size();
+      *span = {*out, *out + span->size()};
+    }
+    *out = span->end;
+  };
+  std::size_t deltas_out = 0;
+  std::size_t arcs_out = 0;
+  std::size_t frontier_out = 0;
+  for (UndoRecord& record : undo_log_) {
+    move_down(undo_deltas_, &record.deltas, &deltas_out);
+    move_down(undo_arcs_, &record.arcs, &arcs_out);
+    move_down(undo_frontier_, &record.frontier, &frontier_out);
+  }
   undo_deltas_.resize(deltas_out);
   undo_arcs_.resize(arcs_out);
   undo_frontier_.resize(frontier_out);
-  for (const std::size_t gid : drop_nodes_) drop_mark_[gid] = 0;
-  return dropped;
+  undo_dead_ = 0;
+  undo_entries_moved_ += moved;
 }
 
 std::size_t OnlineRsrChecker::FrontierWriterGid(ObjectId object) const {

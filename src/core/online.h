@@ -99,11 +99,13 @@ class OnlineRsrChecker {
   /// the old feed minus the victim and its dependents, followed by the
   /// dependents, and the state is bit-identical (StateDigest) to a fresh
   /// checker fed it. One pass over the feed since the victim started
-  /// finds the dependents and one compacts the log over it; no other
-  /// operation is undone or re-admitted. Counters: rejections() is
-  /// preserved; arcs_submitted()/arcs_inserted_total() keep counting
-  /// through the re-admission (they meter topology traffic, which it
-  /// genuinely performs), and replayed_ops() grows by the dependents
+  /// finds the dependents; the removed records stay in the undo log,
+  /// counted dead, until dead entries reach live ones and one pass moves
+  /// the live records down. No other operation is undone or re-admitted.
+  /// Counters: rejections() is preserved;
+  /// arcs_submitted()/arcs_inserted_total() keep counting through the
+  /// re-admission (they meter topology traffic, which it genuinely
+  /// performs), and replayed_ops() grows by the dependents
   /// re-admitted.
   void RemoveTransactionExact(TxnId txn);
 
@@ -111,15 +113,18 @@ class OnlineRsrChecker {
   /// whose transaction has settled per `settled` (one atomic byte per
   /// transaction, epoch/epoch.h's view; read with relaxed loads). Works
   /// in place and re-admits nothing: it isolates the settled nodes,
-  /// zeroes the settled columns of the retained rows and of the undo
-  /// log, and filters the settled operations out of the object
-  /// frontiers, feed_log() and the log. Settledness is predecessor-closed,
-  /// so no survivor's row, arc or frontier membership depends on a
-  /// settled operation, and the result is bit-identical (StateDigest) to
-  /// a fresh checker fed only the survivors (docs/hotpath.md gives the
-  /// proof; the GC differential tests check decisions bit-for-bit).
-  /// Returns the number of feed entries dropped (0 = no settled history,
-  /// state untouched).
+  /// zeroes the settled columns of the retained rows, filters the
+  /// settled operations out of the object frontiers and feed_log(), and
+  /// counts their undo records dead. Survivors' undo records keep their
+  /// entries that name a settled operation or column; the abort skips
+  /// them, by one byte per truncated operation. Settledness is
+  /// predecessor-closed, so no survivor's row, arc or frontier
+  /// membership depends on a settled operation, and the result is
+  /// bit-identical (StateDigest) to a fresh checker fed only the
+  /// survivors (docs/hotpath.md gives the proof; the GC differential
+  /// tests check decisions bit-for-bit). A truncated transaction is never
+  /// fed again. Returns the number of feed entries dropped (0 = no
+  /// settled history, state untouched).
   std::size_t Truncate(const std::atomic<std::uint8_t>* settled);
 
   /// Retained-state gauges for long-lived memory accounting
@@ -136,6 +141,13 @@ class OnlineRsrChecker {
   /// Cumulative operations re-admitted by RemoveTransactionExact (each
   /// victim's dependents outside the victim). Truncate never adds to it.
   std::size_t replayed_ops() const { return replayed_ops_; }
+
+  /// Cumulative undo-log entries that died with a truncated or removed
+  /// operation's record, and cumulative live entries the log's
+  /// compaction moved to a new place. Compaction runs only once dead
+  /// entries reach live ones, so moved never exceeds died.
+  std::size_t undo_entries_died() const { return undo_entries_died_; }
+  std::size_t undo_entries_moved() const { return undo_entries_moved_; }
 
   /// Order-insensitive FNV-1a digest of the complete admission state:
   /// executed set, newest-op table, per-object frontiers (objects with
@@ -221,13 +233,19 @@ class OnlineRsrChecker {
     std::size_t last_writer = kNoGid;
   };
 
-  /// Undo record of one accepted operation: where its entries begin in
-  /// the three undo arenas (each range ends where the next record's
-  /// begins).
+  /// Entries [begin, end) of one undo arena.
+  struct UndoSpan {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::size_t size() const { return end - begin; }
+  };
+
+  /// Undo record of one accepted operation: its entries in the three
+  /// undo arenas.
   struct UndoRecord {
-    std::size_t deltas;    // undo_deltas_: row columns it raised
-    std::size_t arcs;      // undo_arcs_: arcs it inserted
-    std::size_t frontier;  // undo_frontier_: frontier a write dominated
+    UndoSpan deltas;    // undo_deltas_: row columns it raised
+    UndoSpan arcs;      // undo_arcs_: arcs it inserted
+    UndoSpan frontier;  // undo_frontier_: frontier a write dominated
   };
 
   /// A column an operation's row raised over its predecessor's row.
@@ -258,13 +276,11 @@ class OnlineRsrChecker {
   /// transaction's newest row with the deltas of the later operations
   /// reverted (rows are cumulative along program order).
   void RestoreRow(std::size_t gid);
-  /// One past record `k`'s last entry in each undo arena.
-  UndoRecord RecordEnd(std::size_t k) const {
-    return k + 1 < undo_log_.size()
-               ? undo_log_[k + 1]
-               : UndoRecord{undo_deltas_.size(), undo_arcs_.size(),
-                            undo_frontier_.size()};
-  }
+  /// Counts the entries of `record` dead.
+  void KillRecord(const UndoRecord& record);
+  /// Once dead undo entries reach live ones, moves every live record
+  /// down whole, in feed_log() order, over the dead entries.
+  void MaybeCompactUndo();
 
   const TransactionSet& txns_;
   const AtomicitySpec& spec_;
@@ -304,12 +320,21 @@ class OnlineRsrChecker {
 
   std::vector<std::size_t> feed_log_;  // accepted gids, admission order
   std::vector<std::uint32_t> pos_of_;  // gid -> its feed_log_ position
-  // Undo log, record k belonging to feed_log_[k].
+  // Undo log, record k belonging to feed_log_[k] and compacted with it.
+  // Each record names its own entries, so the arenas need no compaction
+  // when records leave: live records sit in the arenas in feed_log_
+  // order, and a truncated or removed record's entries stay where they
+  // are, counted in undo_dead_, until MaybeCompactUndo moves the live
+  // ones down.
   std::vector<UndoRecord> undo_log_;
   std::vector<ColumnDelta> undo_deltas_;
   std::vector<std::pair<NodeId, NodeId>> undo_arcs_;
   // Per write: the dominated last writer (kNoGid when none), then readers.
   std::vector<std::size_t> undo_frontier_;
+  std::size_t undo_dead_ = 0;
+  // gid -> truncated. A survivor's record may still name a truncated
+  // operation or column; its readers skip those entries.
+  std::vector<std::uint8_t> truncated_;
 
   // Reusable per-append scratch (no steady-state allocations).
   std::vector<AncestorColumn> scratch_anc_;
@@ -323,10 +348,11 @@ class OnlineRsrChecker {
   std::vector<std::size_t> replay_;
   std::vector<TxnId> drop_txns_;
   std::vector<NodeId> drop_nodes_;
-  std::vector<std::uint32_t> drop_objects_;
-  std::vector<std::uint8_t> drop_mark_;  // gid -> removed by this call
+  std::vector<std::uint8_t> drop_mark_;  // gid -> removed by this abort
 
   std::size_t replayed_ops_ = 0;
+  std::size_t undo_entries_died_ = 0;
+  std::size_t undo_entries_moved_ = 0;
   std::size_t rejections_ = 0;
   std::size_t arcs_submitted_ = 0;
   std::size_t arcs_inserted_total_ = 0;

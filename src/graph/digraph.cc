@@ -6,7 +6,7 @@ namespace relser {
 
 void Digraph::AdjArena::NewBlock(std::size_t min_size) {
   const std::size_t size = std::max(min_size, next_block_size_);
-  blocks_.push_back(std::make_unique<NodeId[]>(size));
+  blocks_.push_back(std::make_unique_for_overwrite<NodeId[]>(size));
   bump_ = blocks_.back().get();
   remaining_ = size;
   next_block_size_ = size * 2;
@@ -103,27 +103,40 @@ void Digraph::IsolateNode(NodeId node) {
 void Digraph::IsolateNodes(const std::vector<NodeId>& nodes,
                            const std::vector<std::uint8_t>& member) {
   // An edge leaving a member goes with its source's out-list; an edge
-  // entering a member from outside, with its target's in-list. Only the
-  // non-member end of an edge is unlinked entry by entry; member lists
-  // are emptied wholesale.
+  // entering a member from outside, with its target's in-list. Member
+  // lists are emptied wholesale. The first crossing edge to reach a
+  // non-member filters every member out of that end's list in one pass;
+  // later ones find the list already clean.
+  const auto is_member = [&member](NodeId node) { return member[node] != 0; };
+  if (cleaned_.size() < out_.size()) cleaned_.resize(out_.size(), 0);
+  scratch_.clear();
+  const auto clean = [&](NodeId node, std::uint8_t side, AdjList& list) {
+    if ((cleaned_[node] & side) != 0) return;
+    if (cleaned_[node] == 0) scratch_.push_back(node);
+    cleaned_[node] = static_cast<std::uint8_t>(cleaned_[node] | side);
+    list.size = static_cast<std::uint32_t>(
+        std::remove_if(list.data, list.data + list.size, is_member) -
+        list.data);
+  };
   for (const NodeId node : nodes) {
-    RELSER_DCHECK(member[node] != 0);
+    RELSER_DCHECK(is_member(node));
     AdjList& succs = out_[node];
     for (std::uint32_t k = 0; k < succs.size; ++k) {
       const NodeId succ = succs.data[k];
-      if (member[succ] == 0) Unlink(in_[succ], node);
+      if (!is_member(succ)) clean(succ, kInCleaned, in_[succ]);
     }
     edge_count_ -= succs.size;
     succs.size = 0;
     AdjList& preds = in_[node];
     for (std::uint32_t k = 0; k < preds.size; ++k) {
       const NodeId pred = preds.data[k];
-      if (member[pred] != 0) continue;
-      Unlink(out_[pred], node);
+      if (is_member(pred)) continue;
+      clean(pred, kOutCleaned, out_[pred]);
       --edge_count_;
     }
     preds.size = 0;
   }
+  for (const NodeId node : scratch_) cleaned_[node] = 0;
 }
 
 std::vector<std::pair<NodeId, NodeId>> Digraph::Edges() const {

@@ -122,10 +122,11 @@ class Digraph {
   void IsolateNode(NodeId node);
 
   /// IsolateNode for every node of `nodes` at once; `member[n]` is
-  /// nonzero exactly for the nodes in `nodes`. Member lists are emptied
-  /// wholesale; only an edge with one end outside the set is unlinked,
-  /// by a scan of that end's list, so an edge between two members costs
-  /// nothing beyond its visit.
+  /// nonzero for the nodes in `nodes` (and may be for nodes that have no
+  /// edges). Member lists are emptied wholesale. The list at the outside
+  /// end of a crossing edge is filtered once, removing every member from
+  /// it, however many crossing edges reach it; so the call costs the
+  /// members' lists plus one pass over each outside list they touch.
   void IsolateNodes(const std::vector<NodeId>& nodes,
                     const std::vector<std::uint8_t>& member);
 
@@ -146,7 +147,9 @@ class Digraph {
   /// of adjacency entries ever requested. Abandoned slabs (from list
   /// growth and node isolation) stay inside their block until the graph
   /// is destroyed — bounded waste in exchange for pointer stability and
-  /// allocation-free mutation.
+  /// allocation-free mutation. Blocks are allocated uninitialized: a list
+  /// reads only its first `size` entries, and Push and the copy
+  /// assignment write each of those before it counts.
   class AdjArena {
    public:
     NodeId* Allocate(std::size_t count) {
@@ -194,7 +197,11 @@ class Digraph {
   std::vector<AdjList> out_;
   std::vector<AdjList> in_;
   AdjArena arena_;
-  std::vector<NodeId> scratch_;  // reusable buffer for IsolateNode
+  // IsolateNodes: which lists of a node outside the set were filtered.
+  static constexpr std::uint8_t kInCleaned = 1;
+  static constexpr std::uint8_t kOutCleaned = 2;
+  std::vector<NodeId> scratch_;  // reusable buffer for IsolateNode(s)
+  std::vector<std::uint8_t> cleaned_;  // node -> kIn/kOutCleaned bits
   std::size_t edge_count_ = 0;
 };
 

@@ -206,6 +206,67 @@ TEST(Digraph, RandomizedChurnAgainstSetReference) {
   }
 }
 
+// Many members point into one survivor, the way settled operations point
+// into the surviving transaction they conflict with: the first crossing
+// edge filters every member out of the survivor's in-list, and the later
+// ones must neither unlink again nor miscount. Survivor–survivor and
+// member–member edges, a survivor-to-member edge and a member self-loop
+// ride along; afterwards every list must equal the reference as a set.
+TEST(Digraph, IsolateNodesManyCrossingEdgesOntoOneSurvivor) {
+  constexpr std::size_t kNodes = 16;
+  constexpr NodeId kHub = 12;  // the survivor most edges land on
+  Digraph graph(kNodes);
+  std::set<std::pair<NodeId, NodeId>> reference;
+  const auto add = [&](NodeId from, NodeId to) {
+    ASSERT_TRUE(graph.AddEdge(from, to));
+    reference.emplace(from, to);
+  };
+  std::vector<NodeId> nodes;
+  std::vector<std::uint8_t> member(kNodes, 0);
+  for (NodeId v = 0; v < 8; ++v) {  // members 0..7
+    nodes.push_back(v);
+    member[v] = 1;
+    add(v, kHub);
+    if (v % 2 == 0) add(v, 13);  // a second survivor, half as many
+    if (v > 0) add(v - 1, v);    // member-member chain
+  }
+  add(3, 3);  // member self-loop
+  add(14, 5);  // survivor -> member
+  for (NodeId v = 8; v < kNodes; ++v) {  // survivor-survivor
+    if (v != kHub) add(v, kHub);
+    if (v + 1 < kNodes && v + 1 != kHub) add(v, v + 1);
+  }
+  add(kHub, 8);
+
+  graph.IsolateNodes(nodes, member);
+  std::erase_if(reference, [&member](const auto& edge) {
+    return member[edge.first] != 0 || member[edge.second] != 0;
+  });
+  ASSERT_EQ(graph.edge_count(), reference.size());
+  for (NodeId v = 0; v < kNodes; ++v) {
+    std::set<NodeId> outs;
+    std::set<NodeId> ins;
+    for (const auto& [from, to] : reference) {
+      if (from == v) outs.insert(to);
+      if (to == v) ins.insert(from);
+    }
+    const NeighborSpan out = graph.OutNeighbors(v);
+    const NeighborSpan in = graph.InNeighbors(v);
+    EXPECT_EQ(out.size(), outs.size()) << "out-list of " << v;
+    EXPECT_EQ(in.size(), ins.size()) << "in-list of " << v;
+    EXPECT_EQ(std::set<NodeId>(out.begin(), out.end()), outs)
+        << "out-list of " << v;
+    EXPECT_EQ(std::set<NodeId>(in.begin(), in.end()), ins)
+        << "in-list of " << v;
+  }
+  // A second call over the same (now isolated) members changes nothing,
+  // and the survivors' lists still take new edges.
+  graph.IsolateNodes(nodes, member);
+  EXPECT_EQ(graph.edge_count(), reference.size());
+  EXPECT_TRUE(graph.AddEdge(kHub, 14));
+  EXPECT_FALSE(graph.AddEdge(8, kHub));
+}
+
 // ----------------------------------------------------------------- cycle
 
 TEST(Cycle, ChainIsAcyclic) {
