@@ -62,8 +62,8 @@ RejectionExplanation ExplainRejection(const TransactionSet& txns,
     const NodeId from = (*cycle)[i];
     const NodeId to = (*cycle)[(i + 1) % cycle->size()];
     ExplainedArc arc;
-    arc.from = txns.OpByGlobalId(from);
-    arc.to = txns.OpByGlobalId(to);
+    arc.from = rsg.indexer().Op(txns, from);
+    arc.to = rsg.indexer().Op(txns, to);
     arc.kinds = rsg.KindsOf(from, to);
     AnnotateUnit(spec, &arc);
     text += StrCat("  ", ToString(txns, arc.from), " -> ",

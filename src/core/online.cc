@@ -21,7 +21,7 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
       flags_(indexer_.total_ops(), 0),
       slot_of_(indexer_.total_ops(), kNoSlot),
       newest_gid_(txn_count_, kNoGid),
-      txn_objects_(txn_count_),
+      objects_(txns.object_count()),
       pos_of_(indexer_.total_ops(), 0),
       truncated_(indexer_.total_ops(), 0),
       scratch_anc_(txn_count_, 0),
@@ -40,9 +40,9 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
   undo_log_.reserve(indexer_.total_ops());
   undo_arcs_.reserve(4 * indexer_.total_ops());
   undo_deltas_.reserve(4 * indexer_.total_ops());
-  // Pre-size the adjacency arena; together with the per-object and
-  // per-transaction reservations below this keeps the steady-state
-  // admission path free of heap allocations (trace_test's
+  // Pre-size the adjacency arena; together with the reservations above
+  // and the per-object reader reservation in CommitOp this keeps the
+  // steady-state admission path free of heap allocations (trace_test's
   // CheckerAllocations bounds the residual, which is only amortized
   // growth of the few structures whose final size is workload-dependent).
   topo_.ReserveAdjacency(8);
@@ -50,22 +50,7 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
     RELSER_CHECK_MSG(txns_.txn(t).size() <= kMaxTxnOps,
                      "transaction T" << t + 1 << " has more than "
                                      << kMaxTxnOps << " operations");
-    // One entry per executed op of t (entries are appended per op, so the
-    // exact bound is the transaction length).
-    txn_objects_[t].reserve(txns_.txn(t).size());
   }
-}
-
-std::uint32_t OnlineRsrChecker::ObjIndex(ObjectId object) {
-  const auto [slot, inserted] = object_index_.Upsert(object);
-  if (inserted) {
-    *slot = static_cast<std::uint32_t>(objects_.size());
-    objects_.emplace_back();
-    // Skip the small-capacity doublings every per-object vector would
-    // otherwise go through; hot objects still grow past this normally.
-    objects_.back().readers.reserve(8);
-  }
-  return *slot;
 }
 
 std::uint32_t OnlineRsrChecker::AcquireSlot(std::size_t gid) {
@@ -99,6 +84,8 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   RELSER_CHECK_MSG(executed_[gid] == 0,
                    "operation fed twice without RemoveTransactionExact");
   RELSER_DCHECK(truncated_[gid] == 0);
+  RELSER_CHECK_MSG(op.object < objects_.size(),
+                   "operation names an object outside the transaction set");
   if (op.index > 0) {
     RELSER_CHECK_MSG(executed_[gid - 1] != 0,
                      "operations must be fed in program order");
@@ -127,9 +114,8 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   // frontier is enough both for exact ancestor maxima and — transitively —
   // for D-arc reachability (docs/hotpath.md, Lemma 1).
   pred_buf_.clear();
-  const std::uint32_t obj_idx = ObjIndex(op.object);
   {
-    const ObjState& state = objects_[obj_idx];
+    const ObjState& state = objects_[op.object];
     if (state.last_writer != kNoGid && !indexer_.InTxn(j, state.last_writer)) {
       pred_buf_.push_back(state.last_writer);
     }
@@ -261,12 +247,11 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   const std::size_t arcs_begin = undo_arcs_.size();
   undo_arcs_.insert(undo_arcs_.end(), topo_.last_inserted().begin(),
                     topo_.last_inserted().end());
-  CommitOp(op, gid, obj_idx, deltas_begin, arcs_begin);
+  CommitOp(op, gid, deltas_begin, arcs_begin);
   return AdmitResult::Accept(j);
 }
 
 void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
-                                std::uint32_t obj_idx,
                                 std::size_t deltas_begin,
                                 std::size_t arcs_begin) {
   const TxnId j = op.txn;
@@ -284,7 +269,7 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
   }
   newest_gid_[j] = gid;
 
-  ObjState& state = objects_[obj_idx];
+  ObjState& state = objects_[op.object];
   if (op.is_write()) {
     // The old frontier is dominated: future conflicts reach it through
     // this write. Log it, then drop its retention claims.
@@ -304,10 +289,12 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
     state.readers.clear();
     state.last_writer = gid;
   } else {
+    // Skip the small-capacity doublings on a frontier's first read; hot
+    // objects still grow past this normally.
+    if (state.readers.capacity() == 0) state.readers.reserve(8);
     state.readers.push_back(gid);
   }
   record.frontier.end = undo_frontier_.size();
-  txn_objects_[j].push_back(obj_idx);
 
   executed_[gid] = 1;
   pos_of_[gid] = static_cast<std::uint32_t>(feed_log_.size());
@@ -378,7 +365,7 @@ void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
   for (auto it = drop_nodes_.rbegin(); it != drop_nodes_.rend(); ++it) {
     const std::size_t gid = *it;
     const Operation& op = indexer_.Op(txns_, gid);
-    ObjState& state = objects_[txn_objects_[op.txn][op.index]];
+    ObjState& state = objects_[op.object];
     if (!op.is_write()) {
       std::erase(state.readers, gid);
       continue;
@@ -420,12 +407,10 @@ void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
     KillRecord(record);
     if (op.index == 0) {
       newest_gid_[j] = kNoGid;
-      txn_objects_[j].clear();
     } else if (!removed(gid - 1)) {
       flags_[gid - 1] |= kNewestFlag;
       RestoreRow(gid - 1);
       newest_gid_[j] = gid - 1;
-      txn_objects_[j].resize(op.index);
     }
     executed_[gid] = 0;
     flags_[gid] = 0;
@@ -485,7 +470,8 @@ std::size_t OnlineRsrChecker::Truncate(
   if (dropped == 0) return 0;
 
   // Isolate every node of the settled transactions, release their
-  // executed state and count their undo records dead.
+  // executed state and count their undo records dead. newest_gid_ keeps
+  // each one's executed end for the frontier pass.
   drop_nodes_.clear();
   for (const TxnId t : drop_txns_) {
     for (std::size_t gid = indexer_.TxnBegin(t); gid < indexer_.TxnEnd(t);
@@ -498,18 +484,20 @@ std::size_t OnlineRsrChecker::Truncate(
       flags_[gid] = 0;
       ReleaseSlotIfAny(gid);
     }
-    newest_gid_[t] = kNoGid;
   }
   topo_.IsolateNodes(drop_nodes_, truncated_);
 
-  // Object frontiers lose their settled members; an object visited
-  // twice has none left the second time. A settled op never sits after
-  // a survivor it conflicts with, so no survivor joins a frontier: every
-  // remaining member still holds its row.
+  // Object frontiers lose their settled members: each settled
+  // transaction's executed operations name the objects to filter, and an
+  // object visited twice has none left the second time. A settled op
+  // never sits after a survivor it conflicts with, so no survivor joins
+  // a frontier: every remaining member still holds its row.
   const auto marked = [this](std::size_t gid) { return truncated_[gid] != 0; };
   for (const TxnId t : drop_txns_) {
-    for (const std::uint32_t obj_idx : txn_objects_[t]) {
-      ObjState& state = objects_[obj_idx];
+    const std::vector<Operation>& ops = txns_.txn(t).ops();
+    const std::size_t fed = newest_gid_[t] - indexer_.TxnBegin(t) + 1;
+    for (std::size_t k = 0; k < fed; ++k) {
+      ObjState& state = objects_[ops[k].object];
       std::erase_if(state.readers, marked);
       if (state.last_writer != kNoGid && marked(state.last_writer)) {
         state.last_writer = kNoGid;
@@ -520,7 +508,7 @@ std::size_t OnlineRsrChecker::Truncate(
         RELSER_CHECK(slot_of_[reader] != kNoSlot);
       }
     }
-    txn_objects_[t].clear();
+    newest_gid_[t] = kNoGid;
   }
 
   // Settled columns vanish from the retained rows. The survivors' undo
@@ -589,17 +577,15 @@ void OnlineRsrChecker::MaybeCompactUndo() {
 }
 
 std::size_t OnlineRsrChecker::FrontierWriterGid(ObjectId object) const {
-  const std::uint32_t* idx = object_index_.Find(object);
-  if (idx == nullptr) return kNoOp;
-  const std::size_t writer = objects_[*idx].last_writer;
+  if (object >= objects_.size()) return kNoOp;
+  const std::size_t writer = objects_[object].last_writer;
   return writer == kNoGid ? kNoOp : writer;
 }
 
 void OnlineRsrChecker::FrontierReaders(ObjectId object,
                                        std::vector<std::size_t>* out) const {
-  const std::uint32_t* idx = object_index_.Find(object);
-  if (idx == nullptr) return;
-  const ObjState& state = objects_[*idx];
+  if (object >= objects_.size()) return;
+  const ObjState& state = objects_[object];
   out->insert(out->end(), state.readers.begin(), state.readers.end());
 }
 
@@ -614,29 +600,17 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
   mix(feed_log_.size());
   for (const std::uint8_t bit : executed_) mix(bit);
   for (const std::size_t gid : newest_gid_) mix(gid);
-  // Per-object state, keyed by ObjectId (objects_ index order depends on
-  // first-touch order, which two equal-state checkers may disagree on).
-  {
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> by_object;
-    by_object.reserve(objects_.size());
-    const_cast<FlatMap64<std::uint32_t>&>(object_index_)
-        .ForEach([&](std::uint64_t key, std::uint32_t& idx) {
-          by_object.emplace_back(key, idx);
-        });
-    std::sort(by_object.begin(), by_object.end());
-    for (const auto& [object, idx] : by_object) {
-      const ObjState& state = objects_[idx];
-      // A rejected, undone or truncated op can leave an empty entry that
-      // a fresh checker never created. An object has a retained executed
-      // op exactly when its frontier is non-empty: the newest retained
-      // op on it is always in the frontier, and Truncate drops no op
-      // that a survivor on the same object follows (settledness is
-      // predecessor-closed).
-      if (state.last_writer == kNoGid && state.readers.empty()) continue;
-      mix(object);
-      mix(state.last_writer);
-      for (const std::size_t gid : state.readers) mix(gid);
-    }
+  // Per-object state in ObjectId order. An empty frontier counts as
+  // absent: an object has a retained executed op exactly when its
+  // frontier is non-empty (the newest retained op on it is always in the
+  // frontier, and Truncate drops no op that a survivor on the same
+  // object follows, as settledness is predecessor-closed).
+  for (ObjectId object = 0; object < objects_.size(); ++object) {
+    const ObjState& state = objects_[object];
+    if (state.last_writer == kNoGid && state.readers.empty()) continue;
+    mix(object);
+    mix(state.last_writer);
+    for (const std::size_t gid : state.readers) mix(gid);
   }
   // Retained ancestor arrays: keyed by owning gid, content-only (which
   // pool slot a row occupies is allocation history, not state).

@@ -52,7 +52,6 @@
 #include "model/op_indexer.h"
 #include "model/schedule.h"
 #include "spec/atomicity_spec.h"
-#include "util/flat_map.h"
 
 namespace relser {
 
@@ -174,7 +173,8 @@ class OnlineRsrChecker {
   const std::vector<TxnId>& last_conflicts() const { return conflict_txns_; }
 
   /// Global id of the frontier writer (last executed, still-present
-  /// write) of `object`, or kNoOp when none / object untouched.
+  /// write) of `object`, or kNoOp when none, including for an object
+  /// untouched or past the transaction set's object_count().
   static constexpr std::size_t kNoOp = ~static_cast<std::size_t>(0);
   std::size_t FrontierWriterGid(ObjectId object) const;
 
@@ -227,7 +227,8 @@ class OnlineRsrChecker {
   static constexpr std::uint8_t kNewestFlag = 1;    // newest executed of txn
   static constexpr std::uint8_t kFrontierFlag = 2;  // in an object frontier
 
-  /// Conflict frontier of one object.
+  /// Conflict frontier of one object (empty until its first executed
+  /// operation).
   struct ObjState {
     std::vector<std::size_t> readers;  // reads since last_writer, feed order
     std::size_t last_writer = kNoGid;
@@ -254,7 +255,6 @@ class OnlineRsrChecker {
     AncestorColumn old_p1;  // the predecessor row's value
   };
 
-  std::uint32_t ObjIndex(ObjectId object);
   std::uint32_t AcquireSlot(std::size_t gid);
   /// The ancestor row of pool slot `slot`: txn_count_ columns.
   AncestorColumn* Row(std::uint32_t slot) {
@@ -267,10 +267,10 @@ class OnlineRsrChecker {
   }
   void ReleaseSlotIfAny(std::size_t gid);
   /// TryAppend's commit tail: persists scratch_anc_ into the slot pool,
-  /// updates retention flags, the object frontier, reverse indices and
-  /// executed bookkeeping, and pushes the undo record whose deltas and
-  /// arcs begin at the given offsets.
-  void CommitOp(const Operation& op, std::size_t gid, std::uint32_t obj_idx,
+  /// updates retention flags, the object frontier and executed
+  /// bookkeeping, and pushes the undo record whose deltas and arcs begin
+  /// at the given offsets.
+  void CommitOp(const Operation& op, std::size_t gid,
                 std::size_t deltas_begin, std::size_t arcs_begin);
   /// Gives `gid` its ancestor row back if it was released: its
   /// transaction's newest row with the deltas of the later operations
@@ -314,9 +314,9 @@ class OnlineRsrChecker {
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::size_t> slot_owner_;  // slot -> gid (kNoGid when free)
 
-  FlatMap64<std::uint32_t> object_index_;  // ObjectId -> objects_ index
+  // ObjectId -> conflict frontier, one entry per object of the
+  // transaction set (its ids are dense: 0..object_count()-1).
   std::vector<ObjState> objects_;
-  std::vector<std::vector<std::uint32_t>> txn_objects_;  // reverse index
 
   std::vector<std::size_t> feed_log_;  // accepted gids, admission order
   std::vector<std::uint32_t> pos_of_;  // gid -> its feed_log_ position

@@ -64,7 +64,7 @@ bool OnlineRsrCheckerBaseline::TryAppend(const Operation& op) {
   const auto it = history_.find(op.object);
   if (it != history_.end()) {
     for (const std::size_t other : it->second) {
-      const Operation& other_op = txns_.OpByGlobalId(other);
+      const Operation& other_op = indexer_.Op(txns_, other);
       if (other_op.txn != op.txn && (other_op.is_write() || op.is_write())) {
         ancestors.Set(other);
         ancestors.UnionWith(ancestors_[other]);
@@ -79,7 +79,7 @@ bool OnlineRsrCheckerBaseline::TryAppend(const Operation& op) {
   }
   for (std::size_t u = ancestors.FindNext(0); u < ancestors.size();
        u = ancestors.FindNext(u + 1)) {
-    const Operation& dep = txns_.OpByGlobalId(u);
+    const Operation& dep = indexer_.Op(txns_, u);
     if (dep.txn == op.txn) continue;  // internal: I-arcs chain them
     arcs.emplace_back(u, gid);  // D-arc
     const std::uint32_t pushed = spec_.PushForward(dep.txn, op.txn, dep.index);

@@ -28,8 +28,8 @@ SpecRepair RepairSpec(const TransactionSet& txns, const Schedule& schedule,
     for (std::size_t i = 0; i < cycle->size() && !progressed; ++i) {
       const NodeId from = (*cycle)[i];
       const NodeId to = (*cycle)[(i + 1) % cycle->size()];
-      const Operation& u = txns.OpByGlobalId(from);
-      const Operation& v = txns.OpByGlobalId(to);
+      const Operation& u = rsg.indexer().Op(txns, from);
+      const Operation& v = rsg.indexer().Op(txns, to);
       if (schedule.Precedes(u, v)) continue;  // forward arc
       const std::uint8_t kinds = rsg.KindsOf(from, to);
       SuggestedBreakpoint suggestion;

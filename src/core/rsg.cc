@@ -79,9 +79,9 @@ std::string RelativeSerializationGraph::ToString(
     const TransactionSet& txns) const {
   std::string out;
   for (const auto& [from, to] : graph_.Edges()) {
-    out += relser::ToString(txns, txns.OpByGlobalId(from));
+    out += relser::ToString(txns, indexer_.Op(txns, from));
     out += " -> ";
-    out += relser::ToString(txns, txns.OpByGlobalId(to));
+    out += relser::ToString(txns, indexer_.Op(txns, to));
     out += " [";
     out += ArcKindsToString(KindsOf(from, to));
     out += "]\n";
@@ -132,7 +132,7 @@ std::string RelativeSerializationGraph::ToDot(
   DotOptions options;
   options.name = "rsg";
   options.node_label = [&](NodeId node) {
-    return relser::ToString(txns, txns.OpByGlobalId(node));
+    return relser::ToString(txns, indexer_.Op(txns, node));
   };
   options.edge_label = [&](NodeId from, NodeId to) {
     return ArcKindsToString(KindsOf(from, to));

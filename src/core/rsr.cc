@@ -21,14 +21,14 @@ std::optional<Schedule> ExtractRelativelySerialWitness(
   // a reordering.
   std::vector<std::size_t> priority(rsg.graph().node_count());
   for (NodeId node = 0; node < priority.size(); ++node) {
-    priority[node] = schedule.PositionOf(txns.OpByGlobalId(node));
+    priority[node] = schedule.PositionOf(rsg.indexer().Op(txns, node));
   }
   const auto order = PriorityTopologicalSort(rsg.graph(), priority);
   if (!order.has_value()) return std::nullopt;
   std::vector<Operation> ops;
   ops.reserve(order->size());
   for (const NodeId node : *order) {
-    ops.push_back(txns.OpByGlobalId(node));
+    ops.push_back(rsg.indexer().Op(txns, node));
   }
   auto witness = Schedule::Over(txns, std::move(ops));
   // I-arcs guarantee program order, so the topological order is always a

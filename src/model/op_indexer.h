@@ -1,9 +1,8 @@
-// OpIndexer: O(1) mapping between operations and dense global op ids.
+// OpIndexer: the operation numbering, the only one in the library.
 //
-// TransactionSet::GlobalOpId revalidates its prefix sums on every call so
-// it stays correct while transactions are still being built; analysis hot
-// paths (RSG construction touches O(n^2) pairs) instead snapshot the
-// numbering once with an OpIndexer.
+// Maps operations to dense global op ids (the RSG's vertex ids) in O(1)
+// and back in O(log T). It snapshots a finished TransactionSet's
+// transaction sizes once; build it after the set stops growing.
 #ifndef RELSER_MODEL_OP_INDEXER_H_
 #define RELSER_MODEL_OP_INDEXER_H_
 
@@ -48,8 +47,7 @@ class OpIndexer {
     return gid >= offsets_[txn] && gid < offsets_[txn + 1];
   }
 
-  /// Operation with global id `gid`. `txns` must be the snapshotted set;
-  /// unlike TransactionSet::OpByGlobalId this never rebuilds prefix sums.
+  /// Operation with global id `gid`. `txns` must be the snapshotted set.
   const Operation& Op(const TransactionSet& txns, std::size_t gid) const {
     const TxnId txn = TxnOf(gid);
     return txns.txn(txn).op(gid - offsets_[txn]);

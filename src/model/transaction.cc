@@ -5,7 +5,6 @@
 namespace relser {
 
 Transaction* TransactionSet::AddTransaction() {
-  offsets_stale_ = true;
   const auto id = static_cast<TxnId>(txns_.size());
   txns_.emplace_back(id);
   return &txns_.back();
@@ -40,51 +39,6 @@ ObjectId TransactionSet::AddObjects(std::size_t count) {
     object_names_.push_back(std::move(name));
   }
   return first;
-}
-
-std::size_t TransactionSet::total_ops() const {
-  RebuildOffsetsIfStale();
-  return offsets_.empty() ? 0 : offsets_.back();
-}
-
-void TransactionSet::RebuildOffsetsIfStale() const {
-  // offsets_[i] = first global id of txn i; offsets_.back() = total ops.
-  // Rebuild unconditionally when marked stale *or* when any transaction
-  // grew since the last rebuild (ops appended through AddTransaction's
-  // pointer do not flip the flag).
-  offsets_.assign(txns_.size() + 1, 0);
-  for (std::size_t i = 0; i < txns_.size(); ++i) {
-    offsets_[i + 1] = offsets_[i] + txns_[i].size();
-  }
-  offsets_stale_ = false;
-}
-
-std::size_t TransactionSet::GlobalOpId(TxnId txn, std::uint32_t index) const {
-  RebuildOffsetsIfStale();
-  RELSER_CHECK(txn < txns_.size());
-  RELSER_CHECK_MSG(index < txns_[txn].size(),
-                   "op index " << index << " out of range for T" << txn + 1);
-  return offsets_[txn] + index;
-}
-
-const Operation& TransactionSet::OpByGlobalId(std::size_t global_id) const {
-  RebuildOffsetsIfStale();
-  // offsets_.back() is the total just rebuilt; total_ops() would rebuild
-  // the prefix sums a second time.
-  RELSER_CHECK_MSG(global_id < offsets_.back(),
-                   "global op id " << global_id << " out of range");
-  // Binary search over prefix sums.
-  std::size_t lo = 0;
-  std::size_t hi = txns_.size();
-  while (lo + 1 < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (offsets_[mid] <= global_id) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return txns_[lo].op(global_id - offsets_[lo]);
 }
 
 Status TransactionSet::Validate() const {

@@ -1,9 +1,10 @@
 // Transaction and TransactionSet (the set T = {T1, ..., Tn} of Section 2).
 //
 // A Transaction is a totally ordered sequence of read/write operations.
-// TransactionSet owns the transactions, assigns dense transaction ids,
-// interns object names (so examples can use the paper's x, y, z, t), and
-// provides the global operation numbering used as RSG vertex ids.
+// TransactionSet owns the transactions, assigns dense transaction ids and
+// interns object names (so examples can use the paper's x, y, z, t) as
+// dense object ids. OpIndexer (model/op_indexer.h) numbers the
+// operations; those numbers are the RSG's vertex ids.
 #ifndef RELSER_MODEL_TRANSACTION_H_
 #define RELSER_MODEL_TRANSACTION_H_
 
@@ -97,32 +98,14 @@ class TransactionSet {
 
   std::size_t object_count() const { return object_names_.size(); }
 
-  /// Total operations across all transactions.
-  std::size_t total_ops() const;
-
-  /// Dense global id of operation o_{txn,index}: vertex id in RSG(S).
-  std::size_t GlobalOpId(TxnId txn, std::uint32_t index) const;
-  std::size_t GlobalOpId(const Operation& op) const {
-    return GlobalOpId(op.txn, op.index);
-  }
-
-  /// Inverse of GlobalOpId.
-  const Operation& OpByGlobalId(std::size_t global_id) const;
-
   /// Validates internal consistency (op indices consecutive, objects
   /// interned, non-empty transactions); OK on success.
   Status Validate() const;
 
  private:
-  void RebuildOffsetsIfStale() const;
-
   std::deque<Transaction> txns_;
   std::vector<std::string> object_names_;
   std::unordered_map<std::string, ObjectId> object_ids_;
-
-  // Prefix sums of transaction sizes for GlobalOpId; rebuilt lazily.
-  mutable std::vector<std::size_t> offsets_;
-  mutable bool offsets_stale_ = true;
 };
 
 }  // namespace relser

@@ -9,27 +9,20 @@ namespace relser {
 
 SGTScheduler::SGTScheduler(const TransactionSet& txns)
     : topo_(txns.txn_count()),
+      objects_(txns.object_count()),
       touched_(txns.txn_count()),
       committed_(txns.txn_count(), 0),
       retired_(txns.txn_count(), 0) {
   arc_buf_.reserve(16);
 }
 
-std::uint32_t SGTScheduler::ObjIndex(ObjectId object) {
-  const auto [slot, inserted] = object_index_.Upsert(object);
-  if (inserted) {
-    *slot = static_cast<std::uint32_t>(objects_.size());
-    objects_.emplace_back();
-  }
-  return *slot;
-}
-
 AdmitResult SGTScheduler::OnRequest(const Operation& op) {
   const bool tracing = tracer_ != nullptr && tracer_->events_on();
   arc_buf_.clear();
   arc_from_buf_.clear();
-  const std::uint32_t obj_idx = ObjIndex(op.object);
-  for (const Access& access : objects_[obj_idx]) {
+  RELSER_CHECK_MSG(op.object < objects_.size(),
+                   "operation names an object outside the transaction set");
+  for (const Access& access : objects_[op.object]) {
     if (access.txn != op.txn && (access.write || op.is_write())) {
       arc_buf_.emplace_back(access.txn, op.txn);
       // SGT arcs are transaction-level; remember the conflicting access
@@ -75,14 +68,14 @@ AdmitResult SGTScheduler::OnRequest(const Operation& op) {
       }
     }
   }
-  objects_[obj_idx].push_back(Access{op.txn, op.index, op.is_write()});
-  touched_[op.txn].push_back(obj_idx);
+  objects_[op.object].push_back(Access{op.txn, op.index, op.is_write()});
+  touched_[op.txn].push_back(op.object);
   return AdmitResult::Accept(op.txn);
 }
 
 void SGTScheduler::ScrubHistory(TxnId txn) {
-  for (const std::uint32_t obj_idx : touched_[txn]) {
-    std::erase_if(objects_[obj_idx],
+  for (const ObjectId object : touched_[txn]) {
+    std::erase_if(objects_[object],
                   [txn](const Access& access) { return access.txn == txn; });
   }
   touched_[txn].clear();

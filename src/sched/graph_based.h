@@ -30,7 +30,6 @@
 #include "model/transaction.h"
 #include "sched/scheduler.h"
 #include "spec/atomicity_spec.h"
-#include "util/flat_map.h"
 
 namespace relser {
 
@@ -57,16 +56,16 @@ class SGTScheduler : public Scheduler {
     bool write;
   };
 
-  std::uint32_t ObjIndex(ObjectId object);
   /// Retires every committed in-degree-0 transaction reachable from the
   /// GC worklist, cascading as removals expose new sources.
   void CollectRetirable();
   void ScrubHistory(TxnId txn);
 
   IncrementalTopology topo_;
-  FlatMap64<std::uint32_t> object_index_;   // ObjectId -> objects_ index
-  std::vector<std::vector<Access>> objects_;  // per-object access history
-  std::vector<std::vector<std::uint32_t>> touched_;  // txn -> object indices
+  // ObjectId -> access history, one entry per object of the transaction
+  // set (its ids are dense: 0..object_count()-1).
+  std::vector<std::vector<Access>> objects_;
+  std::vector<std::vector<ObjectId>> touched_;  // txn -> objects accessed
   std::vector<std::uint8_t> committed_;
   std::vector<std::uint8_t> retired_;
   std::vector<TxnId> gc_worklist_;

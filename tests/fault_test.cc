@@ -37,7 +37,7 @@ std::uint64_t RebuiltDigest(const TransactionSet& txns,
                             const OnlineRsrChecker& checker) {
   OnlineRsrChecker rebuilt(txns, spec);
   for (const std::size_t gid : checker.feed_log()) {
-    EXPECT_TRUE(rebuilt.TryAppend(txns.OpByGlobalId(gid)).ok())
+    EXPECT_TRUE(rebuilt.TryAppend(checker.indexer().Op(txns, gid)).ok())
         << "surviving feed must replay cleanly";
   }
   return rebuilt.StateDigest();
@@ -69,7 +69,7 @@ TEST(FaultTest, ExactAbortIsBitIdenticalToRebuild) {
 
     std::vector<std::uint32_t> next_op(txns.txn_count(), 0);
     std::vector<std::uint8_t> dead(txns.txn_count(), 0);
-    std::size_t steps = txns.total_ops() + 4;
+    std::size_t steps = checker.indexer().total_ops() + 4;
     std::size_t aborts_done = 0;
     while (steps-- > 0) {
       // Mostly feed; sometimes abort a transaction that has executed ops.

@@ -103,7 +103,6 @@ TEST(TransactionSet, TransactionsGetSequentialIdsAndIndexedOps) {
   EXPECT_EQ(txns.txn(1).id(), 1u);
   EXPECT_EQ(txns.txn(0).op(1).index, 1u);
   EXPECT_EQ(txns.txn(1).op(2).type, OpType::kWrite);
-  EXPECT_EQ(txns.total_ops(), 5u);
 }
 
 TEST(TransactionSet, PointersSurviveLaterAdds) {
@@ -115,16 +114,6 @@ TEST(TransactionSet, PointersSurviveLaterAdds) {
   }
   first->Read(x);  // must not be dangling (deque storage)
   EXPECT_EQ(txns.txn(0).size(), 1u);
-}
-
-TEST(TransactionSet, GlobalOpIdRoundTrips) {
-  const TransactionSet txns = TwoTxns();
-  for (TxnId t = 0; t < txns.txn_count(); ++t) {
-    for (std::uint32_t j = 0; j < txns.txn(t).size(); ++j) {
-      const std::size_t gid = txns.GlobalOpId(t, j);
-      EXPECT_EQ(txns.OpByGlobalId(gid), txns.txn(t).op(j));
-    }
-  }
 }
 
 TEST(TransactionSet, ValidateAcceptsWellFormedSet) {
@@ -140,7 +129,7 @@ TEST(TransactionSet, ValidateRejectsEmptyTransaction) {
 
 // ------------------------------------------------------------- OpIndexer
 
-TEST(OpIndexer, MatchesTransactionSetNumbering) {
+TEST(OpIndexer, NumbersEveryOperationAndRoundTrips) {
   const TransactionSet txns = TwoTxns();
   const OpIndexer indexer(txns);
   EXPECT_EQ(indexer.total_ops(), 5u);
@@ -149,9 +138,14 @@ TEST(OpIndexer, MatchesTransactionSetNumbering) {
   EXPECT_EQ(indexer.GlobalId(1, 0), 2u);
   EXPECT_EQ(indexer.TxnBegin(1), 2u);
   EXPECT_EQ(indexer.TxnEnd(1), 5u);
+  std::size_t expected_gid = 0;
   for (TxnId t = 0; t < txns.txn_count(); ++t) {
     for (std::uint32_t j = 0; j < txns.txn(t).size(); ++j) {
-      EXPECT_EQ(indexer.GlobalId(t, j), txns.GlobalOpId(t, j));
+      const std::size_t gid = indexer.GlobalId(t, j);
+      EXPECT_EQ(gid, expected_gid++);
+      EXPECT_EQ(indexer.TxnOf(gid), t);
+      EXPECT_TRUE(indexer.InTxn(t, gid));
+      EXPECT_EQ(indexer.Op(txns, gid), txns.txn(t).op(j));
     }
   }
 }

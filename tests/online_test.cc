@@ -182,6 +182,51 @@ TEST(OnlineChecker, RejectionPositionIsMinimal) {
   EXPECT_GE(rejected_cases, 10);
 }
 
+TEST(OnlineChecker, FrontierProbesOnUntouchedAndUnknownObjects) {
+  auto txns = ParseTransactionSet("T1 = w1[x] r1[y]\nT2 = r2[x]\n");
+  const AtomicitySpec spec = AbsoluteSpec(*txns);
+  OnlineRsrChecker checker(*txns, spec);
+  ASSERT_TRUE(checker.TryAppend(txns->txn(0).op(0)));  // w1[x]
+  ASSERT_TRUE(checker.TryAppend(txns->txn(1).op(0)));  // r2[x]
+  const ObjectId x = txns->txn(0).op(0).object;
+  const ObjectId y = txns->txn(0).op(1).object;  // interned, never fed
+  std::vector<std::size_t> readers;
+  EXPECT_EQ(checker.FrontierWriterGid(x), checker.indexer().GlobalId(0, 0));
+  checker.FrontierReaders(x, &readers);
+  EXPECT_EQ(readers,
+            std::vector<std::size_t>{checker.indexer().GlobalId(1, 0)});
+  const auto object_count = static_cast<ObjectId>(txns->object_count());
+  for (const ObjectId object : {y, object_count, object_count + 1000}) {
+    readers.clear();
+    EXPECT_EQ(checker.FrontierWriterGid(object), OnlineRsrChecker::kNoOp)
+        << "object " << object;
+    checker.FrontierReaders(object, &readers);
+    EXPECT_TRUE(readers.empty()) << "object " << object;
+  }
+}
+
+TEST(OnlineChecker, StateDigestIgnoresFirstTouchOrder) {
+  // No operation conflicts with another, so both feeds reach one state;
+  // they first touch the four objects in opposite orders.
+  auto txns = ParseTransactionSet("T1 = r1[x] w1[y]\nT2 = w2[z] r2[t]\n");
+  const AtomicitySpec spec = AbsoluteSpec(*txns);
+  OnlineRsrChecker t1_first(*txns, spec);
+  OnlineRsrChecker t2_first(*txns, spec);
+  const std::uint64_t empty = t1_first.StateDigest();
+  for (const TxnId t : {0u, 1u}) {
+    for (const Operation& op : txns->txn(t).ops()) {
+      ASSERT_TRUE(t1_first.TryAppend(op));
+    }
+  }
+  for (const TxnId t : {1u, 0u}) {
+    for (const Operation& op : txns->txn(t).ops()) {
+      ASSERT_TRUE(t2_first.TryAppend(op));
+    }
+  }
+  EXPECT_NE(t1_first.StateDigest(), empty);
+  EXPECT_EQ(t1_first.StateDigest(), t2_first.StateDigest());
+}
+
 TEST(Dot, ExportsNodesAndLabeledEdges) {
   Digraph graph(3);
   graph.AddEdge(0, 1);

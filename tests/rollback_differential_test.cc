@@ -44,7 +44,7 @@ std::uint64_t FreshDigest(const TransactionSet& txns,
                           const OnlineRsrChecker& checker) {
   OnlineRsrChecker fresh(txns, spec);
   for (const std::size_t gid : checker.feed_log()) {
-    EXPECT_TRUE(fresh.TryAppend(txns.OpByGlobalId(gid)).ok())
+    EXPECT_TRUE(fresh.TryAppend(checker.indexer().Op(txns, gid)).ok())
         << "surviving feed must replay cleanly";
   }
   return fresh.StateDigest();
@@ -774,7 +774,7 @@ TEST(RollbackDifferential, UndoCompactionMovesAtMostTwiceWhatDied) {
   wp.read_ratio = 0.6;
   const TransactionSet txns = GenerateTransactions(wp, &rng);
   const AtomicitySpec spec = RandomUniformObserverSpec(txns, 0.5, &rng);
-  ASSERT_GT(txns.total_ops(), 9000u);
+  ASSERT_GT(OpIndexer(txns).total_ops(), 9000u);
   FeedRun run(txns, spec, /*gc_interval=*/64, /*check_digests=*/false);
   run.Go(32, &rng);
   ASSERT_FALSE(::testing::Test::HasFatalFailure());

@@ -114,8 +114,8 @@ TEST(Rsg, ArcsOfRelativelySerialScheduleConsistentWithOrder) {
     ++verified;
     const RelativeSerializationGraph rsg(txns, schedule, spec);
     for (const auto& [from, to] : rsg.graph().Edges()) {
-      const Operation& u = txns.OpByGlobalId(from);
-      const Operation& v = txns.OpByGlobalId(to);
+      const Operation& u = rsg.indexer().Op(txns, from);
+      const Operation& v = rsg.indexer().Op(txns, to);
       EXPECT_TRUE(schedule.Precedes(u, v))
           << ToString(txns, u) << " -> " << ToString(txns, v)
           << " [" << ArcKindsToString(rsg.KindsOf(from, to))

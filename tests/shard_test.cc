@@ -602,7 +602,7 @@ class SerialReference {
       const std::size_t gid = checker_.FrontierWriterGid(o);
       last_writer_[o] = gid == OnlineRsrChecker::kNoOp
                             ? kNone
-                            : txns_.OpByGlobalId(gid).txn;
+                            : checker_.indexer().TxnOf(gid);
     }
   }
 
@@ -743,7 +743,7 @@ TEST(ShardedAdmitterTest, SingleShardIsDecisionIdenticalToSerialReference) {
     // and occasional submissions against already-dead transactions.
     std::vector<std::uint32_t> next(txns.txn_count(), 0);
     std::vector<std::uint8_t> dead(txns.txn_count(), 0);
-    std::size_t steps = txns.total_ops() + 6;
+    std::size_t steps = OpIndexer(txns).total_ops() + 6;
     while (steps-- > 0) {
       if (rng.Bernoulli(0.1)) {
         std::vector<TxnId> started;
