@@ -12,11 +12,10 @@ CrossShardCoordinator::CrossShardCoordinator(std::size_t txn_count,
     : txn_count_(txn_count),
       topo_(txn_count),
       dead_(txn_count, 0),
-      incident_(txn_count),
+      succs_(txn_count),
       rep_(txn_count),
       probe_visited_(txn_count, 0),
       tracer_(tracer) {
-  pair_index_.Reserve(txn_count * 2);
   for (std::size_t t = 0; t < txn_count; ++t) rep_[t] = static_cast<TxnId>(t);
 }
 
@@ -75,14 +74,16 @@ bool CrossShardCoordinator::IssuerOnCycleLocked(TxnId issuer_rep) {
 void CrossShardCoordinator::RebuildTopologyLocked() {
   topo_ = IncrementalTopology(txn_count_);
   rebuild_buf_.clear();
-  pair_index_.ForEach([&](std::uint64_t key, std::uint8_t& /*state*/) {
-    const TxnId from = Find(static_cast<TxnId>(key >> 32));
-    const TxnId to = Find(static_cast<TxnId>(key & 0xFFFFFFFFu));
-    if (from != to) {
-      rebuild_buf_.emplace_back(static_cast<NodeId>(from),
-                                static_cast<NodeId>(to));
+  for (std::size_t source = 0; source < txn_count_; ++source) {
+    const TxnId from = Find(static_cast<TxnId>(source));
+    for (const TxnId succ : succs_[source]) {
+      const TxnId to = Find(succ);
+      if (from != to) {
+        rebuild_buf_.emplace_back(static_cast<NodeId>(from),
+                                  static_cast<NodeId>(to));
+      }
     }
-  });
+  }
   // Retained arcs mapped through representatives form the condensation
   // of a graph whose only cycles were absorbed — a DAG by construction.
   RELSER_CHECK_MSG(topo_.AddEdges(rebuild_buf_),
@@ -98,7 +99,9 @@ CrossShardCoordinator::ArcResult CrossShardCoordinator::AddArcs(
   new_pairs_.clear();
   for (const auto& [from, to] : arcs) {
     RELSER_DCHECK(from < txn_count_ && to < txn_count_ && from != to);
-    if (pair_index_.Find(PairKey(from, to)) != nullptr) continue;
+    if (std::binary_search(succs_[from].begin(), succs_[from].end(), to)) {
+      continue;
+    }
     new_pairs_.emplace_back(from, to);
   }
   if (new_pairs_.empty()) return ArcResult::kOk;
@@ -135,16 +138,12 @@ CrossShardCoordinator::ArcResult CrossShardCoordinator::AddArcs(
     RebuildTopologyLocked();
   }
   for (const auto& [from, to] : new_pairs_) {
-    const std::uint64_t key = PairKey(from, to);
-    // An arc inserted with an already-tombstoned endpoint is born dead:
-    // it only exists as a conservative constraint (durable-arc
-    // discipline lets dead transactions appear as endpoints).
-    const bool dead_arc = dead_[from] != 0 || dead_[to] != 0;
-    *pair_index_.Upsert(key).first = dead_arc ? kArcDead : kArcLive;
-    incident_[from].push_back(key);
-    incident_[to].push_back(key);
+    std::vector<TxnId>& succs = succs_[from];
+    const auto at = std::lower_bound(succs.begin(), succs.end(), to);
+    if (at != succs.end() && *at == to) continue;  // repeated in the batch
+    succs.insert(at, to);
+    ++arc_count_;
     ++arcs_mirrored_;
-    ++(dead_arc ? arcs_dead_ : arcs_live_);
     if (tracer_ != nullptr) {
       tracer_->RecordCrossShardArc(from, to, tracer_->tick());
     }
@@ -159,17 +158,7 @@ void CrossShardCoordinator::MarkDead(TxnId txn) {
   // paths the op-level shard checkers still enforce among survivors).
   std::lock_guard<std::mutex> lock(mu_);
   RELSER_DCHECK(txn < txn_count_);
-  if (dead_[txn] != 0) return;
   dead_[txn] = 1;
-  for (const std::uint64_t key : incident_[txn]) {
-    std::uint8_t* state = pair_index_.Find(key);
-    RELSER_DCHECK(state != nullptr);
-    if (*state == kArcLive) {
-      *state = kArcDead;
-      --arcs_live_;
-      ++arcs_dead_;
-    }
-  }
 }
 
 bool CrossShardCoordinator::Dead(TxnId txn) const {
@@ -179,40 +168,22 @@ bool CrossShardCoordinator::Dead(TxnId txn) const {
 
 std::size_t CrossShardCoordinator::arc_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::size_t>(arcs_live_ + arcs_dead_);
+  return arc_count_;
 }
 
 std::size_t CrossShardCoordinator::CollectSettled(
     const std::atomic<std::uint8_t>* settled) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Partition retained arcs by the settledness of their source; the
-  // survivors rebuild the index, incident lists and topology wholesale
-  // (the arc population shrinks monotonically, so a rebuild keeps the
-  // containers' high-water bounded by unsettled history).
-  std::vector<std::pair<std::uint64_t, std::uint8_t>> kept;
-  kept.reserve(pair_index_.size());
+  // A settled source's successor list goes wholesale; the topology is
+  // rebuilt from the survivors.
   std::size_t dropped = 0;
-  pair_index_.ForEach([&](std::uint64_t key, std::uint8_t& state) {
-    const TxnId from = static_cast<TxnId>(key >> 32);
-    if (settled[from].load(std::memory_order_relaxed) != 0) {
-      ++dropped;
-    } else {
-      kept.emplace_back(key, state);
-    }
-  });
-  if (dropped == 0) return 0;
-  pair_index_.Clear();
-  for (auto& keys : incident_) keys.clear();
-  arcs_live_ = 0;
-  arcs_dead_ = 0;
-  for (const auto& [key, state] : kept) {
-    const auto from = static_cast<TxnId>(key >> 32);
-    const auto to = static_cast<TxnId>(key & 0xFFFFFFFFu);
-    *pair_index_.Upsert(key).first = state;
-    incident_[from].push_back(key);
-    incident_[to].push_back(key);
-    ++(state == kArcDead ? arcs_dead_ : arcs_live_);
+  for (std::size_t source = 0; source < txn_count_; ++source) {
+    if (settled[source].load(std::memory_order_relaxed) == 0) continue;
+    dropped += succs_[source].size();
+    std::vector<TxnId>().swap(succs_[source]);
   }
+  if (dropped == 0) return 0;
+  arc_count_ -= dropped;
   // A subgraph of a condensation-acyclic graph stays acyclic, so the
   // rebuild cannot reject.
   RebuildTopologyLocked();
@@ -233,14 +204,24 @@ std::uint64_t CrossShardCoordinator::rejects() const {
   return rejects_;
 }
 
+std::uint64_t CrossShardCoordinator::DeadArcsLocked() const {
+  std::uint64_t dead = 0;
+  for (std::size_t source = 0; source < txn_count_; ++source) {
+    for (const TxnId to : succs_[source]) {
+      if (dead_[source] != 0 || dead_[to] != 0) ++dead;
+    }
+  }
+  return dead;
+}
+
 std::uint64_t CrossShardCoordinator::arcs_live() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return arcs_live_;
+  return arc_count_ - DeadArcsLocked();
 }
 
 std::uint64_t CrossShardCoordinator::arcs_dead() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return arcs_dead_;
+  return DeadArcsLocked();
 }
 
 std::uint64_t CrossShardCoordinator::arcs_gcd() const {

@@ -70,7 +70,6 @@
 
 #include "graph/dynamic_topo.h"
 #include "model/operation.h"
-#include "util/flat_map.h"
 
 namespace relser {
 
@@ -137,6 +136,7 @@ class CrossShardCoordinator {
   /// Durable-arc census over the RETAINED arcs: an arc is *dead* once
   /// either endpoint transaction is tombstoned — it survives only as a
   /// conservative ordering constraint until its source settles.
+  /// Counted from the tombstones when read (O(arcs + T)), so
   /// arcs_live + arcs_dead == arc_count always.
   std::uint64_t arcs_live() const;
   std::uint64_t arcs_dead() const;
@@ -147,11 +147,6 @@ class CrossShardCoordinator {
   std::uint64_t cycles_absorbed() const;
 
  private:
-  static std::uint64_t PairKey(TxnId from, TxnId to) {
-    return (static_cast<std::uint64_t>(from) << 32) |
-           static_cast<std::uint64_t>(to);
-  }
-
   // Condensation representative of `txn` (union-find with path
   // compression; the root is always the smallest member id, so the
   // final partition and representatives are call-order independent).
@@ -163,19 +158,18 @@ class CrossShardCoordinator {
   // Rebuilds topo_ from the retained arc set mapped through current
   // representatives (intra-component arcs drop out as self-loops).
   void RebuildTopologyLocked();
+  // Retained arcs with a tombstoned endpoint (callers hold mu_).
+  std::uint64_t DeadArcsLocked() const;
 
   mutable std::mutex mu_;
   std::size_t txn_count_;
   IncrementalTopology topo_;
-  std::vector<std::uint8_t> dead_;
-  // Mirrored arc set: key -> kArcLive / kArcDead (FlatMap64 doubles as
-  // the dedup index).
-  static constexpr std::uint8_t kArcLive = 1;
-  static constexpr std::uint8_t kArcDead = 2;
-  FlatMap64<std::uint8_t> pair_index_;
-  // Per-transaction incident arc keys, for flipping live -> dead on
-  // MarkDead without scanning the whole index.
-  std::vector<std::vector<std::uint64_t>> incident_;
+  std::vector<std::uint8_t> dead_;  // tombstones (MarkDead)
+  // Retained arc set: succs_[t] lists t's mirrored successors in
+  // ascending order, so a binary search is the dedup test and a settled
+  // source's list is freed wholesale.
+  std::vector<std::vector<TxnId>> succs_;
+  std::size_t arc_count_ = 0;  // sum of succs_[t].size()
   std::vector<std::pair<NodeId, NodeId>> batch_buf_;  // AddArcs scratch
   std::vector<std::pair<TxnId, TxnId>> new_pairs_;    // AddArcs scratch
   std::vector<std::pair<NodeId, NodeId>> rebuild_buf_;
@@ -185,8 +179,6 @@ class CrossShardCoordinator {
   std::uint64_t cycles_absorbed_ = 0;
   std::uint64_t arcs_mirrored_ = 0;
   std::uint64_t rejects_ = 0;
-  std::uint64_t arcs_live_ = 0;
-  std::uint64_t arcs_dead_ = 0;
   std::uint64_t arcs_gcd_ = 0;
   Tracer* tracer_;
 };

@@ -7,6 +7,26 @@
 #include "util/check.h"
 
 namespace relser {
+namespace {
+
+// First arc of `arcs` (one source's ascending out_arcs) whose target is
+// not below `to`.
+template <typename Arc>
+auto ArcLowerBound(std::vector<Arc>& arcs, TxnId to) {
+  return std::lower_bound(
+      arcs.begin(), arcs.end(), to,
+      [](const Arc& arc, TxnId target) { return arc.to < target; });
+}
+
+// The arc to `to` in `arcs`; nullptr when absent (never recorded, or
+// collected with its settled source).
+template <typename Arc>
+Arc* FindArc(std::vector<Arc>& arcs, TxnId to) {
+  const auto at = ArcLowerBound(arcs, to);
+  return at != arcs.end() && at->to == to ? &*at : nullptr;
+}
+
+}  // namespace
 
 ShardedAdmitter::Core::Core(const ShardSlice& slice_in, std::size_t txn_count,
                             TraceLevel trace_level)
@@ -14,7 +34,8 @@ ShardedAdmitter::Core::Core(const ShardSlice& slice_in, std::size_t txn_count,
       checker(slice_in.txns, slice_in.spec),
       tracer(trace_level),
       readers_of(txn_count),
-      arc_neighbors(txn_count),
+      out_arcs(txn_count),
+      in_arcs(txn_count),
       tainted(txn_count, 0),
       local_dead(txn_count, 0) {}
 
@@ -571,10 +592,10 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
       // Nothing was retained coordinator-side: unwind the speculative
       // mirror marks and taints so the local invariant (mirrored bit ⇔
       // arc present in coordinator) holds.
-      for (const auto& arc : core.mirror_buf) {
-        std::uint8_t* arc_state = core.arc_state.Find(
-            (static_cast<std::uint64_t>(arc.first) << 32) | arc.second);
-        if (arc_state != nullptr) *arc_state = 1;
+      for (const auto& [from, to] : core.mirror_buf) {
+        Core::OutArc* arc = FindArc(core.out_arcs[from], to);
+        RELSER_DCHECK(arc != nullptr);
+        arc->mirrored = false;
       }
       for (const TxnId undo : core.newly_tainted) core.tainted[undo] = 0;
       if (verdict == CrossShardCoordinator::ArcResult::kCycle) {
@@ -653,20 +674,18 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
 }
 
 void ShardedAdmitter::InsertArc(Core& core, TxnId from, TxnId to) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(from) << 32) | static_cast<std::uint64_t>(to);
-  const auto [state, inserted] = core.arc_state.Upsert(key);
-  if (inserted) {
-    *state = 1;
-    core.arc_neighbors[from].push_back(to);
-    core.arc_neighbors[to].push_back(from);
+  std::vector<Core::OutArc>& succs = core.out_arcs[from];
+  auto at = ArcLowerBound(succs, to);
+  if (at == succs.end() || at->to != to) {
+    at = succs.insert(at, {to, false});
+    core.in_arcs[to].push_back(from);
     // Every transaction-level dependency — local or mirrored — surfaces
     // here exactly once; the coordinator's arcs are a subset of these
     // pairs, so this single feed covers the whole settlement graph.
     if (epochs_ != nullptr) epochs_->NoteDep(from, to);
   }
-  if (*state == 1 && (core.tainted[from] != 0 || core.tainted[to] != 0)) {
-    *state = 2;
+  if (!at->mirrored && (core.tainted[from] != 0 || core.tainted[to] != 0)) {
+    at->mirrored = true;
     core.mirror_buf.emplace_back(from, to);
     Taint(core, from);
     Taint(core, to);
@@ -686,27 +705,18 @@ void ShardedAdmitter::Taint(Core& core, TxnId txn) {
     // Flush every not-yet-mirrored local arc incident to `current` and
     // spread the taint across it: after the flood, the whole undirected
     // conflict component is coordinator-visible.
-    for (const TxnId other : core.arc_neighbors[current]) {
-      bool linked = false;
-      const std::uint64_t out_key =
-          (static_cast<std::uint64_t>(current) << 32) | other;
-      const std::uint64_t in_key =
-          (static_cast<std::uint64_t>(other) << 32) | current;
-      if (std::uint8_t* s = core.arc_state.Find(out_key);
-          s != nullptr && *s == 1) {
-        *s = 2;
-        core.mirror_buf.emplace_back(current, other);
-        linked = true;
-      }
-      if (std::uint8_t* s = core.arc_state.Find(in_key);
-          s != nullptr && *s == 1) {
-        *s = 2;
-        core.mirror_buf.emplace_back(other, current);
-        linked = true;
-      }
-      if (linked && core.tainted[other] == 0) {
-        core.flood_stack.push_back(other);
-      }
+    for (Core::OutArc& arc : core.out_arcs[current]) {
+      if (arc.mirrored) continue;
+      arc.mirrored = true;
+      core.mirror_buf.emplace_back(current, arc.to);
+      if (core.tainted[arc.to] == 0) core.flood_stack.push_back(arc.to);
+    }
+    for (const TxnId source : core.in_arcs[current]) {
+      Core::OutArc* arc = FindArc(core.out_arcs[source], current);
+      if (arc == nullptr || arc->mirrored) continue;
+      arc->mirrored = true;
+      core.mirror_buf.emplace_back(source, current);
+      if (core.tainted[source] == 0) core.flood_stack.push_back(source);
     }
   }
 }
@@ -838,31 +848,17 @@ void ShardedAdmitter::MaybeGcCore(Core& core) {
   // Checker truncation: drop the settled transactions in place —
   // bit-identical future decisions (core/online.h).
   const std::size_t dropped = core.checker.Truncate(settled);
-  // Local conflict DAG: every arc out of a settled transaction goes.
-  // Its incoming arcs froze at finish and had settled sources themselves
-  // (settledness is predecessor-closed), so the node ends up isolated.
-  core.gc_key_buf.clear();
-  core.arc_state.ForEach([&](std::uint64_t key, std::uint8_t&) {
-    if (is_settled(static_cast<TxnId>(key >> 32))) {
-      core.gc_key_buf.push_back(key);
-    }
-  });
-  if (!core.gc_key_buf.empty()) {
-    for (const std::uint64_t key : core.gc_key_buf) core.arc_state.Erase(key);
-    for (auto& neighbors : core.arc_neighbors) neighbors.clear();
-    core.arc_state.ForEach([&](std::uint64_t key, std::uint8_t&) {
-      const auto from = static_cast<TxnId>(key >> 32);
-      const auto to = static_cast<TxnId>(key);
-      core.arc_neighbors[from].push_back(to);
-      core.arc_neighbors[to].push_back(from);
-    });
-  }
-  // Settled writers committed, so their dirty-reader lists are moot.
+  // A settled transaction leaves the local conflict DAG with its two
+  // arc lists: its incoming arcs froze at finish and had settled sources
+  // themselves (settledness is predecessor-closed), and an unsettled
+  // successor's in_arcs entry for it finds no arc from then on. Settled
+  // writers committed, so their dirty-reader lists are moot too.
   for (TxnId txn = 0; txn < static_cast<TxnId>(core.readers_of.size());
        ++txn) {
-    if (is_settled(txn) && !core.readers_of[txn].empty()) {
-      std::vector<TxnId>().swap(core.readers_of[txn]);
-    }
+    if (!is_settled(txn)) continue;
+    std::vector<TxnId>().swap(core.readers_of[txn]);
+    std::vector<Core::OutArc>().swap(core.out_arcs[txn]);
+    std::vector<TxnId>().swap(core.in_arcs[txn]);
   }
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   if (core.tracer.counting()) {

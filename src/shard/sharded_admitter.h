@@ -91,7 +91,6 @@
 #include "shard/coordinator.h"
 #include "shard/projection.h"
 #include "shard/router.h"
-#include "util/flat_map.h"
 
 namespace relser {
 
@@ -376,10 +375,18 @@ class ShardedAdmitter {
 
     std::vector<std::vector<TxnId>> readers_of;  // dirty readers (cascade)
 
-    // Local transaction-level conflict DAG + taint state. arc_state
-    // values: 1 = recorded locally, 2 = also mirrored to coordinator.
-    FlatMap64<std::uint8_t> arc_state;
-    std::vector<std::vector<TxnId>> arc_neighbors;  // undirected
+    // Local transaction-level conflict DAG + taint state. out_arcs[t]
+    // lists t's local successors in ascending order, each with its
+    // mirrored bit (set once the arc was sent to the coordinator);
+    // in_arcs[t] lists t's local predecessors, whose bits live in their
+    // out_arcs. GC frees a settled transaction's two lists, so an
+    // in_arcs entry may name a collected source, whose arc is gone.
+    struct OutArc {
+      TxnId to = 0;
+      bool mirrored = false;
+    };
+    std::vector<std::vector<OutArc>> out_arcs;
+    std::vector<std::vector<TxnId>> in_arcs;
     std::vector<std::uint8_t> tainted;
     std::vector<std::uint8_t> local_dead;  // withdrawn from this checker
 
@@ -387,7 +394,6 @@ class ShardedAdmitter {
     std::vector<std::pair<TxnId, TxnId>> mirror_buf;
     std::vector<TxnId> flood_stack;
     std::vector<TxnId> newly_tainted;  // per-decision taint undo log
-    std::vector<std::uint64_t> gc_key_buf;  // settled arc keys per GC pass
     std::vector<SnapshotAdmitRecord> gc_admit_buf;  // settled snapshot admits
 
     std::uint32_t shard_id = 0;

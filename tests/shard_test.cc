@@ -340,6 +340,114 @@ TEST(CrossShardCoordinatorTest, DetectsCyclesSkipsDeadAndDeduplicates) {
   EXPECT_EQ(coordinator.arc_count(), 4u);
 }
 
+TEST(CrossShardCoordinatorTest, CensusCountsArcsWithATombstonedEndpointDead) {
+  CrossShardCoordinator coordinator(4, nullptr);
+  const auto expect_census = [&](std::uint64_t live, std::uint64_t dead) {
+    EXPECT_EQ(coordinator.arcs_live(), live);
+    EXPECT_EQ(coordinator.arcs_dead(), dead);
+    EXPECT_EQ(coordinator.arcs_live() + coordinator.arcs_dead(),
+              coordinator.arc_count());
+  };
+  expect_census(0, 0);
+  coordinator.MarkDead(3);
+  // 1 -> 3 names an already-dead endpoint: it is born dead.
+  EXPECT_EQ(coordinator.AddArcs(0, {{0, 1}, {1, 3}}),
+            CrossShardCoordinator::ArcResult::kOk);
+  expect_census(1, 1);
+  EXPECT_EQ(coordinator.AddArcs(2, {{1, 2}}),
+            CrossShardCoordinator::ArcResult::kOk);
+  expect_census(2, 1);
+  // Killing T1 turns both its live arcs dead; 1 -> 3 stays dead once.
+  coordinator.MarkDead(1);
+  expect_census(0, 3);
+  EXPECT_EQ(coordinator.AddArcs(0, {{0, 2}}),
+            CrossShardCoordinator::ArcResult::kOk);
+  expect_census(1, 3);
+  coordinator.MarkDead(1);  // idempotent
+  expect_census(1, 3);
+}
+
+TEST(CrossShardCoordinatorTest, CollectSettledDropsSettledSourcesOnly) {
+  CrossShardCoordinator coordinator(5, nullptr);
+  EXPECT_EQ(coordinator.AddArcs(2, {{0, 1}, {0, 2}, {1, 2}, {2, 3}}),
+            CrossShardCoordinator::ArcResult::kOk);
+  coordinator.MarkDead(1);  // tombstoned arcs are collected like live ones
+  EXPECT_EQ(coordinator.arcs_dead(), 2u);
+
+  // T0 and T1 settle (predecessor-closed: T1's only source is T0).
+  std::vector<std::atomic<std::uint8_t>> settled(5);
+  settled[0].store(1);
+  settled[1].store(1);
+  EXPECT_EQ(coordinator.CollectSettled(settled.data()), 3u);
+  EXPECT_EQ(coordinator.arcs_gcd(), 3u);
+  EXPECT_EQ(coordinator.arc_count(), 1u);  // 2 -> 3 survives
+  EXPECT_EQ(coordinator.arcs_live(), 1u);
+  EXPECT_EQ(coordinator.arcs_dead(), 0u);
+  EXPECT_EQ(coordinator.CollectSettled(settled.data()), 0u);
+  EXPECT_EQ(coordinator.arcs_gcd(), 3u);
+  EXPECT_EQ(coordinator.arcs_mirrored(), 4u) << "GC never lowers the total";
+
+  // The rebuilt topology still holds the survivor: 2 -> 3 -> 4 -> 2
+  // passes through the issuer T2.
+  EXPECT_EQ(coordinator.AddArcs(3, {{3, 4}}),
+            CrossShardCoordinator::ArcResult::kOk);
+  std::pair<TxnId, TxnId> witness{99, 99};
+  EXPECT_EQ(coordinator.AddArcs(2, {{4, 2}}, &witness),
+            CrossShardCoordinator::ArcResult::kCycle);
+  EXPECT_EQ(witness, (std::pair<TxnId, TxnId>{4, 2}));
+  EXPECT_EQ(coordinator.arc_count(), 2u);
+}
+
+TEST(CrossShardCoordinatorTest, AbsorbsCyclesThatAvoidTheIssuer) {
+  CrossShardCoordinator coordinator(3, nullptr);
+  EXPECT_EQ(coordinator.AddArcs(0, {{0, 1}}),
+            CrossShardCoordinator::ArcResult::kOk);
+  // 1 -> 0 closes 0 <-> 1, a cycle that avoids the issuer T2: absorbed.
+  EXPECT_EQ(coordinator.AddArcs(2, {{1, 0}}),
+            CrossShardCoordinator::ArcResult::kOk);
+  EXPECT_EQ(coordinator.cycles_absorbed(), 1u);
+  EXPECT_EQ(coordinator.rejects(), 0u);
+  EXPECT_EQ(coordinator.arc_count(), 2u);
+  // The condensed pair still connects: 2 -> 0 -> 1 -> 2 is an issuer
+  // cycle.
+  EXPECT_EQ(coordinator.AddArcs(2, {{2, 0}, {1, 2}}),
+            CrossShardCoordinator::ArcResult::kCycle);
+  EXPECT_EQ(coordinator.cycles_absorbed(), 1u);
+  EXPECT_EQ(coordinator.rejects(), 1u);
+  EXPECT_EQ(coordinator.arc_count(), 2u);
+}
+
+// An arc whose source settled and was collected is not mirrored when
+// its successor is flooded later: T1 -> T2 on shard 0 is collected once
+// T1 commits and settles, so the multi-shard T3's taint of T2 sends
+// only T2 -> T3 to the coordinator. Without GC both arcs go.
+TEST(ShardedAdmitterTest, TaintSkipsArcsOfCollectedSources) {
+  // 6 objects over 2 range shards: {a, d, c} -> 0, {x, y, z} -> 1.
+  auto txns = ParseTransactionSet(
+      "T1 = w1[a] w1[d]\n"
+      "T2 = r2[a] w2[c] w2[c]\n"
+      "T3 = w3[c] w3[x]\n"
+      "T4 = r4[y] r4[z]\n");
+  ASSERT_TRUE(txns.ok());
+  const AtomicitySpec spec = FullyRelaxedSpec(*txns);
+  for (const bool gc : {true, false}) {
+    ShardedAdmitterOptions options;
+    options.epoch_gc = gc;
+    options.gc_interval = 1;
+    ShardedAdmitter admitter(
+        *txns, spec, ShardRouter(6, 2, ShardStrategy::kRange), options);
+    EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(0)));  // w1[a]
+    EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(0)));  // r2[a]
+    EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(1)));  // w1[d]
+    EXPECT_TRUE(admitter.TxnCommitted(0));
+    EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(1)));  // w2[c]
+    EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(2).op(0)));  // w3[c]
+    admitter.Stop();
+    EXPECT_EQ(admitter.coordinator().arcs_mirrored(), gc ? 1u : 2u)
+        << "epoch_gc " << gc;
+  }
+}
+
 // The canonical cross-shard conflict the per-shard checkers cannot see:
 // two multi-shard writers ordered oppositely on two shards. The
 // coordinator must reject the arc batch that closes the
