@@ -143,24 +143,27 @@ done
 # Debug build of the abort differential suites, the epoch-GC
 # differential suite, the graph substrate's tests, the snapshot-read
 # sweep, the suites of the ObjectId-indexed frontiers and the
-# OpIndexer numbering (online_test, model_test, sched_test) and the
+# OpIndexer numbering (online_test, model_test, sched_test), the
 # sharded admitter's suites (shard_test, sharded_differential_test,
-# reshard_test): RELSER_DCHECK is on here (RelWithDebInfo and Release
+# reshard_test) and the trace suite with its witness goldens
+# (trace_test): RELSER_DCHECK is on here (RelWithDebInfo and Release
 # compile it out), so RestoreRow's preconditions, the check that no
 # truncated operation is fed again, ShardSlice::Project's owned-op
 # check, OpIndexer's range checks, the coordinator's AddArcs endpoint
 # check, the check that every arc of a refused coordinator batch is
-# found again to clear its mirrored bit, and the checker's other debug
-# checks run under every abort and truncation of those suites and under
-# mvcc_test's kills, cascades and snapshot admits.
+# found again to clear its mirrored bit, the check that an implied
+# B-arc's justifying predecessor holds a live row and rose in the same
+# append, and the checker's other debug checks run under every abort
+# and truncation of those suites and under mvcc_test's kills, cascades
+# and snapshot admits.
 cmake -S . -B build-debug -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-debug -j"$(nproc)" \
   --target rollback_differential_test fault_test differential_online_test \
            mvcc_test epoch_gc_differential_test graph_test online_test \
            model_test sched_test shard_test sharded_differential_test \
-           reshard_test
+           reshard_test trace_test
 (cd build-debug &&
- ctest -R '^(rollback_differential_test|fault_test|differential_online_test|mvcc_test|epoch_gc_differential_test|graph_test|online_test|model_test|sched_test|shard_test|sharded_differential_test|reshard_test)$' \
+ ctest -R '^(rollback_differential_test|fault_test|differential_online_test|mvcc_test|epoch_gc_differential_test|graph_test|online_test|model_test|sched_test|shard_test|sharded_differential_test|reshard_test|trace_test)$' \
    --output-on-failure)
 
 # Docs gate: every relative markdown link and every repo path mentioned

@@ -1,6 +1,7 @@
 #include "core/online.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "core/explain.h"
@@ -30,12 +31,17 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
       drop_mark_(indexer_.total_ops(), 0) {
   RELSER_CHECK_MSG(spec.ValidateAgainst(txns).ok(),
                    "specification does not match the transaction set");
+  // undo_arcs_ stores global ids in 32 bits.
+  RELSER_CHECK_MSG(
+      indexer_.total_ops() <= std::numeric_limits<std::uint32_t>::max(),
+      "a checker's lifetime holds at most 2^32 - 1 operations");
   // Steady-state arc volume per op is bounded by the frontier size plus
   // one F/B pair per ancestor transaction; reserve generously once.
   arc_buf_.reserve(64);
   arc_kind_buf_.reserve(64);
   pred_buf_.reserve(32);
   conflict_txns_.reserve(32);
+  pred_pull_.reserve(32);
   feed_log_.reserve(indexer_.total_ops());
   undo_log_.reserve(indexer_.total_ops());
   undo_arcs_.reserve(4 * indexer_.total_ops());
@@ -158,7 +164,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   // row raised its column over the predecessor's row — the furthest
   // ancestor the predecessor already handled is that row's column — and
   // emitted only when not already implied transitively (docs/hotpath.md,
-  // Lemmas 2-3). Each raised column is an undo delta. With no
+  // Lemmas 2-4). Each raised column is an undo delta. With no
   // cross-transaction predecessor the row is the predecessor's plus the
   // own column, so no column that needs a pair can rise and the pass is
   // skipped. Otherwise the raised columns are gathered first, in
@@ -176,6 +182,8 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
       if (raised[r] != j) spec_.PrefetchPushForward(raised[r], j);
     }
   }
+  std::size_t implied = 0;
+  bool pulls_reset = false;
   for (std::size_t r = 0; r < raised_count; ++r) {
     const TxnId i = raised_buf_[r];
     if (i == j) continue;  // the own column pairs with nothing
@@ -193,12 +201,19 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
       arc_kind_buf_.push_back(kPushForwardArc);
     }
     const std::uint32_t pulled = spec_.PullBackward(j, i, op.index);
-    if (pulled < op.index) {
-      arc_buf_.emplace_back(indexer_.GlobalId(i, u),
-                            indexer_.GlobalId(j, pulled));  // B-arc
-      arc_kind_buf_.push_back(kPullBackwardArc);
-    }
     // pulled == op.index needs no arc: (i, u) already reaches this op.
+    if (pulled == op.index) continue;
+    if (!pulls_reset) {
+      pred_pull_.assign(pred_buf_.size(), kNoPull);
+      pulls_reset = true;
+    }
+    if (BArcImplied(op, i, u_p1, pulled, prev, raised_count)) {
+      ++implied;
+      continue;
+    }
+    arc_buf_.emplace_back(indexer_.GlobalId(i, u),
+                          indexer_.GlobalId(j, pulled));  // B-arc
+    arc_kind_buf_.push_back(kPullBackwardArc);
   }
 
   const std::size_t edges_before = topo_.edge_count();
@@ -231,9 +246,11 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   }
   arcs_submitted_ += arc_buf_.size();
   arcs_inserted_total_ += topo_.edge_count() - edges_before;
+  b_arcs_implied_ += implied;
   if (tracer_ != nullptr && tracer_->counting()) {
     tracer_->AddArcStats(arc_buf_.size(), topo_.edge_count() - edges_before,
                          topo_.reorder_count() - repairs_before);
+    tracer_->AddImpliedBArcs(implied);
     if (tracing) {
       for (std::size_t a = 0; a < arc_buf_.size(); ++a) {
         tracer_->RecordArc(arc_kind_buf_[a],
@@ -245,10 +262,39 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   }
 
   const std::size_t arcs_begin = undo_arcs_.size();
-  undo_arcs_.insert(undo_arcs_.end(), topo_.last_inserted().begin(),
-                    topo_.last_inserted().end());
+  for (const auto& [from, to] : topo_.last_inserted()) {
+    undo_arcs_.emplace_back(static_cast<std::uint32_t>(from),
+                            static_cast<std::uint32_t>(to));
+  }
   CommitOp(op, gid, deltas_begin, arcs_begin);
   return AdmitResult::Accept(j);
+}
+
+bool OnlineRsrChecker::BArcImplied(const Operation& op, TxnId i,
+                                   std::uint32_t u_p1, std::uint32_t pulled_i,
+                                   const AncestorColumn* prev,
+                                   [[maybe_unused]] std::size_t raised_count) {
+  // Every node of the path is a D/I-ancestor of op, so an abort that
+  // removes one re-admits op, and a truncation that drops one drops
+  // (i, u) too (docs/hotpath.md, Lemma 4).
+  for (std::size_t p = 0; p < pred_buf_.size(); ++p) {
+    const TxnId k = conflict_txns_[p];
+    // As column i rose, column k rose whenever (i, u) is an ancestor of
+    // q (Lemma 4); testing it first spares the read of q's row.
+    if (k == i || scratch_anc_[k] <= prev[k]) continue;
+    const std::size_t q = pred_buf_[p];
+    if (Row(slot_of_[q])[i] < u_p1) continue;  // (i, u) is no ancestor of q
+    std::uint32_t& pulled_k = pred_pull_[p];
+    if (pulled_k == kNoPull) {
+      pulled_k = spec_.PullBackward(op.txn, k, op.index);
+    }
+    if (pulled_k > pulled_i) continue;
+    RELSER_DCHECK(slot_of_[q] != kNoSlot && slot_owner_[slot_of_[q]] == q);
+    RELSER_DCHECK(std::binary_search(
+        raised_buf_.data(), raised_buf_.data() + raised_count, k));
+    return true;
+  }
+  return false;
 }
 
 void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
@@ -256,9 +302,11 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
                                 std::size_t arcs_begin) {
   const TxnId j = op.txn;
   UndoRecord record;
-  record.deltas = {deltas_begin, undo_deltas_.size()};
-  record.arcs = {arcs_begin, undo_arcs_.size()};
-  record.frontier.begin = undo_frontier_.size();
+  record.deltas = {static_cast<std::uint32_t>(deltas_begin),
+                   static_cast<std::uint32_t>(undo_deltas_.size())};
+  record.arcs = {static_cast<std::uint32_t>(arcs_begin),
+                 static_cast<std::uint32_t>(undo_arcs_.size())};
+  record.frontier.begin = static_cast<std::uint32_t>(undo_frontier_.size());
   const std::uint32_t slot = AcquireSlot(gid);
   std::copy(scratch_anc_.begin(), scratch_anc_.end(), Row(slot));
   flags_[gid] = static_cast<std::uint8_t>(kNewestFlag | kFrontierFlag);
@@ -294,7 +342,11 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
     if (state.readers.capacity() == 0) state.readers.reserve(8);
     state.readers.push_back(gid);
   }
-  record.frontier.end = undo_frontier_.size();
+  // The spans above are 32-bit; every arena must stay addressable.
+  RELSER_CHECK((undo_deltas_.size() | undo_arcs_.size() |
+                undo_frontier_.size()) <=
+               std::numeric_limits<std::uint32_t>::max());
+  record.frontier.end = static_cast<std::uint32_t>(undo_frontier_.size());
 
   executed_[gid] = 1;
   pos_of_[gid] = static_cast<std::uint32_t>(feed_log_.size());
@@ -557,7 +609,8 @@ void OnlineRsrChecker::MaybeCompactUndo() {
       };
       std::copy(at(span->begin), at(span->end), at(*out));
       moved += span->size();
-      *span = {*out, *out + span->size()};
+      *span = {static_cast<std::uint32_t>(*out),
+               static_cast<std::uint32_t>(*out + span->size())};
     }
     *out = span->end;
   };

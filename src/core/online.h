@@ -21,9 +21,12 @@
 // index row drawn from a reusable pool. An operation re-evaluates the F/B
 // arcs of an ancestor transaction only where its row raised that
 // transaction's column over its program-order predecessor's row, and
-// dominated arcs are never inserted; docs/hotpath.md proves the
-// transitive closure — and therefore every accept/reject decision — is
-// bit-identical to the full emission.
+// inserts no F/B arc that a dominating arc already implies. It also
+// skips a B-arc that a path through its own D/I-ancestors and another
+// raised column's B-arc already implies (b_arcs_implied()).
+// docs/hotpath.md proves the transitive closure — and therefore every
+// accept/reject decision — is bit-identical to the full emission
+// (Lemmas 1-4), and that the skip survives aborts and truncation.
 //
 // Every accepted operation also pushes one undo record, aligned with its
 // feed_log() entry: the row columns it raised (with their old values),
@@ -202,6 +205,11 @@ class OnlineRsrChecker {
   std::size_t arcs_submitted() const { return arcs_submitted_; }
   /// Cumulative arcs actually inserted (deduplicated, committed).
   std::size_t arcs_inserted_total() const { return arcs_inserted_total_; }
+  /// Cumulative B-arcs left out of accepted appends because the graph
+  /// already implied them (docs/hotpath.md, Lemma 4). Like
+  /// arcs_submitted(), it keeps counting through an abort's
+  /// re-admission.
+  std::size_t b_arcs_implied() const { return b_arcs_implied_; }
 
   /// The maintained graph (for diagnostics / DOT export).
   const IncrementalTopology& topology() const { return topo_; }
@@ -234,11 +242,12 @@ class OnlineRsrChecker {
     std::size_t last_writer = kNoGid;
   };
 
-  /// Entries [begin, end) of one undo arena.
+  /// Entries [begin, end) of one undo arena. Offsets are 32-bit;
+  /// CommitOp checks that every arena stays below 2^32 entries.
   struct UndoSpan {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::size_t size() const { return end - begin; }
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    std::uint32_t size() const { return end - begin; }
   };
 
   /// Undo record of one accepted operation: its entries in the three
@@ -248,12 +257,28 @@ class OnlineRsrChecker {
     UndoSpan arcs;      // undo_arcs_: arcs it inserted
     UndoSpan frontier;  // undo_frontier_: frontier a write dominated
   };
+  static_assert(sizeof(UndoRecord) == 24);
 
   /// A column an operation's row raised over its predecessor's row.
   struct ColumnDelta {
     std::uint32_t column;
     AncestorColumn old_p1;  // the predecessor row's value
   };
+
+  /// An arc an operation inserted, as two global ids; the constructor
+  /// checks that every global id fits in 32 bits.
+  using UndoArc = std::pair<std::uint32_t, std::uint32_t>;
+
+  /// Rule R1 (docs/hotpath.md, Lemma 4) for the B-arc of raised column
+  /// `i` of the append of `op`, whose newest ancestor there is
+  /// `o_{i, u_p1 - 1}` and whose B-target is `o_{j, pulled_i}`: true
+  /// when a frontier predecessor q in another raised transaction k has
+  /// that ancestor and k's B-target is no later, so the path
+  /// `(i, u) ->* q ->* (k, u_k) -> (j, pulled_k) ->* (j, pulled_i)`
+  /// exists once this append's arcs are in. Fills pred_pull_ lazily.
+  bool BArcImplied(const Operation& op, TxnId i, std::uint32_t u_p1,
+                   std::uint32_t pulled_i, const AncestorColumn* prev,
+                   std::size_t raised_count);
 
   std::uint32_t AcquireSlot(std::size_t gid);
   /// The ancestor row of pool slot `slot`: txn_count_ columns.
@@ -328,7 +353,7 @@ class OnlineRsrChecker {
   // ones down.
   std::vector<UndoRecord> undo_log_;
   std::vector<ColumnDelta> undo_deltas_;
-  std::vector<std::pair<NodeId, NodeId>> undo_arcs_;
+  std::vector<UndoArc> undo_arcs_;
   // Per write: the dominated last writer (kNoGid when none), then readers.
   std::vector<std::size_t> undo_frontier_;
   std::size_t undo_dead_ = 0;
@@ -342,6 +367,10 @@ class OnlineRsrChecker {
   std::vector<TxnId> raised_buf_;  // columns the append raised, ascending
   std::vector<std::size_t> pred_buf_;
   std::vector<TxnId> conflict_txns_;  // last_conflicts(), parallel to pred_buf_
+  // Parallel to pred_buf_: PullBackward(j, k, op.index) of each
+  // predecessor's transaction k, kNoPull until BArcImplied needs it.
+  static constexpr std::uint32_t kNoPull = ~static_cast<std::uint32_t>(0);
+  std::vector<std::uint32_t> pred_pull_;
   std::vector<std::pair<NodeId, NodeId>> arc_buf_;
   std::vector<std::uint8_t> arc_kind_buf_;  // parallel to arc_buf_ (tracing)
   // RemoveTransactionExact / Truncate scratch.
@@ -356,6 +385,7 @@ class OnlineRsrChecker {
   std::size_t rejections_ = 0;
   std::size_t arcs_submitted_ = 0;
   std::size_t arcs_inserted_total_ = 0;
+  std::size_t b_arcs_implied_ = 0;
   Tracer* tracer_ = nullptr;
 };
 

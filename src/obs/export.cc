@@ -137,6 +137,8 @@ std::string TraceToJsonl(const Tracer& tracer, const TransactionSet& txns,
     json.Uint(txns.txn_count());
     json.Key("events");
     json.Uint(tracer.events().size());
+    json.Key("b_arcs_implied");
+    json.Uint(tracer.counters().b_arcs_implied);
     if (TransactionSetEmbeddable(txns)) {
       json.Key("txns");
       json.String(TransactionSetToText(txns));

@@ -245,7 +245,10 @@ TraceSummary SummarizeTraceJsonl(std::string_view content) {
     if (!parsed.ok() || !parsed->is_object()) return;
     const JsonValue& event = *parsed;
     const std::string kind = Str(event, "kind");
-    if (kind == "header") return;
+    if (kind == "header") {
+      summary.b_arcs_implied = U64(event, "b_arcs_implied");
+      return;
+    }
     ++summary.events;
     // Epoch-GC events concern no transaction; tally and move on before
     // the per-transaction bookkeeping below can invent a phantom row.
@@ -392,6 +395,10 @@ std::string RenderTraceSummary(const TraceSummary& summary) {
          ", cascade " + std::to_string(summary.cascade_aborts) +
          ", commit " + std::to_string(summary.commits) +
          ", arc " + std::to_string(summary.arcs) + ")\n";
+  if (summary.b_arcs_implied > 0) {
+    out += "B-arcs implied: " + std::to_string(summary.b_arcs_implied) +
+           " (left out of the graph, which already had a path)\n";
+  }
   if (summary.snapshot_reads > 0) {
     out += "snapshot reads: " + std::to_string(summary.snapshot_reads) +
            " (admitted arc-free from the committed watermark)\n";

@@ -82,6 +82,8 @@ struct TraceSummary {
   std::uint64_t commits = 0;
   std::uint64_t arcs = 0;
   std::uint64_t snapshot_reads = 0;  ///< arc-free snapshot admissions
+  /// The header's `b_arcs_implied` counter (0 when absent).
+  std::uint64_t b_arcs_implied = 0;
   // Cross-shard durable-arc census reconstructed from cross_shard_arc
   // events (deduplicated from->peer pairs): an arc is *dead* (tombstone)
   // when either endpoint transaction aborted, live otherwise.

@@ -118,6 +118,11 @@ void Tracer::AddArcStats(std::uint64_t submitted, std::uint64_t inserted,
   counters_.cycle_repairs += repairs;
 }
 
+void Tracer::AddImpliedBArcs(std::uint64_t implied) {
+  if (!counting()) return;
+  counters_.b_arcs_implied += implied;
+}
+
 void Tracer::CountEarlyLockRelease() {
   if (!counting()) return;
   ++counters_.early_lock_releases;
@@ -353,6 +358,7 @@ void Tracer::MergeFrom(const Tracer& other) {
   counters_.arcs_submitted += c.arcs_submitted;
   counters_.arcs_inserted += c.arcs_inserted;
   counters_.cycle_repairs += c.cycle_repairs;
+  counters_.b_arcs_implied += c.b_arcs_implied;
   counters_.early_lock_releases += c.early_lock_releases;
   counters_.batches += c.batches;
   counters_.batched_ops += c.batched_ops;
@@ -443,6 +449,8 @@ std::string SnapshotToJson(const TraceSnapshot& snapshot) {
   json.Uint(snapshot.counters.arcs_inserted);
   json.Key("cycle_repairs");
   json.Uint(snapshot.counters.cycle_repairs);
+  json.Key("b_arcs_implied");
+  json.Uint(snapshot.counters.b_arcs_implied);
   json.Key("early_lock_releases");
   json.Uint(snapshot.counters.early_lock_releases);
   json.Key("batches");

@@ -144,6 +144,7 @@ struct TraceCounters {
   std::uint64_t arcs_submitted = 0;   ///< handed to the cycle checker
   std::uint64_t arcs_inserted = 0;    ///< actually new in the graph
   std::uint64_t cycle_repairs = 0;    ///< Pearce-Kelly reorder passes
+  std::uint64_t b_arcs_implied = 0;   ///< B-arcs left out as implied
   std::uint64_t early_lock_releases = 0;  ///< unit-2PL / altruistic
   // Admission cores (shard/sharded_admitter.h): drain-batch shape.
   std::uint64_t batches = 0;          ///< admission-core drain batches
@@ -236,6 +237,9 @@ class Tracer {
   /// Bulk counter feed from the graph substrate after a batch insert.
   void AddArcStats(std::uint64_t submitted, std::uint64_t inserted,
                    std::uint64_t repairs);
+  /// B-arcs an accepted append left out because the graph already
+  /// implied them (OnlineRsrChecker::b_arcs_implied()).
+  void AddImpliedBArcs(std::uint64_t implied);
 
   void CountEarlyLockRelease();
 

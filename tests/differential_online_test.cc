@@ -26,10 +26,13 @@
 #include "core/online_baseline.h"
 #include "core/paper_examples.h"
 #include "core/rsr.h"
+#include "epoch/epoch.h"
 #include "exec/thread_pool.h"
+#include "graph/closure.h"
 #include "graph/cycle.h"
 #include "graph/digraph.h"
 #include "model/op_indexer.h"
+#include "spec/builders.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -271,6 +274,86 @@ TEST(DifferentialOnline, AcceptedExecutionsStayExactAcrossAborts) {
       EXPECT_TRUE(checker.Executed(op.txn, op.index));
     }
   }
+}
+
+// The checker leaves out B-arcs the graph already implies (docs/hotpath.md,
+// Lemma 4), so its arc set differs from the full emission's; its closure
+// must not. Random feeds of three or more transactions run with
+// rejections, spontaneous aborts (victims never restart) and truncation
+// at every settled epoch. After every step, reachability between any two
+// executed operations must equal that of OnlineRsrCheckerBaseline fed
+// the surviving feed from scratch. The skip must fire, or the sweep
+// shows nothing.
+TEST(DifferentialOnline, ClosureMatchesBaselineOnExecutedNodes) {
+  Rng rng(0xC105);
+  std::size_t implied = 0;
+  std::size_t aborts = 0;
+  std::size_t truncations = 0;
+  for (int round = 0; round < 300; ++round) {
+    WorkloadParams wp;
+    wp.txn_count = 3 + rng.UniformIndex(5);
+    wp.min_ops_per_txn = 1;
+    wp.max_ops_per_txn = 5;
+    wp.object_count = 2 + rng.UniformIndex(4);
+    wp.read_ratio = 0.3 + 0.4 * rng.UniformDouble();
+    const TransactionSet txns = GenerateTransactions(wp, &rng);
+    const AtomicitySpec spec = rng.Bernoulli(0.4) ? AbsoluteSpec(txns)
+                                                   : DrawSpec(txns, &rng);
+    const OpIndexer indexer(txns);
+    OnlineRsrChecker checker(txns, spec);
+    EpochManager epochs(txns.txn_count(), /*gc_interval=*/1);
+    std::uint64_t gc_seen = 0;
+    std::vector<std::uint32_t> next(txns.txn_count(), 0);
+    std::vector<std::uint8_t> finished(txns.txn_count(), 0);
+    const auto finish = [&](TxnId t, bool abort) {
+      if (abort) {
+        checker.RemoveTransactionExact(t);
+        ++aborts;
+      }
+      finished[t] = 1;
+      epochs.NoteFinish(t);
+    };
+
+    for (int step = 0; step < 80; ++step) {
+      const TxnId t = static_cast<TxnId>(rng.UniformIndex(txns.txn_count()));
+      if (finished[t] != 0) continue;
+      if (next[t] > 0 && rng.Bernoulli(0.05)) {
+        finish(t, /*abort=*/true);
+      } else if (checker.TryAppend(txns.txn(t).op(next[t])).ok()) {
+        if (!checker.last_conflicts().empty()) {
+          epochs.NoteDeps(checker.last_conflicts(), t);
+        }
+        if (++next[t] == txns.txn(t).size()) finish(t, /*abort=*/false);
+      } else {
+        finish(t, /*abort=*/true);
+      }
+      if (epochs.gc_generation() != gc_seen) {
+        gc_seen = epochs.gc_generation();
+        if (checker.Truncate(epochs.settled_view()) > 0) ++truncations;
+      }
+
+      OnlineRsrCheckerBaseline baseline(txns, spec);
+      for (const std::size_t gid : checker.feed_log()) {
+        ASSERT_TRUE(baseline.TryAppend(indexer.Op(txns, gid)))
+            << "round " << round << " step " << step;
+      }
+      const TransitiveClosure ours =
+          TransitiveClosure::FromAnyGraph(checker.topology().graph());
+      const TransitiveClosure full =
+          TransitiveClosure::FromAnyGraph(baseline.topology().graph());
+      for (const std::size_t from : checker.feed_log()) {
+        for (const std::size_t to : checker.feed_log()) {
+          ASSERT_EQ(ours.Reaches(from, to), full.Reaches(from, to))
+              << "round " << round << " step " << step << ": " << from
+              << " -> " << to;
+        }
+      }
+    }
+    implied += checker.b_arcs_implied();
+  }
+  EXPECT_GT(implied, 0u);
+  EXPECT_GT(aborts, 0u);
+  EXPECT_GT(truncations, 0u);
 }
 
 // The compare pass in two phases (docs/hotpath.md, "The F/B scan"): an

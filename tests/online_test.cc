@@ -6,6 +6,7 @@
 #include "core/online.h"
 #include "core/paper_examples.h"
 #include "core/rsr.h"
+#include "graph/cycle.h"
 #include "graph/dot.h"
 #include "model/text.h"
 #include "spec/builders.h"
@@ -120,6 +121,41 @@ TEST(OnlineChecker, RemoveTransactionExactDropsItsPairs) {
     ASSERT_TRUE(checker.TryAppend(cyc->txn(1).op(1)));
     EXPECT_FALSE(checker.TryAppend(cyc->txn(0).op(1)));
   }
+}
+
+TEST(OnlineChecker, ImpliedBArcSkippedThenInsertedAfterAbort) {
+  // Absolute spec: w3[x] has w1[x] and r2[x] as frontier predecessors,
+  // and r2[x] read from w1[x]. Its B-arc r2[x] -> w3[y] makes the B-arc
+  // w1[x] -> w3[y] implied (w1[x] -> r2[x] -> w3[y]), so it is left out
+  // (docs/hotpath.md, Lemma 4). Aborting T2 removes that path and
+  // re-admits w3[x], which then inserts the B-arc itself.
+  auto txns =
+      ParseTransactionSet("T1 = w1[x]\nT2 = r2[x]\nT3 = w3[y] w3[x]\n");
+  const AtomicitySpec spec = AbsoluteSpec(*txns);
+  OnlineRsrChecker checker(*txns, spec);
+  const OpIndexer& ids = checker.indexer();
+  const Operation& w1x = txns->txn(0).op(0);
+  const Operation& r2x = txns->txn(1).op(0);
+  const Operation& w3y = txns->txn(2).op(0);
+  const Operation& w3x = txns->txn(2).op(1);
+  for (const Operation& op : {w1x, r2x, w3y, w3x}) {
+    ASSERT_TRUE(checker.TryAppend(op));
+  }
+  const Digraph& graph = checker.topology().graph();
+  EXPECT_EQ(checker.b_arcs_implied(), 1u);
+  EXPECT_FALSE(graph.HasEdge(ids.GlobalId(w1x), ids.GlobalId(w3y)));
+  EXPECT_TRUE(graph.HasEdge(ids.GlobalId(r2x), ids.GlobalId(w3y)));
+  EXPECT_TRUE(Reachable(graph, ids.GlobalId(w1x), ids.GlobalId(w3y)));
+
+  checker.RemoveTransactionExact(1);
+  EXPECT_EQ(checker.replayed_ops(), 1u);
+  EXPECT_EQ(checker.b_arcs_implied(), 1u);
+  EXPECT_TRUE(graph.HasEdge(ids.GlobalId(w1x), ids.GlobalId(w3y)));
+  OnlineRsrChecker fresh(*txns, spec);
+  for (const std::size_t gid : checker.feed_log()) {
+    ASSERT_TRUE(fresh.TryAppend(ids.Op(*txns, gid)));
+  }
+  EXPECT_EQ(checker.StateDigest(), fresh.StateDigest());
 }
 
 TEST(OnlineChecker, BreakpointsAdmitTheSandwich) {

@@ -30,6 +30,7 @@
 
 #include "core/online.h"
 #include "epoch/epoch.h"
+#include "graph/cycle.h"
 #include "model/op_indexer.h"
 #include "spec/builders.h"
 #include "util/rng.h"
@@ -562,7 +563,8 @@ TEST(RollbackDifferential, RowsAcrossBlocksRoundTrip) {
 // place in the feed, and the dependents' surviving operations are
 // re-admitted after it, in their original order. Under AbsoluteSpec every
 // transaction is one unit, so an operation that depends on T_i draws a
-// B-arc from T_i to its own transaction's first operation.
+// B-arc from T_i to its own transaction's first operation, unless the
+// graph already implies it (docs/hotpath.md, Lemma 4).
 TEST(RollbackDifferential, AbortKeepsNonDependentsInPlace) {
   TransactionSet txns;
   const ObjectId a = txns.InternObject("a");
@@ -601,7 +603,8 @@ TEST(RollbackDifferential, AbortKeepsNonDependentsInPlace) {
     }
     return out;
   };
-  const auto abort = [&](OnlineRsrChecker* checker, TxnId txn) {
+  const auto abort_under = [&](const AtomicitySpec& under,
+                               OnlineRsrChecker* checker, TxnId txn) {
     const std::vector<std::size_t> log = checker->feed_log();
     const std::size_t first = static_cast<std::size_t>(
         std::find(log.begin(), log.end(), indexer.TxnBegin(txn)) -
@@ -610,35 +613,58 @@ TEST(RollbackDifferential, AbortKeepsNonDependentsInPlace) {
     checker->RemoveTransactionExact(txn);
     EXPECT_EQ(checker->replayed_ops() - replayed,
               DependentCount(txns, indexer, log, first, txn));
-    EXPECT_EQ(checker->StateDigest(), FreshDigest(txns, spec, *checker))
+    EXPECT_EQ(checker->StateDigest(), FreshDigest(txns, under, *checker))
         << "after aborting T" << txn + 1;
   };
+  const auto abort = [&](OnlineRsrChecker* checker, TxnId txn) {
+    abort_under(spec, checker, txn);
+  };
+  const std::vector<Step> feed = {{kK, 0}, {kK, 1}, {kK, 2}, {kD, 0},
+                                  {kV, 0}, {kV, 1}, {kD, 1}, {kN, 0},
+                                  {kV, 2}, {kD, 2}};
+  const std::vector<Step> survivors = {{kK, 0}, {kK, 1}, {kK, 2}, {kD, 0},
+                                       {kN, 0}, {kD, 1}, {kD, 2}};
+  const std::size_t k_write = indexer.GlobalId(kK, 0);
+  const std::size_t d_first = indexer.GlobalId(kD, 0);
 
   // D's read of x from V makes D's suffix dependent; its prefix, D's read
-  // of a, stays. That read drew B-arcs into D's first operation from V's
-  // write of x and from K's write of y, which V read: the second joins
-  // two operations that both stay, and only D's undo record says it must
-  // go. V's write of w dominated K's read of w, whose row K's later write
-  // of k released; the abort puts the read back in w's frontier with its
-  // row. N's write of z follows the dependent read and does not move.
+  // of a, stays. That read reaches D's first operation from V's write of
+  // x by a B-arc, and from K's write of y, which V read, through V: K's
+  // own B-arc is implied and left out. V's write of w dominated K's read
+  // of w, whose row K's later write of k released; the abort puts the
+  // read back in w's frontier with its row. N's write of z follows the
+  // dependent read and does not move.
   {
     OnlineRsrChecker checker(txns, spec);
-    FeedSteps(txns, &checker,
-              {{kK, 0}, {kK, 1}, {kK, 2}, {kD, 0}, {kV, 0}, {kV, 1}, {kD, 1},
-               {kN, 0}, {kV, 2}, {kD, 2}});
+    FeedSteps(txns, &checker, feed);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
-    const std::size_t k_write = indexer.GlobalId(kK, 0);
-    const std::size_t d_first = indexer.GlobalId(kD, 0);
-    ASSERT_TRUE(checker.topology().graph().HasEdge(k_write, d_first));
+    ASSERT_TRUE(Reachable(checker.topology().graph(), k_write, d_first));
     abort(&checker, kV);
+    EXPECT_FALSE(Reachable(checker.topology().graph(), k_write, d_first));
     EXPECT_FALSE(checker.topology().graph().HasEdge(k_write, d_first));
-    EXPECT_EQ(checker.feed_log(),
-              gids({{kK, 0}, {kK, 1}, {kK, 2}, {kD, 0}, {kN, 0}, {kD, 1},
-                    {kD, 2}}));
+    EXPECT_EQ(checker.feed_log(), gids(survivors));
     std::vector<std::size_t> readers;
     checker.FrontierReaders(w, &readers);
     EXPECT_EQ(readers, gids({{kK, 1}}));
     EXPECT_EQ(checker.FrontierWriterGid(x), OnlineRsrChecker::kNoOp);
+    EXPECT_EQ(checker.replayed_ops(), 2u);
+  }
+
+  // The same feed where D's read of x is a unit of its own relative to
+  // V: it draws no B-arc from V, so nothing implies K's, and the read
+  // inserts the arc from K's write of y itself. That arc joins two
+  // operations that both stay, and only D's undo record says it must go.
+  {
+    AtomicitySpec split = AbsoluteSpec(txns);
+    split.SetBreakpoint(kD, kV, 0);
+    OnlineRsrChecker checker(txns, split);
+    FeedSteps(txns, &checker, feed);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    ASSERT_TRUE(checker.topology().graph().HasEdge(k_write, d_first));
+    abort_under(split, &checker, kV);
+    EXPECT_FALSE(checker.topology().graph().HasEdge(k_write, d_first));
+    EXPECT_FALSE(Reachable(checker.topology().graph(), k_write, d_first));
+    EXPECT_EQ(checker.feed_log(), gids(survivors));
     EXPECT_EQ(checker.replayed_ops(), 2u);
   }
 

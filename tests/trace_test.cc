@@ -22,6 +22,7 @@
 #include "sched/engine.h"
 #include "sched/factory.h"
 #include "sched/replay.h"
+#include "spec/builders.h"
 #include "shard/router.h"
 #include "shard/sharded_admitter.h"
 #include "util/json.h"
@@ -234,6 +235,40 @@ TEST(TraceInvariants, SnapshotJsonParsesAndMatchesCounters) {
   EXPECT_EQ(static_cast<std::uint64_t>(
                 parsed->Find("admit_latency_samples")->number_value()),
             tracer.counters().admits);
+}
+
+// The checker's implied-B-arc count reaches every surface that reports
+// counters: the kCounters snapshot JSON, the JSONL header and
+// trace_inspect's summary. The feed is online_test's hand-built case:
+// w3[x] leaves out the B-arc w1[x] -> w3[y], implied through r2[x].
+TEST(TraceInvariants, ImpliedBArcCountReachesSnapshotAndSummary) {
+  auto txns =
+      ParseTransactionSet("T1 = w1[x]\nT2 = r2[x]\nT3 = w3[y] w3[x]\n");
+  ASSERT_TRUE(txns.ok());
+  const AtomicitySpec spec = AbsoluteSpec(*txns);
+  for (const TraceLevel level : {TraceLevel::kCounters, TraceLevel::kFull}) {
+    Tracer tracer(level);
+    OnlineRsrChecker checker(*txns, spec);
+    checker.set_tracer(&tracer);
+    for (const TxnId t : {0u, 1u, 2u}) {
+      for (const Operation& op : txns->txn(t).ops()) {
+        ASSERT_TRUE(checker.TryAppend(op));
+      }
+    }
+    EXPECT_EQ(checker.b_arcs_implied(), 1u);
+    EXPECT_EQ(tracer.counters().b_arcs_implied, 1u);
+    const auto parsed = JsonValue::Parse(SnapshotToJson(tracer.Snapshot()));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_NE(parsed->Find("b_arcs_implied"), nullptr);
+    EXPECT_EQ(parsed->Find("b_arcs_implied")->number_value(), 1.0);
+    if (level != TraceLevel::kFull) continue;
+    const std::string jsonl = TraceToJsonl(tracer, *txns);
+    EXPECT_TRUE(ValidateTraceJsonl(jsonl).ok);
+    const TraceSummary summary = SummarizeTraceJsonl(jsonl);
+    EXPECT_EQ(summary.b_arcs_implied, 1u);
+    EXPECT_NE(RenderTraceSummary(summary).find("B-arcs implied: 1"),
+              std::string::npos);
+  }
 }
 
 // One synchronous client makes the admitter's counters fully
